@@ -92,12 +92,16 @@ impl Json {
     ///
     /// Returns a message with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -152,9 +156,18 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Nesting limit for arrays and objects. The parser recurses once per
+/// level, so an unbounded `[[[[…` body would overflow the stack and abort
+/// the process; the repository's documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Byte offset into `text`; always on a `char` boundary.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -196,11 +209,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -278,16 +306,19 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {start}"));
+                }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {start}"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote, escape or control byte in one slice. Those
+                    // are all ASCII, so the run ends on a char boundary.
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    out.push_str(&self.text[start..start + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -411,5 +442,33 @@ mod tests {
     #[test]
     fn unicode_escapes_parse() {
         assert_eq!(Json::parse(r#""Aé""#).unwrap(), Json::str("Aé"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).unwrap_err().contains("nesting"));
+        // A body of a few MiB, well under the daemon's request cap, that
+        // would recurse once per byte without the limit.
+        let hostile = "[{\"a\":".repeat(1 << 20);
+        assert!(Json::parse(&hostile).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Mixed ASCII, multi-byte characters and escapes, 4 MiB in all.
+        let unit = "abcé€\\n\\\"";
+        let text = format!("\"{}\"", unit.repeat((4 << 20) / unit.len()));
+        let t0 = std::time::Instant::now();
+        let v = Json::parse(&text).unwrap();
+        // Re-scanning the rest of the input per character would take
+        // hours at this size; one linear pass takes milliseconds.
+        assert!(t0.elapsed() < std::time::Duration::from_secs(20));
+        let expected = "abcé€\n\"".repeat((4 << 20) / unit.len());
+        assert_eq!(v, Json::str(expected));
+        // Raw control characters are still refused.
+        assert!(Json::parse("\"a\u{1}b\"").is_err());
     }
 }

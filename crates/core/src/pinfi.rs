@@ -321,8 +321,9 @@ pub fn run_pinfi_detailed_from(
 /// additionally records a per-checkpoint divergence observation at every
 /// post-injection pause. Observation is passive — the returned
 /// [`InjectionRun`](crate::outcome::InjectionRun) and every `tel` counter
-/// are byte-identical with `timeline` present or absent. Passing `true`,
-/// `None`, `None`, [`TaskTel::off`] makes this identical to
+/// but `pages_compared` (which counts the observation's own page
+/// compares) are byte-identical with `timeline` present or absent.
+/// Passing `true`, `None`, `None`, [`TaskTel::off`] makes this identical to
 /// [`run_pinfi_detailed_from`].
 ///
 /// # Errors
@@ -385,6 +386,12 @@ pub fn run_pinfi_observed(
     tel.count(cell_counter::STEPS_EXECUTED, executed);
     tel.count(cell_counter::STEPS_RECONSTRUCTED_EE, reconstructed);
     tel.count(cell_counter::STEPS_QUIESCENT, machine.steps_quiescent());
+    let mem = &machine.st.mem;
+    tel.count(
+        cell_counter::RESTORE_PAGES_COPIED,
+        mem.restore_pages_copied(),
+    );
+    tel.count(cell_counter::PAGES_COMPARED, mem.pages_compared());
     tel.hist(cell_hist::TASK_STEPS, result.steps);
     let hook = machine.into_hook();
     debug_assert!(hook.injected, "planned instance must be reached");
@@ -441,9 +448,10 @@ fn drive_pinfi(
         // Observe before the early-exit machinery: recording is passive
         // (reads the paused state, consumes no RNG, touches none of the
         // counters below), so records and telemetry stay byte-identical
-        // with the timeline on or off. Pre-injection pauses are skipped —
-        // the run still equals golden there, which is also what makes
-        // timelines identical with and without fast-forward.
+        // with the timeline on or off, but for the pages it compares.
+        // Pre-injection pauses are skipped — the run still equals golden
+        // there, which is also what makes timelines identical with and
+        // without fast-forward.
         if machine.hook().injected {
             if let Some(tl) = timeline.as_mut().filter(|t| t.open()) {
                 tl.record(next as u64, snap.steps(), machine.divergence_from(snap));

@@ -860,6 +860,29 @@ impl CampaignReport {
                     pct_of(reused, hashed + reused),
                 );
             }
+            if let Some(r) = c.hists.get("restore_ns").filter(|r| r.count() > 0) {
+                let copied = c.counter("restore_pages_copied");
+                let _ = writeln!(
+                    out,
+                    "  restore: {} restores, mean {:.0} ns, p50 ≤ {} ns, p99 ≤ {} ns; \
+                     {} pages copied ({:.1}/restore)",
+                    r.count(),
+                    r.mean(),
+                    r.quantile(0.5),
+                    r.quantile(0.99),
+                    copied,
+                    copied as f64 / r.count() as f64,
+                );
+            }
+            let compared = c.counter("pages_compared");
+            if compared > 0 {
+                let _ = writeln!(
+                    out,
+                    "  page compares: {compared} pages hashed or byte-compared \
+                     at checkpoints ({:.1}/task)",
+                    compared as f64 / tasks.max(1) as f64,
+                );
+            }
             if let Some(lat) = c.hists.get("task_latency_us") {
                 let _ = writeln!(
                     out,

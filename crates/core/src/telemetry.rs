@@ -115,6 +115,15 @@ pub mod cell_counter {
     /// Born timelines that were observed provably clean again (masked at
     /// a checkpoint).
     pub const DIV_MASKED: usize = 23;
+    /// Snapshot pages copied by fast-forward restores: only a snapshot's
+    /// non-zero pages are copied.
+    pub const RESTORE_PAGES_COPIED: usize = 24;
+    /// Memory pages hashed or byte-compared at checkpoint compares and
+    /// divergence observations; pages the restored memory provably still
+    /// shares with the checkpoint are skipped and not counted. The one
+    /// cell counter that moves with `--divergence`, since observing is
+    /// work too.
+    pub const PAGES_COMPARED: usize = 25;
 }
 
 /// Cell-scope histogram indices into [`HUB_SPEC`].
@@ -184,6 +193,8 @@ pub static HUB_SPEC: HubSpec = HubSpec {
         "timelines",
         "div_born",
         "div_masked",
+        "restore_pages_copied",
+        "pages_compared",
     ],
     cell_hists: &[
         "task_latency_us",

@@ -11,7 +11,7 @@
 use crate::digest::hash_bytes;
 use crate::trap::Trap;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What a region holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,16 +57,27 @@ pub const DEFAULT_CAPACITY: u64 = 64 << 20;
 pub const DEFAULT_STACK_SIZE: u64 = 1 << 20;
 
 /// The simulated memory.
+///
+/// One invariant makes restore and snapshot compares cost what actually
+/// differs: a page whose bit is clear in `written` is byte-identical to
+/// the same page of `base`, the page table of the snapshot this memory
+/// was restored from (all zeros for a fresh memory, and past the end of
+/// `base`). [`Memory::write_bytes`] is the only mutation path and sets
+/// the bit; allocation only appends zeros.
 #[derive(Debug, Clone)]
 pub struct Memory {
     data: Vec<u8>,
-    /// Bitmap of [`DIRTY_CHUNK`]-sized chunks of `data` that may hold
-    /// nonzero bytes (bit `c` covers `[c*DIRTY_CHUNK, (c+1)*DIRTY_CHUNK)`).
-    /// Lets [`Drop`] recycle the backing buffer through the thread-local
-    /// pool by re-zeroing only what a run actually touched — a campaign
-    /// task dirties a couple of chunks of its 1 MiB stack, so this turns
-    /// a full-buffer memset per task into a small one.
-    dirty: Vec<u64>,
+    /// Bitmap of [`SNAPSHOT_PAGE`]-sized pages of `data` written since
+    /// this memory was created or restored (bit `i` covers page `i`).
+    written: Vec<u64>,
+    /// The page table this memory was restored from; `None` for a fresh
+    /// memory, whose base is all zeros.
+    base: Option<Arc<[Arc<[u8]>]>>,
+    /// Pages the restore that built this memory copied (work counter).
+    restore_pages_copied: u64,
+    /// Pages hashed or byte-compared by the snapshot compares against
+    /// this memory (work counter).
+    pages_compared: Cell<u64>,
     regions: Vec<Region>, // sorted by start (allocation is monotonic)
     /// Index of the region the last successful lookup hit. Accesses
     /// cluster heavily (a loop hammers one array, the stack pointer stays
@@ -78,54 +89,51 @@ pub struct Memory {
     stack: Option<Region>,
 }
 
-/// Granularity of dirty tracking for buffer recycling (bytes).
-const DIRTY_CHUNK: usize = 64 * 1024;
-
 /// Buffers smaller than this are not worth pooling.
-const POOL_MIN_LEN: usize = DIRTY_CHUNK;
+const POOL_MIN_LEN: usize = 64 * 1024;
 
 /// Per-thread cap on retained buffers.
 const POOL_MAX_ENTRIES: usize = 4;
 
 thread_local! {
     /// Recycled backing buffers. Invariant: every byte of `buf[..len]` is
-    /// zero except possibly inside chunks whose bit is set in the paired
-    /// dirty bitmap (which always covers the full length).
+    /// zero except possibly inside pages whose bit is set in the paired
+    /// scrub bitmap (which always covers the full length).
     static BUF_POOL: RefCell<Vec<(Vec<u8>, Vec<u64>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Number of bitmap words needed to cover `len` bytes.
-fn dirty_words(len: usize) -> usize {
-    len.div_ceil(DIRTY_CHUNK).div_ceil(64)
+/// Number of bitmap words needed to cover `len` bytes of pages.
+fn page_words(len: usize) -> usize {
+    len.div_ceil(SNAPSHOT_PAGE).div_ceil(64)
 }
 
 /// Fetches a recycled all-zero buffer of exactly `new_len` bytes, or
 /// allocates a fresh zeroed one. Pooled buffers are scrubbed lazily here:
-/// only the chunks their previous owner dirtied (clipped to the reused
-/// prefix) are re-zeroed. Matching is by capacity, not length, so the two
-/// substrates' slightly different memory layouts (the machine maps an
-/// extra guard gap) recycle each other's buffers: a shorter buffer is
-/// zero-extended, which only memsets the small length delta.
+/// only the pages their previous owner may have left non-zero (clipped to
+/// the reused prefix) are re-zeroed. Matching is by capacity, not length,
+/// so the two substrates' slightly different memory layouts (the machine
+/// maps an extra guard gap) recycle each other's buffers: a shorter
+/// buffer is zero-extended, which only memsets the small length delta.
 fn acquire_zeroed(new_len: usize) -> Vec<u8> {
     let pooled = BUF_POOL.with(|p| {
         let mut p = p.borrow_mut();
         let pos = p.iter().position(|(b, _)| b.capacity() >= new_len)?;
         Some(p.swap_remove(pos))
     });
-    let Some((mut buf, dirty)) = pooled else {
+    let Some((mut buf, scrub)) = pooled else {
         return vec![0u8; new_len];
     };
-    let scrub = buf.len().min(new_len);
-    for (w, &bits) in dirty.iter().enumerate() {
+    let reused = buf.len().min(new_len);
+    for (w, &bits) in scrub.iter().enumerate() {
         let mut bits = bits;
         while bits != 0 {
-            let c = w * 64 + bits.trailing_zeros() as usize;
+            let page = w * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let start = c * DIRTY_CHUNK;
-            if start >= scrub {
+            let start = page * SNAPSHOT_PAGE;
+            if start >= reused {
                 break;
             }
-            let end = ((c + 1) * DIRTY_CHUNK).min(scrub);
+            let end = (start + SNAPSHOT_PAGE).min(reused);
             buf[start..end].fill(0);
         }
     }
@@ -135,15 +143,25 @@ fn acquire_zeroed(new_len: usize) -> Vec<u8> {
 
 impl Drop for Memory {
     fn drop(&mut self) {
-        if self.data.len() < POOL_MIN_LEN {
+        if self.data.capacity() < POOL_MIN_LEN {
             return;
         }
         let buf = std::mem::take(&mut self.data);
-        let dirty = std::mem::take(&mut self.dirty);
+        // Non-zero bytes can only sit in written pages and in the pages a
+        // restore copied in from a non-zero base page.
+        let mut scrub = std::mem::take(&mut self.written);
+        if let Some(base) = &self.base {
+            let zero = &zero_page().0;
+            for (i, page) in base.iter().enumerate() {
+                if !Arc::ptr_eq(page, zero) {
+                    scrub[i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
         BUF_POOL.with(|p| {
             let mut p = p.borrow_mut();
             if p.len() < POOL_MAX_ENTRIES {
-                p.push((buf, dirty));
+                p.push((buf, scrub));
             }
         });
     }
@@ -159,7 +177,10 @@ impl Memory {
     pub fn with_capacity(capacity: u64) -> Memory {
         Memory {
             data: Vec::new(),
-            dirty: Vec::new(),
+            written: Vec::new(),
+            base: None,
+            restore_pages_copied: 0,
+            pages_compared: Cell::new(0),
             regions: Vec::new(),
             last_hit: Cell::new(0),
             next: NULL_GUARD,
@@ -168,17 +189,32 @@ impl Memory {
         }
     }
 
-    /// Marks the chunks covering `[off, off+len)` as possibly nonzero.
+    /// Marks the pages covering `[off, off+len)` as written.
     #[inline]
-    fn mark_dirty(&mut self, off: usize, len: usize) {
+    fn mark_written(&mut self, off: usize, len: usize) {
         if len == 0 {
             return;
         }
-        let c0 = off / DIRTY_CHUNK;
-        let c1 = (off + len - 1) / DIRTY_CHUNK;
-        for c in c0..=c1 {
-            self.dirty[c / 64] |= 1 << (c % 64);
+        let p0 = off / SNAPSHOT_PAGE;
+        let p1 = (off + len - 1) / SNAPSHOT_PAGE;
+        for p in p0..=p1 {
+            self.written[p / 64] |= 1 << (p % 64);
         }
+    }
+
+    /// Pages the restore that built this memory copied out of its
+    /// snapshot: the snapshot's non-zero pages (0 for a fresh memory).
+    pub fn restore_pages_copied(&self) -> u64 {
+        self.restore_pages_copied
+    }
+
+    /// Pages the snapshot compares against this memory have hashed or
+    /// byte-compared so far ([`Memory::matches_snapshot_hashes`],
+    /// [`Memory::equals_snapshot`], [`Memory::diverged_pages`],
+    /// [`Memory::diverged_pages_exact`]). Pages the `written`/`base`
+    /// invariant proves equal are skipped and not counted.
+    pub fn pages_compared(&self) -> u64 {
+        self.pages_compared.get()
     }
 
     /// Allocates a zero-filled region of `size` bytes aligned to `align`.
@@ -193,7 +229,11 @@ impl Memory {
         if end - NULL_GUARD > self.capacity {
             return Err(Trap::OutOfMemory);
         }
-        grow_zeroed(&mut self.data, &mut self.dirty, (end - NULL_GUARD) as usize);
+        grow_zeroed(
+            &mut self.data,
+            &mut self.written,
+            (end - NULL_GUARD) as usize,
+        );
         let region = Region {
             start,
             size: size.max(1),
@@ -318,7 +358,7 @@ impl Memory {
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), Trap> {
         self.check(addr, bytes.len() as u64)?;
         let off = (addr - NULL_GUARD) as usize;
-        self.mark_dirty(off, bytes.len());
+        self.mark_written(off, bytes.len());
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
@@ -409,16 +449,18 @@ impl Default for Memory {
     }
 }
 
-/// Zero-extends `data` to `new_len` bytes, keeping `dirty` covering it.
+/// Zero-extends `data` to `new_len` bytes, keeping `written` covering it.
 ///
 /// Large growth steps (the 1 MiB stack region, mapped once per
 /// interpreter) swap in an all-zero buffer from the thread-local recycling
 /// pool ([`acquire_zeroed`]) with the live prefix copied over — the
-/// prefix bytes land at their old offsets, so the existing dirty marks
+/// prefix bytes land at their old offsets, so the existing written marks
 /// remain accurate and no fresh marks are needed. Small steps (packed
 /// globals) memset in place, where swapping buffers would cost more than
-/// it saves. Appended zeros never dirty anything.
-fn grow_zeroed(data: &mut Vec<u8>, dirty: &mut Vec<u64>, new_len: usize) {
+/// it saves. Appended zeros write nothing: past the end of the base they
+/// match its all-zero extension, and a partial last base page that grows
+/// no longer has the base page's length, which the compares check.
+fn grow_zeroed(data: &mut Vec<u8>, written: &mut Vec<u64>, new_len: usize) {
     const FRESH_ALLOC_MIN_GROWTH: usize = 64 * 1024;
     if new_len <= data.len() {
         return;
@@ -430,13 +472,32 @@ fn grow_zeroed(data: &mut Vec<u8>, dirty: &mut Vec<u64>, new_len: usize) {
     } else {
         data.resize(new_len, 0);
     }
-    if dirty.len() < dirty_words(new_len) {
-        dirty.resize(dirty_words(new_len), 0);
+    if written.len() < page_words(new_len) {
+        written.resize(page_words(new_len), 0);
     }
 }
 
 /// Granularity of snapshot page sharing (bytes).
 pub const SNAPSHOT_PAGE: usize = 4096;
+
+/// The one all-zero page every snapshot stores its all-zero full pages
+/// as, with its hash.
+fn zero_page() -> &'static (Arc<[u8]>, u64) {
+    static ZERO: OnceLock<(Arc<[u8]>, u64)> = OnceLock::new();
+    ZERO.get_or_init(|| {
+        let page: Arc<[u8]> = Arc::from(vec![0u8; SNAPSHOT_PAGE]);
+        let hash = hash_bytes(&page);
+        (page, hash)
+    })
+}
+
+/// True when every byte is zero. Scans in 64-byte blocks the compiler
+/// vectorizes, exiting at the first non-zero block.
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes
+        .chunks(64)
+        .all(|block| block.iter().fold(0u8, |acc, &b| acc | b) == 0)
+}
 
 /// An immutable point-in-time copy of a [`Memory`], cheap to keep in
 /// series.
@@ -450,9 +511,13 @@ pub const SNAPSHOT_PAGE: usize = 4096;
 /// comparison-based copy-on-write that needs no write interception in the
 /// hot execution loop. A long-running program that touches only its stack
 /// and a few globals between checkpoints pays for just those dirty pages.
+/// Every all-zero full page is one shared zero page, so the untouched
+/// stack costs nothing to keep and nothing to restore.
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
-    pages: Vec<Arc<[u8]>>,
+    /// The page table, shared with every memory restored from it (their
+    /// `base`) for the cost of one reference count.
+    pages: Arc<[Arc<[u8]>]>,
     page_hashes: Vec<u64>,
     len: usize,
     regions: Vec<Region>,
@@ -483,7 +548,7 @@ impl MemSnapshot {
     pub fn shared_pages_with(&self, other: &MemSnapshot) -> usize {
         self.pages
             .iter()
-            .zip(&other.pages)
+            .zip(other.pages.iter())
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
     }
@@ -505,6 +570,7 @@ impl Memory {
     /// Pass the previous snapshot in the series (if any) so unchanged
     /// pages are shared instead of copied.
     pub fn snapshot(&self, prev: Option<&MemSnapshot>) -> MemSnapshot {
+        let (zero, zero_hash) = zero_page();
         let page_count = self.data.len().div_ceil(SNAPSHOT_PAGE);
         let mut pages = Vec::with_capacity(page_count);
         let mut page_hashes = Vec::with_capacity(page_count);
@@ -512,22 +578,22 @@ impl Memory {
             let shared = prev
                 .and_then(|p| p.pages.get(i))
                 .filter(|page| page.as_ref() == chunk);
-            match shared {
-                Some(page) => {
-                    // The byte-compare above proved the page clean, so the
-                    // previous snapshot's digest is still valid — reuse it
-                    // instead of rehashing 4 KiB.
-                    pages.push(Arc::clone(page));
-                    page_hashes.push(prev.expect("shared implies prev").page_hashes[i]);
-                }
-                None => {
-                    pages.push(Arc::from(chunk));
-                    page_hashes.push(hash_bytes(chunk));
-                }
+            if let Some(page) = shared {
+                // The byte-compare above proved the page clean, so the
+                // previous snapshot's digest is still valid — reuse it
+                // instead of rehashing 4 KiB.
+                pages.push(Arc::clone(page));
+                page_hashes.push(prev.expect("shared implies prev").page_hashes[i]);
+            } else if chunk.len() == SNAPSHOT_PAGE && is_zero(chunk) {
+                pages.push(Arc::clone(zero));
+                page_hashes.push(*zero_hash);
+            } else {
+                pages.push(Arc::from(chunk));
+                page_hashes.push(hash_bytes(chunk));
             }
         }
         MemSnapshot {
-            pages,
+            pages: Arc::from(pages),
             page_hashes,
             len: self.data.len(),
             regions: self.regions.clone(),
@@ -539,23 +605,79 @@ impl Memory {
 
     /// Reconstructs a memory identical to the one `snap` was captured
     /// from (byte-for-byte, including region table and allocation cursor).
+    ///
+    /// The buffer comes zeroed from the thread-local pool, so only the
+    /// snapshot's non-zero pages are copied; the snapshot's page table
+    /// becomes the new memory's base, with no page written yet.
     pub fn from_snapshot(snap: &MemSnapshot) -> Memory {
-        let mut data = Vec::with_capacity(snap.len);
-        for p in &snap.pages {
-            data.extend_from_slice(p);
+        let mut data = acquire_zeroed(snap.len);
+        let zero = &zero_page().0;
+        let mut copied = 0;
+        for (i, page) in snap.pages.iter().enumerate() {
+            if !Arc::ptr_eq(page, zero) {
+                let off = i * SNAPSHOT_PAGE;
+                data[off..off + page.len()].copy_from_slice(page);
+                copied += 1;
+            }
         }
-        debug_assert_eq!(data.len(), snap.len);
-        // Every byte was written from the snapshot, so the whole range is
-        // conservatively dirty for buffer-recycling purposes.
         Memory {
-            dirty: vec![u64::MAX; dirty_words(data.len())],
+            written: vec![0; page_words(data.len())],
             data,
+            base: Some(Arc::clone(&snap.pages)),
+            restore_pages_copied: copied,
+            pages_compared: Cell::new(0),
             regions: snap.regions.clone(),
             last_hit: Cell::new(0),
             next: snap.next,
             capacity: snap.capacity,
             stack: snap.stack,
         }
+    }
+
+    /// True when live page `i` (`chunk`) is provably byte-identical to
+    /// `target` without reading it: the page is unwritten, so it equals
+    /// its base page, and that base page is `target`'s own allocation —
+    /// or, past the end of the base, `target` is the zero page. Equal
+    /// lengths are required too, because a partial last base page that
+    /// grew no longer matches it.
+    #[inline]
+    fn page_known_equal(&self, i: usize, chunk: &[u8], target: &Arc<[u8]>) -> bool {
+        if self.written[i / 64] & (1 << (i % 64)) != 0 || chunk.len() != target.len() {
+            return false;
+        }
+        match self.base.as_deref().and_then(|b| b.get(i)) {
+            Some(base) => Arc::ptr_eq(base, target),
+            None => Arc::ptr_eq(target, &zero_page().0),
+        }
+    }
+
+    /// Runs `test` on every common page the `written`/`base` invariant
+    /// cannot prove equal to `snap`'s, in page order, until `test`
+    /// returns `false`; counts the pages tested into `pages_compared`.
+    /// Returns whether every tested page passed. Skipped pages are
+    /// byte-identical to the snapshot's, so they would have passed any
+    /// byte or hash test: callers see exactly the full-scan result.
+    fn all_pages(&self, snap: &MemSnapshot, mut test: impl FnMut(usize, &[u8]) -> bool) -> bool {
+        let mut compared = 0;
+        let mut ok = true;
+        for (i, (chunk, page)) in self
+            .data
+            .chunks(SNAPSHOT_PAGE)
+            .zip(snap.pages.iter())
+            .enumerate()
+        {
+            if self.page_known_equal(i, chunk, page) {
+                continue;
+            }
+            compared += 1;
+            if !test(i, chunk) {
+                ok = false;
+                break;
+            }
+        }
+        self.pages_compared
+            .set(self.pages_compared.get() + compared);
+        ok
     }
 
     /// Cheap first-stage convergence check: true if this memory's layout
@@ -565,30 +687,16 @@ impl Memory {
     /// collisions exist); callers must confirm with [`Memory::equals_snapshot`]
     /// before acting on a match. A `false` is definitive.
     pub fn matches_snapshot_hashes(&self, snap: &MemSnapshot) -> bool {
-        self.data.len() == snap.len
-            && self.next == snap.next
-            && self.stack == snap.stack
-            && self.regions == snap.regions
-            && self
-                .data
-                .chunks(SNAPSHOT_PAGE)
-                .zip(&snap.page_hashes)
-                .all(|(chunk, &h)| hash_bytes(chunk) == h)
+        self.layout_matches_snapshot(snap)
+            && self.all_pages(snap, |i, chunk| hash_bytes(chunk) == snap.page_hashes[i])
     }
 
     /// Exact second-stage convergence check: full byte comparison of the
     /// mapped range plus the allocation metadata. This is what rules out
     /// hash collisions after [`Memory::matches_snapshot_hashes`] passes.
     pub fn equals_snapshot(&self, snap: &MemSnapshot) -> bool {
-        self.data.len() == snap.len
-            && self.next == snap.next
-            && self.stack == snap.stack
-            && self.regions == snap.regions
-            && self
-                .data
-                .chunks(SNAPSHOT_PAGE)
-                .zip(&snap.pages)
-                .all(|(chunk, page)| chunk == page.as_ref())
+        self.layout_matches_snapshot(snap)
+            && self.all_pages(snap, |i, chunk| chunk == snap.pages[i].as_ref())
     }
 
     /// True when the allocation metadata (mapped length, cursor, region
@@ -612,32 +720,26 @@ impl Memory {
     /// [`hash_bytes`] folds the length in, so partial pages compare just
     /// like full ones.
     pub fn diverged_pages(&self, snap: &MemSnapshot) -> u32 {
-        self.count_diverged(snap, |chunk, i| {
-            snap.page_hashes.get(i) != Some(&hash_bytes(chunk))
-        })
+        self.count_diverged(snap, |i, chunk| hash_bytes(chunk) != snap.page_hashes[i])
     }
 
     /// Byte-exact variant of [`Memory::diverged_pages`]: immune to hash
     /// collisions, used to confirm an apparently-clean hash diff.
     pub fn diverged_pages_exact(&self, snap: &MemSnapshot) -> u32 {
-        self.count_diverged(snap, |chunk, i| {
-            snap.pages.get(i).map(|p| p.as_ref()) != Some(chunk)
-        })
+        self.count_diverged(snap, |i, chunk| chunk != snap.pages[i].as_ref())
     }
 
-    fn count_diverged(&self, snap: &MemSnapshot, differs: impl Fn(&[u8], usize) -> bool) -> u32 {
-        let live_pages = self.data.len().div_ceil(SNAPSHOT_PAGE);
-        let common = live_pages.min(snap.pages.len());
+    fn count_diverged(&self, snap: &MemSnapshot, differs: impl Fn(usize, &[u8]) -> bool) -> u32 {
         let mut n = 0u32;
-        for (i, chunk) in self.data.chunks(SNAPSHOT_PAGE).take(common).enumerate() {
-            // When the mapped lengths differ, the last common page may be
-            // partial on one side only; the hash/byte compare still flags
-            // it because the chunk length is part of both comparisons.
-            if differs(chunk, i) {
-                n += 1;
-            }
-        }
+        // When the mapped lengths differ, the last common page may be
+        // partial on one side only; the hash/byte compare still flags it
+        // because the chunk length is part of both comparisons.
+        self.all_pages(snap, |i, chunk| {
+            n += u32::from(differs(i, chunk));
+            true
+        });
         // Pages mapped on only one side are all diverged.
+        let live_pages = self.data.len().div_ceil(SNAPSHOT_PAGE);
         n + live_pages.abs_diff(snap.pages.len()) as u32
     }
 }
@@ -908,6 +1010,108 @@ mod tests {
         grown.alloc(8, 8, RegionKind::Heap).unwrap();
         assert!(!grown.matches_snapshot_hashes(&snap));
         assert!(!grown.equals_snapshot(&snap));
+    }
+
+    /// Fills every mapped byte with `byte`.
+    fn scribble(m: &mut Memory, byte: u8) {
+        for r in m.regions().to_vec() {
+            m.write_bytes(r.start, &vec![byte; r.size as usize])
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn restore_into_a_dirtied_pool_buffer_reproduces_the_snapshot() {
+        // Globals ending mid-page, a guard gap, and a poolable stack whose
+        // end leaves the last page partial.
+        let layout = || {
+            let mut m = Memory::new();
+            m.alloc(3 * SNAPSHOT_PAGE as u64 + 100, 8, RegionKind::Global)
+                .unwrap();
+            m.reserve_guard(SNAPSHOT_PAGE as u64);
+            m.alloc_stack(32 * SNAPSHOT_PAGE as u64 + 40).unwrap();
+            m
+        };
+        let mut golden = layout();
+        let len = golden.data.len();
+        assert_ne!(len % SNAPSHOT_PAGE, 0, "last page must be partial");
+        let g = golden.regions()[0].start;
+        golden.write_uint(g + 8, 0x1234, 8).unwrap();
+        let top = golden.stack().unwrap().end();
+        golden.write_uint(top - 8, 0xfeed, 8).unwrap();
+        let snap = golden.snapshot(None);
+        // Non-zero pages: the written global page, and the partial last
+        // page, which holds the stack top.
+        assert_eq!(
+            (top - 8 - NULL_GUARD) as usize / SNAPSHOT_PAGE,
+            (len - 1) / SNAPSHOT_PAGE
+        );
+
+        // An earlier run with another layout leaves every byte of a larger
+        // buffer non-zero, guard gap included, and returns it to the pool.
+        {
+            let mut other = Memory::new();
+            other
+                .alloc(len as u64 + 5 * SNAPSHOT_PAGE as u64, 8, RegionKind::Global)
+                .unwrap();
+            scribble(&mut other, 0xAA);
+        }
+        let back = Memory::from_snapshot(&snap);
+        assert_eq!(back.data, golden.data, "restore over written pages");
+        assert_eq!(back.restore_pages_copied(), 2);
+        assert!(back.equals_snapshot(&snap));
+
+        // Dropped unwritten, the restored memory still leaves its copied
+        // base pages behind: the next user must see them scrubbed.
+        drop(back);
+        let fresh = layout();
+        assert!(fresh.data.iter().all(|&b| b == 0), "base pages scrubbed");
+        drop(fresh);
+
+        // Written after restore, then restored again and grown.
+        let mut dirty = Memory::from_snapshot(&snap);
+        scribble(&mut dirty, 0x55);
+        drop(dirty);
+        let mut grown = Memory::from_snapshot(&snap);
+        assert_eq!(grown.data, golden.data, "restore over written pages");
+        grown
+            .alloc(2 * SNAPSHOT_PAGE as u64, 8, RegionKind::Heap)
+            .unwrap();
+        assert_eq!(&grown.data[..len], &golden.data[..]);
+        assert!(grown.data[len..].iter().all(|&b| b == 0));
+        // The partial last page grew: it is compared, not skipped, and
+        // differs by length; the new pages are mapped on one side only.
+        let new_pages = grown.data.len().div_ceil(SNAPSHOT_PAGE) - snap.page_count();
+        assert_eq!(grown.diverged_pages_exact(&snap), 1 + new_pages as u32);
+        assert_eq!(grown.diverged_pages(&snap), 1 + new_pages as u32);
+        assert!(!grown.equals_snapshot(&snap));
+    }
+
+    #[test]
+    fn zero_pages_are_shared_and_never_copied_or_compared() {
+        let mut m = Memory::new();
+        let a = m
+            .alloc(8 * SNAPSHOT_PAGE as u64, 8, RegionKind::Global)
+            .unwrap();
+        m.write_uint(a + 5 * SNAPSHOT_PAGE as u64, 9, 8).unwrap();
+        let snap = m.snapshot(None);
+        let zero = &zero_page().0;
+        let shared = snap.pages.iter().filter(|p| Arc::ptr_eq(p, zero)).count();
+        assert_eq!(shared, 7, "every all-zero full page is the zero page");
+
+        let mut back = Memory::from_snapshot(&snap);
+        assert_eq!(back.restore_pages_copied(), 1);
+        assert!(back.matches_snapshot_hashes(&snap));
+        assert!(back.equals_snapshot(&snap));
+        assert_eq!(back.pages_compared(), 0, "unwritten pages are skipped");
+        // One write: only that page is compared from now on.
+        back.write_uint(a + 2 * SNAPSHOT_PAGE as u64, 0, 8).unwrap();
+        assert_eq!(back.diverged_pages(&snap), 0);
+        assert_eq!(back.diverged_pages_exact(&snap), 0);
+        assert_eq!(back.pages_compared(), 2);
+        // A fresh memory skips the pages still matching the zero page.
+        assert!(m.equals_snapshot(&snap));
+        assert_eq!(m.pages_compared(), 1);
     }
 
     #[test]

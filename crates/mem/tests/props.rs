@@ -1,7 +1,10 @@
 //! Property tests for the memory model: allocation layout determinism,
-//! access-check soundness, and read/write round trips.
+//! access-check soundness, read/write round trips, and snapshot restore
+//! and compares against a naive full-scan reference.
 
-use fiq_mem::{Memory, RegionKind, Trap, NULL_GUARD};
+use fiq_mem::{
+    hash_bytes, MemSnapshot, Memory, Region, RegionKind, Trap, NULL_GUARD, SNAPSHOT_PAGE,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -68,6 +71,208 @@ proptest! {
         let a = m.alloc(8, 8, RegionKind::Global).unwrap();
         m.write_f64(a, f64::from_bits(bits)).unwrap();
         prop_assert_eq!(m.read_f64(a).unwrap().to_bits(), bits);
+    }
+}
+
+/// A byte-level model of a [`Memory`]: the mapped image as one flat
+/// vector plus the layout the snapshot compares look at.
+#[derive(Clone)]
+struct Shadow {
+    image: Vec<u8>,
+    regions: Vec<Region>,
+    stack: Option<Region>,
+    mapped: u64,
+}
+
+impl Shadow {
+    fn of(m: &Memory) -> Shadow {
+        let len = m
+            .regions()
+            .last()
+            .map_or(0, |r| (r.end() - NULL_GUARD) as usize);
+        let mut image = vec![0u8; len];
+        for r in m.regions() {
+            let off = (r.start - NULL_GUARD) as usize;
+            image[off..off + r.size as usize]
+                .copy_from_slice(m.read_bytes(r.start, r.size).unwrap());
+        }
+        Shadow {
+            image,
+            regions: m.regions().to_vec(),
+            stack: m.stack(),
+            mapped: m.mapped_bytes(),
+        }
+    }
+
+    fn layout_eq(&self, other: &Shadow) -> bool {
+        self.image.len() == other.image.len()
+            && self.mapped == other.mapped
+            && self.regions == other.regions
+            && self.stack == other.stack
+    }
+}
+
+/// The full-scan reference the page-skipping compares must agree with:
+/// every common page tested, by hash or by bytes, plus every page mapped
+/// on one side only.
+fn naive_diverged(live: &Shadow, snap: &Shadow, exact: bool) -> u32 {
+    let differs = |a: &[u8], b: &[u8]| {
+        if exact {
+            a != b
+        } else {
+            hash_bytes(a) != hash_bytes(b)
+        }
+    };
+    let common = live
+        .image
+        .chunks(SNAPSHOT_PAGE)
+        .zip(snap.image.chunks(SNAPSHOT_PAGE))
+        .filter(|(a, b)| differs(a, b))
+        .count();
+    let pages = |s: &Shadow| s.image.len().div_ceil(SNAPSHOT_PAGE);
+    (common + pages(live).abs_diff(pages(snap))) as u32
+}
+
+/// A small deterministic generator for the write sequences.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        // splitmix64
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Applies `n` random writes to `m`: short writes of random bytes or of
+/// zeros, and writes that put back the bytes of `revert_to` (so written
+/// pages come back equal to a snapshot), all inside mapped regions and
+/// often straddling a page boundary.
+fn random_writes(m: &mut Memory, rng: &mut Rng, n: usize, revert_to: &Shadow) {
+    for _ in 0..n {
+        let regions = m.regions().to_vec();
+        let r = regions[rng.below(regions.len() as u64) as usize];
+        let len = 1 + rng.below(r.size.min(24));
+        let addr = if rng.below(3) == 0 {
+            // Straddle a page boundary when the region allows it.
+            let boundary =
+                (r.start / SNAPSHOT_PAGE as u64 + 1 + rng.below(r.size / SNAPSHOT_PAGE as u64 + 1))
+                    * SNAPSHOT_PAGE as u64;
+            boundary
+                .saturating_sub(len / 2)
+                .clamp(r.start, r.end() - len)
+        } else {
+            r.start + rng.below(r.size - len + 1)
+        };
+        let off = (addr - NULL_GUARD) as usize;
+        let bytes: Vec<u8> = match rng.below(4) {
+            0 => vec![0; len as usize],
+            1 if off + len as usize <= revert_to.image.len() => {
+                revert_to.image[off..off + len as usize].to_vec()
+            }
+            _ => (0..len).map(|_| rng.next() as u8).collect(),
+        };
+        m.write_bytes(addr, &bytes).unwrap();
+    }
+}
+
+/// Checks all four compares of `m` against every snapshot in `series`.
+fn check_against_series(m: &Memory, series: &[(MemSnapshot, Shadow)]) -> Result<(), TestCaseError> {
+    let live = Shadow::of(m);
+    for (k, (snap, model)) in series.iter().enumerate() {
+        let layout = live.layout_eq(model);
+        let hashes_eq = layout && naive_diverged(&live, model, false) == 0;
+        let bytes_eq = layout && live.image == model.image;
+        prop_assert_eq!(
+            m.matches_snapshot_hashes(snap),
+            hashes_eq,
+            "matches_snapshot_hashes vs snapshot {}",
+            k
+        );
+        prop_assert_eq!(
+            m.equals_snapshot(snap),
+            bytes_eq,
+            "equals_snapshot vs snapshot {}",
+            k
+        );
+        prop_assert_eq!(
+            m.diverged_pages(snap),
+            naive_diverged(&live, model, false),
+            "diverged_pages vs snapshot {}",
+            k
+        );
+        prop_assert_eq!(
+            m.diverged_pages_exact(snap),
+            naive_diverged(&live, model, true),
+            "diverged_pages_exact vs snapshot {}",
+            k
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The page-skipping restore and compares agree with a naive full
+    /// scan: fresh and restored memories, after random writes, compared
+    /// against every snapshot of a captured series — including memories
+    /// grown after restore.
+    #[test]
+    fn snapshot_compares_match_a_full_scan(seed in any::<u64>(), globals in 1u64..(3 * SNAPSHOT_PAGE as u64), stack in (16 * SNAPSHOT_PAGE as u64)..(24 * SNAPSHOT_PAGE as u64)) {
+        let mut rng = Rng(seed);
+        let mut m = Memory::new();
+        m.alloc(globals, 8, RegionKind::Global).unwrap();
+        m.reserve_guard(SNAPSHOT_PAGE as u64);
+        m.alloc_stack(stack).unwrap();
+
+        // A captured series with a few writes between checkpoints.
+        let mut series: Vec<(MemSnapshot, Shadow)> = Vec::new();
+        for _ in 0..4 {
+            let prev = series.last().map(|(s, _)| s);
+            let snap = m.snapshot(prev);
+            let model = Shadow::of(&m);
+            let naive_hashes: Vec<u64> = model.image.chunks(SNAPSHOT_PAGE).map(hash_bytes).collect();
+            prop_assert_eq!(snap.page_hashes(), &naive_hashes[..]);
+            series.push((snap, model));
+            let revert = series[rng.below(series.len() as u64) as usize].1.clone();
+            let n = rng.below(6) as usize;
+            random_writes(&mut m, &mut rng, n, &revert);
+        }
+        check_against_series(&m, &series)?;
+
+        // Restored memories: exact on restore, then written and compared.
+        for _ in 0..3 {
+            let k = rng.below(series.len() as u64) as usize;
+            let mut back = Memory::from_snapshot(&series[k].0);
+            prop_assert!(Shadow::of(&back).image == series[k].1.image, "restore of snapshot {} is exact", k);
+            check_against_series(&back, &series)?;
+            let revert = series[rng.below(series.len() as u64) as usize].1.clone();
+            let n = rng.below(8) as usize;
+            random_writes(&mut back, &mut rng, n, &revert);
+            check_against_series(&back, &series)?;
+            if rng.below(2) == 0 {
+                back.alloc(1 + rng.below(2 * SNAPSHOT_PAGE as u64), 8, RegionKind::Heap).unwrap();
+                check_against_series(&back, &series)?;
+            }
+        }
+
+        // A fresh memory with the same layout, written at random.
+        let mut fresh = Memory::new();
+        fresh.alloc(globals, 8, RegionKind::Global).unwrap();
+        fresh.reserve_guard(SNAPSHOT_PAGE as u64);
+        fresh.alloc_stack(stack).unwrap();
+        check_against_series(&fresh, &series)?;
+        let revert = series[0].1.clone();
+        random_writes(&mut fresh, &mut rng, 6, &revert);
+        check_against_series(&fresh, &series)?;
     }
 }
 

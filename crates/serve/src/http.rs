@@ -23,18 +23,27 @@ pub struct Request {
     pub body: Option<Json>,
 }
 
+/// Cap on the request or status line plus headers, on both the daemon
+/// and the client side. Heads are a few hundred bytes; without a cap one
+/// endless header line would grow a `String` until the process runs out
+/// of memory.
+const MAX_HEAD: u64 = 64 * 1024;
+
 fn read_head(reader: &mut BufReader<&mut TcpStream>) -> Result<(String, u64), String> {
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
-    let head = line.trim_end().to_string();
+    let mut head = reader.take(MAX_HEAD);
+    let mut next_line = |what: &str| -> Result<String, String> {
+        let mut line = String::new();
+        head.read_line(&mut line)
+            .map_err(|e| format!("read {what}: {e}"))?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err(format!("HTTP head exceeds {MAX_HEAD} bytes"));
+        }
+        Ok(line)
+    };
+    let line = next_line("request line")?.trim_end().to_string();
     let mut content_length = 0u64;
     loop {
-        let mut h = String::new();
-        reader
-            .read_line(&mut h)
-            .map_err(|e| format!("read header: {e}"))?;
+        let h = next_line("header")?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -51,7 +60,7 @@ fn read_head(reader: &mut BufReader<&mut TcpStream>) -> Result<(String, u64), St
     if content_length > MAX_BODY {
         return Err(format!("body of {content_length} bytes exceeds limit"));
     }
-    Ok((head, content_length))
+    Ok((line, content_length))
 }
 
 fn read_body(reader: &mut BufReader<&mut TcpStream>, len: u64) -> Result<Option<Json>, String> {
@@ -147,4 +156,36 @@ pub fn expect_ok(resp: (u16, Json)) -> Result<Json, String> {
         .and_then(Json::as_str)
         .unwrap_or("unknown error");
     Err(format!("daemon returned {status}: {msg}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Sends `raw` to a fresh connection and returns what `read_request`
+    /// made of it.
+    fn serve_one(raw: Vec<u8>) -> Result<Request, String> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            // The server may refuse mid-send and close; that is the point.
+            let _ = s.write_all(&raw);
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let got = read_request(&mut stream);
+        drop(stream);
+        client.join().unwrap();
+        got
+    }
+
+    #[test]
+    fn an_oversized_header_line_is_refused() {
+        let mut raw = b"GET /api/status HTTP/1.1\r\nX-Big: ".to_vec();
+        raw.extend(std::iter::repeat_n(b'a', 1 << 20));
+        raw.extend(b"\r\n\r\n");
+        let err = serve_one(raw).err().expect("1 MiB header must be refused");
+        assert!(err.contains("exceeds"), "{err}");
+    }
 }
