@@ -33,7 +33,7 @@
 //!   consumes no RNG; the records channel is byte-identical with the
 //!   feature on or off.
 
-use crate::json::Json;
+use crate::json::{Fields, ObjWriter};
 use crate::outcome::Outcome;
 use fiq_mem::Divergence;
 
@@ -143,11 +143,13 @@ impl Timeline {
     }
 }
 
-/// Serializes one per-task timeline line for the `--divergence` stream.
-/// The outcome travels with the line so the report's propagation funnels
-/// need no join against the records file (and survive either stream being
-/// truncated independently).
+/// Appends one per-task timeline line for the `--divergence` stream to
+/// `out`. The outcome travels with the line so the report's propagation
+/// funnels need no join against the records file (and survive either
+/// stream being truncated independently).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn timeline_line(
+    out: &mut String,
     label: &str,
     tool: &str,
     category: &str,
@@ -155,35 +157,31 @@ pub(crate) fn timeline_line(
     injection: u64,
     outcome: Outcome,
     tl: &Timeline,
-) -> String {
-    let entries = tl
-        .entries
-        .iter()
-        .map(|e| {
-            Json::Arr(vec![
-                Json::u64(e.checkpoint),
-                Json::u64(e.steps),
-                Json::u64(u64::from(e.components)),
-                Json::u64(u64::from(e.pages)),
-            ])
-        })
-        .collect();
-    let opt = |v: Option<u64>| v.map_or(Json::Null, Json::u64);
-    Json::Obj(vec![
-        ("record".into(), Json::str("timeline")),
-        ("task".into(), Json::u64(task)),
-        ("cell".into(), Json::str(label)),
-        ("injection".into(), Json::u64(injection)),
-        ("tool".into(), Json::str(tool)),
-        ("category".into(), Json::str(category)),
-        ("outcome".into(), Json::str(outcome.name())),
-        ("birth".into(), opt(tl.birth())),
-        ("peak_pages".into(), Json::u64(u64::from(tl.peak_pages()))),
-        ("masked".into(), opt(tl.masked_at())),
-        ("distance".into(), Json::u64(tl.distance())),
-        ("entries".into(), Json::Arr(entries)),
-    ])
-    .to_string()
+) {
+    let mut w = ObjWriter::open(out);
+    w.str("record", "timeline")
+        .u64("task", task)
+        .str("cell", label)
+        .u64("injection", injection)
+        .str("tool", tool)
+        .str("category", category)
+        .str("outcome", outcome.name())
+        .opt_u64("birth", tl.birth())
+        .u64("peak_pages", u64::from(tl.peak_pages()))
+        .opt_u64("masked", tl.masked_at())
+        .u64("distance", tl.distance())
+        .u64_rows(
+            "entries",
+            tl.entries.iter().map(|e| {
+                [
+                    e.checkpoint,
+                    e.steps,
+                    u64::from(e.components),
+                    u64::from(e.pages),
+                ]
+            }),
+        );
+    w.close();
 }
 
 /// Validates one timeline line during resume, requiring `task ==
@@ -191,20 +189,82 @@ pub(crate) fn timeline_line(
 /// loader truncates there, mirroring the records channel's torn-tail
 /// tolerance).
 pub(crate) fn parse_timeline(line: &str, expected_index: usize) -> bool {
-    let Ok(v) = Json::parse(line) else {
+    let Ok(v) = Fields::parse(line) else {
         return false;
     };
-    v.get("record").and_then(Json::as_str) == Some("timeline")
-        && v.get("task").and_then(Json::as_u64) == Some(expected_index as u64)
-        && v.get("outcome")
-            .and_then(Json::as_str)
+    v.str("record") == Some("timeline")
+        && v.u64("task") == Some(expected_index as u64)
+        && v.str("outcome")
             .is_some_and(|o| Outcome::from_name(o).is_some())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::arb_text;
+    use crate::json::Json;
     use fiq_mem::component;
+    use proptest::prelude::*;
+
+    /// The timeline line as built before the object writer: a `Json`
+    /// tree, rendered by its `Display`.
+    fn timeline_tree(label: &str, task: u64, injection: u64, tl: &Timeline) -> String {
+        let entries = tl
+            .entries
+            .iter()
+            .map(|e| {
+                Json::Arr(vec![
+                    Json::u64(e.checkpoint),
+                    Json::u64(e.steps),
+                    Json::u64(u64::from(e.components)),
+                    Json::u64(u64::from(e.pages)),
+                ])
+            })
+            .collect();
+        let opt = |v: Option<u64>| v.map_or(Json::Null, Json::u64);
+        Json::Obj(vec![
+            ("record".into(), Json::str("timeline")),
+            ("task".into(), Json::u64(task)),
+            ("cell".into(), Json::str(label)),
+            ("injection".into(), Json::u64(injection)),
+            ("tool".into(), Json::str("pinfi")),
+            ("category".into(), Json::str("all")),
+            ("outcome".into(), Json::str(Outcome::Hang.name())),
+            ("birth".into(), opt(tl.birth())),
+            ("peak_pages".into(), Json::u64(u64::from(tl.peak_pages()))),
+            ("masked".into(), opt(tl.masked_at())),
+            ("distance".into(), Json::u64(tl.distance())),
+            ("entries".into(), Json::Arr(entries)),
+        ])
+        .to_string()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The timeline writer emits the tree's bytes for any label and
+        /// any entries (born, masked or neither), and resume's reader
+        /// accepts the line at its own task index only.
+        #[test]
+        fn timeline_line_matches_tree(
+            label in arb_text(),
+            task in any::<u64>(),
+            injection in any::<u64>(),
+            raw in prop::collection::vec((any::<u64>(), 0u8..32, any::<u32>()), 0..5),
+        ) {
+            let mut tl = Timeline::new();
+            for (i, &(steps, components, pages)) in raw.iter().enumerate() {
+                if tl.open() {
+                    tl.record(i as u64, steps, Divergence { components, pages });
+                }
+            }
+            let mut line = String::new();
+            timeline_line(&mut line, &label, "pinfi", "all", task, injection, Outcome::Hang, &tl);
+            prop_assert_eq!(&line, &timeline_tree(&label, task, injection, &tl));
+            let index = (task % (1 << 40)) as usize;
+            prop_assert_eq!(parse_timeline(&line, index), task == index as u64);
+        }
+    }
 
     fn d(components: u8, pages: u32) -> Divergence {
         Divergence { components, pages }
@@ -255,7 +315,17 @@ mod tests {
         let mut tl = Timeline::new();
         tl.record(3, 300, d(component::MEM, 2));
         tl.record(4, 400, d(0, 0));
-        let line = timeline_line("ocean", "llfi", "cmp", 7, 3, Outcome::Benign, &tl);
+        let mut line = String::new();
+        timeline_line(
+            &mut line,
+            "ocean",
+            "llfi",
+            "cmp",
+            7,
+            3,
+            Outcome::Benign,
+            &tl,
+        );
         let v = Json::parse(&line).expect("line parses");
         assert_eq!(v.get("task").and_then(Json::as_u64), Some(7));
         assert_eq!(v.get("birth").and_then(Json::as_u64), Some(3));
@@ -270,7 +340,9 @@ mod tests {
         assert!(!parse_timeline("{torn", 7));
 
         // Never-born timelines serialize birth/masked as null.
-        let line = timeline_line(
+        let mut line = String::new();
+        timeline_line(
+            &mut line,
             "ocean",
             "llfi",
             "cmp",

@@ -46,7 +46,7 @@ use crate::collapse::{
     LlfiAnalysis, PinfiAnalysis,
 };
 use crate::divergence::{parse_timeline, timeline_line, Timeline, DIVERGENCE_VERSION};
-use crate::json::Json;
+use crate::json::{Fields, Json, ObjWriter};
 use crate::llfi::{plan_llfi_from, run_llfi_observed, LlfiInjection};
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::pinfi::{plan_pinfi_from, run_pinfi_observed, PinfiInjection};
@@ -335,6 +335,8 @@ struct Sink {
     /// explicit flush (tracked separately so the record stream's flush
     /// telemetry stays byte-identical with divergence on or off).
     div_unflushed: usize,
+    /// Scratch buffer each record and timeline line is rendered into.
+    line: String,
 }
 
 struct Shared<'a, 't> {
@@ -862,6 +864,7 @@ fn run_planned(
             unflushed: 0,
             div_writer,
             div_unflushed: 0,
+            line: String::new(),
         }),
         error: Mutex::new(None),
         progress: opts.progress,
@@ -1284,7 +1287,8 @@ fn deliver(
     result: TaskResult,
     handle: Option<WorkerHandle<'_>>,
 ) -> Result<(), String> {
-    let mut sink = lock(&shared.sink);
+    let mut guard = lock(&shared.sink);
+    let sink = &mut *guard;
     sink.outcomes[index - shared.lo] = Some(result.outcome);
     sink.pending.insert(index, result);
     loop {
@@ -1293,17 +1297,21 @@ fn deliver(
             break;
         };
         sink.next_flush += 1;
-        if sink.writer.is_some() {
-            let task = &shared.tasks[flush_index];
-            let line = record_line(
-                &shared.cells[task.cell],
+        let task = &shared.tasks[flush_index];
+        let cell = &shared.cells[task.cell];
+        if let Some(w) = &mut sink.writer {
+            sink.line.clear();
+            record_line(
+                &mut sink.line,
+                cell,
                 task,
                 flush_index,
                 &res,
                 shared.collapse,
             );
-            let w = sink.writer.as_mut().expect("checked above");
-            writeln!(w, "{line}").map_err(|e| format!("write record: {e}"))?;
+            sink.line.push('\n');
+            w.write_all(sink.line.as_bytes())
+                .map_err(|e| format!("write record: {e}"))?;
             if let Some(h) = handle {
                 h.add(engine_counter::RECORDS_WRITTEN, 1);
             }
@@ -1314,18 +1322,17 @@ fn deliver(
                     h.record(engine_hist::RECORD_FLUSH_BATCH, sink.unflushed as u64);
                 }
                 sink.unflushed = 0;
-                let w = sink.writer.as_mut().expect("checked above");
                 w.flush().map_err(|e| format!("write record: {e}"))?;
             }
         }
-        if sink.div_writer.is_some() {
-            let task = &shared.tasks[flush_index];
-            let cell = &shared.cells[task.cell];
+        if let Some(w) = &mut sink.div_writer {
             let tl = res
                 .timeline
                 .as_ref()
                 .ok_or("internal error: divergence stream open without a timeline")?;
-            let line = timeline_line(
+            sink.line.clear();
+            timeline_line(
+                &mut sink.line,
                 &cell.label,
                 cell.substrate.tool(),
                 cell.category.name(),
@@ -1334,12 +1341,12 @@ fn deliver(
                 res.outcome,
                 tl,
             );
-            let w = sink.div_writer.as_mut().expect("checked above");
-            writeln!(w, "{line}").map_err(|e| format!("write divergence: {e}"))?;
+            sink.line.push('\n');
+            w.write_all(sink.line.as_bytes())
+                .map_err(|e| format!("write divergence: {e}"))?;
             sink.div_unflushed += 1;
             if sink.div_unflushed >= FLUSH_EVERY {
                 sink.div_unflushed = 0;
-                let w = sink.div_writer.as_mut().expect("checked above");
                 w.flush().map_err(|e| format!("write divergence: {e}"))?;
             }
         }
@@ -1453,44 +1460,43 @@ fn divergence_header_line(
     Json::Obj(fields).to_string()
 }
 
-/// One per-injection record line. Exact-collapse records append the
-/// class weight; sampled records stay byte-identical to version 1.
+/// Appends one per-injection record line to `out`. Exact-collapse
+/// records append the class weight; sampled records stay byte-identical
+/// to version 1.
 fn record_line(
+    out: &mut String,
     cell: &CellSpec<'_>,
     task: &Task,
     index: usize,
     res: &TaskResult,
     collapse: Collapse,
-) -> String {
-    let plan = match task.plan {
-        Plan::Llfi(inj) => Json::Obj(vec![
-            ("func".into(), Json::u64(inj.site.func.index() as u64)),
-            ("inst".into(), Json::u64(inj.site.inst.index() as u64)),
-            ("instance".into(), Json::u64(inj.instance)),
-            ("bit".into(), Json::u64(u64::from(inj.bit))),
-        ]),
-        Plan::Pinfi(inj) => Json::Obj(vec![
-            ("inst".into(), Json::u64(inj.idx as u64)),
-            ("instance".into(), Json::u64(inj.instance)),
-            ("dest".into(), Json::str(format!("{:?}", inj.dest))),
-            ("bit".into(), Json::u64(u64::from(inj.bit))),
-        ]),
+) {
+    let mut w = ObjWriter::open(out);
+    w.str("record", "injection")
+        .u64("task", index as u64)
+        .str("cell", &cell.label)
+        .u64("injection", task.injection)
+        .str("tool", cell.substrate.tool())
+        .str("category", cell.category.name());
+    let mut plan = w.obj("plan");
+    match task.plan {
+        Plan::Llfi(inj) => plan
+            .u64("func", inj.site.func.index() as u64)
+            .u64("inst", inj.site.inst.index() as u64)
+            .u64("instance", inj.instance)
+            .u64("bit", u64::from(inj.bit)),
+        Plan::Pinfi(inj) => plan
+            .u64("inst", inj.idx as u64)
+            .u64("instance", inj.instance)
+            .str("dest", &format!("{:?}", inj.dest))
+            .u64("bit", u64::from(inj.bit)),
     };
-    let mut fields = vec![
-        ("record".into(), Json::str("injection")),
-        ("task".into(), Json::u64(index as u64)),
-        ("cell".into(), Json::str(cell.label.clone())),
-        ("injection".into(), Json::u64(task.injection)),
-        ("tool".into(), Json::str(cell.substrate.tool())),
-        ("category".into(), Json::str(cell.category.name())),
-        ("plan".into(), plan),
-        ("outcome".into(), Json::str(res.outcome.name())),
-        ("steps".into(), Json::u64(res.steps)),
-    ];
+    plan.close();
+    w.str("outcome", res.outcome.name()).u64("steps", res.steps);
     if collapse == Collapse::Exact {
-        fields.push(("class_size".into(), Json::u64(task.class_size)));
+        w.u64("class_size", task.class_size);
     }
-    Json::Obj(fields).to_string()
+    w.close();
 }
 
 /// Creates a JSONL stream file and writes its header line.
@@ -1660,22 +1666,132 @@ fn load_prefix<T>(
 
 /// Parses one record line, requiring `task == expected_index`.
 fn parse_record(line: &str, expected_index: usize) -> Option<Outcome> {
-    let v = Json::parse(line).ok()?;
-    if v.get("record")?.as_str()? != "injection" {
+    let v = Fields::parse(line).ok()?;
+    if v.str("record")? != "injection" || v.u64("task")? != expected_index as u64 {
         return None;
     }
-    if v.get("task")?.as_u64()? != expected_index as u64 {
-        return None;
-    }
-    Outcome::from_name(v.get("outcome")?.as_str()?)
+    Outcome::from_name(v.str("outcome")?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::LlfiProfile;
+    use crate::json::tests::arb_text;
+    use crate::profile::{LlfiProfile, PinfiProfile};
+    use fiq_asm::{Reg, RegId};
     use fiq_interp::InstSite;
     use fiq_ir::{FuncId, InstId};
+    use proptest::prelude::*;
+
+    /// The record line as the campaign engine built it before the object
+    /// writer: a `Json` tree, rendered by its `Display`.
+    fn record_tree(
+        cell: &CellSpec<'_>,
+        task: &Task,
+        index: usize,
+        res: &TaskResult,
+        collapse: Collapse,
+    ) -> String {
+        let plan = match task.plan {
+            Plan::Llfi(inj) => Json::Obj(vec![
+                ("func".into(), Json::u64(inj.site.func.index() as u64)),
+                ("inst".into(), Json::u64(inj.site.inst.index() as u64)),
+                ("instance".into(), Json::u64(inj.instance)),
+                ("bit".into(), Json::u64(u64::from(inj.bit))),
+            ]),
+            Plan::Pinfi(inj) => Json::Obj(vec![
+                ("inst".into(), Json::u64(inj.idx as u64)),
+                ("instance".into(), Json::u64(inj.instance)),
+                ("dest".into(), Json::str(format!("{:?}", inj.dest))),
+                ("bit".into(), Json::u64(u64::from(inj.bit))),
+            ]),
+        };
+        let mut fields = vec![
+            ("record".into(), Json::str("injection")),
+            ("task".into(), Json::u64(index as u64)),
+            ("cell".into(), Json::str(cell.label.clone())),
+            ("injection".into(), Json::u64(task.injection)),
+            ("tool".into(), Json::str(cell.substrate.tool())),
+            ("category".into(), Json::str(cell.category.name())),
+            ("plan".into(), plan),
+            ("outcome".into(), Json::str(res.outcome.name())),
+            ("steps".into(), Json::u64(res.steps)),
+        ];
+        if collapse == Collapse::Exact {
+            fields.push(("class_size".into(), Json::u64(task.class_size)));
+        }
+        Json::Obj(fields).to_string()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The record writer emits the tree's bytes for any label and any
+        /// u64 field, on both substrates and both collapse modes, and
+        /// resume's reader reads the outcome back.
+        #[test]
+        fn record_line_matches_tree(
+            label in arb_text(),
+            nums in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            index in 0usize..1 << 40,
+            pinfi in any::<bool>(),
+            exact in any::<bool>(),
+        ) {
+            let (injection, instance, steps, class_size) = nums;
+            let module = Module::new("m");
+            let llfi_profile = LlfiProfile {
+                golden_output: String::new(),
+                golden_steps: 0,
+                counts: Vec::new(),
+            };
+            let prog = fiq_asm::AsmProgram {
+                insts: Vec::new(),
+                funcs: Vec::new(),
+                globals: Vec::new(),
+                main: 0,
+            };
+            let pinfi_profile = PinfiProfile {
+                golden_output: String::new(),
+                golden_steps: 0,
+                counts: Vec::new(),
+            };
+            let (substrate, plan) = if pinfi {
+                (
+                    Substrate::Pinfi { prog: &prog, profile: &pinfi_profile },
+                    Plan::Pinfi(PinfiInjection {
+                        idx: index,
+                        instance,
+                        dest: if instance % 2 == 0 { RegId::Gpr(Reg::R11) } else { RegId::Flags(steps) },
+                        bit: instance as u32,
+                    }),
+                )
+            } else {
+                (
+                    Substrate::Llfi { module: &module, profile: &llfi_profile },
+                    Plan::Llfi(LlfiInjection {
+                        site: InstSite { func: FuncId(index as u32), inst: InstId(instance as u32) },
+                        instance,
+                        bit: steps as u32,
+                    }),
+                )
+            };
+            let cell = CellSpec { label, category: Category::Load, substrate, snapshots: None };
+            let task = Task { cell: 0, injection, plan, class_size };
+            let res = TaskResult {
+                outcome: Outcome::Sdc,
+                steps,
+                early_exit: false,
+                fast_forwarded: false,
+                timeline: None,
+            };
+            let collapse = if exact { Collapse::Exact } else { Collapse::Sampled };
+            let mut line = String::new();
+            record_line(&mut line, &cell, &task, index, &res, collapse);
+            prop_assert_eq!(&line, &record_tree(&cell, &task, index, &res, collapse));
+            prop_assert_eq!(parse_record(&line, index), Some(Outcome::Sdc));
+            prop_assert_eq!(parse_record(&line, index + 1), None);
+        }
+    }
 
     /// A per-cell injection index past `u32::MAX` must survive the record
     /// line verbatim: the field is u64 end to end, never cast down.
@@ -1717,12 +1833,14 @@ mod tests {
             fast_forwarded: false,
             timeline: None,
         };
-        let line = record_line(&cell, &task, 0, &res, Collapse::Sampled);
+        let mut line = String::new();
+        record_line(&mut line, &cell, &task, 0, &res, Collapse::Sampled);
         let v = Json::parse(&line).expect("record line parses");
         assert_eq!(v.get("injection").and_then(Json::as_u64), Some(big));
         // Sampled records must not leak the collapse-only field.
         assert!(v.get("class_size").is_none());
-        let exact = record_line(&cell, &task, 0, &res, Collapse::Exact);
+        let mut exact = String::new();
+        record_line(&mut exact, &cell, &task, 0, &res, Collapse::Exact);
         let v = Json::parse(&exact).expect("record line parses");
         assert_eq!(v.get("class_size").and_then(Json::as_u64), Some(1));
     }

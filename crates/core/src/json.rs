@@ -6,8 +6,16 @@
 //! `u64` numbers, floats, booleans, and `null`. This module provides a
 //! tree model ([`Json`]), a strict parser, and a compact writer. Numbers
 //! are stored as their literal text so `u64::MAX` round-trips exactly.
+//!
+//! Per-task stream lines (one per injection) skip the tree both ways:
+//! [`ObjWriter`] appends an object field by field into a `String`, and
+//! [`Fields::parse`] reads one object into borrowed members. Both share
+//! their rules with [`Json`] — [`push_escaped`] is the only string
+//! escaper, and `Fields` runs the same parser — so a line written or
+//! read either way has the same bytes and the same values.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,68 +100,283 @@ impl Json {
     ///
     /// Returns a message with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != text.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
+        p.finish()?;
         Ok(v)
+    }
+
+    fn push_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => out.push_str(n),
+            Json::Str(s) => push_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.push_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_escaped(out, k);
+                    out.push(':');
+                    v.push_to(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.push_to(&mut out);
+        f.write_str(&out)
+    }
+}
+
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` and the
+/// control characters are escaped (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`), everything else is copied as is. The one escaping rule of
+/// this module: [`Json`]'s `Display` and [`ObjWriter`] both call it.
+pub fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[plain..i]);
+        if named.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(named);
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+    out.push('"');
+}
+
+/// Appends one JSON object to a `String` member by member, producing
+/// exactly the bytes `Json::Obj(..)`'s `Display` would for the same
+/// members, without building the tree. Call [`ObjWriter::close`] to
+/// write the closing brace.
+#[must_use = "an object is only complete after `close`"]
+pub struct ObjWriter<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl<'o> ObjWriter<'o> {
+    /// Starts an object at the end of `out`.
+    pub fn open(out: &'o mut String) -> ObjWriter<'o> {
+        out.push('{');
+        ObjWriter { out, empty: true }
+    }
+
+    /// Writes the separator and `"key":`, returning the buffer for the
+    /// value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        push_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A number member (as [`Json::u64`]).
+    pub fn u64(&mut self, key: &str, v: u64) -> &mut Self {
+        write!(self.key(key), "{v}").expect("writing to a String cannot fail");
+        self
+    }
+
+    /// A number member (as [`Json::f64`]: `null` unless finite).
+    pub fn f64(&mut self, key: &str, v: f64) -> &mut Self {
+        let out = self.key(key);
+        if v.is_finite() {
+            write!(out, "{v}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str("null");
+        }
+        self
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        push_escaped(self.key(key), v);
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// A number member, or `null` for `None`.
+    pub fn opt_u64(&mut self, key: &str, v: Option<u64>) -> &mut Self {
+        match v {
+            Some(v) => self.u64(key, v),
+            None => {
+                self.key(key).push_str("null");
+                self
+            }
+        }
+    }
+
+    /// An array-of-arrays member: one inner array of numbers per row.
+    pub fn u64_rows<const N: usize>(
+        &mut self,
+        key: &str,
+        rows: impl IntoIterator<Item = [u64; N]>,
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, row) in rows.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            for (j, v) in row.into_iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                write!(out, "{v}").expect("writing to a String cannot fail");
+            }
+            out.push(']');
+        }
+        out.push(']');
+        self
+    }
+
+    /// A nested object member; close it before writing the next member.
+    pub fn obj(&mut self, key: &str) -> ObjWriter<'_> {
+        ObjWriter::open(self.key(key))
+    }
+
+    /// Writes the closing brace.
+    pub fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// One member value of an object read by [`Fields::parse`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Field<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number's literal text.
+    Num(&'a str),
+    /// A string; decoded into its own buffer only when it has escapes.
+    Str(Cow<'a, str>),
+    /// A nested array or object, validated and kept as its source text
+    /// (parse it with [`Json::parse`] or [`Fields::parse`] when needed).
+    Raw(&'a str),
+}
+
+impl Field<'_> {
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => f.write_str(n),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
+            Field::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a `u64`, if this is a non-negative integer number.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Field::Num(n) => n.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The source text, if this is a nested array or object.
+    pub fn as_raw(&self) -> Option<&str> {
+        match self {
+            Field::Raw(raw) => Some(raw),
+            _ => None,
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// The members of one JSON object, borrowed from its text. Reading a
+/// per-task stream line this way allocates one `Vec` (plus a `String`
+/// for any member with an escape) instead of a tree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fields<'a>(Vec<(Cow<'a, str>, Field<'a>)>);
+
+impl<'a> Fields<'a> {
+    /// Parses `text` as one JSON object. Accepts and rejects exactly what
+    /// [`Json::parse`] accepts and rejects for an object, with the same
+    /// values; anything that is not an object is an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message with a byte offset on malformed input.
+    pub fn parse(text: &'a str) -> Result<Fields<'a>, String> {
+        let mut p = Parser::new(text);
+        p.skip_ws();
+        if p.peek() != Some(b'{') {
+            return Err(format!("expected '{{' at byte {}", p.pos));
         }
+        let mut members = Vec::with_capacity(16);
+        p.nested(|p| {
+            p.members(|p, key| {
+                members.push((key, p.field()?));
+                Ok(())
+            })
+        })?;
+        p.finish()?;
+        Ok(Fields(members))
     }
-    f.write_str("\"")
+
+    /// The first member named `key` (the one [`Json::get`] returns).
+    pub fn get(&self, key: &str) -> Option<&Field<'a>> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The members in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Field<'a>)> {
+        self.0.iter().map(|(k, v)| (k.as_ref(), v))
+    }
+
+    /// `get(key)` as a string.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        self.get(key)?.as_str()
+    }
+
+    /// `get(key)` as a `u64`.
+    pub fn u64(&self, key: &str) -> Option<u64> {
+        self.get(key)?.as_u64()
+    }
 }
 
 /// Nesting limit for arrays and objects. The parser recurses once per
@@ -170,7 +393,25 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Accepts trailing whitespace and nothing else.
+    fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -194,7 +435,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, v: Field<'a>) -> Result<Field<'a>, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
@@ -203,22 +444,76 @@ impl Parser<'_> {
         }
     }
 
+    /// One value as a tree.
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.nested(Parser::array),
-            Some(b'{') => self.nested(Parser::object),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'[') => self.nested(|p| {
+                let mut items = Vec::new();
+                p.items(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }),
+            Some(b'{') => self.nested(|p| {
+                let mut fields = Vec::new();
+                p.members(|p, key| {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }),
+            _ => Ok(match self.scalar()? {
+                Field::Null => Json::Null,
+                Field::Bool(b) => Json::Bool(b),
+                Field::Num(n) => Json::Num(n.to_string()),
+                Field::Str(s) => Json::Str(s.into_owned()),
+                Field::Raw(_) => unreachable!("`scalar` never returns a nested span"),
+            }),
+        }
+    }
+
+    /// One value as a borrowed field: a nested array or object is
+    /// validated and kept as its span.
+    fn field(&mut self) -> Result<Field<'a>, String> {
+        match self.peek() {
+            Some(b'[' | b'{') => {
+                let start = self.pos;
+                self.skip()?;
+                let text = self.text;
+                Ok(Field::Raw(&text[start..self.pos]))
+            }
+            _ => self.scalar(),
+        }
+    }
+
+    /// Validates one value without keeping it.
+    fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'[') => self.nested(|p| p.items(Parser::skip)),
+            Some(b'{') => self.nested(|p| p.members(|p, _| p.skip())),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// A literal, string or number.
+    fn scalar(&mut self) -> Result<Field<'a>, String> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Field::Null),
+            Some(b't') => self.literal("true", Field::Bool(true)),
+            Some(b'f') => self.literal("false", Field::Bool(false)),
+            Some(b'"') => self.string().map(Field::Str),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Field::Num),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
     /// Parses one array or object one nesting level down, refusing to go
     /// past [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
         if self.depth == MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
@@ -231,7 +526,7 @@ impl Parser<'_> {
         v
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -258,26 +553,33 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("malformed number at byte {start}"))?;
+        // Only ASCII was consumed, so the span ends on a char boundary.
+        let text = &self.text[start..self.pos];
         // Validate that the literal is a parseable number.
         text.parse::<f64>()
             .map_err(|_| format!("malformed number at byte {start}"))?;
-        Ok(Json::Num(text.to_string()))
+        Ok(text)
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string, borrowed from the input unless it has an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let begin = self.pos;
+        // Stays `None` (the string is borrowed) until the first escape.
+        let mut decoded: Option<String> = None;
         loop {
             let start = self.pos;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match decoded {
+                        Some(s) => Cow::Owned(s),
+                        None => Cow::Borrowed(&self.text[begin..start]),
+                    });
                 }
                 Some(b'\\') => {
+                    let out = decoded.get_or_insert_with(|| self.text[begin..start].to_string());
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -310,50 +612,59 @@ impl Parser<'_> {
                     return Err(format!("raw control character at byte {start}"));
                 }
                 Some(_) => {
-                    // Copy the run of plain characters up to the next
+                    // Take the run of plain characters up to the next
                     // quote, escape or control byte in one slice. Those
                     // are all ASCII, so the run ends on a char boundary.
                     let len = self.bytes[start..]
                         .iter()
                         .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .unwrap_or(self.bytes.len() - start);
-                    out.push_str(&self.text[start..start + len]);
+                    if let Some(out) = &mut decoded {
+                        out.push_str(&self.text[start..start + len]);
+                    }
                     self.pos += len;
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    /// Parses `[v, …]`, handing each element to `item`.
+    fn items(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    /// Parses `{"k": v, …}`, handing each member's key to `member` with
+    /// the parser positioned at its value.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -361,14 +672,13 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
@@ -377,8 +687,24 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Text across every escaping class: controls, the two characters
+    /// with dedicated escapes, printable ASCII, and multi-byte scalars.
+    pub(crate) fn arb_text() -> impl Strategy<Value = String> {
+        let c = prop_oneof![
+            0u32..0x20,
+            Just(u32::from('"')),
+            Just(u32::from('\\')),
+            0x20u32..0x7f,
+            0xa0u32..0xd800,
+            0x1_f300u32..0x1_f600,
+        ]
+        .prop_map(|c| char::from_u32(c).expect("ranges avoid surrogates"));
+        prop::collection::vec(c, 0..16).prop_map(|cs| cs.into_iter().collect())
+    }
 
     #[test]
     fn round_trips_a_record_line() {

@@ -17,7 +17,7 @@
 //! panic or a NaN.
 
 use crate::divergence::DIVERGENCE_VERSION;
-use crate::json::Json;
+use crate::json::{Field, Fields, Json};
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::stats::wilson_ci95;
 use crate::telemetry::TELEMETRY_VERSION;
@@ -227,6 +227,64 @@ fn get_str<'j>(v: &'j Json, key: &str, what: &str) -> Result<&'j str, String> {
         .ok_or_else(|| format!("{what}: missing or non-string field {key:?}"))
 }
 
+fn field_u64(v: &Fields<'_>, key: &str, what: &str) -> Result<u64, String> {
+    v.u64(key)
+        .ok_or_else(|| format!("{what}: missing or non-integer field {key:?}"))
+}
+
+fn field_str<'v>(v: &'v Fields<'_>, key: &str, what: &str) -> Result<&'v str, String> {
+    v.str(key)
+        .ok_or_else(|| format!("{what}: missing or non-string field {key:?}"))
+}
+
+/// Finds a cell by the (label, tool, category) identity every per-task
+/// line carries, comparing borrowed strings so no line allocates a key.
+struct CellIds(Vec<((String, String, String), usize)>);
+
+impl CellIds {
+    fn new(cells: &[CellSummary]) -> CellIds {
+        let mut ids: Vec<_> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| ((c.label.clone(), c.tool.clone(), c.category.clone()), i))
+            .collect();
+        // Sorted for binary search; of two cells with one identity the
+        // later one wins.
+        ids.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        ids.dedup_by(|a, b| a.0 == b.0);
+        CellIds(ids)
+    }
+
+    fn find(&self, label: &str, tool: &str, category: &str) -> Option<usize> {
+        self.0
+            .binary_search_by(|((l, t, c), _)| {
+                (l.as_str(), t.as_str(), c.as_str()).cmp(&(label, tool, category))
+            })
+            .ok()
+            .map(|i| self.0[i].1)
+    }
+}
+
+/// Checks that per-task lines come in increasing task order, as every
+/// writer (engine, resume, shard merge) emits them, so a repeated or
+/// spliced-in line is an error instead of a double count.
+#[derive(Default)]
+struct TaskOrder {
+    last: Option<u64>,
+}
+
+impl TaskOrder {
+    fn advance(&mut self, task: u64, what: &str) -> Result<(), String> {
+        if let Some(last) = self.last.filter(|&last| task <= last) {
+            return Err(format!(
+                "{what}: task {task} out of order after task {last}"
+            ));
+        }
+        self.last = Some(task);
+        Ok(())
+    }
+}
+
 fn parse_header_cells(header: &Json, what: &str) -> Result<Vec<CellSummary>, String> {
     header
         .get("cells")
@@ -286,41 +344,35 @@ impl CampaignReport {
             return Err(format!("{}: not a campaign record file", path.display()));
         }
         let mut cells = parse_header_cells(&header, what)?;
-        // Cell identity is (label, tool, category) — the key every
-        // injection line carries.
-        let index: BTreeMap<(String, String, String), usize> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ((c.label.clone(), c.tool.clone(), c.category.clone()), i))
-            .collect();
+        let ids = CellIds::new(&cells);
+        let mut order = TaskOrder::default();
         for line in lines {
             let line = line?;
-            let v = Json::parse(&line).map_err(|e| format!("{what}: bad record line: {e}"))?;
-            if v.get("record").and_then(Json::as_str) != Some("injection") {
+            let v = Fields::parse(&line).map_err(|e| format!("{what}: bad record line: {e}"))?;
+            if v.str("record") != Some("injection") {
                 continue;
             }
-            let key = (
-                get_str(&v, "cell", what)?.to_string(),
-                get_str(&v, "tool", what)?.to_string(),
-                get_str(&v, "category", what)?.to_string(),
+            order.advance(field_u64(&v, "task", what)?, what)?;
+            let (label, tool, category) = (
+                field_str(&v, "cell", what)?,
+                field_str(&v, "tool", what)?,
+                field_str(&v, "category", what)?,
             );
-            let &ci = index.get(&key).ok_or_else(|| {
-                format!(
-                    "{what}: record for unknown cell {}/{}/{}",
-                    key.0, key.1, key.2
-                )
+            let ci = ids.find(label, tool, category).ok_or_else(|| {
+                format!("{what}: record for unknown cell {label}/{tool}/{category}")
             })?;
-            let outcome = Outcome::from_name(get_str(&v, "outcome", what)?)
+            let outcome = Outcome::from_name(field_str(&v, "outcome", what)?)
                 .ok_or_else(|| format!("{what}: unknown outcome"))?;
             // Sampled records carry no class_size; each stands for
             // itself. Saturating arithmetic keeps a hand-edited stream
             // from panicking the reporter.
-            let class = v.get("class_size").and_then(Json::as_u64).unwrap_or(1);
-            cells[ci].counts.record_n(outcome, class);
-            cells[ci].records += 1;
-            cells[ci].steps_recorded = cells[ci]
+            let class = v.u64("class_size").unwrap_or(1);
+            let cell = &mut cells[ci];
+            cell.counts.record_n(outcome, class);
+            cell.records += 1;
+            cell.steps_recorded = cell
                 .steps_recorded
-                .saturating_add(get_u64(&v, "steps", what)?.saturating_mul(class));
+                .saturating_add(field_u64(&v, "steps", what)?.saturating_mul(class));
         }
         Ok(CampaignReport {
             exact: header.get("collapse").and_then(Json::as_str) == Some("exact"),
@@ -365,19 +417,26 @@ impl CampaignReport {
         {
             return Err("telemetry stream describes a different cell grid".into());
         }
+        // A header without a worker count admits no worker lines.
+        let workers = header.get("workers").and_then(Json::as_u64).unwrap_or(0);
         let mut engine = EngineSummary::default();
         for line in lines {
             let line = line?;
-            let v = Json::parse(&line).map_err(|e| format!("{what}: bad line: {e}"))?;
-            match v.get("record").and_then(Json::as_str) {
+            let v = Fields::parse(&line).map_err(|e| format!("{what}: bad line: {e}"))?;
+            match v.str("record") {
                 Some("event") => {
-                    let kind = get_str(&v, "kind", what)?.to_string();
-                    *engine.events.entry(kind).or_insert(0) += 1;
+                    let kind = field_str(&v, "kind", what)?;
+                    match engine.events.get_mut(kind) {
+                        Some(n) => *n += 1,
+                        None => {
+                            engine.events.insert(kind.to_string(), 1);
+                        }
+                    }
                 }
                 Some("counter") => {
-                    let name = get_str(&v, "name", what)?.to_string();
-                    let value = get_u64(&v, "value", what)?;
-                    match get_str(&v, "scope", what)? {
+                    let name = field_str(&v, "name", what)?.to_string();
+                    let value = field_u64(&v, "value", what)?;
+                    match field_str(&v, "scope", what)? {
                         "engine" => {
                             engine.counters.insert(name, value);
                         }
@@ -389,9 +448,9 @@ impl CampaignReport {
                     }
                 }
                 Some("hist") => {
-                    let name = get_str(&v, "name", what)?.to_string();
+                    let name = field_str(&v, "name", what)?.to_string();
                     let data = parse_hist(&v, what)?;
-                    match get_str(&v, "scope", what)? {
+                    match field_str(&v, "scope", what)? {
                         "engine" => {
                             engine.hists.insert(name, data);
                         }
@@ -403,19 +462,31 @@ impl CampaignReport {
                     }
                 }
                 Some("worker") => {
-                    let w = get_u64(&v, "worker", what)? as usize;
-                    if engine.worker_tasks.len() <= w {
-                        engine.worker_tasks.resize(w + 1, 0);
+                    // Worker lines come in index order, one per worker of
+                    // the header's count, so an index is never past the
+                    // list's end; anything else would size the list from
+                    // the input alone.
+                    let w = field_u64(&v, "worker", what)?;
+                    let known = engine.worker_tasks.len();
+                    if w >= workers || w > known as u64 {
+                        return Err(format!(
+                            "{what}: worker index {w} out of range \
+                             ({workers} workers, {known} listed so far)"
+                        ));
                     }
-                    engine.worker_tasks[w] = get_u64(&v, "tasks", what)?;
+                    let tasks = field_u64(&v, "tasks", what)?;
+                    match engine.worker_tasks.get_mut(w as usize) {
+                        Some(slot) => *slot = tasks,
+                        None => engine.worker_tasks.push(tasks),
+                    }
                 }
                 Some("summary") => {
                     engine.totals = TelemetryTotals {
-                        total: get_u64(&v, "total", what)?,
-                        done: get_u64(&v, "done", what)?,
-                        resumed: get_u64(&v, "resumed", what)?,
-                        fast_forwarded: get_u64(&v, "fast_forwarded", what)?,
-                        early_exited: get_u64(&v, "early_exited", what)?,
+                        total: field_u64(&v, "total", what)?,
+                        done: field_u64(&v, "done", what)?,
+                        resumed: field_u64(&v, "resumed", what)?,
+                        fast_forwarded: field_u64(&v, "fast_forwarded", what)?,
+                        early_exited: field_u64(&v, "early_exited", what)?,
                     };
                 }
                 _ => return Err(format!("{what}: unknown line {line}")),
@@ -477,30 +548,24 @@ impl CampaignReport {
         for c in &mut self.cells {
             c.propagation = Some(Propagation::default());
         }
-        let index: BTreeMap<(String, String, String), usize> = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ((c.label.clone(), c.tool.clone(), c.category.clone()), i))
-            .collect();
+        let ids = CellIds::new(&self.cells);
+        let mut order = TaskOrder::default();
         for line in lines {
             let line = line?;
-            let v = Json::parse(&line).map_err(|e| format!("{what}: bad timeline line: {e}"))?;
-            if v.get("record").and_then(Json::as_str) != Some("timeline") {
+            let v = Fields::parse(&line).map_err(|e| format!("{what}: bad timeline line: {e}"))?;
+            if v.str("record") != Some("timeline") {
                 continue;
             }
-            let key = (
-                get_str(&v, "cell", what)?.to_string(),
-                get_str(&v, "tool", what)?.to_string(),
-                get_str(&v, "category", what)?.to_string(),
+            order.advance(field_u64(&v, "task", what)?, what)?;
+            let (label, tool, category) = (
+                field_str(&v, "cell", what)?,
+                field_str(&v, "tool", what)?,
+                field_str(&v, "category", what)?,
             );
-            let &ci = index.get(&key).ok_or_else(|| {
-                format!(
-                    "{what}: timeline for unknown cell {}/{}/{}",
-                    key.0, key.1, key.2
-                )
+            let ci = ids.find(label, tool, category).ok_or_else(|| {
+                format!("{what}: timeline for unknown cell {label}/{tool}/{category}")
             })?;
-            let outcome = Outcome::from_name(get_str(&v, "outcome", what)?)
+            let outcome = Outcome::from_name(field_str(&v, "outcome", what)?)
                 .ok_or_else(|| format!("{what}: unknown outcome"))?;
             let p = self.cells[ci]
                 .propagation
@@ -510,16 +575,16 @@ impl CampaignReport {
             // `birth`/`masked` are JSON null for never-born /
             // never-masked timelines; any number means the event
             // happened at that checkpoint index.
-            if v.get("birth").and_then(Json::as_u64).is_none() {
+            if v.u64("birth").is_none() {
                 continue;
             }
             p.born = p.born.saturating_add(1);
             p.born_outcomes.record_n(outcome, 1);
-            if v.get("masked").and_then(Json::as_u64).is_some() {
+            if v.u64("masked").is_some() {
                 p.masked = p.masked.saturating_add(1);
             }
-            let distance = v.get("distance").and_then(Json::as_u64).unwrap_or(0);
-            let peak = v.get("peak_pages").and_then(Json::as_u64).unwrap_or(0);
+            let distance = v.u64("distance").unwrap_or(0);
+            let peak = v.u64("peak_pages").unwrap_or(0);
             *p.distance.entry(distance).or_insert(0) += 1;
             *p.peak_pages.entry(peak).or_insert(0) += 1;
             p.distance_sum = p.distance_sum.saturating_add(distance);
@@ -528,12 +593,12 @@ impl CampaignReport {
         Ok(())
     }
 
-    fn cell_index(&self, v: &Json, what: &str) -> Result<usize, String> {
-        let ci = get_u64(v, "cell", what)? as usize;
-        if ci >= self.cells.len() {
-            return Err(format!("{what}: cell index {ci} out of range"));
+    fn cell_index(&self, v: &Fields<'_>, what: &str) -> Result<usize, String> {
+        let ci = field_u64(v, "cell", what)?;
+        match usize::try_from(ci) {
+            Ok(ci) if ci < self.cells.len() => Ok(ci),
+            _ => Err(format!("{what}: cell index {ci} out of range")),
         }
-        Ok(ci)
     }
 
     /// The machine-readable (`--json`) form of the report.
@@ -963,14 +1028,19 @@ impl CampaignReport {
     }
 }
 
-fn parse_hist(v: &Json, what: &str) -> Result<HistData, String> {
+fn parse_hist(v: &Fields<'_>, what: &str) -> Result<HistData, String> {
     let mut data = HistData {
-        sum: get_u64(v, "sum", what)?,
+        sum: field_u64(v, "sum", what)?,
         ..HistData::default()
     };
-    let count = get_u64(v, "count", what)?;
-    for pair in v
+    let count = field_u64(v, "count", what)?;
+    let buckets = v
         .get("buckets")
+        .and_then(Field::as_raw)
+        .map(Json::parse)
+        .transpose()?;
+    for pair in buckets
+        .as_ref()
         .and_then(Json::as_array)
         .ok_or_else(|| format!("{what}: hist missing buckets"))?
     {

@@ -23,7 +23,7 @@
 
 use crate::campaign::CampaignConfig;
 use crate::engine::CellSpec;
-use crate::json::Json;
+use crate::json::{Field, Fields, Json, ObjWriter};
 use fiq_telemetry::{EvVal, EventSink, HistData, HubSpec, TelemetryHub, WorkerHandle};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -343,12 +343,14 @@ impl TelemetryFile {
         let writer = Arc::clone(&self.writer);
         Box::new(
             move |batch: &[fiq_telemetry::Event]| -> Result<(), String> {
-                let mut w = lock(&writer);
+                let mut lines = String::new();
                 for ev in batch {
-                    writeln!(w, "{}", event_line(ev))
-                        .map_err(|e| format!("write telemetry: {e}"))?;
+                    event_line(&mut lines, ev);
+                    lines.push('\n');
                 }
-                Ok(())
+                lock(&writer)
+                    .write_all(lines.as_bytes())
+                    .map_err(|e| format!("write telemetry: {e}"))
             },
         )
     }
@@ -469,18 +471,19 @@ fn headers_match_ignoring_workers(found: &str, expected: &str) -> bool {
 /// the kept task prefix — so across any number of crash/resume cycles
 /// every task index appears in at most one `task` event.
 fn keep_event_line(line: &str, keep_below: u64) -> bool {
-    let Ok(v) = Json::parse(line) else {
+    let Ok(v) = Fields::parse(line) else {
         return false;
     };
-    if v.get("record").and_then(Json::as_str) != Some("event") {
+    if v.str("record") != Some("event") {
         return false;
     }
-    if v.get("kind").and_then(Json::as_str) != Some("task") {
+    if v.str("kind") != Some("task") {
         return true;
     }
     v.get("fields")
-        .and_then(|f| f.get("task"))
-        .and_then(Json::as_u64)
+        .and_then(Field::as_raw)
+        .and_then(|f| Fields::parse(f).ok())
+        .and_then(|f| f.u64("task"))
         .is_some_and(|t| t < keep_below)
 }
 
@@ -518,25 +521,98 @@ fn hist_line(scope: &str, cell: Option<(usize, &str)>, name: &str, data: &HistDa
     Json::Obj(fields).to_string()
 }
 
-fn event_line(ev: &fiq_telemetry::Event) -> String {
-    let fields = ev
-        .fields
-        .iter()
-        .map(|(k, v)| {
-            let val = match v {
-                EvVal::U64(n) => Json::u64(*n),
-                EvVal::F64(f) => Json::f64(*f),
-                EvVal::Bool(b) => Json::Bool(*b),
-                EvVal::Str(s) => Json::str(s.clone()),
+/// Appends one `record: "event"` line (without its newline) to `out`.
+fn event_line(out: &mut String, ev: &fiq_telemetry::Event) {
+    let mut w = ObjWriter::open(out);
+    w.str("record", "event")
+        .str("kind", ev.kind)
+        .u64("worker", ev.worker as u64);
+    let mut fields = w.obj("fields");
+    for (k, v) in &ev.fields {
+        match v {
+            EvVal::U64(n) => fields.u64(k, *n),
+            EvVal::F64(f) => fields.f64(k, *f),
+            EvVal::Bool(b) => fields.bool(k, *b),
+            EvVal::Str(s) => fields.str(k, s),
+        };
+    }
+    fields.close();
+    w.close();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::tests::arb_text;
+    use proptest::prelude::*;
+
+    /// The event line as built before the object writer: a `Json` tree,
+    /// rendered by its `Display`.
+    fn event_tree(ev: &fiq_telemetry::Event) -> String {
+        let fields = ev
+            .fields
+            .iter()
+            .map(|(k, v)| {
+                let val = match v {
+                    EvVal::U64(n) => Json::u64(*n),
+                    EvVal::F64(f) => Json::f64(*f),
+                    EvVal::Bool(b) => Json::Bool(*b),
+                    EvVal::Str(s) => Json::str(s.clone()),
+                };
+                ((*k).to_string(), val)
+            })
+            .collect();
+        Json::Obj(vec![
+            ("record".into(), Json::str("event")),
+            ("kind".into(), Json::str(ev.kind)),
+            ("worker".into(), Json::u64(ev.worker as u64)),
+            ("fields".into(), Json::Obj(fields)),
+        ])
+        .to_string()
+    }
+
+    /// Keys and kinds are static in the engine; these cover the escaping
+    /// classes anyway.
+    const KEYS: [&str; 5] = ["task", "cell", "q\"u\\o", "tab\tnl\n\u{1}", "é€🌀"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The event writer emits the tree's bytes for every value kind,
+        /// any string payload and any float, and reconciliation reads the
+        /// task index back from the nested fields.
+        #[test]
+        fn event_line_matches_tree(
+            kind in 0usize..KEYS.len(),
+            worker in 0usize..1 << 20,
+            vals in prop::collection::vec(
+                (0usize..KEYS.len(), 0u8..4, any::<u64>(), arb_text()),
+                0..6,
+            ),
+        ) {
+            let fields = vals
+                .into_iter()
+                .map(|(k, which, n, s)| {
+                    let v = match which {
+                        0 => EvVal::U64(n),
+                        1 => EvVal::F64(f64::from_bits(n)),
+                        2 => EvVal::Bool(n % 2 == 0),
+                        _ => EvVal::Str(s),
+                    };
+                    (KEYS[k], v)
+                })
+                .collect();
+            let ev = fiq_telemetry::Event { worker, kind: KEYS[kind], fields };
+            let mut line = String::new();
+            event_line(&mut line, &ev);
+            prop_assert_eq!(&line, &event_tree(&ev));
+            let task = ev.fields.iter().find(|(k, _)| *k == "task").map(|(_, v)| v);
+            let expected = match (ev.kind, task) {
+                ("task", Some(EvVal::U64(t))) => *t < 7,
+                ("task", _) => false,
+                _ => true,
             };
-            ((*k).to_string(), val)
-        })
-        .collect();
-    Json::Obj(vec![
-        ("record".into(), Json::str("event")),
-        ("kind".into(), Json::str(ev.kind)),
-        ("worker".into(), Json::u64(ev.worker as u64)),
-        ("fields".into(), Json::Obj(fields)),
-    ])
-    .to_string()
+            prop_assert_eq!(keep_event_line(&line, 7), expected);
+        }
+    }
 }

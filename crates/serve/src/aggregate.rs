@@ -28,7 +28,7 @@
 //! per-run.
 
 use crate::prepare::Prepared;
-use fiq_core::json::Json;
+use fiq_core::json::{Fields, Json};
 use fiq_core::CampaignPlan;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -185,9 +185,16 @@ fn merge_telemetry(dir: &Path, expected_stripped: &Json, shard_count: usize) -> 
             header_template = Some(header);
         }
         for line in &lines[1..] {
-            let v = Json::parse(line).map_err(|e| format!("{}: {e}", path.display()))?;
+            // Event lines (one per task) are only routed, so they are read
+            // without building a tree; the few summary lines are merged
+            // as trees.
+            let fields = Fields::parse(line).map_err(perr)?;
+            if fields.str("record") == Some("event") {
+                events.push(line.clone());
+                continue;
+            }
+            let v = Json::parse(line).map_err(perr)?;
             match v.get("record").and_then(Json::as_str) {
-                Some("event") => events.push(line.clone()),
                 Some("counter") => {
                     let key = line_key(&v);
                     let value = get_u64(&v, "value");

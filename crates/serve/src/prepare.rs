@@ -20,6 +20,14 @@ use fiq_interp::InterpOptions;
 use fiq_ir::Module;
 use std::sync::Arc;
 
+/// Most shards one submission may ask for. The plan allocates one shard
+/// spec per shard on the accept thread, so the count is bounded before
+/// anything is built from it.
+pub const MAX_SHARDS: u64 = 1024;
+
+/// Most worker threads per shard executor one submission may ask for.
+pub const MAX_THREADS: u64 = 1024;
+
 /// A campaign submission as it travels over the API.
 #[derive(Debug, Clone)]
 pub struct Submission {
@@ -126,14 +134,21 @@ impl Submission {
         };
         let injections = u32::try_from(u("injections", 200))
             .map_err(|_| "injections exceeds u32".to_string())?;
+        let bounded = |key: &str, default: u64, max: u64| {
+            let n = u(key, default);
+            if n > max {
+                return Err(format!("`{key}` is {n}, above the limit of {max}"));
+            }
+            usize::try_from(n).map_err(|_| format!("`{key}` exceeds usize"))
+        };
         Ok(Submission {
             name,
             source,
             category,
             injections,
             seed: u("seed", 42),
-            threads: u("threads", 1) as usize,
-            shards: (u("shards", 1) as usize).max(1),
+            threads: bounded("threads", 1, MAX_THREADS)?,
+            shards: bounded("shards", 1, MAX_SHARDS)?.max(1),
             priority: u("priority", 0),
             collapse,
             divergence: v.get("divergence") == Some(&Json::Bool(true)),

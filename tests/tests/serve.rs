@@ -13,7 +13,7 @@ use fiq_core::{
     plan_campaign, run_campaign, run_campaign_shard, CampaignReport, EngineOptions, Progress,
     CANCELLED,
 };
-use fiq_serve::{aggregate, client, prepare, Daemon, Scheduler, ServeOptions, Submission};
+use fiq_serve::{aggregate, client, http, prepare, Daemon, Scheduler, ServeOptions, Submission};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -591,6 +591,62 @@ fn daemon_end_to_end_with_mid_run_kill() {
     // Bad requests fail cleanly, not fatally.
     assert!(client::campaign(&addr, 999).is_err());
     assert!(client::report(&addr, 999).is_err());
+
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
+/// Shard and thread counts are bounded where a submission enters: an
+/// absurd count is a 400 from the submit endpoint, not an attempt to
+/// allocate a shard spec per shard on the accept thread.
+#[test]
+fn oversized_shard_and_thread_counts_are_refused_at_submit() {
+    let data_dir = temp_dir("bounds");
+    let daemon = Daemon::start(&ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        data_dir,
+        executors: 1,
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let body = |key: &str, n: &str| {
+        let mut sub = submission();
+        sub.source = TINY.into();
+        let Json::Obj(mut fields) = sub.to_json() else {
+            panic!("a submission is an object")
+        };
+        for (k, v) in &mut fields {
+            if k == key {
+                *v = Json::Num(n.into());
+            }
+        }
+        Json::Obj(fields)
+    };
+    for (key, n) in [
+        ("shards", "1000000000000".to_string()),
+        ("shards", (prepare::MAX_SHARDS + 1).to_string()),
+        ("threads", u64::MAX.to_string()),
+        ("threads", (prepare::MAX_THREADS + 1).to_string()),
+    ] {
+        let (status, reply) =
+            http::request(&addr, "POST", "/api/submit", Some(&body(key, &n))).unwrap();
+        assert_eq!(status, 400, "{key}={n}: {reply}");
+        let err = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(err.contains(key), "{key}={n}: {err}");
+    }
+    // At the limits the submission decodes; a small one still runs.
+    let at_max = |key: &str, max: u64| Submission::from_json(&body(key, &max.to_string()));
+    assert_eq!(
+        at_max("shards", prepare::MAX_SHARDS).unwrap().shards as u64,
+        prepare::MAX_SHARDS
+    );
+    assert_eq!(
+        at_max("threads", prepare::MAX_THREADS).unwrap().threads as u64,
+        prepare::MAX_THREADS
+    );
+    let (status, reply) =
+        http::request(&addr, "POST", "/api/submit", Some(&body("shards", "2"))).unwrap();
+    assert_eq!(status, 200, "{reply}");
 
     client::shutdown(&addr).unwrap();
     daemon.join();
