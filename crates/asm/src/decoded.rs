@@ -1,4 +1,4 @@
-//! Pre-decoded threaded-dispatch execution core for the machine emulator.
+//! The machine emulator's execution core: a pre-decoded opcode table.
 //!
 //! [`DecodedProgram::decode`] flattens each [`Inst`] into a `Copy`
 //! [`DecInst`] with operand addressing pre-resolved: the hot register and
@@ -6,19 +6,22 @@
 //! (immediates pre-masked to their destination width), memory forms keep
 //! their [`MemRef`], and everything else falls back to [`DecInst::Generic`],
 //! which re-executes the original instruction at the same index through
-//! the shared legacy semantics. A fusion pass rewrites adjacent
+//! the shared reference semantics (`Machine::exec_inst`). The program is
+//! decoded into two tables indexed by rip: `plain`, one entry per
+//! instruction, and `code`, where a fusion pass has rewritten adjacent
 //! FLAGS-producer + conditional-branch pairs (cmp/test/ALU heads) and
 //! 64-bit register mov ↔ register ALU pairs into superinstructions.
 //!
-//! Observable semantics are identical to the legacy core: the same retire
-//! counts at the same instruction indices, the same `on_retire` event
-//! sequence, the same traps and console bytes. FLAGS are always fully
-//! materialized — they are architectural state (digest input and a PINFI
-//! injection target), so no flags computation is ever pruned; what is
-//! precomputed is only the operand *addressing*. A fused pair is atomic:
-//! it charges two steps and fires both retire events, but a pause or
-//! snapshot boundary can no longer land between its halves (both cores
-//! still only capture at consistent boundaries).
+//! Observable semantics are identical to the reference core
+//! (`Machine::step`): the same retire counts at the same instruction
+//! indices, the same `on_retire` event sequence, the same traps and
+//! console bytes. FLAGS are always fully materialized — they are
+//! architectural state (digest input and a PINFI injection target), so no
+//! flags computation is ever pruned; what is precomputed is only the
+//! operand *addressing*. A fused pair is atomic: it charges two steps and
+//! fires both retire events, so the step leading into a pause or
+//! snapshot boundary is taken from the `plain` table, and every boundary
+//! lands where the reference core's would.
 
 use crate::flags::Cond;
 use crate::inst::{AluOp, Inst, MemRef, Operand, Width};
@@ -38,7 +41,7 @@ pub(crate) enum DecInst {
     /// `mov [m], src` (store of `width` bytes).
     MovStoreR { width: Width, m: MemRef, src: Reg },
     /// `mov [m], imm` (store of `width` bytes; raw immediate, the write
-    /// truncates exactly like the legacy operand path).
+    /// truncates exactly like the reference operand path).
     MovStoreI { width: Width, m: MemRef, imm: u64 },
     /// `lea dst, [m]`.
     Lea { dst: Reg, m: MemRef },
@@ -112,49 +115,43 @@ pub(crate) enum DecInst {
         mov_dst: Reg,
         mov_src: Reg,
     },
-    /// Everything else: execute `prog.insts[idx]` through the legacy
+    /// Everything else: execute `prog.insts[idx]` through the reference
     /// semantics (the index is the current rip, so no payload is needed).
     Generic,
 }
 
-/// A program pre-decoded for threaded dispatch, indexed by rip in lockstep
-/// with `prog.insts`. Decode once, share via `Arc` across every machine
-/// running the same program.
+/// A program pre-decoded for the machine's execution core: two tables
+/// indexed by rip in lockstep with `prog.insts`. Decode once, share via
+/// `Arc` across every machine running the same program.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
-    pub(crate) insts: Box<[DecInst]>,
-    pub(crate) fusion: bool,
+    /// Superinstructions at fused heads; every other entry (fused tails
+    /// included) is the plain decode.
+    pub(crate) code: Box<[DecInst]>,
+    /// One plain decode per instruction: what the step leading into a
+    /// pause or snapshot boundary executes.
+    pub(crate) plain: Box<[DecInst]>,
 }
 
 impl DecodedProgram {
-    /// Decodes `prog` for threaded dispatch, with superinstruction fusion
-    /// on or off. Fusion changes wall-clock only, never output.
-    pub fn decode(prog: &AsmProgram, fusion: bool) -> DecodedProgram {
-        let mut insts: Vec<DecInst> = prog.insts.iter().map(decode_inst).collect();
-        if fusion {
-            // Heads (cmp/test) and the tail (jcc) are disjoint variants,
-            // so a greedy left-to-right scan cannot miss an overlapping
-            // pair. The tail keeps its plain decode: a jump landing on it
-            // executes it standalone, exactly as before.
-            let mut i = 0;
-            while i + 1 < insts.len() {
-                if let Some(f) = fuse_pair(insts[i], insts[i + 1]) {
-                    insts[i] = f;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
+    /// Decodes `prog` into its fused and plain tables.
+    pub fn decode(prog: &AsmProgram) -> DecodedProgram {
+        let plain: Box<[DecInst]> = prog.insts.iter().map(decode_inst).collect();
+        // Heads (cmp/test/ALU/mov) and tails (jcc/ALU/mov) are matched by
+        // a greedy left-to-right scan. The tail keeps its plain decode: a
+        // jump landing on it, or a pause between the halves, executes it
+        // standalone.
+        let mut code = plain.clone();
+        let mut i = 0;
+        while i + 1 < plain.len() {
+            if let Some(f) = fuse_pair(plain[i], plain[i + 1]) {
+                code[i] = f;
+                i += 2;
+            } else {
+                i += 1;
             }
         }
-        DecodedProgram {
-            insts: insts.into(),
-            fusion,
-        }
-    }
-
-    /// Whether this decode was built with superinstruction fusion.
-    pub fn fusion(&self) -> bool {
-        self.fusion
+        DecodedProgram { code, plain }
     }
 }
 

@@ -28,7 +28,6 @@ mod program;
 mod regs;
 
 pub use decoded::DecodedProgram;
-pub use fiq_mem::Dispatch;
 pub use flags::{
     add_flags, logic_flags, sub_flags, ucomisd_flags, Cond, ALL_FLAGS, CF, OF, PF, SF, ZF,
 };

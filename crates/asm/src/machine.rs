@@ -6,7 +6,7 @@ use crate::inst::{AluOp, ExtFn, Inst, MemRef, Operand, ShiftOp, SseOp, Width, XO
 use crate::program::AsmProgram;
 use crate::regs::{Reg, Xmm};
 use fiq_mem::{
-    component, Console, Dispatch, Divergence, Hasher64, MemSnapshot, Memory, Quiescence, RunStatus,
+    component, Console, Divergence, Hasher64, MemSnapshot, Memory, Quiescence, RunStatus,
     StateDigest, Trap,
 };
 use std::sync::Arc;
@@ -25,18 +25,6 @@ pub struct MachOptions {
     pub guard_size: u64,
     /// Simulated memory capacity.
     pub mem_capacity: u64,
-    /// Which execution core steps the program. Both cores have identical
-    /// observable semantics; this only moves wall-clock.
-    pub dispatch: Dispatch,
-    /// Superinstruction fusion for the threaded core (ignored by the
-    /// legacy core). Never changes output, only speed.
-    pub fusion: bool,
-    /// Phase-specialized execution for the threaded core: when the hook
-    /// reports itself inert (see [`fiq_mem::Quiescence`]) the machine
-    /// runs a monomorphized fast loop with hook dispatch compiled out.
-    /// Disabled automatically while retire counting (snapshot capture)
-    /// is active. Never changes output, only speed.
-    pub quiescent: bool,
 }
 
 impl Default for MachOptions {
@@ -46,36 +34,21 @@ impl Default for MachOptions {
             stack_size: fiq_mem::DEFAULT_STACK_SIZE,
             guard_size: 4096,
             mem_capacity: fiq_mem::DEFAULT_CAPACITY,
-            dispatch: Dispatch::default(),
-            fusion: true,
-            quiescent: true,
         }
     }
 }
 
-/// Resolves the decoded-program handle for the chosen dispatch mode:
-/// `Legacy` needs none, `Threaded` reuses the shared handle or decodes
-/// inline. The decode is pure, so a shared handle is interchangeable with
-/// an inline decode.
-fn ensure_decoded(
-    prog: &AsmProgram,
-    decoded: Option<Arc<DecodedProgram>>,
-    opts: MachOptions,
-) -> Option<Arc<DecodedProgram>> {
-    if opts.dispatch != Dispatch::Threaded {
-        return None;
-    }
-    let dec = decoded.unwrap_or_else(|| Arc::new(DecodedProgram::decode(prog, opts.fusion)));
+/// Reuses the shared decoded-program handle or decodes inline. The
+/// decode is pure, so a shared handle is interchangeable with an inline
+/// decode.
+fn ensure_decoded(prog: &AsmProgram, decoded: Option<Arc<DecodedProgram>>) -> Arc<DecodedProgram> {
+    let dec = decoded.unwrap_or_else(|| Arc::new(DecodedProgram::decode(prog)));
     debug_assert_eq!(
-        dec.insts.len(),
+        dec.code.len(),
         prog.insts.len(),
         "decoded program was built for a different program"
     );
-    debug_assert_eq!(
-        dec.fusion, opts.fusion,
-        "decoded program fusion setting disagrees with options"
-    );
-    Some(dec)
+    dec
 }
 
 /// The architectural state: registers, FLAGS, memory, console. Hooks may
@@ -130,7 +103,7 @@ pub trait AsmHook {
     }
 
     /// The hook's current instrumentation phase (see [`Quiescence`]); the
-    /// site type is a static instruction index. Queried by the threaded
+    /// site type is a static instruction index. Queried by the decoded
     /// core between steps; reporting anything other than `Active` lets
     /// the core run a monomorphized fast loop with retire dispatch
     /// compiled out. The default keeps full instrumentation, which is
@@ -220,6 +193,16 @@ impl From<Trap> for Stop {
     }
 }
 
+impl Stop {
+    fn status(self) -> RunStatus {
+        match self {
+            Stop::Finished => RunStatus::Finished,
+            Stop::Trap(t) => RunStatus::Trapped(t),
+            Stop::Budget => RunStatus::BudgetExceeded,
+        }
+    }
+}
+
 /// The emulator. Create with [`Machine::new`], run with [`Machine::run`].
 pub struct Machine<'p, H> {
     prog: &'p AsmProgram,
@@ -232,7 +215,7 @@ pub struct Machine<'p, H> {
     restored_steps: u64,
     /// Steps retired inside the quiescent fast loop (telemetry).
     steps_quiescent: u64,
-    decoded: Option<Arc<DecodedProgram>>,
+    decoded: Arc<DecodedProgram>,
     /// Per-instruction retire counts, tracked inside the step loop while
     /// [`Machine::run_with_snapshots`] is active. Internal (rather than
     /// counted by the caller around `step`) because a fused
@@ -242,8 +225,7 @@ pub struct Machine<'p, H> {
 
 impl<'p, H: AsmHook> Machine<'p, H> {
     /// Creates a machine: materializes globals, the guard gap, and the
-    /// stack, and points `rip` at `main`. Under [`Dispatch::Threaded`]
-    /// (the default) the program is decoded inline; use
+    /// stack, points `rip` at `main`, and decodes the program inline; use
     /// [`Machine::with_decoded`] to share one decode across many runs.
     ///
     /// # Errors
@@ -258,7 +240,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     }
 
     /// Like [`Machine::new`], but reusing a shared pre-decoded program
-    /// (pass `None` to decode inline when the dispatch mode needs one).
+    /// (pass `None` to decode inline).
     ///
     /// # Errors
     ///
@@ -289,7 +271,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         st.mem.write_uint(rsp, RET_SENTINEL, 8)?;
         st.set_reg(Reg::Rsp, rsp);
         let main = &prog.funcs[prog.main as usize];
-        let decoded = ensure_decoded(prog, decoded, opts);
+        let decoded = ensure_decoded(prog, decoded);
         Ok(Machine {
             prog,
             st,
@@ -322,7 +304,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     }
 
     /// Like [`Machine::restore`], but reusing a shared pre-decoded program
-    /// (pass `None` to decode inline when the dispatch mode needs one).
+    /// (pass `None` to decode inline).
     pub fn restore_with_decoded(
         prog: &'p AsmProgram,
         decoded: Option<Arc<DecodedProgram>>,
@@ -330,7 +312,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         hook: H,
         snap: &MachSnapshot,
     ) -> Machine<'p, H> {
-        let decoded = ensure_decoded(prog, decoded, opts);
+        let decoded = ensure_decoded(prog, decoded);
         Machine {
             prog,
             st: MachState {
@@ -356,6 +338,10 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         let status = self
             .drive(u64::MAX)
             .expect("a u64::MAX pause point is unreachable");
+        self.result(status)
+    }
+
+    fn result(&self, status: RunStatus) -> RunResult {
         RunResult {
             status,
             steps: self.steps,
@@ -364,73 +350,47 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     }
 
     /// Runs until `pause_at` instructions have retired or the program
-    /// stops; `None` means paused at the boundary. The dispatch mode is
-    /// resolved once and the threaded core's decoded table is fetched
-    /// once, outside the loop — both are loop-invariant, so the hot path
-    /// pays neither the per-step mode match nor the `Option<Arc>` deref.
+    /// stops; `None` means paused at the boundary. The decoded tables are
+    /// fetched once, outside the loop, so the hot path pays no per-step
+    /// `Arc` deref.
     fn drive(&mut self, pause_at: u64) -> Option<RunStatus> {
-        let stop = match self.opts.dispatch {
-            Dispatch::Legacy => loop {
-                if self.steps >= pause_at {
-                    return None;
-                }
-                match self.step() {
-                    Ok(()) => {}
-                    Err(s) => break s,
-                }
-            },
-            Dispatch::Threaded => {
-                let dec = self
-                    .decoded
-                    .clone()
-                    .expect("threaded dispatch requires a decoded program");
-                // The quiescent fast loop is only legal while retire
-                // counting is off: counts are bumped inside retire(),
-                // which the fast loop compiles out.
-                let quiescent_ok = self.opts.quiescent && self.counts.is_none();
-                loop {
-                    if self.steps >= pause_at {
-                        return None;
-                    }
-                    // A fused pair retires two instructions atomically and
-                    // would overshoot a boundary landing between its
-                    // halves; route the final step through the scalar
-                    // stepper so every dispatch mode pauses at the same
-                    // instruction boundary (the tail keeps its plain
-                    // decode, so the threaded core resumes cleanly).
-                    let r = if pause_at - self.steps == 1 {
-                        self.step()
-                    } else if !quiescent_ok {
-                        self.step_decoded(&dec)
-                    } else {
-                        match self.hook.quiescence() {
-                            Quiescence::Active => self.step_decoded(&dec),
-                            Quiescence::Forever => {
-                                self.step_quiescent(&dec, pause_at, None).map(|_| ())
-                            }
-                            Quiescence::UntilSite(s) => {
-                                match self.step_quiescent(&dec, pause_at, Some(s)) {
-                                    // Stopped just before the watched
-                                    // site: replay one evented step, then
-                                    // re-query the hook's phase.
-                                    Ok(true) => self.step_decoded(&dec),
-                                    other => other.map(|_| ()),
-                                }
-                            }
+        let dec = Arc::clone(&self.decoded);
+        // The quiescent fast loop is only legal while retire counting is
+        // off: counts are bumped inside retire(), which the fast loop
+        // compiles out.
+        let quiescent_ok = self.counts.is_none();
+        let stop = loop {
+            if self.steps >= pause_at {
+                return None;
+            }
+            // A fused pair retires two instructions atomically and would
+            // overshoot a boundary landing between its halves; take the
+            // final step from the plain table so the pause lands where
+            // the reference core's does (the fused table keeps the tail's
+            // plain decode, so the next slice resumes cleanly).
+            let r = if pause_at - self.steps == 1 {
+                self.step_decoded(&dec.plain)
+            } else if !quiescent_ok {
+                self.step_decoded(&dec.code)
+            } else {
+                match self.hook.quiescence() {
+                    Quiescence::Active => self.step_decoded(&dec.code),
+                    Quiescence::Forever => self.step_quiescent(&dec, pause_at, None).map(|_| ()),
+                    Quiescence::UntilSite(s) => {
+                        match self.step_quiescent(&dec, pause_at, Some(s)) {
+                            // Stopped just before the watched site: run one
+                            // evented step, then re-query the hook's phase.
+                            Ok(true) => self.step_decoded(&dec.code),
+                            other => other.map(|_| ()),
                         }
-                    };
-                    match r {
-                        Ok(()) => {}
-                        Err(s) => break s,
                     }
                 }
+            };
+            if let Err(s) = r {
+                break s;
             }
         };
-        Some(match stop {
-            Stop::Finished => RunStatus::Finished,
-            Stop::Trap(t) => RunStatus::Trapped(t),
-            Stop::Budget => RunStatus::BudgetExceeded,
-        })
+        Some(stop.status())
     }
 
     /// Runs like [`Machine::run`], capturing a snapshot at the first
@@ -445,6 +405,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         // a fused superinstruction retires two instructions per step
         // call, which an external per-call count could not attribute.
         self.counts = Some(vec![0u64; self.prog.insts.len()]);
+        let dec = Arc::clone(&self.decoded);
         let mut snaps: Vec<MachSnapshot> = Vec::new();
         let status = loop {
             if self.steps >= next_at {
@@ -464,28 +425,20 @@ impl<'p, H: AsmHook> Machine<'p, H> {
                     next_at += interval;
                 }
             }
-            // Capture boundaries must be dispatch-invariant: take the
-            // step leading into one through the scalar stepper so a
-            // fused pair cannot carry the capture point past it.
-            let r = if next_at - self.steps == 1 {
-                self.step()
+            // Capture boundaries are those of the reference core: take
+            // the step leading into one from the plain table so a fused
+            // pair cannot carry the capture point past it.
+            let table = if next_at - self.steps == 1 {
+                &dec.plain
             } else {
-                self.step_dispatch()
+                &dec.code
             };
-            match r {
-                Ok(()) => {}
-                Err(Stop::Finished) => break RunStatus::Finished,
-                Err(Stop::Trap(t)) => break RunStatus::Trapped(t),
-                Err(Stop::Budget) => break RunStatus::BudgetExceeded,
+            if let Err(s) = self.step_decoded(table) {
+                break s.status();
             }
         };
         self.counts = None;
-        let result = RunResult {
-            status,
-            steps: self.steps,
-            output: self.st.console.contents().to_string(),
-        };
-        (result, snaps)
+        (self.result(status), snaps)
     }
 
     /// Runs like [`Machine::run`], but pauses at the first instruction
@@ -500,11 +453,28 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     /// before reaching the pause point.
     pub fn run_until(&mut self, until: u64) -> Option<RunResult> {
         let status = self.drive(until)?;
-        Some(RunResult {
-            status,
-            steps: self.steps,
-            output: self.st.console.contents().to_string(),
-        })
+        Some(self.result(status))
+    }
+
+    /// Runs the *reference core* — one `match` over the source
+    /// instruction per step, the semantics that define the machine —
+    /// with the same pause rule and return contract as
+    /// [`Machine::run_until`]; pass `u64::MAX` to run to completion. It
+    /// fires the same retire events in the same order as the decoded
+    /// core but never consults [`AsmHook::quiescence`].
+    ///
+    /// This is the oracle the lockstep tests and the step-rate bench
+    /// compare the decoded core against; no production path calls it.
+    pub fn run_reference_until(&mut self, until: u64) -> Option<RunResult> {
+        let stop = loop {
+            if self.steps >= until {
+                return None;
+            }
+            if let Err(s) = self.step() {
+                break s;
+            }
+        };
+        Some(self.result(stop.status()))
     }
 
     /// Instructions retired so far.
@@ -512,8 +482,8 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         self.steps
     }
 
-    /// Steps retired through the quiescent fast loop (0 when quiescence
-    /// is disabled or the hook never reported itself inert).
+    /// Steps retired through the quiescent fast loop (0 when the hook
+    /// never reported itself inert).
     pub fn steps_quiescent(&self) -> u64 {
         self.steps_quiescent
     }
@@ -566,7 +536,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
 
     /// The live state's digest (register-file hash plus console
     /// length/hash), in the same form a snapshot captures — exposed so
-    /// differential tests can compare final states across dispatch modes.
+    /// differential tests can compare states across cores.
     pub fn state_digest(&self) -> StateDigest {
         StateDigest::new(self.arch_hash(), &self.st.console)
     }
@@ -646,21 +616,8 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         self.hook.on_retire(idx, &mut self.st);
     }
 
-    /// One step through the core selected by `opts.dispatch`.
-    #[inline]
-    fn step_dispatch(&mut self) -> Result<(), Stop> {
-        match self.opts.dispatch {
-            Dispatch::Legacy => self.step(),
-            Dispatch::Threaded => {
-                let dec = self
-                    .decoded
-                    .clone()
-                    .expect("threaded dispatch requires a decoded program");
-                self.step_decoded(&dec)
-            }
-        }
-    }
-
+    /// One step of the reference core. Reached only through
+    /// [`Machine::run_reference_until`].
     fn step(&mut self) -> Result<(), Stop> {
         self.steps += 1;
         if self.steps > self.opts.max_steps {
@@ -678,8 +635,8 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     }
 
     /// Executes one instruction's state transition (everything between
-    /// fetch and retire) — the reference semantics, shared by the legacy
-    /// core and the threaded core's `Generic` fallback.
+    /// fetch and retire) — the reference semantics, shared by the
+    /// reference core and the decoded core's `Generic` fallback.
     #[allow(clippy::too_many_lines)]
     fn exec_inst(&mut self, inst: &Inst) -> Result<(), Stop> {
         match *inst {
@@ -861,13 +818,13 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         Ok(())
     }
 
-    /// The threaded-dispatch twin of `Machine::step`: one step through
-    /// the pre-decoded table. A fused superinstruction executes both
-    /// halves (two step charges, two retires at the original indices) in
-    /// one call. Observable semantics are identical to the legacy core.
+    /// The decoded twin of `Machine::step`: one step through `table`
+    /// (`code` or `plain`). A fused superinstruction executes both halves
+    /// (two step charges, two retires at the original indices) in one
+    /// call. Observable semantics are identical to the reference core.
     #[inline]
-    fn step_decoded(&mut self, dec: &DecodedProgram) -> Result<(), Stop> {
-        self.step_decoded_impl::<true>(dec)
+    fn step_decoded(&mut self, table: &[DecInst]) -> Result<(), Stop> {
+        self.step_decoded_impl::<true>(table)
     }
 
     /// The quiescent fast loop: `step_decoded` monomorphized with retire
@@ -888,7 +845,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         let r = loop {
             // Yield one step early: a fused pair would overshoot the
             // boundary, so the caller's drive loop takes the final step
-            // through the scalar stepper.
+            // from the plain table.
             if pause_at.saturating_sub(self.steps) <= 1 {
                 break Ok(false);
             }
@@ -897,7 +854,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
                     break Ok(true);
                 }
             }
-            if let Err(e) = self.step_decoded_impl::<false>(dec) {
+            if let Err(e) = self.step_decoded_impl::<false>(&dec.code) {
                 break Err(e);
             }
         };
@@ -906,13 +863,13 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     }
 
     #[inline]
-    fn step_decoded_impl<const EVENTS: bool>(&mut self, dec: &DecodedProgram) -> Result<(), Stop> {
+    fn step_decoded_impl<const EVENTS: bool>(&mut self, table: &[DecInst]) -> Result<(), Stop> {
         self.steps += 1;
         if self.steps > self.opts.max_steps {
             return Err(Stop::Budget);
         }
         let idx = self.rip;
-        let Some(&d) = dec.insts.get(idx) else {
+        let Some(&d) = table.get(idx) else {
             return Err(Trap::BadJump { target: idx as u64 }.into());
         };
         self.rip += 1; // default fall-through; control flow overrides
@@ -1079,7 +1036,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     /// head, then charges and executes the adjacent conditional jump.
     /// FLAGS are re-read after the head's retire event so a hook mutating
     /// them (a FLAGS-targeted injection) steers the branch exactly as it
-    /// would between two legacy steps.
+    /// would between two reference steps.
     fn fused_jcc_half<const EVENTS: bool>(
         &mut self,
         idx: usize,
@@ -1107,7 +1064,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     /// charges and executes the adjacent register ALU op. Operands are
     /// re-read after the mov's retire event, so a register-targeted
     /// injection between the halves is observed exactly as between two
-    /// legacy steps.
+    /// reference steps.
     fn fused_alu_half<const EVENTS: bool>(
         &mut self,
         idx: usize,
@@ -1291,7 +1248,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
 /// x86 `cvttsd2si` semantics: truncate toward zero; NaN and out-of-range
 /// produce the integer-indefinite value `i64::MIN`.
 /// Computes an ALU op's result and resulting FLAGS — the one definition
-/// shared by the legacy `Inst::Alu` arm and the decoded `AluRR`/`AluRI`
+/// shared by the reference `Inst::Alu` arm and the decoded `AluRR`/`AluRI`
 /// variants, so the two cores cannot drift.
 fn alu_exec(op: AluOp, a: u64, b: u64) -> (u64, u64) {
     match op {

@@ -3,11 +3,6 @@
 //! the per-injection JSONL record stream on versus off, with
 //! checkpointed fast-forward on versus off, and with golden-state
 //! convergence detection (early exit) on versus off.
-//!
-//! The `campaign-engine` group runs every benchmark under both
-//! execution cores, labelled as a comparison pair in the JSON stream:
-//! `dispatch=legacy role=baseline` versus `dispatch=threaded
-//! role=optimized`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fiq_asm::MachOptions;
@@ -15,7 +10,7 @@ use fiq_core::{
     profile_llfi, profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots,
     run_campaign, CampaignConfig, Category, CellSpec, EngineOptions, SnapshotCache, Substrate,
 };
-use fiq_interp::{Dispatch, InterpOptions};
+use fiq_interp::InterpOptions;
 use std::sync::Arc;
 
 const KERNEL: &str = "
@@ -63,70 +58,54 @@ fn bench_campaign(c: &mut Criterion) {
     }
     let total = INJECTIONS as u64 * cells.len() as u64;
 
-    // Each benchmark runs under both execution cores: the legacy core is
-    // the baseline of the pair, the threaded core the optimized member.
-    for (dispatch, role) in [
-        (Dispatch::Legacy, "baseline"),
-        (Dispatch::Threaded, "optimized"),
-    ] {
-        let mut g = c.benchmark_group("campaign-engine");
-        g.throughput(Throughput::Elements(total));
-        g.label("dispatch", dispatch.name());
-        g.label("role", role);
-        // Resolve each thread setting to its worker count up front and
-        // dedupe: on a single-core host `threads: 0` (all cores) also
-        // resolves to one worker, and without the dedupe the same
-        // benchmark was emitted twice under two labels ("…/1 worker"
-        // and "…/1 workers").
-        let mut seen_workers = Vec::new();
-        for threads in [1usize, 0] {
-            let cfg = CampaignConfig {
-                injections: INJECTIONS,
-                seed: 7,
-                threads,
-                ..CampaignConfig::default()
-            };
-            let workers = cfg.worker_count();
-            if seen_workers.contains(&workers) {
-                continue;
-            }
-            seen_workers.push(workers);
-            let name = format!(
-                "grid 6 cells/{workers} worker{}",
-                if workers == 1 { "" } else { "s" }
-            );
-            g.bench_function(name, |b| {
-                b.iter(|| {
-                    let opts = EngineOptions {
-                        dispatch,
-                        ..EngineOptions::default()
-                    };
-                    run_campaign(&cells, &cfg, &opts).unwrap()
-                })
-            });
-        }
+    let mut g = c.benchmark_group("campaign-engine");
+    g.throughput(Throughput::Elements(total));
+    // Resolve each thread setting to its worker count up front and
+    // dedupe: on a single-core host `threads: 0` (all cores) also
+    // resolves to one worker, and without the dedupe the same benchmark
+    // was emitted twice under two labels ("…/1 worker" and
+    // "…/1 workers").
+    let mut seen_workers = Vec::new();
+    for threads in [1usize, 0] {
         let cfg = CampaignConfig {
             injections: INJECTIONS,
             seed: 7,
-            threads: 0,
+            threads,
             ..CampaignConfig::default()
         };
-        let dir = std::env::temp_dir().join("fiq-campaign-bench");
-        std::fs::create_dir_all(&dir).unwrap();
-        let records = dir.join("records.jsonl");
-        g.bench_function("grid 6 cells + jsonl records", |b| {
-            b.iter(|| {
-                let opts = EngineOptions {
-                    dispatch,
-                    records: Some(&records),
-                    ..EngineOptions::default()
-                };
-                run_campaign(&cells, &cfg, &opts).unwrap()
-            })
+        let workers = cfg.worker_count();
+        if seen_workers.contains(&workers) {
+            continue;
+        }
+        seen_workers.push(workers);
+        let name = format!(
+            "grid 6 cells/{workers} worker{}",
+            if workers == 1 { "" } else { "s" }
+        );
+        g.bench_function(name, |b| {
+            b.iter(|| run_campaign(&cells, &cfg, &EngineOptions::default()).unwrap())
         });
-        g.finish();
-        let _ = std::fs::remove_dir_all(&dir);
     }
+    let cfg = CampaignConfig {
+        injections: INJECTIONS,
+        seed: 7,
+        threads: 0,
+        ..CampaignConfig::default()
+    };
+    let dir = std::env::temp_dir().join("fiq-campaign-bench");
+    std::fs::create_dir_all(&dir).unwrap();
+    let records = dir.join("records.jsonl");
+    g.bench_function("grid 6 cells + jsonl records", |b| {
+        b.iter(|| {
+            let opts = EngineOptions {
+                records: Some(&records),
+                ..EngineOptions::default()
+            };
+            run_campaign(&cells, &cfg, &opts).unwrap()
+        })
+    });
+    g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The workload where golden-prefix replay hurts most: a long store-free

@@ -14,7 +14,6 @@
 //!              [--fast-forward] [--snapshot-interval K]
 //!              [--early-exit | --no-early-exit]
 //!              [--no-flag-pruning] [--no-xmm-pruning]
-//!              [--dispatch legacy|threaded] [--no-fusion] [--no-quiescent]
 //!              [--collapse sampled|exact]
 //! fiq collapse-check <prog> [--category <cat>] [--json FILE]
 //! fiq report <records.jsonl> [--telemetry FILE] [--divergence FILE] [--json]
@@ -61,13 +60,7 @@
 //! default whenever checkpoints exist; `--no-early-exit` disables it;
 //! output is bit-identical either way). `--no-flag-pruning`/
 //! `--no-xmm-pruning` disable PINFI's activation heuristics.
-//! `--dispatch legacy|threaded` selects the execution core (default:
-//! threaded, the pre-decoded fast core; legacy is the reference core)
-//! and `--no-fusion` disables superinstruction fusion in the threaded
-//! core; `--no-quiescent` disables the phase-specialized fast loops the
-//! threaded core enters while a run's fault hook is inert — campaign
-//! output is byte-identical under every combination, only wall-clock
-//! changes. `--collapse exact` switches the cell from
+//! `--collapse exact` switches the cell from
 //! sampling to exhaustive coverage: the fault space is partitioned into
 //! equivalence classes up front, one representative per class runs, and
 //! outcomes are weighted by class size — the resulting distribution is
@@ -108,7 +101,7 @@ use fiq_core::{
     CampaignConfig, Category, CellSpec, Collapse, CollapseCheck, EngineOptions, PinfiOptions,
     Progress, SnapshotCache, Substrate,
 };
-use fiq_interp::{Dispatch, InterpOptions};
+use fiq_interp::InterpOptions;
 use fiq_ir::Module;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -173,7 +166,6 @@ fn flag_spec(cmd: &str) -> Option<FlagSpec> {
                 "telemetry",
                 "divergence",
                 "snapshot-interval",
-                "dispatch",
                 "collapse",
             ],
             boolean: &[
@@ -187,8 +179,6 @@ fn flag_spec(cmd: &str) -> Option<FlagSpec> {
                 "no-early-exit",
                 "no-flag-pruning",
                 "no-xmm-pruning",
-                "no-fusion",
-                "no-quiescent",
             ],
         },
         "collapse-check" => FlagSpec {
@@ -701,11 +691,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         },
     ];
 
-    let dispatch = match args.flag("dispatch") {
-        None => Dispatch::default(),
-        Some(s) => Dispatch::parse(s)
-            .ok_or_else(|| format!("unknown --dispatch `{s}` (legacy|threaded)"))?,
-    };
     let collapse = match args.flag("collapse") {
         None => Collapse::default(),
         Some(s) => {
@@ -746,9 +731,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         } else {
             None
         },
-        dispatch,
-        fusion: !args.has("no-fusion"),
-        quiescent: !args.has("no-quiescent"),
         collapse,
         cancel: None,
     };

@@ -56,7 +56,7 @@ use crate::telemetry::{
     TaskTel, TelemetryFile, HUB_SPEC,
 };
 use fiq_asm::{AsmProgram, DecodedProgram, MachOptions, MachSnapshot};
-use fiq_interp::{DecodedModule, Dispatch, InterpOptions, InterpSnapshot};
+use fiq_interp::{DecodedModule, InterpOptions, InterpSnapshot};
 use fiq_ir::Module;
 use fiq_telemetry::{EvVal, TelemetryHub, WorkerHandle};
 use rand::rngs::StdRng;
@@ -166,7 +166,9 @@ pub struct Progress {
     pub early_exited: usize,
 }
 
-/// Engine knobs beyond [`CampaignConfig`].
+/// Engine knobs beyond [`CampaignConfig`]. The default turns every one
+/// off: no streams, no resume, full replay, sampled planning.
+#[derive(Default)]
 pub struct EngineOptions<'a> {
     /// Write one JSONL record per injection to this path.
     pub records: Option<&'a Path>,
@@ -192,21 +194,6 @@ pub struct EngineOptions<'a> {
     /// observational only: campaign output — reports *and* record
     /// bytes — is byte-identical with telemetry on or off.
     pub telemetry: Option<&'a Path>,
-    /// Execution core both substrates step with. Under
-    /// [`Dispatch::Threaded`] each cell's program is decoded once up
-    /// front and the table is shared across every worker. Campaign
-    /// output is byte-identical under either core; only wall-clock
-    /// changes.
-    pub dispatch: Dispatch,
-    /// Superinstruction fusion for the threaded core (ignored under
-    /// [`Dispatch::Legacy`]). Output-invariant; wall-clock only.
-    pub fusion: bool,
-    /// Phase-specialized (quiescent) fast loops for the threaded core
-    /// (ignored under [`Dispatch::Legacy`]): while a run's fault hook
-    /// reports itself inert, the substrate steps through a monomorphized
-    /// loop with hook dispatch compiled out. Output-invariant;
-    /// wall-clock only.
-    pub quiescent: bool,
     /// Planning mode. [`Collapse::Sampled`] (the default) draws
     /// `cfg.injections` random points per cell exactly as before —
     /// reports and record bytes are untouched. [`Collapse::Exact`]
@@ -237,25 +224,6 @@ pub struct EngineOptions<'a> {
     pub cancel: Option<&'a AtomicBool>,
 }
 
-impl Default for EngineOptions<'_> {
-    fn default() -> Self {
-        EngineOptions {
-            records: None,
-            resume: false,
-            progress: None,
-            fast_forward: false,
-            early_exit: false,
-            telemetry: None,
-            dispatch: Dispatch::default(),
-            fusion: true,
-            quiescent: true,
-            collapse: Collapse::default(),
-            divergence: None,
-            cancel: None,
-        }
-    }
-}
-
 /// Error message fragment of a run stopped through
 /// [`EngineOptions::cancel`]. Callers (the serve daemon's crash-only
 /// shard recovery) match on this to tell a deliberate cancel — spool
@@ -267,8 +235,6 @@ pub const CANCELLED: &str = "campaign cancelled";
 enum DecodedCell {
     Llfi(Arc<DecodedModule>),
     Pinfi(Arc<DecodedProgram>),
-    /// Legacy dispatch: no decode needed.
-    None,
 }
 
 /// The result of a full engine run.
@@ -344,9 +310,6 @@ struct Shared<'a, 't> {
     tasks: &'t [Task],
     budgets: &'t [u64],
     decoded: &'t [DecodedCell],
-    dispatch: Dispatch,
-    fusion: bool,
-    quiescent: bool,
     collapse: Collapse,
     /// First global task index of the range this run executes.
     lo: usize,
@@ -713,13 +676,12 @@ fn run_planned(
     // Pre-decode each cell's program once; workers share the tables.
     let decoded: Vec<DecodedCell> = cells
         .iter()
-        .map(|cell| match (opts.dispatch, &cell.substrate) {
-            (Dispatch::Legacy, _) => DecodedCell::None,
-            (Dispatch::Threaded, Substrate::Llfi { module, .. }) => {
-                DecodedCell::Llfi(Arc::new(DecodedModule::decode(module, opts.fusion)))
+        .map(|cell| match &cell.substrate {
+            Substrate::Llfi { module, .. } => {
+                DecodedCell::Llfi(Arc::new(DecodedModule::decode(module)))
             }
-            (Dispatch::Threaded, Substrate::Pinfi { prog, .. }) => {
-                DecodedCell::Pinfi(Arc::new(DecodedProgram::decode(prog, opts.fusion)))
+            Substrate::Pinfi { prog, .. } => {
+                DecodedCell::Pinfi(Arc::new(DecodedProgram::decode(prog)))
             }
         })
         .collect();
@@ -844,9 +806,6 @@ fn run_planned(
         tasks: tasks.as_slice(),
         budgets: budgets.as_slice(),
         decoded: &decoded,
-        dispatch: opts.dispatch,
-        fusion: opts.fusion,
-        quiescent: opts.quiescent,
         collapse: opts.collapse,
         lo,
         hi,
@@ -1042,9 +1001,6 @@ fn worker(shared: &Shared<'_, '_>, index: usize) {
                 budget,
                 task.plan,
                 &shared.decoded[task.cell],
-                shared.dispatch,
-                shared.fusion,
-                shared.quiescent,
                 shared.fast_forward,
                 shared.early_exit,
                 shared.divergence,
@@ -1156,9 +1112,6 @@ fn execute(
     budget: u64,
     plan: Plan,
     decoded: &DecodedCell,
-    dispatch: Dispatch,
-    fusion: bool,
-    quiescent: bool,
     fast_forward: bool,
     early_exit: bool,
     divergence: bool,
@@ -1179,9 +1132,6 @@ fn execute(
         (Substrate::Llfi { module, profile }, Plan::Llfi(inj)) => {
             let opts = InterpOptions {
                 max_steps: budget,
-                dispatch,
-                fusion,
-                quiescent,
                 ..InterpOptions::default()
             };
             let snap = match cache {
@@ -1224,9 +1174,6 @@ fn execute(
         (Substrate::Pinfi { prog, profile }, Plan::Pinfi(inj)) => {
             let opts = MachOptions {
                 max_steps: budget,
-                dispatch,
-                fusion,
-                quiescent,
                 ..MachOptions::default()
             };
             let snap = match cache {

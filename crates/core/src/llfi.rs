@@ -220,8 +220,7 @@ pub fn run_llfi_detailed_from(
 /// snapshot restore cost, convergence-compare counts, and the fault's
 /// activation verdict into `tel`. `decoded` lets the campaign engine
 /// decode the module once per cell and share the table across every
-/// injection run (`None` decodes inline when the dispatch mode needs
-/// one).
+/// injection run (`None` decodes inline).
 ///
 /// `early_exit` controls whether golden checkpoints are used for
 /// convergence truncation; `timeline` (which requires `golden`)

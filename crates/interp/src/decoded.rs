@@ -1,27 +1,30 @@
-//! Pre-decoded threaded-dispatch execution core for the IR interpreter.
+//! The IR interpreter's execution core: a pre-decoded opcode table.
 //!
 //! [`DecodedModule::decode`] runs once per module and resolves everything
-//! the legacy per-step `match` re-derives on every dynamic instruction:
+//! the reference per-step `match` (`Interp::step`) re-derives on every
+//! dynamic instruction:
 //! operand kinds ([`Opnd`] — slot index, argument index, or a fully
 //! materialized [`RtVal`] constant, with globals resolved to their
 //! deterministic addresses), result types, load/store widths, alloca
 //! sizes, and GEP strides (constant indices folded into flat byte
-//! offsets). A fusion pass then rewrites hot adjacent pairs
-//! (compare+branch, GEP+load, GEP+store) into superinstructions.
+//! offsets). Every block is decoded into two tables: `plain`, one entry
+//! per instruction, and `code`, the same entries after a fusion pass has
+//! rewritten hot adjacent runs (compare+branch, GEP+load, GEP+store,
+//! integer ALU chains, binop+compare+branch latches) into
+//! superinstructions.
 //!
 //! The decoded core implements *identical observable semantics* to the
-//! legacy core in `interp.rs`: the same step counts, the same
+//! reference core in `interp.rs`: the same step counts, the same
 //! `on_result`/`on_use`/`on_load`/`on_store` event sequence with the same
-//! original [`InstId`]s, the same traps, and the same console bytes.
-//! Campaign output is therefore byte-identical under either core — and so
-//! is *pause granularity*: a fused superinstruction is atomic (like a
+//! original [`InstId`]s, the same traps, and the same console bytes — and
+//! the same *pause granularity*. A superinstruction is atomic (like a
 //! φ-batch), so within [`MAX_FUSED_RETIRE`] steps of a snapshot or pause
-//! boundary the slice loop hands control back and `Interp::exec` walks up
-//! to the boundary through the legacy core, whose units are single
-//! instructions. Snapshots and `run_until` pauses therefore land on the
-//! same instruction boundary under either core, which divergence
-//! timelines (observing the paused microstate) rely on. φ-batches remain
-//! atomic under both cores, so any batch overshoot is dispatch-invariant.
+//! boundary the slice reads the `plain` table instead, whose units are
+//! single instructions, and stops exactly on the boundary. Snapshots and
+//! `run_until` pauses therefore land on the instruction boundary the
+//! reference core stops at, which divergence timelines (observing the
+//! paused microstate) rely on. φ-batches are atomic in both cores, so
+//! any batch overshoot is the same in both.
 
 use crate::hook::{InstSite, InterpHook};
 use crate::interp::{Frame, Interp, Stop};
@@ -35,15 +38,15 @@ use fiq_mem::{Memory, Trap};
 
 /// The widest superinstruction's retire count: a [`DecOp::FusedIntChain`]
 /// (head plus two links) and a [`DecOp::FusedBinICmpBr`] (binop, compare,
-/// branch) both charge three steps atomically. The decoded slice yields
-/// within this many steps of a snapshot/pause boundary so the legacy core
-/// can walk up to it exactly (see the module docs).
+/// branch) both charge three steps atomically. Within this many steps of
+/// a snapshot/pause boundary the decoded slice steps the unfused `plain`
+/// table so it stops exactly on the boundary (see the module docs).
 pub(crate) const MAX_FUSED_RETIRE: u64 = 3;
 
 /// A pre-resolved operand: everything `Value` evaluation needs, with
 /// constants (including globals and function addresses) materialized at
 /// decode time. Only `Slot` reads fire an `on_use` event, exactly like
-/// `Value::Inst` in the legacy core.
+/// `Value::Inst` in the reference core.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Opnd {
     /// Read the SSA slot of instruction `InstId(n)` in the current frame,
@@ -144,7 +147,7 @@ fn sraw_opnd(frame: &Frame, o: &Opnd) -> i64 {
 /// One pre-computed GEP address step. Constant indices (and constant
 /// struct-field offsets) are folded into `Const` byte offsets at decode
 /// time; this is invisible to hooks because constant operands never fire
-/// events in the legacy core either.
+/// events in the reference core either.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum GepStep {
     /// `addr += sext(idx) * stride`.
@@ -337,14 +340,20 @@ pub(crate) struct DecInst {
 }
 
 /// A decoded basic block: the leading φ-batch (ids plus, per predecessor,
-/// one pre-resolved operand per φ in order) and the remaining code, laid
-/// out so `code[j]` decodes `block.insts[phi_ids.len() + j]` — `frame.ip`
-/// means the same thing under both cores, keeping snapshots portable.
+/// one pre-resolved operand per φ in order) and the remaining code in two
+/// tables laid out alike, so `code[j]` and `plain[j]` both start at
+/// `block.insts[phi_ids.len() + j]` — `frame.ip` means the same thing in
+/// either table and in the reference core, keeping snapshots portable.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedBlock {
     pub(crate) phi_ids: Box<[InstId]>,
     pub(crate) phi_preds: Box<[(BlockId, Box<[Opnd]>)]>,
+    /// Superinstructions at fused heads; every other entry (fused tails
+    /// included) is the plain decode.
     pub(crate) code: Box<[DecInst]>,
+    /// One plain decode per instruction: what the slice steps near a
+    /// pause or snapshot boundary.
+    pub(crate) plain: Box<[DecInst]>,
 }
 
 /// One decoded function: blocks indexed by `BlockId`.
@@ -353,26 +362,24 @@ pub(crate) struct DecodedFunc {
     pub(crate) blocks: Box<[DecodedBlock]>,
 }
 
-/// A module pre-decoded for threaded dispatch. Decode once (it is pure:
-/// the global layout is deterministic), then share via `Arc` across every
-/// interpreter running the same module — the campaign engine decodes each
-/// cell's module once for all its injections.
+/// A module pre-decoded for the interpreter's execution core. Decode once
+/// (it is pure: the global layout is deterministic), then share via `Arc`
+/// across every interpreter running the same module — the campaign
+/// engine decodes each cell's module once for all its injections.
 #[derive(Debug, Clone)]
 pub struct DecodedModule {
     pub(crate) funcs: Box<[DecodedFunc]>,
     pub(crate) global_addrs: Vec<u64>,
-    pub(crate) fusion: bool,
 }
 
 impl DecodedModule {
-    /// Decodes `module` for threaded dispatch, with superinstruction
-    /// fusion on or off. Fusion changes wall-clock only, never output.
+    /// Decodes `module` into its fused and plain tables.
     ///
     /// # Panics
     ///
     /// Panics if the module's globals exceed the simulated address space
     /// (an interpreter for such a module cannot be constructed either).
-    pub fn decode(module: &Module, fusion: bool) -> DecodedModule {
+    pub fn decode(module: &Module) -> DecodedModule {
         // The global layout is capacity-independent (packed from the null
         // guard upward), so a dry run against an unbounded memory yields
         // the same addresses every real interpreter will compute.
@@ -382,18 +389,12 @@ impl DecodedModule {
         let funcs = module
             .funcs
             .iter()
-            .map(|f| decode_func(f, &global_addrs, fusion))
+            .map(|f| decode_func(f, &global_addrs))
             .collect();
         DecodedModule {
             funcs,
             global_addrs,
-            fusion,
         }
-    }
-
-    /// Whether this decode was built with superinstruction fusion.
-    pub fn fusion(&self) -> bool {
-        self.fusion
     }
 }
 
@@ -819,12 +820,8 @@ fn fuse_latch(code: &[DecInst], j: usize) -> Option<DecOp> {
     })))
 }
 
-fn decode_func(func: &fiq_ir::Function, ga: &[u64], fusion: bool) -> DecodedFunc {
-    let uses = if fusion {
-        slot_use_counts(func)
-    } else {
-        Vec::new()
-    };
+fn decode_func(func: &fiq_ir::Function, ga: &[u64]) -> DecodedFunc {
+    let uses = slot_use_counts(func);
     let blocks = func
         .block_ids()
         .map(|bb| {
@@ -865,46 +862,40 @@ fn decode_func(func: &fiq_ir::Function, ga: &[u64], fusion: bool) -> DecodedFunc
                     (pred, row)
                 })
                 .collect();
-            let mut code: Vec<DecInst> = insts[phi_count..]
+            let plain: Box<[DecInst]> = insts[phi_count..]
                 .iter()
                 .map(|&id| DecInst {
                     id,
                     op: decode_inst(func, id, ga),
                 })
                 .collect();
-            if fusion {
-                // Pair heads (cmp/GEP), chain heads (integer binop), and
-                // tails (branch/load/store/binop links) are matched by a
-                // greedy left-to-right scan; pair head kinds are disjoint
-                // from chain head kinds, so the scan cannot miss an
-                // overlapping idiom. Fused tails keep their plain
-                // decode: threaded execution never enters them (fused
-                // forms are atomic), but a snapshot captured by the
-                // legacy core can resume there.
-                let mut j = 0;
-                while j < code.len() {
-                    if let Some(f) = fuse_latch(&code, j) {
-                        code[j].op = f;
-                        j += 3;
-                    } else if let Some((f, fused_links)) = fuse_chain(&code, j, &uses) {
-                        code[j].op = f;
-                        j += 1 + fused_links;
-                    } else if j + 1 < code.len() {
-                        if let Some(f) = fuse_pair(&code[j], &code[j + 1]) {
-                            code[j].op = f;
-                            j += 2;
-                        } else {
-                            j += 1;
-                        }
-                    } else {
-                        j += 1;
-                    }
+            // Pair heads (cmp/GEP), chain heads (integer binop), and tails
+            // (branch/load/store/binop links) are matched by a greedy
+            // left-to-right scan over the plain decode; pair head kinds
+            // are disjoint from chain head kinds, so the scan cannot miss
+            // an overlapping idiom. Fused tails keep their plain decode:
+            // a pause inside a unit resumes there.
+            let mut code = plain.to_vec();
+            let mut j = 0;
+            while j < code.len() {
+                if let Some(f) = fuse_latch(&plain, j) {
+                    code[j].op = f;
+                    j += 3;
+                } else if let Some((f, fused_links)) = fuse_chain(&plain, j, &uses) {
+                    code[j].op = f;
+                    j += 1 + fused_links;
+                } else if let Some(f) = plain.get(j + 1).and_then(|t| fuse_pair(&plain[j], t)) {
+                    code[j].op = f;
+                    j += 2;
+                } else {
+                    j += 1;
                 }
             }
             DecodedBlock {
                 phi_ids,
                 phi_preds,
                 code: code.into(),
+                plain,
             }
         })
         .collect();
@@ -913,7 +904,7 @@ fn decode_func(func: &fiq_ir::Function, ga: &[u64], fusion: bool) -> DecodedFunc
 
 impl<'m, H: InterpHook> Interp<'m, H> {
     /// Evaluates one pre-resolved operand. Under `EVENTS`, slot reads
-    /// fire the same `on_use` event the legacy core fires for
+    /// fire the same `on_use` event the reference core fires for
     /// `Value::Inst`; the quiescent instantiation compiles the hook call
     /// out entirely. The raw slot image is retagged with the decode-time
     /// scalar kind.
@@ -957,7 +948,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
 
     /// Walks pre-computed GEP steps, firing `on_use` for dynamic indices
     /// in original operand order under `EVENTS` (constant steps fire
-    /// nothing, exactly like constant operands in the legacy core).
+    /// nothing, exactly like constant operands in the reference core).
     #[inline]
     fn gep_addr<const EVENTS: bool>(
         &mut self,
@@ -987,10 +978,10 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         addr
     }
 
-    /// The threaded-dispatch twin of `Interp::step`: executes decoded
-    /// instructions in the top frame until a control transfer or a
-    /// pending snapshot/pause point hands control back. Observable
-    /// semantics are identical to the legacy core (see module docs).
+    /// The decoded twin of `Interp::step`: executes decoded instructions
+    /// in the top frame until a control transfer or a pending
+    /// snapshot/pause point hands control back. Observable semantics are
+    /// identical to the reference core (see module docs).
     pub(crate) fn step_decoded(&mut self, dec: &DecodedModule) -> Result<(), Stop> {
         self.step_decoded_impl::<true, false>(dec, None).map(|_| ())
     }
@@ -998,11 +989,12 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     /// One quiescent fast slice: `step_decoded` monomorphized with hook
     /// dispatch, per-use events, and result delivery to the hook compiled
     /// out — legal exactly while the hook reports itself inert (see
-    /// [`fiq_mem::Quiescence`]). `run_until` boundaries and the step
-    /// budget are honored as usual. With a watch site, the slice stops
-    /// *just before* any unit that would produce one of the watched
-    /// site's own events and returns `true`; the caller then replays that
-    /// unit through the evented core.
+    /// [`fiq_mem::Quiescence`]). The step budget is honored as usual; the
+    /// slice yields once fewer than [`MAX_FUSED_RETIRE`] steps remain
+    /// before a `run_until` boundary, leaving them to the evented slice.
+    /// With a watch site, the slice stops *just before* any unit that
+    /// would produce one of the watched site's own events and returns
+    /// `true`; the caller then runs that unit through the evented slice.
     pub(crate) fn step_quiescent(
         &mut self,
         dec: &DecodedModule,
@@ -1033,6 +1025,14 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             (Some(a), Some(b)) => a.min(b),
             (a, b) => a.or(b).unwrap_or(u64::MAX),
         };
+        // Below `plain_from` every superinstruction retires before the
+        // boundary (`steps + MAX_FUSED_RETIRE <= snap_due`), so the fused
+        // table is safe and the hot path pays this one compare. From
+        // there on the evented slice steps the plain table and yields
+        // exactly at `snap_due`; the quiescent slice yields at once and
+        // leaves those last steps to the evented one (`Interp::exec`).
+        let plain_from = snap_due.saturating_sub(MAX_FUSED_RETIRE - 1);
+        let yield_at = if EVENTS { snap_due } else { plain_from };
 
         // The current block is re-resolved only at control transfers; every
         // straight-line instruction reuses this borrow (and the hoisted
@@ -1040,15 +1040,11 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         let mut dblock = &dfunc.blocks[frame.cur.index()];
         let mut phi_len = dblock.phi_ids.len();
         loop {
-            // Yield while a superinstruction could still straddle the
-            // boundary; `Interp::exec` walks the last few steps through
-            // the legacy core so the pause lands exactly on it.
-            if snap_due.saturating_sub(self.steps) < MAX_FUSED_RETIRE {
-                self.frames.push(frame);
-                return Ok(false);
-            }
-
             if frame.ip == 0 && phi_len != 0 {
+                if self.steps >= yield_at {
+                    self.frames.push(frame);
+                    return Ok(false);
+                }
                 if WATCH {
                     if let Some(w) = watch {
                         if w.func == fid && dblock.phi_ids.contains(&w.inst) {
@@ -1122,18 +1118,21 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     self.phi_buf = staged;
                 }
                 frame.ip = phi_len;
-                // The batch may have crossed the boundary or eaten the
-                // fusion headroom the loop-top check guaranteed; yield so
-                // `Interp::exec` walks the fall-through instruction(s)
-                // through the legacy core, which pauses exactly where the
-                // legacy dispatch mode would.
-                if snap_due.saturating_sub(self.steps) < MAX_FUSED_RETIRE {
+                // The batch may have crossed the boundary; the table
+                // choice below re-checks it before the fall-through
+                // instruction, where the reference core pauses too.
+            }
+
+            let j = frame.ip - phi_len;
+            let d = if self.steps < plain_from {
+                &dblock.code[j]
+            } else {
+                if self.steps >= yield_at {
                     self.frames.push(frame);
                     return Ok(false);
                 }
-            }
-
-            let d = &dblock.code[frame.ip - phi_len];
+                &dblock.plain[j]
+            };
             if WATCH {
                 if let Some(w) = watch {
                     if watch_hits(d, w, fid, &self.frames, dec) {

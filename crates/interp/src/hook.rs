@@ -51,7 +51,7 @@ pub trait InterpHook {
 
     /// The hook's current instrumentation phase (see [`Quiescence`]).
     ///
-    /// Queried by the threaded core between step slices; reporting
+    /// Queried by the decoded core between step slices; reporting
     /// anything other than `Active` lets the core run a monomorphized
     /// fast loop with hook dispatch compiled out. The default keeps
     /// full instrumentation, which is always correct.

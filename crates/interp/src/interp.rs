@@ -5,7 +5,7 @@
 //! state of a paused program is the frame stack plus memory, console,
 //! stack pointer, and step counter, all of which are plain data.
 
-use crate::decoded::{raw_of, val_of_raw, DecodedModule, LoadKind};
+use crate::decoded::{raw_of, val_of_raw, DecodedModule, LoadKind, MAX_FUSED_RETIRE};
 use crate::hook::{InstSite, InterpHook};
 use crate::ops;
 use crate::rtval::RtVal;
@@ -14,7 +14,7 @@ use fiq_ir::{
     Type, Value,
 };
 use fiq_mem::{
-    component, Console, Dispatch, Divergence, Hasher64, MemSnapshot, Memory, RegionKind,
+    component, Console, Divergence, Hasher64, MemSnapshot, Memory, Quiescence, RegionKind,
     StateDigest, Trap,
 };
 use std::sync::Arc;
@@ -34,19 +34,6 @@ pub struct InterpOptions {
     pub stack_size: u64,
     /// Simulated memory capacity in bytes.
     pub mem_capacity: u64,
-    /// Which execution core steps the program. Both cores have identical
-    /// observable semantics; this only moves wall-clock.
-    pub dispatch: Dispatch,
-    /// Superinstruction fusion for the threaded core (ignored by the
-    /// legacy core). Never changes output, only speed.
-    pub fusion: bool,
-    /// Phase-specialized execution for the threaded core: when the hook
-    /// reports itself inert (see [`fiq_mem::Quiescence`]), step through a
-    /// monomorphized fast loop with hook dispatch compiled out, exiting
-    /// at the next watched site or `run_until` boundary. Never changes
-    /// output, only speed; disabled automatically while snapshot capture
-    /// is active.
-    pub quiescent: bool,
 }
 
 impl Default for InterpOptions {
@@ -56,9 +43,6 @@ impl Default for InterpOptions {
             max_call_depth: 256,
             stack_size: fiq_mem::DEFAULT_STACK_SIZE,
             mem_capacity: fiq_mem::DEFAULT_CAPACITY,
-            dispatch: Dispatch::default(),
-            fusion: true,
-            quiescent: true,
         }
     }
 }
@@ -261,29 +245,20 @@ pub(crate) struct SnapState {
     snapshots: Vec<InterpSnapshot>,
 }
 
-/// Resolves the decoded-module handle for the chosen dispatch mode:
-/// `Legacy` needs none, `Threaded` reuses the shared handle or decodes
-/// inline. The decode is pure and its global layout deterministic, so a
-/// shared handle is interchangeable with an inline decode.
+/// Reuses the shared decoded-module handle or decodes inline. The decode
+/// is pure and its global layout deterministic, so a shared handle is
+/// interchangeable with an inline decode.
 fn ensure_decoded(
     module: &Module,
     decoded: Option<Arc<DecodedModule>>,
-    opts: InterpOptions,
     global_addrs: &[u64],
-) -> Option<Arc<DecodedModule>> {
-    if opts.dispatch != Dispatch::Threaded {
-        return None;
-    }
-    let dec = decoded.unwrap_or_else(|| Arc::new(DecodedModule::decode(module, opts.fusion)));
+) -> Arc<DecodedModule> {
+    let dec = decoded.unwrap_or_else(|| Arc::new(DecodedModule::decode(module)));
     debug_assert_eq!(
         dec.global_addrs, global_addrs,
         "decoded module was built for a different module or layout"
     );
-    debug_assert_eq!(
-        dec.fusion, opts.fusion,
-        "decoded module fusion setting disagrees with options"
-    );
-    Some(dec)
+    dec
 }
 
 /// The IR interpreter. Create with [`Interp::new`], run with
@@ -305,15 +280,15 @@ pub struct Interp<'m, H> {
     pub(crate) frames: Vec<Frame>,
     pub(crate) snap: Option<SnapState>,
     pub(crate) pause_at: Option<u64>,
-    pub(crate) decoded: Option<Arc<DecodedModule>>,
+    pub(crate) decoded: Arc<DecodedModule>,
     /// Reusable staging buffer for φ-batches (reads before writes).
     pub(crate) phi_buf: Vec<RtVal>,
 }
 
 impl<'m, H: InterpHook> Interp<'m, H> {
-    /// Creates an interpreter: materializes globals and the stack. Under
-    /// [`Dispatch::Threaded`] (the default) the module is decoded inline;
-    /// use [`Interp::with_decoded`] to share one decode across many runs.
+    /// Creates an interpreter: materializes globals and the stack, and
+    /// decodes the module inline; use [`Interp::with_decoded`] to share
+    /// one decode across many runs.
     ///
     /// # Errors
     ///
@@ -323,7 +298,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     }
 
     /// Like [`Interp::new`], but reusing a shared pre-decoded module
-    /// (pass `None` to decode inline when the dispatch mode needs one).
+    /// (pass `None` to decode inline).
     ///
     /// # Errors
     ///
@@ -338,7 +313,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         let global_addrs = materialize_globals(module, &mut mem)?;
         let sp = mem.alloc_stack(opts.stack_size)?;
         let stack_start = sp - opts.stack_size;
-        let decoded = ensure_decoded(module, decoded, opts, &global_addrs);
+        let decoded = ensure_decoded(module, decoded, &global_addrs);
         Ok(Interp {
             module,
             opts,
@@ -378,7 +353,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     }
 
     /// Like [`Interp::restore`], but reusing a shared pre-decoded module
-    /// (pass `None` to decode inline when the dispatch mode needs one).
+    /// (pass `None` to decode inline).
     pub fn restore_with_decoded(
         module: &'m Module,
         decoded: Option<Arc<DecodedModule>>,
@@ -386,7 +361,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         hook: H,
         snap: &InterpSnapshot,
     ) -> Interp<'m, H> {
-        let decoded = ensure_decoded(module, decoded, opts, &snap.global_addrs);
+        let decoded = ensure_decoded(module, decoded, &snap.global_addrs);
         Interp {
             module,
             opts,
@@ -464,6 +439,28 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         self.pause_at = Some(until);
         let out = self.exec();
         self.pause_at = None;
+        self.paused_or_stopped(out)
+    }
+
+    /// Runs the *reference core* — the per-instruction `match` over the
+    /// IR that defines the interpreter's semantics — with the same pause
+    /// rule and return contract as [`Interp::run_until`]; pass `u64::MAX`
+    /// to run to completion. It fires the same hook events in the same
+    /// order as the decoded core but never consults
+    /// [`InterpHook::quiescence`] and never captures snapshots.
+    ///
+    /// This is the oracle the lockstep tests and the step-rate bench
+    /// compare the decoded core against; no production path calls it.
+    pub fn run_reference_until(&mut self, until: u64) -> Option<ExecResult> {
+        self.pause_at = Some(until);
+        let out = self.exec_reference();
+        self.pause_at = None;
+        self.paused_or_stopped(out)
+    }
+
+    /// Maps an `exec` outcome to the [`Interp::run_until`] contract:
+    /// `None` when paused with the program still live.
+    fn paused_or_stopped(&self, out: Result<(), Stop>) -> Option<ExecResult> {
         let status = match out {
             Ok(()) => {
                 if !self.frames.is_empty() {
@@ -505,7 +502,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     }
 
     /// Of [`Interp::steps`], how many were executed by the quiescent
-    /// fast loop (0 unless the threaded core entered it).
+    /// fast loop.
     pub fn steps_quiescent(&self) -> u64 {
         self.steps_quiescent
     }
@@ -553,7 +550,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
 
     /// The live state's digest (architectural-state hash plus console
     /// length/hash), in the same form a snapshot captures — exposed so
-    /// differential tests can compare final states across dispatch modes.
+    /// differential tests can compare states across cores.
     pub fn state_digest(&self) -> StateDigest {
         StateDigest::new(self.arch_hash(), &self.console)
     }
@@ -648,70 +645,56 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         h.finish()
     }
 
-    fn exec(&mut self) -> Result<(), Stop> {
+    /// Pushes `main`'s frame if the program has not started yet.
+    fn start(&mut self) -> Result<(), Stop> {
         if self.frames.is_empty() {
             let main = self.module.main_func().expect("module has a main function");
             self.push_frame(main, Vec::new())?;
         }
-        // The dispatch mode and the threaded core's decoded table are
-        // loop-invariant: resolve both once instead of per block slice.
-        match self.opts.dispatch {
-            Dispatch::Legacy => {
-                while !self.frames.is_empty() {
-                    if self.pause_at.is_some_and(|p| self.steps >= p) {
-                        return Ok(());
-                    }
-                    self.maybe_snapshot();
-                    self.step()?;
-                }
+        Ok(())
+    }
+
+    fn exec(&mut self) -> Result<(), Stop> {
+        self.start()?;
+        // The decoded table is loop-invariant: clone the handle once
+        // instead of per block slice.
+        let dec = Arc::clone(&self.decoded);
+        while !self.frames.is_empty() {
+            if self.pause_at.is_some_and(|p| self.steps >= p) {
+                return Ok(());
             }
-            Dispatch::Threaded => {
-                let dec = self
-                    .decoded
-                    .clone()
-                    .expect("threaded dispatch requires a decoded module");
-                // The fast loop skips the per-step snapshot bookkeeping,
-                // so it is only eligible when capture is off.
-                let quiescent_ok = self.opts.quiescent && self.snap.is_none();
-                while !self.frames.is_empty() {
-                    if self.pause_at.is_some_and(|p| self.steps >= p) {
-                        return Ok(());
-                    }
-                    self.maybe_snapshot();
-                    // Superinstructions retire up to MAX_FUSED_RETIRE
-                    // steps atomically; within that reach of a snapshot
-                    // or pause boundary, step through the legacy core
-                    // (whose units are single instructions, φ-batches
-                    // aside) so both dispatch modes stop at identical
-                    // instruction boundaries.
-                    let due = match (self.snap.as_ref().map(|s| s.next_at), self.pause_at) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    if due.is_some_and(|d| {
-                        d.saturating_sub(self.steps) < crate::decoded::MAX_FUSED_RETIRE
-                    }) {
-                        self.step()?;
-                        continue;
-                    }
-                    if !quiescent_ok {
-                        self.step_decoded(&dec)?;
-                        continue;
-                    }
-                    match self.hook.quiescence() {
-                        fiq_mem::Quiescence::Active => self.step_decoded(&dec)?,
-                        fiq_mem::Quiescence::Forever => {
-                            self.step_quiescent(&dec, None)?;
-                        }
-                        fiq_mem::Quiescence::UntilSite(s) => {
-                            if self.step_quiescent(&dec, Some(s))? {
-                                // The fast loop stopped just before the
-                                // watched site: replay exactly one evented
-                                // unit so the hook sees its events, then
-                                // re-query the phase.
-                                self.step_one_evented()?;
-                            }
-                        }
+            self.maybe_snapshot();
+            // The fast loop skips the per-step snapshot bookkeeping, so
+            // it is only eligible when capture is off. It also stops
+            // short of a pause point, so the last steps before one are
+            // always evented: the evented slice walks up to the pause on
+            // the plain table.
+            if self.snap.is_some()
+                || self
+                    .pause_at
+                    .is_some_and(|p| p - self.steps < MAX_FUSED_RETIRE)
+            {
+                self.step_decoded(&dec)?;
+                continue;
+            }
+            match self.hook.quiescence() {
+                Quiescence::Active => self.step_decoded(&dec)?,
+                Quiescence::Forever => {
+                    self.step_quiescent(&dec, None)?;
+                }
+                Quiescence::UntilSite(s) => {
+                    if self.step_quiescent(&dec, Some(s))? {
+                        // The fast loop stopped just before the watched
+                        // site: a pause one step ahead clips the evented
+                        // slice to exactly one unit (it steps the plain
+                        // table there), so the hook sees that unit's
+                        // events before the phase is re-queried.
+                        let saved = self.pause_at;
+                        self.pause_at =
+                            Some(saved.map_or(self.steps + 1, |p| p.min(self.steps + 1)));
+                        let r = self.step_decoded(&dec);
+                        self.pause_at = saved;
+                        r?;
                     }
                 }
             }
@@ -719,20 +702,16 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         Ok(())
     }
 
-    /// Runs one evented step slice clipped to a single execution unit by
-    /// an artificial pause point one step ahead — the standard handoff
-    /// when a quiescent fast loop stops at a watched site. The slice runs
-    /// through the legacy core: it fires the identical event sequence,
-    /// and its units are at most one instruction (or one φ-batch) wide,
-    /// so the one-step pause clips it to exactly one unit — while the
-    /// decoded slice would refuse a pause budget narrower than its widest
-    /// superinstruction and make no progress.
-    fn step_one_evented(&mut self) -> Result<(), Stop> {
-        let saved = self.pause_at;
-        self.pause_at = Some(saved.map_or(self.steps + 1, |p| p.min(self.steps + 1)));
-        let r = self.step();
-        self.pause_at = saved;
-        r
+    /// The reference core's run loop (see [`Interp::run_reference_until`]).
+    fn exec_reference(&mut self) -> Result<(), Stop> {
+        self.start()?;
+        while !self.frames.is_empty() {
+            if self.pause_at.is_some_and(|p| self.steps >= p) {
+                return Ok(());
+            }
+            self.step()?;
+        }
+        Ok(())
     }
 
     /// Pushes an activation record for `fid`. The depth check mirrors the
@@ -758,8 +737,8 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     }
 
     /// Captures a snapshot if capture is enabled and due. Called only at
-    /// instruction boundaries (between [`Interp::step`] slices), so every
-    /// snapshot is a consistent, resumable state.
+    /// instruction boundaries (between step slices), so every snapshot is
+    /// a consistent, resumable state.
     fn maybe_snapshot(&mut self) {
         if !matches!(&self.snap, Some(s) if self.steps >= s.next_at) {
             return;
@@ -785,8 +764,10 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         }
     }
 
-    /// Executes instructions in the top frame until a control transfer
-    /// (call/return), or a pending snapshot point, hands control back.
+    /// The reference core: executes instructions in the top frame, one
+    /// `match` over the IR per instruction, until a control transfer
+    /// (call/return) or the pause point hands control back. Reached only
+    /// through [`Interp::run_reference_until`].
     #[allow(clippy::too_many_lines)]
     fn step(&mut self) -> Result<(), Stop> {
         let mut frame = self.frames.pop().expect("step with a live frame");
@@ -850,8 +831,8 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     frame.ip = phi_end;
                     // The batch may have crossed the boundary; re-check
                     // before the fall-through instruction so pauses land
-                    // between the batch and the instruction under every
-                    // dispatch mode (the decoded core yields here too).
+                    // between the batch and the instruction (the decoded
+                    // core yields here too).
                     if let Some(at) = snap_due {
                         if self.steps >= at {
                             self.frames.push(frame);

@@ -34,7 +34,6 @@ mod ops;
 mod rtval;
 
 pub use decoded::DecodedModule;
-pub use fiq_mem::Dispatch;
 pub use hook::{InstSite, InterpHook, NopHook};
 pub use interp::{
     materialize_globals, run_module, ExecResult, ExecStatus, Interp, InterpOptions, InterpSnapshot,

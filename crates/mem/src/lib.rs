@@ -22,17 +22,17 @@
 
 mod console;
 mod digest;
-mod dispatch;
 mod divergence;
 mod memory;
+mod quiescence;
 mod trap;
 
 pub use console::Console;
 pub use digest::{hash_bytes, Hasher64, StateDigest};
-pub use dispatch::{Dispatch, Quiescence};
 pub use divergence::{component, Divergence};
 pub use memory::{
     MemSnapshot, Memory, Region, RegionKind, DEFAULT_CAPACITY, DEFAULT_STACK_SIZE, NULL_GUARD,
     SNAPSHOT_PAGE,
 };
+pub use quiescence::Quiescence;
 pub use trap::{RunStatus, Trap};

@@ -13,7 +13,6 @@ use crate::prepare::{prepare, Submission};
 use crate::scheduler::{CampaignStatus, Job, Scheduler};
 use fiq_core::json::Json;
 use fiq_core::{plan_campaign, CampaignReport, EngineOptions};
-use fiq_interp::Dispatch;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -262,9 +261,6 @@ fn execute_shard(job: &Job) -> Result<(), String> {
         fast_forward: job.prepared.fast_forward,
         early_exit: job.prepared.early_exit,
         progress: None,
-        dispatch: Dispatch::default(),
-        fusion: true,
-        quiescent: true,
         collapse: job.prepared.collapse,
         cancel: Some(&job.cancel),
     };

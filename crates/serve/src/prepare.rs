@@ -28,6 +28,12 @@ pub const MAX_SHARDS: u64 = 1024;
 /// Most worker threads per shard executor one submission may ask for.
 pub const MAX_THREADS: u64 = 1024;
 
+/// Most injections per cell one submission may ask for: the plan holds
+/// one task per injection per cell, so the count is bounded before
+/// anything is planned. The same per-cell bound exact collapse applies
+/// to its fault space.
+pub const MAX_INJECTIONS: u64 = fiq_core::MAX_EXACT_INSTANCES;
+
 /// A campaign submission as it travels over the API.
 #[derive(Debug, Clone)]
 pub struct Submission {
@@ -107,14 +113,14 @@ impl Submission {
         ])
     }
 
-    /// Parses the wire form; absent knobs take their defaults.
+    /// Parses the wire form; absent knobs take their defaults. A knob of
+    /// the wrong JSON type, or a count above its limit, is an error.
     pub fn from_json(v: &Json) -> Result<Submission, String> {
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
+        let string = |key: &str| typed(v, key, "a string", Json::as_str);
+        let name = string("name")?
             .ok_or("submission missing `name`")?
             .to_string();
-        let source = match v.get("source").and_then(Json::as_str) {
+        let source = match string("source")? {
             Some(s) => s.to_string(),
             None => fiq_workloads::by_name(&name)
                 .ok_or_else(|| {
@@ -123,37 +129,66 @@ impl Submission {
                 .source
                 .to_string(),
         };
-        let u = |key: &str, default: u64| v.get(key).and_then(Json::as_u64).unwrap_or(default);
-        let category = match v.get("category").and_then(Json::as_str) {
+        let u = |key: &str, default: u64| -> Result<u64, String> {
+            Ok(typed(v, key, "a non-negative integer", Json::as_u64)?.unwrap_or(default))
+        };
+        let flag = |key: &str| -> Result<bool, String> {
+            let as_bool = |j: &Json| match j {
+                Json::Bool(b) => Some(*b),
+                _ => None,
+            };
+            Ok(typed(v, key, "a boolean", as_bool)?.unwrap_or(false))
+        };
+        let category = match string("category")? {
             Some(s) => parse_category(s)?,
             None => Category::All,
         };
-        let collapse = match v.get("collapse").and_then(Json::as_str) {
+        let collapse = match string("collapse")? {
             Some(s) => Collapse::parse(s).ok_or_else(|| format!("unknown collapse mode `{s}`"))?,
             None => Collapse::Sampled,
         };
-        let injections = u32::try_from(u("injections", 200))
-            .map_err(|_| "injections exceeds u32".to_string())?;
-        let bounded = |key: &str, default: u64, max: u64| {
-            let n = u(key, default);
+        let bounded = |key: &str, default: u64, max: u64| -> Result<u64, String> {
+            let n = u(key, default)?;
             if n > max {
                 return Err(format!("`{key}` is {n}, above the limit of {max}"));
             }
-            usize::try_from(n).map_err(|_| format!("`{key}` exceeds usize"))
+            Ok(n)
         };
+        let injections = bounded("injections", 200, MAX_INJECTIONS)?;
+        let threads = bounded("threads", 1, MAX_THREADS)?;
+        let shards = bounded("shards", 1, MAX_SHARDS)?;
         Ok(Submission {
             name,
             source,
             category,
-            injections,
-            seed: u("seed", 42),
-            threads: bounded("threads", 1, MAX_THREADS)?,
-            shards: bounded("shards", 1, MAX_SHARDS)?.max(1),
-            priority: u("priority", 0),
+            injections: u32::try_from(injections).expect("MAX_INJECTIONS fits in u32"),
+            seed: u("seed", 42)?,
+            threads: usize::try_from(threads).expect("MAX_THREADS fits in usize"),
+            shards: usize::try_from(shards)
+                .expect("MAX_SHARDS fits in usize")
+                .max(1),
+            priority: u("priority", 0)?,
             collapse,
-            divergence: v.get("divergence") == Some(&Json::Bool(true)),
-            fast_forward: v.get("fast_forward") == Some(&Json::Bool(true)),
+            divergence: flag("divergence")?,
+            fast_forward: flag("fast_forward")?,
         })
+    }
+}
+
+/// Reads `key` from a submission object through `get`: `Ok(None)` when
+/// absent, an error naming the key and the expected `kind` when present
+/// with another JSON type.
+fn typed<'a, T>(
+    v: &'a Json,
+    key: &str,
+    kind: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(x) => get(x)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` must be {kind}")),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The divergence observatory must be an observer, never a participant:
 //! the record stream is byte-identical with `--divergence` on or off,
 //! and the timeline stream itself is byte-identical across thread
-//! counts, dispatch cores, and fast-forward — the same invariance bar
+//! counts and fast-forward — the same invariance bar
 //! the record stream already clears. On top of the invariance sweep:
 //! the resume reconciliation of a torn timeline tail, the
 //! missing-file-on-resume error, the stream schema the CI check backs
@@ -19,7 +19,7 @@ use fiq_core::{
     Category, CellSpec, EngineOptions, GoldenRef, Outcome, SnapshotCache, Substrate, TaskTel,
     Timeline,
 };
-use fiq_interp::{Dispatch, InterpOptions};
+use fiq_interp::InterpOptions;
 use fiq_mem::component;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,11 +115,9 @@ impl Fixture {
         ]
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn try_run(
         &self,
         threads: usize,
-        dispatch: Dispatch,
         fast_forward: bool,
         records: Option<&Path>,
         divergence: Option<&Path>,
@@ -139,7 +137,6 @@ impl Fixture {
                 resume,
                 fast_forward,
                 early_exit: true,
-                dispatch,
                 ..EngineOptions::default()
             },
         )
@@ -148,13 +145,12 @@ impl Fixture {
     fn run(
         &self,
         threads: usize,
-        dispatch: Dispatch,
         fast_forward: bool,
         records: Option<&Path>,
         divergence: Option<&Path>,
         resume: bool,
     ) -> CampaignRun {
-        self.try_run(threads, dispatch, fast_forward, records, divergence, resume)
+        self.try_run(threads, fast_forward, records, divergence, resume)
             .unwrap()
     }
 }
@@ -164,22 +160,21 @@ fn read(path: &Path) -> String {
 }
 
 /// Timelines are a pure function of (campaign seed, cell grid): thread
-/// count, dispatch core, and fast-forward must not move a byte.
+/// count and fast-forward must not move a byte.
 #[test]
 fn timelines_byte_identical_across_threads_dispatch_and_fast_forward() {
     let fx = Fixture::new();
     let base = temp_path("det-base.div.jsonl");
-    fx.run(1, Dispatch::Threaded, true, None, Some(&base), false);
+    fx.run(1, true, None, Some(&base), false);
     let baseline = read(&base);
     assert!(!baseline.is_empty());
-    for (name, threads, dispatch, ff) in [
-        ("threads-2", 2, Dispatch::Threaded, true),
-        ("threads-4", 4, Dispatch::Threaded, true),
-        ("legacy", 1, Dispatch::Legacy, true),
-        ("no-ff", 1, Dispatch::Threaded, false),
+    for (name, threads, ff) in [
+        ("threads-2", 2, true),
+        ("threads-4", 4, true),
+        ("no-ff", 1, false),
     ] {
         let path = temp_path(&format!("det-{name}.div.jsonl"));
-        fx.run(threads, dispatch, ff, None, Some(&path), false);
+        fx.run(threads, ff, None, Some(&path), false);
         assert_eq!(
             read(&path),
             baseline,
@@ -196,8 +191,8 @@ fn records_byte_identical_with_divergence_on_or_off() {
     let without = temp_path("inv-off.rec.jsonl");
     let with = temp_path("inv-on.rec.jsonl");
     let div = temp_path("inv-on.div.jsonl");
-    fx.run(1, Dispatch::Threaded, true, Some(&without), None, false);
-    fx.run(1, Dispatch::Threaded, true, Some(&with), Some(&div), false);
+    fx.run(1, true, Some(&without), None, false);
+    fx.run(1, true, Some(&with), Some(&div), false);
     assert_eq!(
         read(&without),
         read(&with),
@@ -212,7 +207,7 @@ fn records_byte_identical_with_divergence_on_or_off() {
 fn divergence_stream_schema_is_stable() {
     let fx = Fixture::new();
     let div = temp_path("schema.div.jsonl");
-    fx.run(1, Dispatch::Threaded, true, None, Some(&div), false);
+    fx.run(1, true, None, Some(&div), false);
     let text = read(&div);
     let mut lines = text.lines();
 
@@ -291,7 +286,7 @@ fn torn_divergence_tail_is_reconciled_on_resume() {
     let fx = Fixture::new();
     let rec = temp_path("torn.rec.jsonl");
     let div = temp_path("torn.div.jsonl");
-    fx.run(1, Dispatch::Threaded, true, Some(&rec), Some(&div), false);
+    fx.run(1, true, Some(&rec), Some(&div), false);
     let (rec_full, div_full) = (read(&rec), read(&div));
 
     // Keep 7 complete records but only 4 complete timelines plus a torn
@@ -309,7 +304,7 @@ fn torn_divergence_tail_is_reconciled_on_resume() {
     std::fs::write(&rec, prefix(&rec_full, 7)).unwrap();
     std::fs::write(&div, torn).unwrap();
 
-    let run = fx.run(1, Dispatch::Threaded, true, Some(&rec), Some(&div), true);
+    let run = fx.run(1, true, Some(&rec), Some(&div), true);
     assert_eq!(run.resumed_tasks, 4, "common prefix of the two streams");
     assert_eq!(read(&rec), rec_full, "records finish byte-identical");
     assert_eq!(read(&div), div_full, "timelines finish byte-identical");
@@ -323,10 +318,10 @@ fn resume_without_the_divergence_file_is_an_error() {
     let fx = Fixture::new();
     let rec = temp_path("missing.rec.jsonl");
     let div = temp_path("missing.div.jsonl");
-    fx.run(1, Dispatch::Threaded, true, Some(&rec), Some(&div), false);
+    fx.run(1, true, Some(&rec), Some(&div), false);
     std::fs::remove_file(&div).unwrap();
     let err = fx
-        .try_run(1, Dispatch::Threaded, true, Some(&rec), Some(&div), true)
+        .try_run(1, true, Some(&rec), Some(&div), true)
         .unwrap_err();
     assert!(
         err.contains("cannot resume with --divergence"),
@@ -342,7 +337,7 @@ fn report_joins_divergence_and_survives_truncation_and_absence() {
     let fx = Fixture::new();
     let rec = temp_path("report.rec.jsonl");
     let div = temp_path("report.div.jsonl");
-    fx.run(1, Dispatch::Threaded, true, Some(&rec), Some(&div), false);
+    fx.run(1, true, Some(&rec), Some(&div), false);
 
     let full = CampaignReport::build(&rec, None, Some(&div)).unwrap();
     let born: u64 = full

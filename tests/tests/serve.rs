@@ -596,9 +596,11 @@ fn daemon_end_to_end_with_mid_run_kill() {
     daemon.join();
 }
 
-/// Shard and thread counts are bounded where a submission enters: an
-/// absurd count is a 400 from the submit endpoint, not an attempt to
-/// allocate a shard spec per shard on the accept thread.
+/// Shard, thread and injection counts are bounded where a submission
+/// enters: an absurd count is a 400 from the submit endpoint, not an
+/// attempt to allocate a shard spec per shard on the accept thread or a
+/// task per injection in the plan. A known key of the wrong JSON type
+/// is a 400 too, not a silent default.
 #[test]
 fn oversized_shard_and_thread_counts_are_refused_at_submit() {
     let data_dir = temp_dir("bounds");
@@ -609,7 +611,7 @@ fn oversized_shard_and_thread_counts_are_refused_at_submit() {
     })
     .unwrap();
     let addr = daemon.addr().to_string();
-    let body = |key: &str, n: &str| {
+    let with = |key: &str, value: Json| {
         let mut sub = submission();
         sub.source = TINY.into();
         let Json::Obj(mut fields) = sub.to_json() else {
@@ -617,25 +619,44 @@ fn oversized_shard_and_thread_counts_are_refused_at_submit() {
         };
         for (k, v) in &mut fields {
             if k == key {
-                *v = Json::Num(n.into());
+                *v = value.clone();
             }
         }
         Json::Obj(fields)
     };
-    for (key, n) in [
-        ("shards", "1000000000000".to_string()),
-        ("shards", (prepare::MAX_SHARDS + 1).to_string()),
-        ("threads", u64::MAX.to_string()),
-        ("threads", (prepare::MAX_THREADS + 1).to_string()),
+    let body = |key: &str, n: &str| with(key, Json::Num(n.into()));
+    let num = |n: u64| Json::Num(n.to_string());
+    for (key, value) in [
+        ("shards", Json::Num("1000000000000".into())),
+        ("shards", num(prepare::MAX_SHARDS + 1)),
+        ("threads", num(u64::MAX)),
+        ("threads", num(prepare::MAX_THREADS + 1)),
+        ("injections", num(4_000_000_000)),
+        ("injections", num(prepare::MAX_INJECTIONS + 1)),
+        ("injections", Json::str("500")),
+        ("seed", Json::Bool(true)),
+        ("divergence", Json::str("yes")),
+        ("fast_forward", num(1)),
+        ("category", num(3)),
+        ("collapse", Json::Null),
+        ("source", Json::Arr(vec![])),
     ] {
-        let (status, reply) =
-            http::request(&addr, "POST", "/api/submit", Some(&body(key, &n))).unwrap();
-        assert_eq!(status, 400, "{key}={n}: {reply}");
+        let sent = with(key, value.clone());
+        let (status, reply) = http::request(&addr, "POST", "/api/submit", Some(&sent)).unwrap();
+        assert_eq!(status, 400, "{key}={value}: {reply}");
         let err = reply.get("error").and_then(Json::as_str).unwrap();
-        assert!(err.contains(key), "{key}={n}: {err}");
+        assert!(err.contains(key), "{key}={value}: {err}");
     }
     // At the limits the submission decodes; a small one still runs.
     let at_max = |key: &str, max: u64| Submission::from_json(&body(key, &max.to_string()));
+    assert_eq!(
+        u64::from(
+            at_max("injections", prepare::MAX_INJECTIONS)
+                .unwrap()
+                .injections
+        ),
+        prepare::MAX_INJECTIONS
+    );
     assert_eq!(
         at_max("shards", prepare::MAX_SHARDS).unwrap().shards as u64,
         prepare::MAX_SHARDS
