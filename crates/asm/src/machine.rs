@@ -170,16 +170,8 @@ impl MachSnapshot {
     }
 }
 
-/// The result of a machine run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Why execution stopped.
-    pub status: RunStatus,
-    /// Instructions retired.
-    pub steps: u64,
-    /// Program output.
-    pub output: String,
-}
+/// The result of a machine run (shared with the IR level).
+pub use fiq_mem::RunResult;
 
 enum Stop {
     Trap(Trap),
@@ -494,6 +486,11 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     /// executed.
     pub fn restored_steps(&self) -> u64 {
         self.restored_steps
+    }
+
+    /// The live memory (for page-compare and restore-copy counters).
+    pub fn memory(&self) -> &Memory {
+        &self.st.mem
     }
 
     /// Consumes the machine, returning the hook.

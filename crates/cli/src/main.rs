@@ -492,8 +492,8 @@ fn cmd_inject(args: &Args) -> Result<(), String> {
                 "plan: {}/{} instance {} bit {}",
                 inj.site.func, inj.site.inst, inj.instance, inj.bit
             );
-            let out = run_llfi(&module, InterpOptions::default(), inj, &lp.golden_output)?;
-            println!("outcome: {out}");
+            let run = run_llfi(&module, InterpOptions::default(), inj, &lp.golden_output)?;
+            println!("outcome: {}", run.outcome);
         }
         "pinfi" => {
             let prog = fiq_backend::lower_module(&module, lower_options(args))
@@ -509,8 +509,8 @@ fn cmd_inject(args: &Args) -> Result<(), String> {
                 inj.dest,
                 inj.bit
             );
-            let out = run_pinfi(&prog, MachOptions::default(), inj, &pp.golden_output)?;
-            println!("outcome: {out}");
+            let run = run_pinfi(&prog, MachOptions::default(), inj, &pp.golden_output)?;
+            println!("outcome: {}", run.outcome);
         }
         other => return Err(format!("unknown --tool `{other}` (llfi|pinfi)")),
     }
@@ -895,8 +895,8 @@ fn cmd_collapse_check(args: &Args) -> Result<(), String> {
 
 /// `fiq fuzz` — differential fuzzing of the two execution levels.
 /// Generates `--count` seeded Mini-C programs and checks each against
-/// the cross-pipeline, cross-level, snapshot-replay, and
-/// digest-integrity oracles at every optimization level (or just
+/// the cross-pipeline, cross-level, snapshot-replay, digest-integrity
+/// and injection oracles at every optimization level (or just
 /// `--opt-level`). Stops at the first failure, shrinks it (unless
 /// `--no-reduce`), optionally writes the reduced reproducer into
 /// `--corpus-dir`, and exits nonzero. Fully deterministic for a fixed
@@ -918,7 +918,7 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         cfg.oracles = fiq_fuzz::OracleSet::only(name).ok_or_else(|| {
             format!(
                 "unknown --oracle `{name}` \
-                 (opt-agreement|cross-level|snapshot-replay|digest-integrity)"
+                 (opt-agreement|cross-level|snapshot-replay|digest-integrity|injection)"
             )
         })?;
     }

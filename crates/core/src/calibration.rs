@@ -163,8 +163,8 @@ pub fn llfi_campaign_calibrated(
             instance,
             bit: rng.gen_range(0..width),
         };
-        let out = crate::run_llfi(module, opts, inj, &profile.golden_output)?;
-        counts.record(out);
+        let run = crate::run_llfi(module, opts, inj, &profile.golden_output)?;
+        counts.record(run.outcome);
         executed += 1;
     }
     Ok(CellReport {

@@ -32,9 +32,9 @@
 //! verify precisely that, and the `collapse-check` CI job keeps it true.
 
 use crate::category::{injection_dest, llfi_candidates, Category};
-use crate::llfi::{run_llfi_detailed, LlfiInjection};
+use crate::llfi::{run_llfi, LlfiInjection};
 use crate::outcome::OutcomeCounts;
-use crate::pinfi::{run_pinfi_detailed, PinfiInjection, PinfiOptions};
+use crate::pinfi::{run_pinfi, PinfiInjection, PinfiOptions};
 use crate::profile::{LlfiProfile, PinfiProfile};
 use fiq_asm::{
     AluOp, AsmHook, AsmProgram, Inst as AInst, MachOptions, MachState, Machine, MemRef, Operand,
@@ -1316,7 +1316,7 @@ pub fn cross_check_llfi(
             max_steps,
             ..InterpOptions::default()
         };
-        let r = run_llfi_detailed(module, opts, inj, &profile.golden_output)?;
+        let r = run_llfi(module, opts, inj, &profile.golden_output)?;
         collapsed.record_n(r.outcome, class_size);
         collapsed_steps += r.steps * class_size;
     }
@@ -1327,7 +1327,7 @@ pub fn cross_check_llfi(
             max_steps,
             ..InterpOptions::default()
         };
-        let r = run_llfi_detailed(module, opts, inj, &profile.golden_output)?;
+        let r = run_llfi(module, opts, inj, &profile.golden_output)?;
         brute.record(r.outcome);
         brute_steps += r.steps;
     }
@@ -1363,7 +1363,7 @@ pub fn cross_check_pinfi(
             max_steps,
             ..MachOptions::default()
         };
-        let r = run_pinfi_detailed(prog, opts, inj, &profile.golden_output)?;
+        let r = run_pinfi(prog, opts, inj, &profile.golden_output)?;
         collapsed.record_n(r.outcome, class_size);
         collapsed_steps += r.steps * class_size;
     }
@@ -1374,7 +1374,7 @@ pub fn cross_check_pinfi(
             max_steps,
             ..MachOptions::default()
         };
-        let r = run_pinfi_detailed(prog, opts, inj, &profile.golden_output)?;
+        let r = run_pinfi(prog, opts, inj, &profile.golden_output)?;
         brute.record(r.outcome);
         brute_steps += r.steps;
     }

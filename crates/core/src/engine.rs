@@ -46,6 +46,7 @@ use crate::collapse::{
     LlfiAnalysis, PinfiAnalysis,
 };
 use crate::divergence::{parse_timeline, timeline_line, Timeline, DIVERGENCE_VERSION};
+use crate::drive::Checkpoint;
 use crate::json::{Fields, Json, ObjWriter};
 use crate::llfi::{plan_llfi_from, run_llfi_observed, LlfiInjection};
 use crate::outcome::{Outcome, OutcomeCounts};
@@ -547,92 +548,68 @@ pub fn plan_campaign(
             StdRng::seed_from_u64(cell_seed(cfg.seed, cell.substrate.tool(), cell.category));
         let before = tasks.len();
         let cell_err = |e: String| format!("cell {ci} ({}/{}): {e}", cell.label, cell.category);
-        match &cell.substrate {
-            Substrate::Llfi { module, profile } => {
-                match collapse {
-                    Collapse::Sampled => {
-                        // One cumulative site table per cell, not per injection.
-                        let cum = profile.cumulative(module, cell.category);
-                        tasks.extend(
-                            (0..cfg.injections)
-                                .filter_map(|_| plan_llfi_from(module, &cum, &mut rng))
-                                .enumerate()
-                                .map(|(i, p)| Task {
-                                    cell: ci,
-                                    injection: i as u64,
-                                    plan: Plan::Llfi(p),
-                                    class_size: 1,
-                                }),
-                        );
-                        spaces.push(None);
-                    }
-                    Collapse::Exact => {
-                        let key = *module as *const Module as usize;
-                        if !llfi_analyses.iter().any(|(k, _)| *k == key) {
-                            let a = analyze_llfi(module, profile).map_err(cell_err)?;
-                            llfi_analyses.push((key, a));
-                        }
-                        let analysis = &llfi_analyses
-                            .iter()
-                            .find(|(k, _)| *k == key)
-                            .expect("inserted above")
-                            .1;
-                        let (plan, stats) = collapse_llfi(module, profile, cell.category, analysis);
-                        tasks.extend(plan.into_iter().enumerate().map(|(i, (p, n))| Task {
-                            cell: ci,
-                            injection: i as u64,
-                            plan: Plan::Llfi(p),
-                            class_size: n,
-                        }));
-                        spaces.push(Some(stats));
-                    }
-                }
-                budgets.push(cfg.hang_budget(profile.golden_steps));
-                populations.push(profile.category_count(module, cell.category));
+        // Each level yields its (plan, class size) list and collapse
+        // accounting; sampled plans stand for one point each.
+        let (plans, space): (Vec<(Plan, u64)>, _) = match (&cell.substrate, collapse) {
+            (Substrate::Llfi { module, profile }, Collapse::Sampled) => {
+                // One cumulative site table per cell, not per injection.
+                let cum = profile.cumulative(module, cell.category);
+                let plans = (0..cfg.injections)
+                    .filter_map(|_| plan_llfi_from(module, &cum, &mut rng))
+                    .map(|p| (Plan::Llfi(p), 1))
+                    .collect();
+                (plans, None)
             }
-            Substrate::Pinfi { prog, profile } => {
-                match collapse {
-                    Collapse::Sampled => {
-                        let cum = profile.cumulative(prog, cell.category);
-                        tasks.extend(
-                            (0..cfg.injections)
-                                .filter_map(|_| plan_pinfi_from(prog, &cum, cfg.pinfi, &mut rng))
-                                .enumerate()
-                                .map(|(i, p)| Task {
-                                    cell: ci,
-                                    injection: i as u64,
-                                    plan: Plan::Pinfi(p),
-                                    class_size: 1,
-                                }),
-                        );
-                        spaces.push(None);
-                    }
-                    Collapse::Exact => {
-                        let key = *prog as *const AsmProgram as usize;
-                        if !pinfi_analyses.iter().any(|(k, _)| *k == key) {
-                            let a = analyze_pinfi(prog, profile).map_err(cell_err)?;
-                            pinfi_analyses.push((key, a));
-                        }
-                        let analysis = &pinfi_analyses
-                            .iter()
-                            .find(|(k, _)| *k == key)
-                            .expect("inserted above")
-                            .1;
-                        let (plan, stats) =
-                            collapse_pinfi(prog, profile, cell.category, cfg.pinfi, analysis);
-                        tasks.extend(plan.into_iter().enumerate().map(|(i, (p, n))| Task {
-                            cell: ci,
-                            injection: i as u64,
-                            plan: Plan::Pinfi(p),
-                            class_size: n,
-                        }));
-                        spaces.push(Some(stats));
-                    }
-                }
-                budgets.push(cfg.hang_budget(profile.golden_steps));
-                populations.push(profile.category_count(prog, cell.category));
+            (Substrate::Pinfi { prog, profile }, Collapse::Sampled) => {
+                let cum = profile.cumulative(prog, cell.category);
+                let plans = (0..cfg.injections)
+                    .filter_map(|_| plan_pinfi_from(prog, &cum, cfg.pinfi, &mut rng))
+                    .map(|p| (Plan::Pinfi(p), 1))
+                    .collect();
+                (plans, None)
             }
-        }
+            (Substrate::Llfi { module, profile }, Collapse::Exact) => {
+                let analysis = shared_analysis(&mut llfi_analyses, *module, || {
+                    analyze_llfi(module, profile).map_err(cell_err)
+                })?;
+                let (plan, stats) = collapse_llfi(module, profile, cell.category, analysis);
+                let plans = plan.into_iter().map(|(p, n)| (Plan::Llfi(p), n));
+                (plans.collect(), Some(stats))
+            }
+            (Substrate::Pinfi { prog, profile }, Collapse::Exact) => {
+                let analysis = shared_analysis(&mut pinfi_analyses, *prog, || {
+                    analyze_pinfi(prog, profile).map_err(cell_err)
+                })?;
+                let (plan, stats) =
+                    collapse_pinfi(prog, profile, cell.category, cfg.pinfi, analysis);
+                let plans = plan.into_iter().map(|(p, n)| (Plan::Pinfi(p), n));
+                (plans.collect(), Some(stats))
+            }
+        };
+        tasks.extend(
+            plans
+                .into_iter()
+                .enumerate()
+                .map(|(i, (plan, class_size))| Task {
+                    cell: ci,
+                    injection: i as u64,
+                    plan,
+                    class_size,
+                }),
+        );
+        spaces.push(space);
+        let (golden_steps, population) = match &cell.substrate {
+            Substrate::Llfi { module, profile } => (
+                profile.golden_steps,
+                profile.category_count(module, cell.category),
+            ),
+            Substrate::Pinfi { prog, profile } => (
+                profile.golden_steps,
+                profile.category_count(prog, cell.category),
+            ),
+        };
+        budgets.push(cfg.hang_budget(golden_steps));
+        populations.push(population);
         let cell_planned = u32::try_from(tasks.len() - before).map_err(|_| {
             format!(
                 "cell {ci} ({}/{}): planned injection count exceeds the record format's \
@@ -650,6 +627,24 @@ pub fn plan_campaign(
         spaces,
         collapse,
     })
+}
+
+/// The propagation analysis of `prog` from `cache`, keyed by reference
+/// identity, running `analyze` only the first time `prog` is seen.
+fn shared_analysis<'c, P, A>(
+    cache: &'c mut Vec<(usize, A)>,
+    prog: &P,
+    analyze: impl FnOnce() -> Result<A, String>,
+) -> Result<&'c A, String> {
+    let key = prog as *const P as usize;
+    let pos = match cache.iter().position(|(k, _)| *k == key) {
+        Some(pos) => pos,
+        None => {
+            cache.push((key, analyze()?));
+            cache.len() - 1
+        }
+    };
+    Ok(&cache[pos].1)
 }
 
 /// Executes `shard` (or the full plan when `None`) on the worker pool:
@@ -1117,48 +1112,23 @@ fn execute(
     divergence: bool,
     tel: TaskTel<'_>,
 ) -> Result<TaskResult, String> {
-    // The same snapshot cache serves all three uses: fast-forward
-    // restores the latest pre-injection checkpoint; early exit and
-    // divergence observation compare the post-injection run against
-    // later checkpoints.
-    let cache = if fast_forward || early_exit || divergence {
-        cell.snapshots.as_deref()
-    } else {
-        None
-    };
-    let mut fast_forwarded = false;
     let mut timeline = divergence.then(Timeline::new);
-    match (&cell.substrate, plan) {
-        (Substrate::Llfi { module, profile }, Plan::Llfi(inj)) => {
+    let cache = cell.snapshots.as_deref();
+    let compare = early_exit || divergence;
+    // The per-level arms only pick the concrete types.
+    let (fast_forwarded, run) = match (&cell.substrate, plan, decoded) {
+        (Substrate::Llfi { module, profile }, Plan::Llfi(inj), DecodedCell::Llfi(dec)) => {
+            let snaps = match cache {
+                Some(SnapshotCache::Llfi(snaps)) => Some(snaps.as_slice()),
+                _ => None,
+            };
+            let ff = fast_forward.then_some((inj.site, inj.instance, budget));
+            let (snap, golden) = checkpoints(snaps, ff, compare, profile.golden_steps);
             let opts = InterpOptions {
                 max_steps: budget,
                 ..InterpOptions::default()
             };
-            let snap = match cache {
-                Some(SnapshotCache::Llfi(snaps)) if fast_forward => {
-                    // Last snapshot strictly before the injection
-                    // occurrence (per-site counts are monotone across the
-                    // list) that the budget-limited run would reach.
-                    let pos = snaps.partition_point(|s| {
-                        s.site_count(inj.site) < inj.instance && s.steps() <= budget
-                    });
-                    pos.checked_sub(1).map(|p| &snaps[p])
-                }
-                _ => None,
-            };
-            let golden = match cache {
-                Some(SnapshotCache::Llfi(snaps)) if early_exit || divergence => Some(GoldenRef {
-                    snapshots: snaps.as_slice(),
-                    golden_steps: profile.golden_steps,
-                }),
-                _ => None,
-            };
-            fast_forwarded = snap.is_some();
-            let dec = match decoded {
-                DecodedCell::Llfi(d) => Some(Arc::clone(d)),
-                _ => None,
-            };
-            run_llfi_observed(
+            let run = run_llfi_observed(
                 module,
                 opts,
                 inj,
@@ -1167,37 +1137,23 @@ fn execute(
                 golden,
                 early_exit,
                 timeline.as_mut(),
-                dec,
+                Some(Arc::clone(dec)),
                 tel,
-            )
+            );
+            (snap.is_some(), run)
         }
-        (Substrate::Pinfi { prog, profile }, Plan::Pinfi(inj)) => {
+        (Substrate::Pinfi { prog, profile }, Plan::Pinfi(inj), DecodedCell::Pinfi(dec)) => {
+            let snaps = match cache {
+                Some(SnapshotCache::Pinfi(snaps)) => Some(snaps.as_slice()),
+                _ => None,
+            };
+            let ff = fast_forward.then_some((inj.idx, inj.instance, budget));
+            let (snap, golden) = checkpoints(snaps, ff, compare, profile.golden_steps);
             let opts = MachOptions {
                 max_steps: budget,
                 ..MachOptions::default()
             };
-            let snap = match cache {
-                Some(SnapshotCache::Pinfi(snaps)) if fast_forward => {
-                    let pos = snaps.partition_point(|s| {
-                        s.site_count(inj.idx) < inj.instance && s.steps() <= budget
-                    });
-                    pos.checked_sub(1).map(|p| &snaps[p])
-                }
-                _ => None,
-            };
-            let golden = match cache {
-                Some(SnapshotCache::Pinfi(snaps)) if early_exit || divergence => Some(GoldenRef {
-                    snapshots: snaps.as_slice(),
-                    golden_steps: profile.golden_steps,
-                }),
-                _ => None,
-            };
-            fast_forwarded = snap.is_some();
-            let dec = match decoded {
-                DecodedCell::Pinfi(d) => Some(Arc::clone(d)),
-                _ => None,
-            };
-            run_pinfi_observed(
+            let run = run_pinfi_observed(
                 prog,
                 opts,
                 inj,
@@ -1206,19 +1162,45 @@ fn execute(
                 golden,
                 early_exit,
                 timeline.as_mut(),
-                dec,
+                Some(Arc::clone(dec)),
                 tel,
-            )
+            );
+            (snap.is_some(), run)
         }
-        _ => Err("internal error: plan/substrate mismatch".into()),
-    }
-    .map(|d| TaskResult {
+        _ => return Err("internal error: plan/substrate mismatch".into()),
+    };
+    run.map(|d| TaskResult {
         outcome: d.outcome,
         steps: d.steps,
         early_exit: d.early_exit,
         fast_forwarded,
         timeline,
     })
+}
+
+/// Picks one task's checkpoints from its cell's snapshot list. With
+/// fast-forward, `ff` = (site, instance, budget) and the restore point is
+/// the last checkpoint strictly before that occurrence that the budgeted
+/// run reaches (per-site counts are monotone across the list). With
+/// `compare` (early exit or divergence), the list is the golden reference.
+fn checkpoints<S: Checkpoint>(
+    snaps: Option<&[S]>,
+    ff: Option<(S::Site, u64, u64)>,
+    compare: bool,
+    golden_steps: u64,
+) -> (Option<&S>, Option<GoldenRef<'_, S>>) {
+    let Some(snaps) = snaps else {
+        return (None, None);
+    };
+    let snap = ff.and_then(|(site, instance, budget)| {
+        let pos = snaps.partition_point(|s| s.site_count(site) < instance && s.steps() <= budget);
+        pos.checked_sub(1).map(|p| &snaps[p])
+    });
+    let golden = compare.then_some(GoldenRef {
+        snapshots: snaps,
+        golden_steps,
+    });
+    (snap, golden)
 }
 
 /// Stores a result and writes the in-order record prefix.

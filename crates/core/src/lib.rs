@@ -32,8 +32,8 @@
 //! let profile = profile_llfi(&module, InterpOptions::default())?;
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let inj = plan_llfi(&module, &profile, Category::Arithmetic, &mut rng).unwrap();
-//! let outcome = run_llfi(&module, InterpOptions::default(), inj, &profile.golden_output)?;
-//! println!("{outcome}");
+//! let run = run_llfi(&module, InterpOptions::default(), inj, &profile.golden_output)?;
+//! println!("{}", run.outcome);
 //! # Ok::<(), String>(())
 //! ```
 
@@ -44,6 +44,7 @@ mod campaign;
 mod category;
 mod collapse;
 mod divergence;
+mod drive;
 mod engine;
 pub mod json;
 mod llfi;
@@ -74,14 +75,10 @@ pub use engine::{
     EngineOptions, Progress, ShardSpec, SnapshotCache, Substrate, CANCELLED, EXACT_RECORD_VERSION,
     RECORD_VERSION,
 };
-pub use llfi::{
-    plan_llfi, plan_llfi_from, run_llfi, run_llfi_detailed, run_llfi_detailed_from,
-    run_llfi_observed, LlfiInjection,
-};
-pub use outcome::{classify, DetailedOutcome, InjectionRun, Outcome, OutcomeCounts};
+pub use llfi::{plan_llfi, plan_llfi_from, run_llfi, run_llfi_observed, LlfiInjection};
+pub use outcome::{classify, InjectionRun, Outcome, OutcomeCounts};
 pub use pinfi::{
-    plan_pinfi, plan_pinfi_from, run_pinfi, run_pinfi_detailed, run_pinfi_detailed_from,
-    run_pinfi_observed, PinfiInjection, PinfiOptions,
+    plan_pinfi, plan_pinfi_from, run_pinfi, run_pinfi_observed, PinfiInjection, PinfiOptions,
 };
 pub use profile::{
     locate, profile_llfi, profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots,

@@ -1,6 +1,6 @@
 //! Fault-injection outcomes and classification.
 
-use fiq_mem::{RunStatus, Trap};
+use fiq_mem::RunStatus;
 use std::fmt;
 
 /// The outcome of one fault-injection run (paper §V, "Failure
@@ -89,13 +89,7 @@ pub struct OutcomeCounts {
 impl OutcomeCounts {
     /// Adds one outcome.
     pub fn record(&mut self, o: Outcome) {
-        match o {
-            Outcome::Benign => self.benign += 1,
-            Outcome::Sdc => self.sdc += 1,
-            Outcome::Crash => self.crash += 1,
-            Outcome::Hang => self.hang += 1,
-            Outcome::NotActivated => self.not_activated += 1,
-        }
+        self.record_n(o, 1);
     }
 
     /// Adds `n` occurrences of one outcome (class-weighted recording for
@@ -176,18 +170,10 @@ pub struct InjectionRun {
     pub early_exit: bool,
 }
 
-/// Keeps the trap detail alongside the coarse outcome (for diagnostics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetailedOutcome {
-    /// The coarse classification.
-    pub outcome: Outcome,
-    /// The trap, when the outcome is a crash.
-    pub trap: Option<Trap>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiq_mem::Trap;
 
     #[test]
     fn classification_rules() {

@@ -13,14 +13,15 @@
 
 use crate::category::{injection_dest, Category};
 use crate::divergence::Timeline;
-use crate::outcome::{classify, Outcome};
+use crate::drive::{drive, forward_injector, timed_restore, FaultState};
+use crate::outcome::InjectionRun;
 use crate::profile::{locate, GoldenRef, PinfiProfile};
-use crate::telemetry::{cell_counter, cell_hist, TaskTel};
+use crate::telemetry::TaskTel;
 use fiq_asm::{
     AsmHook, AsmProgram, DecodedProgram, ExtFn, Inst, MachOptions, MachSnapshot, MachState,
-    Machine, Reg, RegId, RunResult, ALL_FLAGS,
+    Machine, Reg, RegId, ALL_FLAGS,
 };
-use fiq_mem::{Quiescence, RunStatus};
+use fiq_mem::Quiescence;
 use rand::Rng;
 use std::sync::Arc;
 
@@ -160,13 +161,12 @@ impl PinfiHook<'_> {
         }
     }
 
-    /// True once the run's eventual `activated` verdict can no longer
-    /// change: the fault is in (injected) and is either already activated
-    /// (the flag is monotone) or overwritten (no future read can see it).
-    /// Convergence checks are gated on this so an early exit freezes
-    /// exactly the activation verdict the full run would report.
-    fn outcome_settled(&self) -> bool {
-        self.injected && (self.activated || !self.live)
+    fn fault(&self) -> FaultState {
+        FaultState {
+            injected: self.injected,
+            live: self.live,
+            activated: self.activated,
+        }
     }
 
     fn apply(&self, st: &mut MachState) {
@@ -216,23 +216,17 @@ impl AsmHook for PinfiHook<'_> {
     }
 
     /// Pre-injection the hook only acts on retires of the target
-    /// instruction index, so it is inert until execution reaches it. Once
-    /// the verdict is settled (activation is monotone and checked before
-    /// `live` in the final classification), no future retire can change
-    /// anything the hook reports. In between, every retire must be
-    /// delivered for the read/overwrite walk.
+    /// instruction index.
     fn quiescence(&self) -> Quiescence<usize> {
-        if !self.injected {
-            Quiescence::UntilSite(self.inj.idx)
-        } else if self.outcome_settled() {
-            Quiescence::Forever
-        } else {
-            Quiescence::Active
-        }
+        self.fault().quiescence(self.inj.idx)
     }
 }
 
-/// Runs one PINFI injection and classifies the outcome.
+forward_injector!(Machine<'_, PinfiHook<'_>>, MachSnapshot, usize);
+
+/// Runs one PINFI injection from the start of the program and
+/// classifies it: [`run_pinfi_observed`] without fast-forward, early
+/// exit, timeline or telemetry.
 ///
 /// # Errors
 ///
@@ -242,64 +236,14 @@ pub fn run_pinfi(
     opts: MachOptions,
     inj: PinfiInjection,
     golden_output: &str,
-) -> Result<Outcome, String> {
-    run_pinfi_detailed(prog, opts, inj, golden_output).map(|d| d.outcome)
-}
-
-/// [`run_pinfi`] plus the retired-instruction count of the faulty run,
-/// for per-injection records.
-///
-/// # Errors
-///
-/// Returns an error string if machine setup fails.
-pub fn run_pinfi_detailed(
-    prog: &AsmProgram,
-    opts: MachOptions,
-    inj: PinfiInjection,
-    golden_output: &str,
-) -> Result<crate::outcome::InjectionRun, String> {
-    run_pinfi_detailed_from(prog, opts, inj, golden_output, None, None)
-}
-
-/// [`run_pinfi_detailed`], optionally fast-forwarded and/or
-/// convergence-checked.
-///
-/// When `snapshot` is given, the machine restores it and replays only the
-/// tail instead of re-executing the golden prefix. The snapshot must have
-/// been captured during this program's profiling run *strictly before*
-/// the planned injection occurrence (i.e.
-/// `snapshot.site_count(inj.idx) < inj.instance`). The hook's instance
-/// counter starts from the snapshot's retire count for the target
-/// instruction and the step counter continues from the snapshot value,
-/// so the restored run is bit-identical to a full run.
-///
-/// When `golden` is given, the run additionally pauses at every golden
-/// checkpoint step it crosses and — once the fault's activation verdict
-/// is settled — compares its architectural state against the checkpoint
-/// (digests first, full compare on a digest match). An exact match proves
-/// the remaining execution identical to golden, so the run returns
-/// immediately with the outcome and reconstructed step count the full run
-/// would have produced. Output is bit-identical with or without `golden`;
-/// only wall-clock changes.
-///
-/// # Errors
-///
-/// Returns an error string if machine setup fails.
-pub fn run_pinfi_detailed_from(
-    prog: &AsmProgram,
-    opts: MachOptions,
-    inj: PinfiInjection,
-    golden_output: &str,
-    snapshot: Option<&MachSnapshot>,
-    golden: Option<GoldenRef<'_, MachSnapshot>>,
-) -> Result<crate::outcome::InjectionRun, String> {
+) -> Result<InjectionRun, String> {
     run_pinfi_observed(
         prog,
         opts,
         inj,
         golden_output,
-        snapshot,
-        golden,
+        None,
+        None,
         true,
         None,
         None,
@@ -307,23 +251,13 @@ pub fn run_pinfi_detailed_from(
     )
 }
 
-/// [`run_pinfi_detailed_from`] with campaign telemetry, an optional
-/// shared pre-decoded program, and an optional divergence [`Timeline`]:
-/// records the step-attribution split (skipped / executed /
-/// reconstructed), snapshot restore cost, convergence-compare counts, and
-/// the fault's activation verdict into `tel`. `decoded` lets the campaign
-/// engine decode the program once per cell and share the table across
-/// every injection run (`None` decodes inline).
+/// Runs one PINFI injection, optionally fast-forwarded,
+/// convergence-checked and observed, and classifies it.
 ///
-/// `early_exit` controls whether golden checkpoints are used for
-/// convergence truncation; `timeline` (which requires `golden`)
-/// additionally records a per-checkpoint divergence observation at every
-/// post-injection pause. Observation is passive — the returned
-/// [`InjectionRun`](crate::outcome::InjectionRun) and every `tel` counter
-/// but `pages_compared` (which counts the observation's own page
-/// compares) are byte-identical with `timeline` present or absent.
-/// Passing `true`, `None`, `None`, [`TaskTel::off`] makes this identical to
-/// [`run_pinfi_detailed_from`].
+/// The parameters work as in [`run_llfi_observed`](crate::run_llfi_observed),
+/// with the machine's architectural state in place of the interpreter's;
+/// a `snapshot` must precede the planned occurrence
+/// (`snapshot.site_count(inj.idx) < inj.instance`).
 ///
 /// # Errors
 ///
@@ -340,7 +274,7 @@ pub fn run_pinfi_observed(
     timeline: Option<&mut Timeline>,
     decoded: Option<Arc<DecodedProgram>>,
     tel: TaskTel<'_>,
-) -> Result<crate::outcome::InjectionRun, String> {
+) -> Result<InjectionRun, String> {
     let seen = snapshot.map_or(0, |s| s.site_count(inj.idx));
     debug_assert!(
         seen < inj.instance,
@@ -355,147 +289,18 @@ pub fn run_pinfi_observed(
         activated: false,
     };
     let mut machine = match snapshot {
-        Some(s) => {
-            let t0 = tel.enabled().then(std::time::Instant::now);
-            let machine = Machine::restore_with_decoded(prog, decoded, opts, hook, s);
-            if let Some(t0) = t0 {
-                tel.hist(cell_hist::RESTORE_NS, t0.elapsed().as_nanos() as u64);
-            }
-            machine
-        }
+        Some(s) => timed_restore(tel, || {
+            Machine::restore_with_decoded(prog, decoded, opts, hook, s)
+        }),
         None => Machine::with_decoded(prog, decoded, opts, hook).map_err(|t| t.to_string())?,
     };
-    let (result, early_exit) = drive_pinfi(
+    Ok(drive(
         &mut machine,
-        opts,
+        opts.max_steps,
         golden_output,
         golden,
         early_exit,
         timeline,
         tel,
-    );
-    // Step attribution: what the record reports = steps skipped by the
-    // fast-forward restore + steps actually executed + steps an early
-    // exit reconstructed without executing.
-    let skipped = machine.restored_steps();
-    let executed = machine.steps() - skipped;
-    let reconstructed = result.steps.saturating_sub(machine.steps());
-    tel.count(cell_counter::STEPS_REPORTED, result.steps);
-    tel.count(cell_counter::STEPS_SKIPPED_FF, skipped);
-    tel.count(cell_counter::STEPS_EXECUTED, executed);
-    tel.count(cell_counter::STEPS_RECONSTRUCTED_EE, reconstructed);
-    tel.count(cell_counter::STEPS_QUIESCENT, machine.steps_quiescent());
-    let mem = &machine.st.mem;
-    tel.count(
-        cell_counter::RESTORE_PAGES_COPIED,
-        mem.restore_pages_copied(),
-    );
-    tel.count(cell_counter::PAGES_COMPARED, mem.pages_compared());
-    tel.hist(cell_hist::TASK_STEPS, result.steps);
-    let hook = machine.into_hook();
-    debug_assert!(hook.injected, "planned instance must be reached");
-    let verdict = if hook.activated {
-        cell_counter::VERDICT_ACTIVATED
-    } else if !hook.live {
-        cell_counter::VERDICT_OVERWRITTEN
-    } else {
-        cell_counter::VERDICT_DORMANT
-    };
-    tel.count(verdict, 1);
-    Ok(crate::outcome::InjectionRun {
-        outcome: classify(result.status, &result.output, golden_output, hook.activated),
-        steps: result.steps,
-        early_exit,
-    })
-}
-
-/// Runs the machine to completion, pausing at every golden checkpoint it
-/// crosses to (a) record a divergence-timeline observation and (b)
-/// early-exit at the first checkpoint whose state the faulty run has
-/// provably converged to. Returns the (possibly reconstructed) result and
-/// whether it came from an early exit.
-fn drive_pinfi(
-    machine: &mut Machine<'_, PinfiHook<'_>>,
-    opts: MachOptions,
-    golden_output: &str,
-    golden: Option<GoldenRef<'_, MachSnapshot>>,
-    early_exit: bool,
-    mut timeline: Option<&mut Timeline>,
-    tel: TaskTel<'_>,
-) -> (RunResult, bool) {
-    let Some(g) = golden else {
-        return (machine.run(), false);
-    };
-    loop {
-        // With convergence truncation off, pausing is only for timeline
-        // observation; once the timeline closes (a clean entry proves the
-        // suffix mirrors golden), the remaining run needs no pauses.
-        if !early_exit && !timeline.as_ref().is_some_and(|t| t.open()) {
-            return (machine.run(), false);
-        }
-        // First checkpoint not yet reached; each checkpoint is considered
-        // at most once because the step counter only grows.
-        let next = g
-            .snapshots
-            .partition_point(|s| s.steps() <= machine.steps());
-        let Some(snap) = g.snapshots.get(next) else {
-            return (machine.run(), false);
-        };
-        if let Some(result) = machine.run_until(snap.steps()) {
-            return (result, false); // ended before the checkpoint
-        }
-        // Observe before the early-exit machinery: recording is passive
-        // (reads the paused state, consumes no RNG, touches none of the
-        // counters below), so records and telemetry stay byte-identical
-        // with the timeline on or off, but for the pages it compares.
-        // Pre-injection pauses are skipped — the run still equals golden
-        // there, which is also what makes timelines identical with and
-        // without fast-forward.
-        if machine.hook().injected {
-            if let Some(tl) = timeline.as_mut().filter(|t| t.open()) {
-                tl.record(next as u64, snap.steps(), machine.divergence_from(snap));
-            }
-        }
-        if !early_exit {
-            continue;
-        }
-        if !machine.hook().outcome_settled() {
-            tel.count(cell_counter::PAUSES_UNSETTLED, 1);
-            continue;
-        }
-        tel.count(cell_counter::DIGEST_COMPARES, 1);
-        if !machine.state_matches_digest(snap) {
-            continue;
-        }
-        tel.count(cell_counter::DIGEST_MATCHES, 1);
-        if machine.state_equals_snapshot(snap) {
-            tel.count(cell_counter::CONVERGED, 1);
-            tel.hist(cell_hist::EXIT_CHECKPOINT, next as u64);
-            tel.hist(cell_hist::EXIT_STEP, machine.steps());
-            // State identical to golden at this step ⇒ the remaining
-            // execution mirrors golden exactly (deterministic guest).
-            let remaining = g.golden_steps - snap.steps();
-            let total = machine.steps() + remaining;
-            if total <= opts.max_steps {
-                return (
-                    RunResult {
-                        status: RunStatus::Finished,
-                        steps: total,
-                        output: golden_output.to_string(),
-                    },
-                    true,
-                );
-            }
-            // The mirrored suffix outlives the budget: the full run would
-            // hang at max_steps + 1.
-            return (
-                RunResult {
-                    status: RunStatus::BudgetExceeded,
-                    steps: opts.max_steps + 1,
-                    output: String::new(), // unused: hangs ignore output
-                },
-                true,
-            );
-        }
-    }
+    ))
 }

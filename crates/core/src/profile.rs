@@ -10,7 +10,7 @@ use crate::category::{llfi_candidates, pinfi_candidates, Category};
 use fiq_asm::{AsmHook, AsmProgram, MachOptions, MachSnapshot, MachState, Machine};
 use fiq_interp::{InstSite, Interp, InterpHook, InterpOptions, InterpSnapshot, RtVal};
 use fiq_ir::Module;
-use fiq_mem::Trap;
+use fiq_mem::{RunResult, Trap};
 
 /// LLFI profile: per-(function, instruction) dynamic execution counts plus
 /// golden-run data.
@@ -41,24 +41,7 @@ impl InterpHook for CountingHook {
 /// Returns the trap if interpreter setup fails; a golden run that crashes
 /// or hangs is a caller bug and is reported as an error too.
 pub fn profile_llfi(module: &Module, opts: InterpOptions) -> Result<LlfiProfile, String> {
-    let hook = CountingHook {
-        counts: module
-            .funcs
-            .iter()
-            .map(|f| vec![0; f.insts.len()])
-            .collect(),
-    };
-    let mut interp = Interp::new(module, opts, hook).map_err(|t: Trap| t.to_string())?;
-    let result = interp.run();
-    if !result.finished() {
-        return Err(format!("golden IR run did not finish: {:?}", result.status));
-    }
-    let hook = interp.into_hook();
-    Ok(LlfiProfile {
-        golden_output: result.output,
-        golden_steps: result.steps,
-        counts: hook.counts,
-    })
+    profile_llfi_by(module, opts, |interp| (interp.run(), ())).map(|(p, ())| p)
 }
 
 /// [`profile_llfi`] plus execution snapshots captured every `interval`
@@ -76,6 +59,16 @@ pub fn profile_llfi_with_snapshots(
     opts: InterpOptions,
     interval: u64,
 ) -> Result<(LlfiProfile, Vec<InterpSnapshot>), String> {
+    profile_llfi_by(module, opts, |interp| interp.run_with_snapshots(interval))
+}
+
+/// The golden IR run behind both profiling entry points; `run` drives
+/// the counting interpreter to completion.
+fn profile_llfi_by<T>(
+    module: &Module,
+    opts: InterpOptions,
+    run: impl FnOnce(&mut Interp<'_, CountingHook>) -> (RunResult, T),
+) -> Result<(LlfiProfile, T), String> {
     let hook = CountingHook {
         counts: module
             .funcs
@@ -84,7 +77,7 @@ pub fn profile_llfi_with_snapshots(
             .collect(),
     };
     let mut interp = Interp::new(module, opts, hook).map_err(|t: Trap| t.to_string())?;
-    let (result, snapshots) = interp.run_with_snapshots(interval);
+    let (result, extra) = run(&mut interp);
     if !result.finished() {
         return Err(format!("golden IR run did not finish: {:?}", result.status));
     }
@@ -95,7 +88,7 @@ pub fn profile_llfi_with_snapshots(
             golden_steps: result.steps,
             counts: hook.counts,
         },
-        snapshots,
+        extra,
     ))
 }
 
@@ -103,16 +96,7 @@ impl LlfiProfile {
     /// Total dynamic executions of the candidate set for `cat`
     /// (the paper's Table IV numbers at the IR level).
     pub fn category_count(&self, module: &Module, cat: Category) -> u64 {
-        let bits = llfi_candidates(module, cat);
-        let mut total = 0;
-        for (f, fbits) in bits.iter().enumerate() {
-            for (i, &b) in fbits.iter().enumerate() {
-                if b {
-                    total += self.counts[f][i];
-                }
-            }
-        }
-        total
+        self.cumulative(module, cat).last().map_or(0, |&(_, c)| c)
     }
 
     /// Builds the cumulative distribution used to sample a uniform dynamic
@@ -169,23 +153,7 @@ impl AsmHook for AsmCountingHook {
 /// Returns an error if machine setup fails or the golden run does not
 /// finish.
 pub fn profile_pinfi(prog: &AsmProgram, opts: MachOptions) -> Result<PinfiProfile, String> {
-    let hook = AsmCountingHook {
-        counts: vec![0; prog.insts.len()],
-    };
-    let mut machine = Machine::new(prog, opts, hook).map_err(|t| t.to_string())?;
-    let result = machine.run();
-    if result.status != fiq_mem::RunStatus::Finished {
-        return Err(format!(
-            "golden asm run did not finish: {:?}",
-            result.status
-        ));
-    }
-    let hook = machine.into_hook();
-    Ok(PinfiProfile {
-        golden_output: result.output,
-        golden_steps: result.steps,
-        counts: hook.counts,
-    })
+    profile_pinfi_by(prog, opts, |machine| (machine.run(), ())).map(|(p, ())| p)
 }
 
 /// [`profile_pinfi`] plus execution snapshots captured every `interval`
@@ -199,12 +167,22 @@ pub fn profile_pinfi_with_snapshots(
     opts: MachOptions,
     interval: u64,
 ) -> Result<(PinfiProfile, Vec<MachSnapshot>), String> {
+    profile_pinfi_by(prog, opts, |machine| machine.run_with_snapshots(interval))
+}
+
+/// The golden machine run behind both profiling entry points; `run`
+/// drives the counting machine to completion.
+fn profile_pinfi_by<T>(
+    prog: &AsmProgram,
+    opts: MachOptions,
+    run: impl FnOnce(&mut Machine<'_, AsmCountingHook>) -> (RunResult, T),
+) -> Result<(PinfiProfile, T), String> {
     let hook = AsmCountingHook {
         counts: vec![0; prog.insts.len()],
     };
     let mut machine = Machine::new(prog, opts, hook).map_err(|t| t.to_string())?;
-    let (result, snapshots) = machine.run_with_snapshots(interval);
-    if result.status != fiq_mem::RunStatus::Finished {
+    let (result, extra) = run(&mut machine);
+    if !result.finished() {
         return Err(format!(
             "golden asm run did not finish: {:?}",
             result.status
@@ -217,7 +195,7 @@ pub fn profile_pinfi_with_snapshots(
             golden_steps: result.steps,
             counts: hook.counts,
         },
-        snapshots,
+        extra,
     ))
 }
 
@@ -225,12 +203,7 @@ impl PinfiProfile {
     /// Total dynamic executions of the candidate set for `cat`
     /// (the paper's Table IV numbers at the assembly level).
     pub fn category_count(&self, prog: &AsmProgram, cat: Category) -> u64 {
-        let bits = pinfi_candidates(prog, cat);
-        bits.iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| self.counts[i])
-            .sum()
+        self.cumulative(prog, cat).last().map_or(0, |&(_, c)| c)
     }
 
     /// Builds the cumulative distribution for sampling a dynamic instance
@@ -253,11 +226,13 @@ impl PinfiProfile {
 /// detection: the profiling checkpoints (with their state digests) and
 /// the golden step count.
 ///
-/// Passed to `run_llfi_detailed_from` / `run_pinfi_detailed_from` to
-/// enable early exit: whenever the faulty run's step counter crosses a
-/// checkpoint's step count with the fault settled, its state is compared
-/// against the checkpoint, and an exact match proves the remaining
-/// execution identical to golden — so the run can stop right there with
+/// Passed to [`run_llfi_observed`](crate::run_llfi_observed) /
+/// [`run_pinfi_observed`](crate::run_pinfi_observed), whose shared
+/// driver uses it for divergence observation and early exit: whenever
+/// the faulty run's step counter crosses a checkpoint's step count with
+/// the fault settled, its state is compared against the checkpoint, and
+/// an exact match proves the remaining execution identical to golden — so
+/// the run can stop right there with
 /// `steps = faulty_steps + (golden_steps − checkpoint_steps)`.
 pub struct GoldenRef<'a, S> {
     /// Profiling snapshots, ordered by capture step.

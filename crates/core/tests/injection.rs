@@ -282,7 +282,7 @@ fn not_activated_runs_match_golden() {
     for _ in 0..40 {
         let inj = plan_llfi(&m, &lp, Category::All, &mut rng).unwrap();
         let out = run_llfi(&m, InterpOptions::default(), inj, &lp.golden_output).unwrap();
-        if out == Outcome::NotActivated {
+        if out.outcome == Outcome::NotActivated {
             saw_not_activated = true;
         }
     }
@@ -337,7 +337,7 @@ fn targeted_injection_can_cause_hang() {
         ..InterpOptions::default()
     };
     let out = fiq_core::run_llfi(&m, budget, inj, &lp.golden_output).unwrap();
-    assert_eq!(out, Outcome::Hang);
+    assert_eq!(out.outcome, Outcome::Hang);
 }
 
 #[test]
@@ -401,7 +401,10 @@ fn propagation_tracing_explains_sdcs() {
         // Tracing must agree with the plain injector's classification.
         let plain =
             fiq_core::run_llfi(&m, InterpOptions::default(), inj, &lp.golden_output).unwrap();
-        assert_eq!(rep.outcome, plain, "tracer must not perturb execution");
+        assert_eq!(
+            rep.outcome, plain.outcome,
+            "tracer must not perturb execution"
+        );
         if rep.outcome == Outcome::Sdc {
             assert!(
                 rep.tainted_instructions >= 1,

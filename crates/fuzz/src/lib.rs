@@ -7,8 +7,9 @@
 //! faults. This crate stress-tests that agreement: a seeded generator
 //! produces random well-defined Mini-C programs ([`gen`]), a set of
 //! differential oracles checks each one across every optimization
-//! pipeline, across both substrates, and across checkpoint
-//! restore/replay ([`oracle`]), and a structural reducer shrinks any
+//! pipeline, across both substrates, across checkpoint restore/replay,
+//! and across the accelerations of faulted runs ([`oracle`]), and a
+//! structural reducer shrinks any
 //! failure to a small reproducer ([`reduce`]) fit for `tests/corpus/`.
 //!
 //! Everything is deterministic: the same seed produces byte-identical

@@ -1,7 +1,7 @@
 //! Differential oracles over one generated program.
 //!
 //! Every program is checked at each requested optimization level, and at
-//! each level against four oracles:
+//! each level against five oracles:
 //!
 //! * **opt-agreement** — the interpreted result (exit status + console
 //!   output) is identical across all optimization pipelines, from
@@ -16,7 +16,11 @@
 //!   comparison agrees with exact state equality at every checkpoint
 //!   boundary: exact-equal states must digest-equal, and a replayed
 //!   state paused at checkpoint `j` must *not* digest-match any other
-//!   checkpoint (those states differ at least in their step counts).
+//!   checkpoint (those states differ at least in their step counts),
+//! * **injection** — seeded single-bit faults at both levels classify
+//!   identically (outcome and step count) with and without fast-forward
+//!   and early exit, and record the same divergence timeline with and
+//!   without early exit and fast-forward.
 //!
 //! A panic inside any compiler stage or substrate is converted into a
 //! finding too ([`OracleKind::Panic`]) rather than tearing down the fuzz
@@ -27,8 +31,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fiq_asm::{AsmProgram, MachOptions, Machine, NopAsmHook, RunResult};
 use fiq_backend::LowerOptions;
+use fiq_core::{
+    plan_llfi, plan_pinfi, profile_llfi_with_snapshots, profile_pinfi_with_snapshots,
+    run_llfi_observed, run_pinfi_observed, CampaignConfig, Category, GoldenRef, InjectionRun,
+    PinfiOptions, TaskTel, Timeline,
+};
 use fiq_interp::{run_module, ExecResult, ExecStatus, Interp, InterpOptions, NopHook};
 use fiq_ir::Module;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Which oracle flagged a divergence.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,6 +52,9 @@ pub enum OracleKind {
     SnapshotReplay,
     /// The cheap state digest disagrees with exact state comparison.
     DigestIntegrity,
+    /// A faulted run classifies differently with fast-forward or early
+    /// exit, or its divergence timeline depends on them.
+    Injection,
     /// A compiler stage or substrate panicked on a valid program.
     Panic,
 }
@@ -53,6 +67,7 @@ impl OracleKind {
             OracleKind::CrossLevel => "cross-level",
             OracleKind::SnapshotReplay => "snapshot-replay",
             OracleKind::DigestIntegrity => "digest-integrity",
+            OracleKind::Injection => "injection",
             OracleKind::Panic => "panic",
         }
     }
@@ -69,6 +84,8 @@ pub struct OracleSet {
     pub snapshot_replay: bool,
     /// Run the digest-integrity oracle (piggybacks on replay pauses).
     pub digest_integrity: bool,
+    /// Run the injection oracle.
+    pub injection: bool,
 }
 
 impl Default for OracleSet {
@@ -78,6 +95,7 @@ impl Default for OracleSet {
             cross_level: true,
             snapshot_replay: true,
             digest_integrity: true,
+            injection: true,
         }
     }
 }
@@ -90,6 +108,7 @@ impl OracleSet {
             cross_level: false,
             snapshot_replay: false,
             digest_integrity: false,
+            injection: false,
         };
         match name {
             "opt-agreement" => s.opt_agreement = true,
@@ -98,6 +117,7 @@ impl OracleSet {
             // selecting either runs the replay machinery.
             "snapshot-replay" => s.snapshot_replay = true,
             "digest-integrity" => s.digest_integrity = true,
+            "injection" => s.injection = true,
             _ => return None,
         }
         Some(s)
@@ -298,8 +318,10 @@ fn check_inner(
             }
         }
 
-        let needs_machine =
-            oracles.cross_level || oracles.snapshot_replay || oracles.digest_integrity;
+        let needs_machine = oracles.cross_level
+            || oracles.snapshot_replay
+            || oracles.digest_integrity
+            || oracles.injection;
         let prog = if needs_machine {
             Some(
                 fiq_backend::lower_module(&module, LowerOptions::default()).map_err(|e| {
@@ -350,6 +372,11 @@ fn check_inner(
             if let Some(prog) = prog.as_ref() {
                 machine_snapshot_oracle(prog, level, oracles, max_steps)?;
             }
+        }
+
+        if oracles.injection {
+            let prog = prog.as_ref().expect("lowered");
+            injection_oracle(&module, prog, level, max_steps, ir_run.steps)?;
         }
     }
     Ok(())
@@ -633,6 +660,132 @@ fn machine_snapshot_oracle(
                 ),
             ));
         }
+    }
+    Ok(())
+}
+
+/// Faults the injection oracle draws per level, program and
+/// optimization level.
+const INJECTIONS_PER_LEVEL: usize = 3;
+
+/// Checks seeded faults at both levels against every way the campaign
+/// engine can run them. The RNG is seeded by the optimization level, so
+/// the triples are a pure function of the program.
+fn injection_oracle(
+    module: &Module,
+    prog: &AsmProgram,
+    level: u8,
+    max_steps: u64,
+    ir_steps: u64,
+) -> Result<(), CheckFailure> {
+    let fail = |detail: String| diverge(OracleKind::Injection, level, detail);
+    let interval = (ir_steps / TARGET_CHECKPOINTS).max(1);
+    let mut rng = StdRng::seed_from_u64(u64::from(level));
+
+    let (lp, snaps) = profile_llfi_with_snapshots(module, interp_opts(max_steps), interval)
+        .map_err(|e| fail(format!("llfi profile: {e}")))?;
+    let budget = CampaignConfig::default().hang_budget(lp.golden_steps);
+    let golden = GoldenRef {
+        snapshots: &snaps,
+        golden_steps: lp.golden_steps,
+    };
+    for _ in 0..INJECTIONS_PER_LEVEL {
+        let Some(inj) = plan_llfi(module, &lp, Category::All, &mut rng) else {
+            break;
+        };
+        let restore = snaps
+            .iter()
+            .rev()
+            .find(|s| s.site_count(inj.site) < inj.instance && s.steps() <= budget);
+        check_fault(restore, |snap, compare, early_exit, timeline| {
+            run_llfi_observed(
+                module,
+                interp_opts(budget),
+                inj,
+                &lp.golden_output,
+                snap,
+                compare.then_some(golden),
+                early_exit,
+                timeline,
+                None,
+                TaskTel::off(),
+            )
+        })
+        .map_err(|e| fail(format!("llfi {inj:?}: {e}")))?;
+    }
+
+    let (pp, snaps) = profile_pinfi_with_snapshots(prog, mach_opts(max_steps), interval)
+        .map_err(|e| fail(format!("pinfi profile: {e}")))?;
+    let budget = CampaignConfig::default().hang_budget(pp.golden_steps);
+    let golden = GoldenRef {
+        snapshots: &snaps,
+        golden_steps: pp.golden_steps,
+    };
+    for _ in 0..INJECTIONS_PER_LEVEL {
+        let Some(inj) = plan_pinfi(prog, &pp, Category::All, PinfiOptions::default(), &mut rng)
+        else {
+            break;
+        };
+        let restore = snaps
+            .iter()
+            .rev()
+            .find(|s| s.site_count(inj.idx) < inj.instance && s.steps() <= budget);
+        check_fault(restore, |snap, compare, early_exit, timeline| {
+            run_pinfi_observed(
+                prog,
+                mach_opts(budget),
+                inj,
+                &pp.golden_output,
+                snap,
+                compare.then_some(golden),
+                early_exit,
+                timeline,
+                None,
+                TaskTel::off(),
+            )
+        })
+        .map_err(|e| fail(format!("pinfi {inj:?}: {e}")))?;
+    }
+    Ok(())
+}
+
+/// Runs one planned fault with and without the fast-forward `restore`
+/// point and the golden checkpoints (`run(snapshot, compare, early_exit,
+/// timeline)`), and describes the first disagreement with the plain run.
+fn check_fault<S>(
+    restore: Option<&S>,
+    run: impl Fn(Option<&S>, bool, bool, Option<&mut Timeline>) -> Result<InjectionRun, String>,
+) -> Result<(), String> {
+    let key = |r: InjectionRun| (r.outcome, r.steps);
+    let plain = key(run(None, false, true, None)?);
+    for (snap, early_exit) in [(restore, false), (None, true), (restore, true)] {
+        let got = key(run(snap, early_exit, early_exit, None)?);
+        if got != plain {
+            return Err(format!(
+                "fast-forward {} early-exit {early_exit}: {got:?}, plain run: {plain:?}",
+                snap.is_some()
+            ));
+        }
+    }
+    // Timelines: without early exit (the reference), with it, and with
+    // it after a fast-forward restore.
+    let mut timelines = Vec::new();
+    for (snap, early_exit) in [(None, false), (None, true), (restore, true)] {
+        let mut tl = Timeline::new();
+        let got = key(run(snap, true, early_exit, Some(&mut tl))?);
+        if got != plain {
+            return Err(format!(
+                "observed, fast-forward {} early-exit {early_exit}: {got:?}, plain run: {plain:?}",
+                snap.is_some()
+            ));
+        }
+        timelines.push(tl);
+    }
+    if let Some(i) = (1..timelines.len()).find(|&i| timelines[i] != timelines[0]) {
+        return Err(format!(
+            "timeline variant {i} differs from the run without early exit: {:?} vs {:?}",
+            timelines[i].entries, timelines[0].entries
+        ));
     }
     Ok(())
 }

@@ -51,23 +51,8 @@ impl Default for InterpOptions {
 /// classification is identical at both levels).
 pub use fiq_mem::RunStatus as ExecStatus;
 
-/// The result of running a program.
-#[derive(Debug, Clone)]
-pub struct ExecResult {
-    /// Why execution stopped.
-    pub status: ExecStatus,
-    /// Dynamic instructions executed.
-    pub steps: u64,
-    /// Program output.
-    pub output: String,
-}
-
-impl ExecResult {
-    /// True if the program ran to completion.
-    pub fn finished(&self) -> bool {
-        self.status == ExecStatus::Finished
-    }
-}
+/// The result of running a program (shared with the assembly level).
+pub use fiq_mem::RunResult as ExecResult;
 
 pub(crate) enum Stop {
     Trap(Trap),

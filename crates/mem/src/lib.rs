@@ -35,4 +35,4 @@ pub use memory::{
     SNAPSHOT_PAGE,
 };
 pub use quiescence::Quiescence;
-pub use trap::{RunStatus, Trap};
+pub use trap::{RunResult, RunStatus, Trap};

@@ -114,6 +114,26 @@ impl RunStatus {
     }
 }
 
+/// The result of running a program at either level: why it stopped, how
+/// many dynamic instructions it executed (IR) or retired (asm), and its
+/// console output.
+#[derive(Debug, Clone)]
+pub struct RunResult {
+    /// Why execution stopped.
+    pub status: RunStatus,
+    /// Dynamic instructions executed.
+    pub steps: u64,
+    /// Program output.
+    pub output: String,
+}
+
+impl RunResult {
+    /// True if the program ran to completion.
+    pub fn finished(&self) -> bool {
+        self.status.finished()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

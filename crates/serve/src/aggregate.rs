@@ -9,9 +9,11 @@
 //! data transformation: write the campaign-wide header (the shard
 //! headers minus their `shard`/`shards`/`task_lo`/`task_hi` fields),
 //! then append every shard's body verbatim, in shard order. Each shard
-//! header is validated first — it must be exactly the header the plan
-//! would write for that shard — so a stale or foreign spool is a merge
-//! error, not silent corruption. The result is byte-identical to the
+//! spool is validated first — its header must be exactly the header the
+//! plan would write for that shard, and its body must hold exactly one
+//! line per task of the shard's range — so a stale, foreign, torn or
+//! overlong spool is a merge error, not a merged stream that silently
+//! misses or repeats tasks. The result is byte-identical to the
 //! single-process stream at any shard count.
 //!
 //! ## Telemetry: monoid merge
@@ -29,7 +31,7 @@
 
 use crate::prepare::Prepared;
 use fiq_core::json::{Fields, Json};
-use fiq_core::CampaignPlan;
+use fiq_core::{CampaignPlan, ShardSpec};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -54,30 +56,48 @@ fn read_all_lines(path: &Path) -> Result<Vec<String>, String> {
 }
 
 /// Concatenates shard spools under the campaign-wide header, validating
-/// each shard header against `expected_headers[shard]`.
+/// each shard header against `expected_headers[shard]` and each shard
+/// body against the one-line-per-task length of `shards[shard]`.
 fn merge_concat(
     out_path: &Path,
     base_header: &str,
     dir: &Path,
     stream: &str,
     expected_headers: &[String],
+    shards: &[ShardSpec],
 ) -> Result<(), String> {
     let out = File::create(out_path).map_err(|e| format!("create {}: {e}", out_path.display()))?;
     let mut w = BufWriter::new(out);
     let werr = |e: std::io::Error| format!("write {}: {e}", out_path.display());
     writeln!(w, "{base_header}").map_err(werr)?;
-    for (shard, expected) in expected_headers.iter().enumerate() {
-        let path = shard_path(dir, stream, shard);
-        let lines = read_all_lines(&path)?;
-        let found = lines.first().map(String::as_str).unwrap_or("");
-        if found != expected {
+    for (expected, spec) in expected_headers.iter().zip(shards) {
+        let path = shard_path(dir, stream, spec.index);
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let mut lines = text.lines();
+        if lines.next() != Some(expected.as_str()) {
             return Err(format!(
                 "{}: shard header does not match the campaign plan \
                  (stale spool from another campaign?)",
                 path.display()
             ));
         }
-        for line in &lines[1..] {
+        // One complete line per task of the shard's range: a torn tail
+        // (no final newline) or a missing or extra line would otherwise
+        // drop or repeat tasks in the merged stream.
+        let body: Vec<&str> = lines.collect();
+        let want = spec.hi - spec.lo;
+        if body.len() != want || !text.ends_with('\n') {
+            return Err(format!(
+                "{}: shard body must hold exactly {want} complete lines for tasks {}..{}, \
+                 found {} (torn or overlong spool)",
+                path.display(),
+                spec.lo,
+                spec.hi,
+                body.len()
+            ));
+        }
+        for line in body {
             writeln!(w, "{line}").map_err(werr)?;
         }
     }
@@ -324,6 +344,7 @@ pub fn merge_campaign(prepared: &Prepared, plan: &CampaignPlan, dir: &Path) -> R
         dir,
         "records",
         &rec_headers,
+        &shards,
     )?;
 
     if prepared.divergence {
@@ -337,6 +358,7 @@ pub fn merge_campaign(prepared: &Prepared, plan: &CampaignPlan, dir: &Path) -> R
             dir,
             "divergence",
             &div_headers,
+            &shards,
         )?;
     }
 

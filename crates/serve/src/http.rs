@@ -35,8 +35,15 @@ fn read_head(reader: &mut BufReader<&mut TcpStream>) -> Result<(String, u64), St
         let mut line = String::new();
         head.read_line(&mut line)
             .map_err(|e| format!("read {what}: {e}"))?;
-        if head.limit() == 0 && !line.ends_with('\n') {
-            return Err(format!("HTTP head exceeds {MAX_HEAD} bytes"));
+        if !line.ends_with('\n') {
+            // A head line cut short by the cap or by the peer closing:
+            // without this an early EOF would read as the blank line
+            // ending the head.
+            return Err(if head.limit() == 0 {
+                format!("HTTP head exceeds {MAX_HEAD} bytes")
+            } else {
+                format!("connection closed inside the HTTP {what}")
+            });
         }
         Ok(line)
     };
@@ -161,6 +168,7 @@ pub fn expect_ok(resp: (u16, Json)) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::net::TcpListener;
 
     /// Sends `raw` to a fresh connection and returns what `read_request`
@@ -178,6 +186,84 @@ mod tests {
         drop(stream);
         client.join().unwrap();
         got
+    }
+
+    fn submit_request() -> Vec<u8> {
+        let body = r#"{"name":"k","source":"int main() { return 0; }","injections":3}"#;
+        format!(
+            "POST /api/submit HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn a_valid_submit_request_parses() {
+        let req = serve_one(submit_request()).expect("valid request");
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/api/submit")
+        );
+        assert!(req.body.is_some_and(|b| b.get("injections").is_some()));
+    }
+
+    #[test]
+    fn hostile_requests_are_refused() {
+        let head =
+            |length: &str| format!("POST /api/submit HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "body shorter than Content-Length",
+                format!("{}{{}}", head("10")).into_bytes(),
+            ),
+            (
+                "non-UTF-8 body",
+                [head("2").as_bytes(), b"\xff\xfe"].concat(),
+            ),
+            ("non-numeric Content-Length", head("ten").into_bytes()),
+            ("negative Content-Length", head("-1").into_bytes()),
+            (
+                "Content-Length above MAX_BODY",
+                head(&(MAX_BODY + 1).to_string()).into_bytes(),
+            ),
+            ("empty request line", b"\r\n\r\n".to_vec()),
+            ("no request at all", Vec::new()),
+            (
+                "EOF before the blank line",
+                b"POST /api/submit HTTP/1.1\r\nHost: x\r\n".to_vec(),
+            ),
+            (
+                "EOF inside a header line",
+                b"POST /api/submit HTTP/1.1\r\nHost: x\r".to_vec(),
+            ),
+        ];
+        for (what, raw) in cases {
+            assert!(serve_one(raw).is_err(), "{what} must be refused");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every strict prefix of a valid submit request is refused; a
+        /// bit-flipped prefix may parse or be refused, but never panics.
+        #[test]
+        fn truncated_and_bit_flipped_requests_never_panic(
+            cut in any::<u64>(),
+            flips in prop::collection::vec((any::<u64>(), 0u32..8), 1..4),
+        ) {
+            let full = submit_request();
+            let mut raw = full[..(cut % full.len() as u64) as usize].to_vec();
+            prop_assert!(serve_one(raw.clone()).is_err(), "a {}-byte prefix parsed", raw.len());
+            if !raw.is_empty() {
+                for (pos, bit) in flips {
+                    let i = (pos % raw.len() as u64) as usize;
+                    raw[i] ^= 1 << bit;
+                }
+            }
+            let _ = serve_one(raw);
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn main() -> Result<(), String> {
     // 4. One random single-bit flip with each injector.
     let mut rng = StdRng::seed_from_u64(2014);
     let linj = plan_llfi(&module, &lp, Category::All, &mut rng).expect("candidates exist");
-    let lout = run_llfi(&module, InterpOptions::default(), linj, &lp.golden_output)?;
+    let lout = run_llfi(&module, InterpOptions::default(), linj, &lp.golden_output)?.outcome;
     println!(
         "LLFI : flipped bit {:2} of {}/{} (dynamic instance {:>6}) -> {}",
         linj.bit, linj.site.func, linj.site.inst, linj.instance, lout
@@ -68,7 +68,7 @@ fn main() -> Result<(), String> {
         &mut rng,
     )
     .expect("candidates exist");
-    let pout = run_pinfi(&program, MachOptions::default(), pinj, &pp.golden_output)?;
+    let pout = run_pinfi(&program, MachOptions::default(), pinj, &pp.golden_output)?.outcome;
     println!(
         "PINFI: flipped bit {:2} of {:?} after inst {:>4} (instance {:>6}) -> {}",
         pinj.bit, pinj.dest, pinj.idx, pinj.instance, pout

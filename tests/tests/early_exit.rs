@@ -12,9 +12,9 @@ use fiq_asm::{MachOptions, RegId};
 use fiq_backend::LowerOptions;
 use fiq_core::{
     injection_dest, profile_llfi, profile_llfi_with_snapshots, profile_pinfi,
-    profile_pinfi_with_snapshots, run_campaign, run_llfi_detailed_from, run_pinfi_detailed_from,
-    CampaignConfig, Category, CellSpec, EngineOptions, GoldenRef, LlfiInjection, Outcome,
-    PinfiInjection, SnapshotCache, Substrate,
+    profile_pinfi_with_snapshots, run_campaign, run_llfi, run_llfi_observed, run_pinfi,
+    run_pinfi_observed, CampaignConfig, Category, CellSpec, EngineOptions, GoldenRef, InjectionRun,
+    LlfiInjection, Outcome, PinfiInjection, SnapshotCache, Substrate, TaskTel,
 };
 use fiq_interp::InterpOptions;
 use std::path::PathBuf;
@@ -67,6 +67,53 @@ fn instance_pairs<T: Copy>(cum: &[(T, u64)]) -> Vec<(usize, Vec<u64>)> {
     out
 }
 
+/// One LLFI injection with early exit against `golden` (no fast-forward,
+/// timeline or telemetry).
+fn llfi_early_exit(
+    m: &fiq_ir::Module,
+    opts: InterpOptions,
+    inj: LlfiInjection,
+    golden_output: &str,
+    golden: GoldenRef<'_, fiq_interp::InterpSnapshot>,
+) -> Result<InjectionRun, String> {
+    let off = TaskTel::off();
+    run_llfi_observed(
+        m,
+        opts,
+        inj,
+        golden_output,
+        None,
+        Some(golden),
+        true,
+        None,
+        None,
+        off,
+    )
+}
+
+/// [`llfi_early_exit`] at the PINFI level.
+fn pinfi_early_exit(
+    p: &fiq_asm::AsmProgram,
+    opts: MachOptions,
+    inj: PinfiInjection,
+    golden_output: &str,
+    golden: GoldenRef<'_, fiq_asm::MachSnapshot>,
+) -> Result<InjectionRun, String> {
+    let off = TaskTel::off();
+    run_pinfi_observed(
+        p,
+        opts,
+        inj,
+        golden_output,
+        None,
+        Some(golden),
+        true,
+        None,
+        None,
+        off,
+    )
+}
+
 /// Checks one LLFI injection both ways and returns the shared
 /// (outcome, early_exit-with-golden) pair.
 fn check_llfi(
@@ -76,8 +123,8 @@ fn check_llfi(
     golden_output: &str,
     golden: GoldenRef<'_, fiq_interp::InterpSnapshot>,
 ) -> (Outcome, bool) {
-    let base = run_llfi_detailed_from(m, opts, inj, golden_output, None, None).unwrap();
-    let fast = run_llfi_detailed_from(m, opts, inj, golden_output, None, Some(golden)).unwrap();
+    let base = run_llfi(m, opts, inj, golden_output).unwrap();
+    let fast = llfi_early_exit(m, opts, inj, golden_output, golden).unwrap();
     assert_eq!(fast.outcome, base.outcome, "{inj:?}: outcome must match");
     assert_eq!(fast.steps, base.steps, "{inj:?}: steps must match");
     assert!(!base.early_exit, "no golden ref ⇒ no early exit");
@@ -175,8 +222,8 @@ fn llfi_sweep_is_equivalent_under_tight_budgets() {
                 instance: 1,
                 bit: 3,
             };
-            let base = run_llfi_detailed_from(&m, opts, inj, &lp.golden_output, None, None);
-            let fast = run_llfi_detailed_from(&m, opts, inj, &lp.golden_output, None, Some(golden));
+            let base = run_llfi(&m, opts, inj, &lp.golden_output);
+            let fast = llfi_early_exit(&m, opts, inj, &lp.golden_output, golden);
             match (base, fast) {
                 (Ok(b), Ok(f)) => {
                     assert_eq!(f.outcome, b.outcome, "{inj:?} at budget {max_steps}");
@@ -218,18 +265,8 @@ fn pinfi_sweep_is_equivalent_and_sound() {
                         dest,
                         bit,
                     };
-                    let base =
-                        run_pinfi_detailed_from(&p, opts, inj, &pp.golden_output, None, None)
-                            .unwrap();
-                    let fast = run_pinfi_detailed_from(
-                        &p,
-                        opts,
-                        inj,
-                        &pp.golden_output,
-                        None,
-                        Some(golden),
-                    )
-                    .unwrap();
+                    let base = run_pinfi(&p, opts, inj, &pp.golden_output).unwrap();
+                    let fast = pinfi_early_exit(&p, opts, inj, &pp.golden_output, golden).unwrap();
                     assert_eq!(fast.outcome, base.outcome, "{inj:?}");
                     assert_eq!(fast.steps, base.steps, "{inj:?}");
                     assert!(!base.early_exit);

@@ -230,7 +230,11 @@ fn engine_matches_sequential_reference_at_every_thread_count() {
                     for _ in 0..cfg.injections {
                         let inj = plan_llfi(module, profile, cell.category, &mut rng).unwrap();
                         planned += 1;
-                        counts.record(run_llfi(module, opts, inj, &profile.golden_output).unwrap());
+                        counts.record(
+                            run_llfi(module, opts, inj, &profile.golden_output)
+                                .unwrap()
+                                .outcome,
+                        );
                     }
                     CellReport {
                         counts,
@@ -250,7 +254,11 @@ fn engine_matches_sequential_reference_at_every_thread_count() {
                         let inj =
                             plan_pinfi(prog, profile, cell.category, cfg.pinfi, &mut rng).unwrap();
                         planned += 1;
-                        counts.record(run_pinfi(prog, opts, inj, &profile.golden_output).unwrap());
+                        counts.record(
+                            run_pinfi(prog, opts, inj, &profile.golden_output)
+                                .unwrap()
+                                .outcome,
+                        );
                     }
                     CellReport {
                         counts,

@@ -10,8 +10,8 @@
 
 use fiq_core::json::Json;
 use fiq_core::{
-    plan_campaign, run_campaign, run_campaign_shard, CampaignReport, EngineOptions, Progress,
-    CANCELLED,
+    plan_campaign, run_campaign, run_campaign_shard, CampaignPlan, CampaignReport, EngineOptions,
+    Progress, CANCELLED,
 };
 use fiq_serve::{aggregate, client, http, prepare, Daemon, Scheduler, ServeOptions, Submission};
 use std::path::{Path, PathBuf};
@@ -340,6 +340,54 @@ fn killed_shard_recovers_to_an_identical_merge() {
         report_json(&records, &divergence),
         report_json(&reference.records, &reference.divergence)
     );
+}
+
+/// Runs the suite's campaign as two shards into fresh spools under
+/// `dir` and returns what the merge needs.
+fn two_shard_spools(dir: &Path) -> (prepare::Prepared, CampaignPlan) {
+    let mut prepared = prepare(&submission()).unwrap();
+    prepared.shards = 2;
+    let plan = {
+        let cells = prepared.cells();
+        plan_campaign(&cells, &prepared.cfg, prepared.collapse).unwrap()
+    };
+    for spec in plan.shards(2) {
+        let streams = Streams::shard(dir, spec.index);
+        let cells = prepared.cells();
+        let opts = streams.opts(&prepared, false);
+        run_campaign_shard(&cells, &prepared.cfg, &opts, &plan, spec).unwrap();
+    }
+    (prepared, plan)
+}
+
+/// A shard spool cut short — mid-line or at a line boundary — must not
+/// merge: the merged stream would silently miss a task.
+#[test]
+fn merge_rejects_a_truncated_shard_spool() {
+    let dir = temp_dir("merge-truncated");
+    let (prepared, plan) = two_shard_spools(&dir);
+    let spool = aggregate::shard_path(&dir, "records", 0);
+    let full = read(&spool);
+    let last_line = full.trim_end().rfind('\n').unwrap() + 1;
+    for cut in [full.len() - 10, last_line] {
+        std::fs::write(&spool, &full[..cut]).unwrap();
+        let err = aggregate::merge_campaign(&prepared, &plan, &dir).unwrap_err();
+        assert!(err.contains("shard-0.records"), "cut at {cut}: {err}");
+    }
+}
+
+/// A shard spool with a line beyond its task range must not merge: the
+/// merged stream would repeat a task.
+#[test]
+fn merge_rejects_a_shard_spool_with_an_appended_line() {
+    let dir = temp_dir("merge-appended");
+    let (prepared, plan) = two_shard_spools(&dir);
+    let spool = aggregate::shard_path(&dir, "divergence", 1);
+    let full = read(&spool);
+    let last = full.lines().last().unwrap();
+    std::fs::write(&spool, format!("{full}{last}\n")).unwrap();
+    let err = aggregate::merge_campaign(&prepared, &plan, &dir).unwrap_err();
+    assert!(err.contains("shard-1.divergence"), "{err}");
 }
 
 /// Satellite regression: a run killed between flushes leaves the three
