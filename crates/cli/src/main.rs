@@ -11,10 +11,7 @@
 //! fiq campaign <prog> --category <cat> [--injections N] [--seed S] [--threads N]
 //!              [--records FILE] [--resume] [--progress]
 //!              [--telemetry FILE] [--divergence FILE]
-//!              [--fast-forward] [--snapshot-interval K]
-//!              [--early-exit | --no-early-exit]
-//!              [--no-flag-pruning] [--no-xmm-pruning]
-//!              [--collapse sampled|exact]
+//!              [--fast-forward] [--collapse sampled|exact]
 //! fiq collapse-check <prog> [--category <cat>] [--json FILE]
 //! fiq report <records.jsonl> [--telemetry FILE] [--divergence FILE] [--json]
 //! fiq fuzz [--seed S] [--count N] [--opt-level 0..3] [--oracle NAME]
@@ -28,7 +25,10 @@
 //! fiq report --follow --campaign ID [--addr A] [--interval MS]
 //! ```
 //!
-//! `campaign` runs both tools on the shared work-stealing engine.
+//! `campaign` runs both tools on the shared work-stealing engine. Its
+//! flags build the same campaign spec (`fiq_serve::Submission`) that
+//! `submit` sends, prepared by the same `fiq_serve::prepare`, so every
+//! campaign it runs the daemon runs too, with the same output.
 //! `--records FILE` streams one JSONL record per injection; `--resume`
 //! continues a killed campaign from that file; `--progress` reports
 //! completion, throughput, an ETA, and live fast-forward/early-exit
@@ -51,16 +51,12 @@
 //! select the dynamic instance and destination bit, and `--json` emits
 //! the propagation report as one JSON object.
 //! `--fast-forward` captures
-//! checkpoints during the profiling run and restores the one nearest
-//! each injection point instead of replaying the golden prefix (output
-//! is bit-identical either way); `--snapshot-interval K` sets the
-//! checkpoint spacing in dynamic instructions (default: golden ÷ 64,
-//! implies `--fast-forward`). `--early-exit` stops a faulty run at the
-//! first checkpoint whose state it has provably converged to (on by
-//! default whenever checkpoints exist; `--no-early-exit` disables it;
-//! output is bit-identical either way). `--no-flag-pruning`/
-//! `--no-xmm-pruning` disable PINFI's activation heuristics.
-//! `--collapse exact` switches the cell from
+//! checkpoints (64, evenly spaced) during the profiling run and restores
+//! the one nearest each injection point instead of replaying the golden
+//! prefix. Whenever checkpoints exist (`--fast-forward` or
+//! `--divergence`), a faulty run also stops early at the first
+//! checkpoint whose state it has provably converged to. Output is
+//! bit-identical either way. `--collapse exact` switches the cell from
 //! sampling to exhaustive coverage: the fault space is partitioned into
 //! equivalence classes up front, one representative per class runs, and
 //! outcomes are weighted by class size — the resulting distribution is
@@ -96,10 +92,9 @@ use fiq_asm::MachOptions;
 use fiq_backend::LowerOptions;
 use fiq_core::json::Json;
 use fiq_core::{
-    cross_check_llfi, cross_check_pinfi, plan_llfi, plan_pinfi, profile_llfi,
-    profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots, run_llfi, run_pinfi,
-    CampaignConfig, Category, CellSpec, Collapse, CollapseCheck, EngineOptions, PinfiOptions,
-    Progress, SnapshotCache, Substrate,
+    cross_check_llfi, cross_check_pinfi, plan_llfi, plan_pinfi, profile_llfi, profile_pinfi,
+    run_llfi, run_pinfi, CampaignConfig, Category, Collapse, CollapseCheck, EngineOptions,
+    PinfiOptions, Progress,
 };
 use fiq_interp::InterpOptions;
 use fiq_ir::Module;
@@ -107,7 +102,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
@@ -165,21 +160,9 @@ fn flag_spec(cmd: &str) -> Option<FlagSpec> {
                 "records",
                 "telemetry",
                 "divergence",
-                "snapshot-interval",
                 "collapse",
             ],
-            boolean: &[
-                "no-opt",
-                "no-fold-gep",
-                "no-callee-saved",
-                "resume",
-                "progress",
-                "fast-forward",
-                "early-exit",
-                "no-early-exit",
-                "no-flag-pruning",
-                "no-xmm-pruning",
-            ],
+            boolean: &["resume", "progress", "fast-forward"],
         },
         "collapse-check" => FlagSpec {
             value: &["category", "json"],
@@ -324,6 +307,31 @@ impl Args {
     }
 }
 
+/// Flags as campaign-spec knobs: `fast_forward` is `--fast-forward`, and
+/// `--divergence` turns divergence on whether or not it names a file.
+impl fiq_serve::Knobs for Args {
+    fn text(&self, key: &str) -> Result<Option<&str>, String> {
+        Ok(self.flag(key))
+    }
+
+    fn number(&self, key: &str) -> Result<Option<u64>, String> {
+        let Some(s) = self.flag(key) else {
+            return Ok(None);
+        };
+        let bad = || format!("--{key} expects a number, got `{s}`");
+        // Seeds are u64, but a negative literal is a perfectly clear
+        // request — wrap it rather than rejecting `--seed -1`.
+        if key == "seed" && s.starts_with('-') {
+            return s.parse::<i64>().map(|v| Some(v as u64)).map_err(|_| bad());
+        }
+        s.parse().map(Some).map_err(|_| bad())
+    }
+
+    fn switch(&self, key: &str) -> Result<bool, String> {
+        Ok(self.has(&key.replace('_', "-")))
+    }
+}
+
 fn real_main() -> Result<(), String> {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0].starts_with("--") {
@@ -366,15 +374,21 @@ fn real_main() -> Result<(), String> {
     }
 }
 
-fn load_program(args: &Args) -> Result<Module, String> {
+/// The program argument and its Mini-C source: a bundled workload by
+/// name, otherwise a file read on this side.
+fn program_source(args: &Args) -> Result<(&str, String), String> {
     let Some(name) = args.positional.first() else {
         return Err("missing program (file path or workload name)".into());
     };
-    let source = if let Some(w) = fiq_workloads::by_name(name) {
-        w.source.to_string()
-    } else {
-        std::fs::read_to_string(name).map_err(|e| format!("{name}: {e}"))?
+    let source = match fiq_workloads::by_name(name) {
+        Some(w) => w.source.to_string(),
+        None => std::fs::read_to_string(name).map_err(|e| format!("{name}: {e}"))?,
     };
+    Ok((name, source))
+}
+
+fn load_program(args: &Args) -> Result<Module, String> {
+    let (name, source) = program_source(args)?;
     let mut module = fiq_frontend::compile(name, &source).map_err(|e| e.to_string())?;
     if !args.has("no-opt") {
         fiq_opt::optimize_module(&mut module);
@@ -390,29 +404,20 @@ fn lower_options(args: &Args) -> LowerOptions {
 }
 
 fn category(args: &Args) -> Result<Category, String> {
-    match args.flag("category").unwrap_or("all") {
-        "arithmetic" => Ok(Category::Arithmetic),
-        "cast" => Ok(Category::Cast),
-        "cmp" => Ok(Category::Cmp),
-        "load" => Ok(Category::Load),
-        "all" => Ok(Category::All),
-        other => Err(format!("unknown category `{other}`")),
-    }
+    fiq_serve::parse_category(args.flag("category").unwrap_or("all"))
 }
 
 fn seed(args: &Args) -> Result<u64, String> {
-    match args.flag("seed") {
-        None => Ok(42),
-        // Seeds are u64, but a negative literal is a perfectly clear
-        // request — wrap it rather than rejecting `--seed -1`.
-        Some(s) if s.starts_with('-') => s
-            .parse::<i64>()
-            .map(|v| v as u64)
-            .map_err(|_| format!("--seed expects a number, got `{s}`")),
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("--seed expects a number, got `{s}`")),
-    }
+    Ok(fiq_serve::Knobs::number(args, "seed")?.unwrap_or(42))
+}
+
+/// The campaign spec `campaign` and `submit` share: the program resolved
+/// on this side and labelled as given (or by `--name`), knobs from flags,
+/// defaults and limits from [`fiq_serve::Submission::build`].
+fn submission(args: &Args, default_threads: u64) -> Result<fiq_serve::Submission, String> {
+    let (prog, source) = program_source(args)?;
+    let name = args.flag("name").unwrap_or(prog).to_string();
+    fiq_serve::Submission::build(name, source, args, default_threads)
 }
 
 fn cmd_compile(args: &Args) -> Result<(), String> {
@@ -617,88 +622,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    let module = load_program(args)?;
-    let cat = category(args)?;
-    let cfg = CampaignConfig {
-        injections: args.num_flag("injections", 200)?,
-        seed: seed(args)?,
-        threads: args.num_flag("threads", 0)?,
-        pinfi: PinfiOptions {
-            flag_pruning: !args.has("no-flag-pruning"),
-            xmm_pruning: !args.has("no-xmm-pruning"),
-        },
-        ..CampaignConfig::default()
-    };
-    let prog =
-        fiq_backend::lower_module(&module, lower_options(args)).map_err(|e| e.to_string())?;
-    let lp = profile_llfi(&module, InterpOptions::default())?;
-    let pp = profile_pinfi(&prog, MachOptions::default())?;
-
-    // `--snapshot-interval 0` (and the default) means "auto": 64 evenly
-    // spaced checkpoints across the golden run.
-    let interval: u64 = args.num_flag("snapshot-interval", 0)?;
-    if args.has("early-exit") && args.has("no-early-exit") {
-        return Err("--early-exit and --no-early-exit are mutually exclusive".into());
-    }
-    let fast_forward = args.has("fast-forward") || args.flag("snapshot-interval").is_some();
-    let divergence = args.flag("divergence").map(PathBuf::from);
-    // Checkpoints serve both optimizations and the divergence observatory;
-    // early exit defaults to on whenever checkpoints exist, and
-    // `--early-exit` or `--divergence` alone captures them.
-    let want_snapshots = fast_forward
-        || divergence.is_some()
-        || (args.has("early-exit") && !args.has("no-early-exit"));
-    let early_exit = want_snapshots && !args.has("no-early-exit");
-    let (llfi_snaps, pinfi_snaps) = if want_snapshots {
-        let l_iv = if interval > 0 {
-            interval
-        } else {
-            (lp.golden_steps / 64).max(1)
-        };
-        let p_iv = if interval > 0 {
-            interval
-        } else {
-            (pp.golden_steps / 64).max(1)
-        };
-        let (_, ls) = profile_llfi_with_snapshots(&module, InterpOptions::default(), l_iv)?;
-        let (_, ps) = profile_pinfi_with_snapshots(&prog, MachOptions::default(), p_iv)?;
-        (
-            Some(Arc::new(SnapshotCache::Llfi(ls))),
-            Some(Arc::new(SnapshotCache::Pinfi(ps))),
-        )
-    } else {
-        (None, None)
-    };
-    let label = args.positional.first().cloned().unwrap_or_default();
-    let cells = [
-        CellSpec {
-            label: label.clone(),
-            category: cat,
-            substrate: Substrate::Llfi {
-                module: &module,
-                profile: &lp,
-            },
-            snapshots: llfi_snaps,
-        },
-        CellSpec {
-            label,
-            category: cat,
-            substrate: Substrate::Pinfi {
-                prog: &prog,
-                profile: &pp,
-            },
-            snapshots: pinfi_snaps,
-        },
-    ];
-
-    let collapse = match args.flag("collapse") {
-        None => Collapse::default(),
-        Some(s) => {
-            Collapse::parse(s).ok_or_else(|| format!("unknown --collapse `{s}` (sampled|exact)"))?
-        }
-    };
+    let prepared = fiq_serve::prepare(&submission(args, 0)?)?;
     let records = args.flag("records").map(PathBuf::from);
     let telemetry = args.flag("telemetry").map(PathBuf::from);
+    let divergence = args.flag("divergence").map(PathBuf::from);
     let started = Instant::now();
     // (last redraw instant, completed count at that redraw). The engine
     // guarantees one final callback after the pool drains, so the last
@@ -724,17 +651,17 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         telemetry: telemetry.as_deref(),
         divergence: divergence.as_deref(),
         resume: args.has("resume"),
-        fast_forward,
-        early_exit,
+        fast_forward: prepared.fast_forward,
+        early_exit: prepared.early_exit,
         progress: if args.has("progress") {
             Some(&progress_cb)
         } else {
             None
         },
-        collapse,
+        collapse: prepared.collapse,
         cancel: None,
     };
-    let run = fiq_core::run_campaign(&cells, &cfg, &opts)?;
+    let run = fiq_core::run_campaign(&prepared.cells(), &prepared.cfg, &opts)?;
     if run.resumed_tasks > 0 {
         eprintln!(
             "campaign: resumed {} of {} injections from {}",
@@ -781,7 +708,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
             c.not_activated
         );
     }
-    if collapse == Collapse::Exact {
+    if prepared.collapse == Collapse::Exact {
         for (name, rep) in [("llfi", run.cells[0]), ("pinfi", run.cells[1])] {
             println!(
                 "{name}: exact — {} fault-space points covered by {} representatives",
@@ -1007,9 +934,6 @@ fn progress_line(p: Progress, secs: f64) -> String {
     )
 }
 
-/// `fiq report <records.jsonl> [--telemetry FILE] [--divergence FILE]
-/// [--json]` — join a campaign record stream with its telemetry and
-/// divergence streams and summarize.
 /// Default daemon address shared by `serve`, `submit`, `status`, and
 /// `report --follow`.
 const DEFAULT_ADDR: &str = "127.0.0.1:4816";
@@ -1034,36 +958,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// [--collapse sampled|exact] [--divergence] [--fast-forward]
 /// [--name LABEL]` — submit a campaign to a running daemon.
 fn cmd_submit(args: &Args) -> Result<(), String> {
-    let Some(prog) = args.positional.first() else {
-        return Err("missing program (file path or workload name)".into());
-    };
-    // Resolve the program on the client side: workloads by name, files
-    // inlined as source text (the daemon never reads client paths). The
-    // name defaults to the argument as given — the same label `fiq
-    // campaign` uses — so daemon-merged streams stay byte-identical to
-    // a single-process reference run.
-    let source = match fiq_workloads::by_name(prog) {
-        Some(w) => w.source.to_string(),
-        None => std::fs::read_to_string(prog).map_err(|e| format!("{prog}: {e}"))?,
-    };
-    let name = prog.clone();
-    let sub = fiq_serve::Submission {
-        name: args.flag("name").map(str::to_string).unwrap_or(name),
-        source,
-        category: category(args)?,
-        injections: args.num_flag("injections", 200)?,
-        seed: seed(args)?,
-        threads: args.num_flag("threads", 1)?,
-        shards: args.num_flag("shards", 1)?,
-        priority: args.num_flag("priority", 0)?,
-        collapse: match args.flag("collapse") {
-            None => Collapse::default(),
-            Some(s) => Collapse::parse(s)
-                .ok_or_else(|| format!("unknown --collapse `{s}` (sampled|exact)"))?,
-        },
-        divergence: args.has("divergence"),
-        fast_forward: args.has("fast-forward"),
-    };
+    // The program is resolved on the client side (the daemon never
+    // reads client paths) and named as `fiq campaign` labels it, so
+    // daemon-merged streams stay byte-identical to a single-process run.
+    let sub = submission(args, 1)?;
     let resp = fiq_serve::client::submit(&addr(args), &sub)?;
     let g = |k: &str| resp.get(k).and_then(Json::as_u64).unwrap_or(0);
     println!(
@@ -1203,6 +1101,9 @@ fn cmd_report_follow(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `fiq report <records.jsonl> [--telemetry FILE] [--divergence FILE]
+/// [--json]` — join a campaign record stream with its telemetry and
+/// divergence streams and summarize.
 fn cmd_report(args: &Args) -> Result<(), String> {
     if args.has("follow") {
         return cmd_report_follow(args);

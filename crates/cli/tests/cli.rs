@@ -237,11 +237,132 @@ fn fast_forward_campaign_matches_full_replay() {
     let (ok, fast, err) = fiq(&ff);
     assert!(ok, "{err}");
     assert_eq!(full, fast, "fast-forward must not change campaign output");
-    let mut fixed: Vec<&str> = base.to_vec();
-    fixed.extend(["--snapshot-interval", "1000"]);
-    let (ok, fixed_out, err) = fiq(&fixed);
-    assert!(ok, "{err}");
-    assert_eq!(full, fixed_out, "explicit interval implies fast-forward");
+}
+
+#[test]
+fn campaign_bounds_injections_before_compiling() {
+    let dir = std::env::temp_dir().join(format!("fiq-cli-bounds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A program that does not compile: the bound must fail first.
+    let bad = dir.join("bad.mc");
+    std::fs::write(&bad, "int main( {").unwrap();
+    let limit = fiq_serve::prepare::MAX_INJECTIONS;
+    let over = (limit + 1).to_string();
+    for prog in [bad.to_str().unwrap(), "libquantum"] {
+        let (ok, out, err) = fiq(&["campaign", prog, "--injections", &over]);
+        assert!(!ok, "{prog}: {out}");
+        assert!(
+            err.contains(&format!(
+                "`injections` is {over}, above the limit of {limit}"
+            )),
+            "{prog}: {err}"
+        );
+    }
+    let (ok, _, err) = fiq(&["campaign", "libquantum", "--threads", "1025"]);
+    assert!(!ok);
+    assert!(err.contains("above the limit"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `fiq campaign` and `fiq_serve::prepare` + `run_campaign` from the same
+/// `Submission` write the same record and divergence streams, across
+/// every output-relevant field of the spec.
+#[test]
+fn campaign_matches_prepare_from_the_same_spec() {
+    use fiq_core::{Category, Collapse, EngineOptions};
+    let dir = std::env::temp_dir().join(format!("fiq-cli-spec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let kernel = dir.join("masky.mc");
+    std::fs::write(
+        &kernel,
+        "int main() { int acc = 7; for (int i = 0; i < 6; i += 1) { \
+         acc = (acc * 13 + i) & 255; acc = acc & 252; } print_i64(acc); return 0; }",
+    )
+    .unwrap();
+    let kernel = kernel.to_str().unwrap();
+    let (sampled, exact) = (Collapse::Sampled, Collapse::Exact);
+    // (program, category, seed, injections, fast-forward, divergence,
+    // collapse, threads)
+    let rows = [
+        ("libquantum", Category::Cmp, 3, 12, false, true, sampled, 1),
+        ("libquantum", Category::All, 9, 10, true, true, sampled, 0),
+        ("mcf", Category::Cmp, 4, 8, true, false, sampled, 1),
+        ("mcf", Category::All, 11, 6, false, false, sampled, 0),
+        (kernel, Category::All, 5, 1, true, true, exact, 1),
+        (kernel, Category::All, 5, 1, false, false, exact, 0),
+    ];
+    for (i, &(prog, category, seed, injections, ff, div, collapse, threads)) in
+        rows.iter().enumerate()
+    {
+        let path = |who: &str, kind: &str| dir.join(format!("{i}.{who}.{kind}.jsonl"));
+        let (seed_s, inj_s, thr_s) = (
+            seed.to_string(),
+            injections.to_string(),
+            threads.to_string(),
+        );
+        let (cli_rec, cli_div) = (path("cli", "records"), path("cli", "divergence"));
+        let mut args = vec![
+            "campaign",
+            prog,
+            "--category",
+            category.name(),
+            "--seed",
+            &seed_s,
+            "--injections",
+            &inj_s,
+            "--threads",
+            &thr_s,
+            "--records",
+            cli_rec.to_str().unwrap(),
+        ];
+        if ff {
+            args.push("--fast-forward");
+        }
+        if div {
+            args.extend(["--divergence", cli_div.to_str().unwrap()]);
+        }
+        if collapse == Collapse::Exact {
+            args.extend(["--collapse", "exact"]);
+        }
+        let (ok, _, err) = fiq(&args);
+        assert!(ok, "row {i}: {err}");
+
+        let source = match fiq_workloads::by_name(prog) {
+            Some(w) => w.source.to_string(),
+            None => std::fs::read_to_string(prog).unwrap(),
+        };
+        let sub = fiq_serve::Submission {
+            name: prog.to_string(),
+            source,
+            category,
+            injections,
+            seed,
+            threads,
+            shards: 1,
+            priority: 0,
+            collapse,
+            divergence: div,
+            fast_forward: ff,
+        };
+        let prepared = fiq_serve::prepare(&sub).unwrap();
+        let (lib_rec, lib_div) = (path("lib", "records"), path("lib", "divergence"));
+        let opts = EngineOptions {
+            records: Some(&lib_rec),
+            divergence: div.then_some(lib_div.as_path()),
+            fast_forward: prepared.fast_forward,
+            early_exit: prepared.early_exit,
+            collapse: prepared.collapse,
+            ..EngineOptions::default()
+        };
+        fiq_core::run_campaign(&prepared.cells(), &prepared.cfg, &opts).unwrap();
+
+        let read = |p: &std::path::Path| std::fs::read(p).unwrap();
+        assert_eq!(read(&cli_rec), read(&lib_rec), "row {i}: records");
+        if div {
+            assert_eq!(read(&cli_div), read(&lib_div), "row {i}: divergence");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

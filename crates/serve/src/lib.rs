@@ -47,5 +47,5 @@ pub mod prepare;
 pub mod scheduler;
 
 pub use daemon::{serve, Daemon, ServeOptions};
-pub use prepare::{prepare, Prepared, Submission};
+pub use prepare::{parse_category, prepare, Knobs, Prepared, Submission};
 pub use scheduler::{CampaignStatus, Scheduler, ShardStatus, MAX_ATTEMPTS};

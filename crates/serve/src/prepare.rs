@@ -1,13 +1,14 @@
 //! Submission parsing and campaign preparation.
 //!
-//! A [`Submission`] is the wire form of "run this campaign": inline
-//! Mini-C source (or a bundled workload name the client resolved), the
-//! injection category, and the budget/mode knobs. [`prepare`] turns it
-//! into a [`Prepared`] — *owned* compile/profile/snapshot artifacts the
-//! daemon keeps alive for the campaign's whole lifetime, handing
-//! borrowed [`CellSpec`] views to each shard run. Preparation happens
-//! once per campaign, not once per shard: the plan drawn from these
-//! artifacts is what makes every shard's records byte-compatible.
+//! A [`Submission`] is the one campaign spec, for `fiq campaign` and the
+//! daemon alike: inline Mini-C source (or a bundled workload name the
+//! client resolved), the injection category, and the budget/mode knobs,
+//! built from JSON or from flags by [`Submission::build`]. [`prepare`]
+//! turns it into a [`Prepared`] — *owned* compile/profile/snapshot
+//! artifacts the daemon keeps alive for the campaign's whole lifetime,
+//! handing borrowed [`CellSpec`] views to each shard run. Preparation
+//! happens once per campaign, not once per shard: the plan drawn from
+//! these artifacts is what makes every shard's records byte-compatible.
 
 use fiq_asm::{AsmProgram, MachOptions};
 use fiq_core::json::Json;
@@ -71,22 +72,79 @@ pub fn parse_category(s: &str) -> Result<Category, String> {
         .ok_or_else(|| format!("unknown category `{s}`"))
 }
 
+/// Where a submission's knobs come from: the JSON wire form or the `fiq`
+/// command line. A lookup is `Ok(None)` (or `false`) when the knob is
+/// absent and an error naming the knob when it is malformed.
+pub trait Knobs {
+    /// A text knob (`category`, `collapse`).
+    fn text(&self, key: &str) -> Result<Option<&str>, String>;
+    /// A non-negative integer knob.
+    fn number(&self, key: &str) -> Result<Option<u64>, String>;
+    /// A boolean knob (`divergence`, `fast_forward`).
+    fn switch(&self, key: &str) -> Result<bool, String>;
+}
+
+impl Knobs for Json {
+    fn text(&self, key: &str) -> Result<Option<&str>, String> {
+        typed(self, key, "a string", Json::as_str)
+    }
+
+    fn number(&self, key: &str) -> Result<Option<u64>, String> {
+        typed(self, key, "a non-negative integer", Json::as_u64)
+    }
+
+    fn switch(&self, key: &str) -> Result<bool, String> {
+        let as_bool = |j: &Json| match j {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        };
+        Ok(typed(self, key, "a boolean", as_bool)?.unwrap_or(false))
+    }
+}
+
 impl Submission {
-    /// A submission for a bundled workload with default knobs.
-    pub fn for_workload(name: &str) -> Result<Submission, String> {
-        let w = fiq_workloads::by_name(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
+    /// The one campaign spec builder: `knobs` over the defaults, with
+    /// every count checked against its limit before anything is compiled
+    /// or planned. Only the thread default depends on the caller.
+    pub fn build(
+        name: String,
+        source: String,
+        knobs: &impl Knobs,
+        default_threads: u64,
+    ) -> Result<Submission, String> {
+        let category = match knobs.text("category")? {
+            Some(s) => parse_category(s)?,
+            None => Category::All,
+        };
+        let collapse = match knobs.text("collapse")? {
+            Some(s) => Collapse::parse(s)
+                .ok_or_else(|| format!("unknown collapse mode `{s}` (sampled|exact)"))?,
+            None => Collapse::Sampled,
+        };
+        let bounded = |key: &str, default: u64, max: u64| -> Result<u64, String> {
+            let n = knobs.number(key)?.unwrap_or(default);
+            if n > max {
+                return Err(format!("`{key}` is {n}, above the limit of {max}"));
+            }
+            Ok(n)
+        };
+        let injections = bounded("injections", 200, MAX_INJECTIONS)?;
+        let threads = bounded("threads", default_threads, MAX_THREADS)?;
+        let shards = bounded("shards", 1, MAX_SHARDS)?;
         Ok(Submission {
-            name: name.to_string(),
-            source: w.source.to_string(),
-            category: Category::All,
-            injections: 200,
-            seed: 42,
-            threads: 1,
-            shards: 1,
-            priority: 0,
-            collapse: Collapse::Sampled,
-            divergence: false,
-            fast_forward: false,
+            name,
+            source,
+            category,
+            injections: u32::try_from(injections).expect("MAX_INJECTIONS fits in u32"),
+            seed: knobs.number("seed")?.unwrap_or(42),
+            threads: usize::try_from(threads).expect("MAX_THREADS fits in usize"),
+            shards: usize::try_from(shards)
+                .expect("MAX_SHARDS fits in usize")
+                .max(1),
+            priority: knobs.number("priority")?.unwrap_or(0),
+            collapse,
+            divergence: knobs.switch("divergence")?,
+            fast_forward: knobs.switch("fast_forward")?,
         })
     }
 
@@ -116,62 +174,18 @@ impl Submission {
     /// Parses the wire form; absent knobs take their defaults. A knob of
     /// the wrong JSON type, or a count above its limit, is an error.
     pub fn from_json(v: &Json) -> Result<Submission, String> {
-        let string = |key: &str| typed(v, key, "a string", Json::as_str);
-        let name = string("name")?
-            .ok_or("submission missing `name`")?
-            .to_string();
-        let source = match string("source")? {
-            Some(s) => s.to_string(),
-            None => fiq_workloads::by_name(&name)
-                .ok_or_else(|| {
-                    format!("submission has no `source` and `{name}` is not a bundled workload")
-                })?
-                .source
-                .to_string(),
-        };
-        let u = |key: &str, default: u64| -> Result<u64, String> {
-            Ok(typed(v, key, "a non-negative integer", Json::as_u64)?.unwrap_or(default))
-        };
-        let flag = |key: &str| -> Result<bool, String> {
-            let as_bool = |j: &Json| match j {
-                Json::Bool(b) => Some(*b),
-                _ => None,
-            };
-            Ok(typed(v, key, "a boolean", as_bool)?.unwrap_or(false))
-        };
-        let category = match string("category")? {
-            Some(s) => parse_category(s)?,
-            None => Category::All,
-        };
-        let collapse = match string("collapse")? {
-            Some(s) => Collapse::parse(s).ok_or_else(|| format!("unknown collapse mode `{s}`"))?,
-            None => Collapse::Sampled,
-        };
-        let bounded = |key: &str, default: u64, max: u64| -> Result<u64, String> {
-            let n = u(key, default)?;
-            if n > max {
-                return Err(format!("`{key}` is {n}, above the limit of {max}"));
+        let name = v.text("name")?.ok_or("submission missing `name`")?;
+        let source = match v.text("source")? {
+            Some(s) => s,
+            None => {
+                fiq_workloads::by_name(name)
+                    .ok_or_else(|| {
+                        format!("submission has no `source` and `{name}` is not a bundled workload")
+                    })?
+                    .source
             }
-            Ok(n)
         };
-        let injections = bounded("injections", 200, MAX_INJECTIONS)?;
-        let threads = bounded("threads", 1, MAX_THREADS)?;
-        let shards = bounded("shards", 1, MAX_SHARDS)?;
-        Ok(Submission {
-            name,
-            source,
-            category,
-            injections: u32::try_from(injections).expect("MAX_INJECTIONS fits in u32"),
-            seed: u("seed", 42)?,
-            threads: usize::try_from(threads).expect("MAX_THREADS fits in usize"),
-            shards: usize::try_from(shards)
-                .expect("MAX_SHARDS fits in usize")
-                .max(1),
-            priority: u("priority", 0)?,
-            collapse,
-            divergence: flag("divergence")?,
-            fast_forward: flag("fast_forward")?,
-        })
+        Submission::build(name.to_string(), source.to_string(), v, 1)
     }
 }
 
@@ -207,8 +221,8 @@ pub struct Prepared {
     pub divergence: bool,
     /// Fast-forward through profiling checkpoints.
     pub fast_forward: bool,
-    /// Early-exit at converged checkpoints (on whenever snapshots
-    /// exist, mirroring the CLI default).
+    /// Early-exit at converged checkpoints: on exactly when snapshots
+    /// exist.
     pub early_exit: bool,
     /// Shard count the campaign is split into.
     pub shards: usize,
@@ -252,30 +266,38 @@ impl Prepared {
 }
 
 /// Compiles, lowers, profiles, and (when divergence or fast-forward ask
-/// for checkpoints) snapshots a submission — the once-per-campaign
-/// expensive half, mirroring what `fiq campaign` does before calling
-/// the engine.
+/// for checkpoints) snapshots a submission: the once-per-campaign
+/// expensive half that both `fiq campaign` and the daemon run before the
+/// engine.
 pub fn prepare(sub: &Submission) -> Result<Prepared, String> {
     let mut module = fiq_frontend::compile(&sub.name, &sub.source).map_err(|e| e.to_string())?;
     fiq_opt::optimize_module(&mut module);
     let prog = fiq_backend::lower_module(&module, fiq_backend::LowerOptions::default())
         .map_err(|e| e.to_string())?;
-    let llfi_profile = profile_llfi(&module, InterpOptions::default())?;
-    let pinfi_profile = profile_pinfi(&prog, MachOptions::default())?;
+    let (lopts, mopts) = (InterpOptions::default(), MachOptions::default());
     let want_snapshots = sub.fast_forward || sub.divergence;
-    let (llfi_snaps, pinfi_snaps) = if want_snapshots {
+    let (llfi_profile, pinfi_profile, llfi_snaps, pinfi_snaps) = if want_snapshots {
         // Auto interval: 64 evenly spaced checkpoints across the golden
-        // run, the same default as `fiq campaign`.
-        let l_iv = (llfi_profile.golden_steps / 64).max(1);
-        let p_iv = (pinfi_profile.golden_steps / 64).max(1);
-        let (_, ls) = profile_llfi_with_snapshots(&module, InterpOptions::default(), l_iv)?;
-        let (_, ps) = profile_pinfi_with_snapshots(&prog, MachOptions::default(), p_iv)?;
+        // run. A hook-free run learns its length; the snapshot run is
+        // the profile.
+        let interval = |steps: u64| (steps / 64).max(1);
+        let l_run = fiq_interp::run_module(&module, lopts).map_err(|e| e.to_string())?;
+        let p_run = fiq_asm::run_program(&prog, mopts).map_err(|e| e.to_string())?;
+        let (lp, ls) = profile_llfi_with_snapshots(&module, lopts, interval(l_run.steps))?;
+        let (pp, ps) = profile_pinfi_with_snapshots(&prog, mopts, interval(p_run.steps))?;
         (
+            lp,
+            pp,
             Some(Arc::new(SnapshotCache::Llfi(ls))),
             Some(Arc::new(SnapshotCache::Pinfi(ps))),
         )
     } else {
-        (None, None)
+        (
+            profile_llfi(&module, lopts)?,
+            profile_pinfi(&prog, mopts)?,
+            None,
+            None,
+        )
     };
     Ok(Prepared {
         name: sub.name.clone(),

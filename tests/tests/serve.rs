@@ -644,6 +644,54 @@ fn daemon_end_to_end_with_mid_run_kill() {
     daemon.join();
 }
 
+/// With checkpoints on, `prepare` keeps the profile its snapshot run
+/// records instead of profiling the golden run a second time. That
+/// profile must equal a plain profiling run exactly: `golden_steps` fixes
+/// the checkpoint positions that divergence timelines encode.
+#[test]
+fn prepared_snapshot_profiles_equal_plain_profiles() {
+    use fiq_core::{profile_llfi, profile_pinfi, Substrate};
+    let programs = std::iter::once(("kernel", KERNEL))
+        .chain(fiq_workloads::CATALOG.iter().map(|w| (w.name, w.source)));
+    for (name, source) in programs {
+        let prepared = prepare(&Submission {
+            name: name.into(),
+            source: source.into(),
+            fast_forward: true,
+            ..submission()
+        })
+        .unwrap();
+        let cells = prepared.cells();
+        assert!(cells.iter().all(|c| c.snapshots.is_some()), "{name}");
+        let Substrate::Llfi { module, profile } = cells[0].substrate else {
+            panic!("cell 0 is LLFI")
+        };
+        let plain = profile_llfi(module, fiq_interp::InterpOptions::default()).unwrap();
+        assert_eq!(
+            (
+                profile.golden_steps,
+                &profile.counts,
+                &profile.golden_output
+            ),
+            (plain.golden_steps, &plain.counts, &plain.golden_output),
+            "{name}: llfi"
+        );
+        let Substrate::Pinfi { prog, profile } = cells[1].substrate else {
+            panic!("cell 1 is PINFI")
+        };
+        let plain = profile_pinfi(prog, fiq_asm::MachOptions::default()).unwrap();
+        assert_eq!(
+            (
+                profile.golden_steps,
+                &profile.counts,
+                &profile.golden_output
+            ),
+            (plain.golden_steps, &plain.counts, &plain.golden_output),
+            "{name}: pinfi"
+        );
+    }
+}
+
 /// Shard, thread and injection counts are bounded where a submission
 /// enters: an absurd count is a 400 from the submit endpoint, not an
 /// attempt to allocate a shard spec per shard on the accept thread or a
