@@ -208,10 +208,8 @@ pub struct Machine<'p, H> {
     /// Steps retired inside the quiescent fast loop (telemetry).
     steps_quiescent: u64,
     decoded: Arc<DecodedProgram>,
-    /// Per-instruction retire counts, tracked inside the step loop while
-    /// [`Machine::run_with_snapshots`] is active. Internal (rather than
-    /// counted by the caller around `step`) because a fused
-    /// superinstruction retires two instructions in one step call.
+    /// Per-instruction retire counts, tracked at the single retire point
+    /// while [`Machine::run_with_snapshots`] is active.
     counts: Option<Vec<u64>>,
 }
 
@@ -342,41 +340,30 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     }
 
     /// Runs until `pause_at` instructions have retired or the program
-    /// stops; `None` means paused at the boundary. The decoded tables are
+    /// stops; `None` means paused at the boundary. The decoded table is
     /// fetched once, outside the loop, so the hot path pays no per-step
     /// `Arc` deref.
     fn drive(&mut self, pause_at: u64) -> Option<RunStatus> {
         let dec = Arc::clone(&self.decoded);
+        let code: &[DecInst] = &dec.code;
         // The quiescent fast loop is only legal while retire counting is
         // off: counts are bumped inside retire(), which the fast loop
-        // compiles out.
-        let quiescent_ok = self.counts.is_none();
+        // compiles out. Only `run_with_snapshots` counts, and it never
+        // drives.
+        debug_assert!(self.counts.is_none(), "drive while counting retires");
         let stop = loop {
             if self.steps >= pause_at {
                 return None;
             }
-            // A fused pair retires two instructions atomically and would
-            // overshoot a boundary landing between its halves; take the
-            // final step from the plain table so the pause lands where
-            // the reference core's does (the fused table keeps the tail's
-            // plain decode, so the next slice resumes cleanly).
-            let r = if pause_at - self.steps == 1 {
-                self.step_decoded(&dec.plain)
-            } else if !quiescent_ok {
-                self.step_decoded(&dec.code)
-            } else {
-                match self.hook.quiescence() {
-                    Quiescence::Active => self.step_decoded(&dec.code),
-                    Quiescence::Forever => self.step_quiescent(&dec, pause_at, None).map(|_| ()),
-                    Quiescence::UntilSite(s) => {
-                        match self.step_quiescent(&dec, pause_at, Some(s)) {
-                            // Stopped just before the watched site: run one
-                            // evented step, then re-query the hook's phase.
-                            Ok(true) => self.step_decoded(&dec.code),
-                            other => other.map(|_| ()),
-                        }
-                    }
-                }
+            let r = match self.hook.quiescence() {
+                Quiescence::Active => self.step_decoded(code),
+                Quiescence::Forever => self.step_quiescent(code, pause_at, None).map(|_| ()),
+                Quiescence::UntilSite(s) => match self.step_quiescent(code, pause_at, Some(s)) {
+                    // Stopped just before the watched site: run one evented
+                    // step, then re-query the hook's phase.
+                    Ok(true) => self.step_decoded(code),
+                    other => other.map(|_| ()),
+                },
             };
             if let Err(s) = r {
                 break s;
@@ -393,9 +380,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     pub fn run_with_snapshots(&mut self, interval: u64) -> (RunResult, Vec<MachSnapshot>) {
         let interval = interval.max(1);
         let mut next_at = interval;
-        // Counting happens inside the step loop (at each retire point):
-        // a fused superinstruction retires two instructions per step
-        // call, which an external per-call count could not attribute.
         self.counts = Some(vec![0u64; self.prog.insts.len()]);
         let dec = Arc::clone(&self.decoded);
         let mut snaps: Vec<MachSnapshot> = Vec::new();
@@ -417,15 +401,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
                     next_at += interval;
                 }
             }
-            // Capture boundaries are those of the reference core: take
-            // the step leading into one from the plain table so a fused
-            // pair cannot carry the capture point past it.
-            let table = if next_at - self.steps == 1 {
-                &dec.plain
-            } else {
-                &dec.code
-            };
-            if let Err(s) = self.step_decoded(table) {
+            if let Err(s) = self.step_decoded(&dec.code) {
                 break s.status();
             }
         };
@@ -815,10 +791,8 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         Ok(())
     }
 
-    /// The decoded twin of `Machine::step`: one step through `table`
-    /// (`code` or `plain`). A fused superinstruction executes both halves
-    /// (two step charges, two retires at the original indices) in one
-    /// call. Observable semantics are identical to the reference core.
+    /// The decoded twin of `Machine::step`: one step through the decoded
+    /// table. Observable semantics are identical to the reference core.
     #[inline]
     fn step_decoded(&mut self, table: &[DecInst]) -> Result<(), Stop> {
         self.step_decoded_impl::<true>(table)
@@ -828,30 +802,23 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     /// dispatch (hook calls and retire counting) compiled out — legal
     /// exactly while the hook reports itself inert (see [`Quiescence`])
     /// and counting is off. Runs until the pause boundary or a stop. With
-    /// a watch index, stops *just before* any unit that could retire it
-    /// (every fusion spans at most two adjacent instructions, so a unit
-    /// starting at `w` or `w - 1` is conservatively replayed evented) and
-    /// returns `true`.
+    /// a watch index, stops *just before* instruction `w` and returns
+    /// `true`.
     fn step_quiescent(
         &mut self,
-        dec: &DecodedProgram,
+        table: &[DecInst],
         pause_at: u64,
         watch: Option<usize>,
     ) -> Result<bool, Stop> {
         let s0 = self.steps;
         let r = loop {
-            // Yield one step early: a fused pair would overshoot the
-            // boundary, so the caller's drive loop takes the final step
-            // from the plain table.
-            if pause_at.saturating_sub(self.steps) <= 1 {
+            if self.steps >= pause_at {
                 break Ok(false);
             }
-            if let Some(w) = watch {
-                if self.rip == w || self.rip + 1 == w {
-                    break Ok(true);
-                }
+            if watch == Some(self.rip) {
+                break Ok(true);
             }
-            if let Err(e) = self.step_decoded_impl::<false>(&dec.code) {
+            if let Err(e) = self.step_decoded_impl::<false>(table) {
                 break Err(e);
             }
         };
@@ -933,90 +900,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
                     self.jump(target)?;
                 }
             }
-            DecInst::FusedCmpJccRR {
-                lhs,
-                rhs,
-                cond,
-                target,
-            } => {
-                let a = self.st.reg(lhs);
-                let b = self.st.reg(rhs);
-                self.st.flags = flags::sub_flags(a, b, a.wrapping_sub(b));
-                return self.fused_jcc_half::<EVENTS>(idx, cond, target);
-            }
-            DecInst::FusedCmpJccRI {
-                lhs,
-                imm,
-                cond,
-                target,
-            } => {
-                let a = self.st.reg(lhs);
-                self.st.flags = flags::sub_flags(a, imm, a.wrapping_sub(imm));
-                return self.fused_jcc_half::<EVENTS>(idx, cond, target);
-            }
-            DecInst::FusedTestJccRR {
-                lhs,
-                rhs,
-                cond,
-                target,
-            } => {
-                let a = self.st.reg(lhs);
-                let b = self.st.reg(rhs);
-                self.st.flags = flags::logic_flags(a & b);
-                return self.fused_jcc_half::<EVENTS>(idx, cond, target);
-            }
-            DecInst::FusedAluJccRR {
-                op,
-                dst,
-                src,
-                cond,
-                target,
-            } => {
-                let a = self.st.reg(dst);
-                let b = self.st.reg(src);
-                let (result, fl) = alu_exec(op, a, b);
-                self.st.set_reg(dst, result);
-                self.st.flags = fl;
-                return self.fused_jcc_half::<EVENTS>(idx, cond, target);
-            }
-            DecInst::FusedAluJccRI {
-                op,
-                dst,
-                imm,
-                cond,
-                target,
-            } => {
-                let a = self.st.reg(dst);
-                let (result, fl) = alu_exec(op, a, imm);
-                self.st.set_reg(dst, result);
-                self.st.flags = fl;
-                return self.fused_jcc_half::<EVENTS>(idx, cond, target);
-            }
-            DecInst::FusedMovAluRR {
-                mov_dst,
-                mov_src,
-                op,
-                dst,
-                src,
-            } => {
-                let v = self.st.reg(mov_src);
-                self.st.set_reg(mov_dst, v);
-                return self.fused_alu_half::<EVENTS>(idx, op, dst, src);
-            }
-            DecInst::FusedAluMovRR {
-                op,
-                dst,
-                src,
-                mov_dst,
-                mov_src,
-            } => {
-                let a = self.st.reg(dst);
-                let b = self.st.reg(src);
-                let (result, fl) = alu_exec(op, a, b);
-                self.st.set_reg(dst, result);
-                self.st.flags = fl;
-                return self.fused_mov_half::<EVENTS>(idx, mov_dst, mov_src);
-            }
             DecInst::Generic => {
                 let prog = self.prog;
                 let inst = &prog.insts[idx];
@@ -1025,91 +908,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         }
         if EVENTS {
             self.retire(idx);
-        }
-        Ok(())
-    }
-
-    /// The branch half of a fused FLAGS-producer+jcc pair: retires the
-    /// head, then charges and executes the adjacent conditional jump.
-    /// FLAGS are re-read after the head's retire event so a hook mutating
-    /// them (a FLAGS-targeted injection) steers the branch exactly as it
-    /// would between two reference steps.
-    fn fused_jcc_half<const EVENTS: bool>(
-        &mut self,
-        idx: usize,
-        cond: crate::flags::Cond,
-        target: u32,
-    ) -> Result<(), Stop> {
-        if EVENTS {
-            self.retire(idx);
-        }
-        self.steps += 1;
-        if self.steps > self.opts.max_steps {
-            return Err(Stop::Budget);
-        }
-        self.rip += 1;
-        if cond.eval(self.st.flags & ALL_FLAGS) {
-            self.jump(target)?;
-        }
-        if EVENTS {
-            self.retire(idx + 1);
-        }
-        Ok(())
-    }
-
-    /// The ALU half of a fused mov+ALU pair: retires the mov, then
-    /// charges and executes the adjacent register ALU op. Operands are
-    /// re-read after the mov's retire event, so a register-targeted
-    /// injection between the halves is observed exactly as between two
-    /// reference steps.
-    fn fused_alu_half<const EVENTS: bool>(
-        &mut self,
-        idx: usize,
-        op: AluOp,
-        dst: Reg,
-        src: Reg,
-    ) -> Result<(), Stop> {
-        if EVENTS {
-            self.retire(idx);
-        }
-        self.steps += 1;
-        if self.steps > self.opts.max_steps {
-            return Err(Stop::Budget);
-        }
-        self.rip += 1;
-        let a = self.st.reg(dst);
-        let b = self.st.reg(src);
-        let (result, fl) = alu_exec(op, a, b);
-        self.st.set_reg(dst, result);
-        self.st.flags = fl;
-        if EVENTS {
-            self.retire(idx + 1);
-        }
-        Ok(())
-    }
-
-    /// The mov half of a fused ALU+mov pair: retires the ALU op, then
-    /// charges and executes the adjacent register mov (which preserves
-    /// FLAGS, as on x86). The source is re-read after the ALU's retire
-    /// event for the same reason as [`Machine::fused_alu_half`].
-    fn fused_mov_half<const EVENTS: bool>(
-        &mut self,
-        idx: usize,
-        dst: Reg,
-        src: Reg,
-    ) -> Result<(), Stop> {
-        if EVENTS {
-            self.retire(idx);
-        }
-        self.steps += 1;
-        if self.steps > self.opts.max_steps {
-            return Err(Stop::Budget);
-        }
-        self.rip += 1;
-        let v = self.st.reg(src);
-        self.st.set_reg(dst, v);
-        if EVENTS {
-            self.retire(idx + 1);
         }
         Ok(())
     }
@@ -1242,8 +1040,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     }
 }
 
-/// x86 `cvttsd2si` semantics: truncate toward zero; NaN and out-of-range
-/// produce the integer-indefinite value `i64::MIN`.
 /// Computes an ALU op's result and resulting FLAGS — the one definition
 /// shared by the reference `Inst::Alu` arm and the decoded `AluRR`/`AluRI`
 /// variants, so the two cores cannot drift.
@@ -1281,6 +1077,8 @@ fn alu_exec(op: AluOp, a: u64, b: u64) -> (u64, u64) {
     }
 }
 
+/// x86 `cvttsd2si` semantics: truncate toward zero; NaN and out-of-range
+/// produce the integer-indefinite value `i64::MIN`.
 fn cvttsd2si(v: f64) -> i64 {
     if v.is_nan() {
         return i64::MIN;

@@ -767,3 +767,17 @@ fn snapshot_counts_partition_the_retire_stream() {
         );
     }
 }
+
+#[test]
+fn quiescent_loop_runs_all_the_way_to_the_pause() {
+    // The loop retires 45 instructions, so every `run_until(k)` below
+    // pauses; an inert hook must let the fast loop take every one of the
+    // k steps, the last step before the pause included.
+    let p = sum_loop_prog();
+    for k in 1..=40 {
+        let mut m = Machine::new(&p, opts(), NopAsmHook).unwrap();
+        assert!(m.run_until(k).is_none(), "run must pause at {k}");
+        assert_eq!(m.steps(), k);
+        assert_eq!(m.steps_quiescent(), k, "quiescent steps at pause {k}");
+    }
+}

@@ -12,6 +12,11 @@
 //! (`legacy`, `threaded+fusion`, `quiescent+fusion`) key the committed
 //! baselines in `results/BENCH_campaign.json`. Labels identify the cell:
 //! `substrate=interp|asm`, `core=reference|evented|quiescent`.
+//!
+//! The names predate the removal of asm superinstructions and stay only
+//! because they key the baseline: on `substrate=asm` the `+fusion` rows
+//! measure the unfused decoded core (one table entry per instruction);
+//! on `substrate=interp` they still measure the fused core.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fiq_asm::{AsmHook, MachOptions, Machine, NopAsmHook};

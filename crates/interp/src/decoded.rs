@@ -9,9 +9,11 @@
 //! sizes, and GEP strides (constant indices folded into flat byte
 //! offsets). Every block is decoded into two tables: `plain`, one entry
 //! per instruction, and `code`, the same entries after a fusion pass has
-//! rewritten hot adjacent runs (compare+branch, GEP+load, GEP+store,
-//! integer ALU chains, binop+compare+branch latches) into
-//! superinstructions.
+//! rewritten four hot adjacent idioms into superinstructions: integer
+//! compare+branch, GEP+load, single-use integer ALU chains, and
+//! binop+compare+branch loop latches. Each stays because it covers a
+//! measurable share of retired steps on the benchmark workloads (DESIGN
+//! §4g); float compare+branch and GEP+store did not and are not fused.
 //!
 //! The decoded core implements *identical observable semantics* to the
 //! reference core in `interp.rs`: the same step counts, the same
@@ -248,15 +250,6 @@ pub(crate) enum DecOp {
         then_bb: BlockId,
         else_bb: BlockId,
     },
-    /// Superinstruction: float compare + adjacent conditional branch.
-    FusedFCmpBr {
-        pred: FCmpPred,
-        lhs: Opnd,
-        rhs: Opnd,
-        br_id: InstId,
-        then_bb: BlockId,
-        else_bb: BlockId,
-    },
     /// Superinstruction: GEP whose address is immediately loaded by the
     /// next instruction.
     FusedGepLoad {
@@ -264,14 +257,6 @@ pub(crate) enum DecOp {
         steps: Box<[GepStep]>,
         load_id: InstId,
         kind: LoadKind,
-    },
-    /// Superinstruction: GEP whose address is immediately stored through
-    /// by the next instruction.
-    FusedGepStore {
-        base: Opnd,
-        steps: Box<[GepStep]>,
-        store_id: InstId,
-        val: Opnd,
     },
     /// Superinstruction: a single-use integer ALU chain — an integer
     /// binop head whose result feeds exactly one consumer, the adjacent
@@ -592,35 +577,12 @@ fn fuse_pair(head: &DecInst, tail: &DecInst) -> Option<DecOp> {
             then_bb: *then_bb,
             else_bb: *else_bb,
         }),
-        (
-            DecOp::FCmp { pred, lhs, rhs },
-            DecOp::CondBr {
-                cond,
-                then_bb,
-                else_bb,
-            },
-        ) if feeds(cond) => Some(DecOp::FusedFCmpBr {
-            pred: *pred,
-            lhs: *lhs,
-            rhs: *rhs,
-            br_id: tail.id,
-            then_bb: *then_bb,
-            else_bb: *else_bb,
-        }),
         (DecOp::Gep { base, steps }, DecOp::Load { ptr, kind }) if feeds(ptr) => {
             Some(DecOp::FusedGepLoad {
                 base: *base,
                 steps: steps.clone(),
                 load_id: tail.id,
                 kind: *kind,
-            })
-        }
-        (DecOp::Gep { base, steps }, DecOp::Store { val, ptr }) if feeds(ptr) => {
-            Some(DecOp::FusedGepStore {
-                base: *base,
-                steps: steps.clone(),
-                store_id: tail.id,
-                val: *val,
             })
         }
         _ => None,
@@ -869,8 +831,8 @@ fn decode_func(func: &fiq_ir::Function, ga: &[u64]) -> DecodedFunc {
                     op: decode_inst(func, id, ga),
                 })
                 .collect();
-            // Pair heads (cmp/GEP), chain heads (integer binop), and tails
-            // (branch/load/store/binop links) are matched by a greedy
+            // Pair heads (icmp/GEP), chain heads (integer binop), and tails
+            // (branch/load/binop links) are matched by a greedy
             // left-to-right scan over the plain decode; pair head kinds
             // are disjoint from chain head kinds, so the scan cannot miss
             // an overlapping idiom. Fused tails keep their plain decode:
@@ -1194,7 +1156,12 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                 DecOp::FCmp { pred, lhs, rhs } => {
                     let l = self.eval_opnd::<EVENTS>(&frame, id, lhs);
                     let r = self.eval_opnd::<EVENTS>(&frame, id, rhs);
-                    let mut val = RtVal::bool(fcmp_vals(*pred, l, r));
+                    let (a, b) = match (l, r) {
+                        (RtVal::F64(a), RtVal::F64(b)) => (a, b),
+                        (RtVal::F32(a), RtVal::F32(b)) => (f64::from(a), f64::from(b)),
+                        _ => panic!("verified fcmp operands"),
+                    };
+                    let mut val = RtVal::bool(ops::eval_fcmp(*pred, a, b));
                     if EVENTS {
                         self.result(site, frame.frame_id, &mut val);
                     }
@@ -1443,38 +1410,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     dblock = &dfunc.blocks[frame.cur.index()];
                     phi_len = dblock.phi_ids.len();
                 }
-                DecOp::FusedFCmpBr {
-                    pred,
-                    lhs,
-                    rhs,
-                    br_id,
-                    then_bb,
-                    else_bb,
-                } => {
-                    let l = self.eval_opnd::<EVENTS>(&frame, id, lhs);
-                    let r = self.eval_opnd::<EVENTS>(&frame, id, rhs);
-                    let mut val = RtVal::bool(fcmp_vals(*pred, l, r));
-                    if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
-                    }
-                    frame.slots[id.index()] = raw_of(val);
-                    self.budget()?;
-                    if EVENTS {
-                        self.hook.on_use(
-                            site,
-                            InstSite {
-                                func: fid,
-                                inst: *br_id,
-                            },
-                            frame.frame_id,
-                        );
-                    }
-                    frame.prev = Some(frame.cur);
-                    frame.cur = if val.as_bool() { *then_bb } else { *else_bb };
-                    frame.ip = 0;
-                    dblock = &dfunc.blocks[frame.cur.index()];
-                    phi_len = dblock.phi_ids.len();
-                }
                 DecOp::FusedGepLoad {
                     base,
                     steps,
@@ -1504,37 +1439,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         self.result(lsite, frame.frame_id, &mut val);
                     }
                     frame.slots[load_id.index()] = raw_of(val);
-                    frame.ip += 2;
-                }
-                DecOp::FusedGepStore {
-                    base,
-                    steps,
-                    store_id,
-                    val,
-                } => {
-                    let addr = self.gep_addr::<EVENTS>(&frame, id, base, steps);
-                    let mut pv = RtVal::Ptr(addr);
-                    if EVENTS {
-                        self.result(site, frame.frame_id, &mut pv);
-                    }
-                    frame.slots[id.index()] = raw_of(pv);
-                    // Store half: value first, then the address use, in
-                    // the standalone store's operand order.
-                    self.budget()?;
-                    let ssite = InstSite {
-                        func: fid,
-                        inst: *store_id,
-                    };
-                    let v = self.eval_opnd::<EVENTS>(&frame, *store_id, val);
-                    if EVENTS {
-                        self.hook.on_use(site, ssite, frame.frame_id);
-                    }
-                    let p = pv.as_ptr();
-                    let size = v.ty().size();
-                    self.store_typed(p, v)?;
-                    if EVENTS {
-                        self.hook.on_store(ssite, frame.frame_id, p, size);
-                    }
                     frame.ip += 2;
                 }
                 DecOp::FusedBinICmpBr(l) if !EVENTS => {
@@ -1704,10 +1608,9 @@ fn watch_hits(
             return true;
         }
         let tail_hit = match &d.op {
-            DecOp::FusedICmpBr { br_id, .. } | DecOp::FusedFCmpBr { br_id, .. } => *br_id == w.inst,
+            DecOp::FusedICmpBr { br_id, .. } => *br_id == w.inst,
             DecOp::FusedBinICmpBr(l) => l.cmp_id == w.inst || l.br_id == w.inst,
             DecOp::FusedGepLoad { load_id, .. } => *load_id == w.inst,
-            DecOp::FusedGepStore { store_id, .. } => *store_id == w.inst,
             DecOp::FusedIntChain(c) => c.links[..c.len as usize].iter().any(|l| l.id == w.inst),
             _ => false,
         };
@@ -1737,15 +1640,4 @@ fn icmp_vals(pred: ICmpPred, l: RtVal, r: RtVal) -> bool {
         _ => panic!("verified icmp operands"),
     };
     ops::eval_icmp(pred, ty, lv, rv)
-}
-
-/// Compare dispatch shared by the plain and fused fcmp paths.
-#[inline]
-fn fcmp_vals(pred: FCmpPred, l: RtVal, r: RtVal) -> bool {
-    let (a, b) = match (l, r) {
-        (RtVal::F64(a), RtVal::F64(b)) => (a, b),
-        (RtVal::F32(a), RtVal::F32(b)) => (f64::from(a), f64::from(b)),
-        _ => panic!("verified fcmp operands"),
-    };
-    ops::eval_fcmp(pred, a, b)
 }

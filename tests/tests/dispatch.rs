@@ -11,14 +11,17 @@
 //!   with an inert hook (quiescent fast loop) and an always-active one
 //!   (evented loop);
 //! * a boundary sweep that pauses the production core at *every* step,
-//!   so every pause lands at every offset inside every fused unit and
-//!   exercises the unfused `plain` table the core steps near a boundary;
+//!   so on the interpreter every pause lands at every offset inside every
+//!   fused unit and exercises the unfused `plain` table it steps near a
+//!   boundary, and on the machine (one table, one instruction per step)
+//!   every pause is reached by the quiescent and the evented loop;
 //! * snapshots captured by the production core, restored into the
 //!   reference core, run to the reference's final state;
 //! * faulted runs: phase-switching recorder hooks that sleep until a
 //!   site, flip one bit there, record a window of events, and sleep
 //!   again, over a fixed kernel and 200 generated programs;
-//! * a FLAGS injection delivered inside a fused ALU+jcc superinstruction.
+//! * a ZF fault delivered at a `sub` steering the adjacent `jne` on the
+//!   machine's production core exactly as on its reference core.
 
 use fiq_asm::{
     AluOp, AsmFunc, AsmHook, AsmProgram, Cond, Inst, MachOptions, MachState, Machine, NopAsmHook,
@@ -231,9 +234,10 @@ fn gep_out_of_bounds_wrap_traps_identically_across_cores() {
 /// How each production instance of the boundary sweep approaches its
 /// pauses: `(stride, first pause)`. Stride 1 pauses at every step from
 /// the step before; the four stride-4 instances (one per residue) reach
-/// every step from four steps back — farther than the widest
-/// superinstruction retires (three steps) — so each pause is approached
-/// on the fused table and must switch to the plain one in time.
+/// every step from four steps back — farther than the widest IR
+/// superinstruction retires (three steps) — so each interpreter pause is
+/// approached on the fused table and must switch to the plain one in
+/// time.
 const SWEEP: [(u64, u64); 5] = [(1, 1), (4, 1), (4, 2), (4, 3), (4, 4)];
 
 /// What one paused (or stopped) core looks like.
@@ -308,9 +312,10 @@ fn sweep_machine<H: AsmHook>(name: &str, p: &AsmProgram, max_steps: u64, hook: i
 
 /// Pausing the production core at any step must land on exactly the
 /// state the reference core reaches at that step — including pauses that
-/// fall inside a fused unit, which the core reaches through its plain
-/// table. Swept over every corpus program and the first 20 generated
-/// programs, on both substrates and on both production loops.
+/// fall inside an interpreter fused unit, which the interpreter reaches
+/// through its plain table. Swept over every corpus program and the
+/// first 20 generated programs, on both substrates and on both
+/// production loops.
 #[test]
 fn boundary_sweep_pauses_match_reference_at_every_step() {
     let mut programs = corpus();
@@ -353,11 +358,11 @@ fn next_due(mut due: u64, interval: u64, steps: u64) -> u64 {
 
 /// Snapshots are the contract between the profiling run that captures
 /// them and every fast-forwarded injection that restores them. Snapshots
-/// the production core captures at intervals 1–4 (so captures land at
-/// every offset inside every fused unit) must be taken where the
-/// reference core pauses for the same capture point and hold exactly its
-/// state there, and restored into the reference core they must run to
-/// the reference's final state.
+/// the production core captures at intervals 1–4 (so interpreter
+/// captures land at every offset inside every fused unit) must be taken
+/// where the reference core pauses for the same capture point and hold
+/// exactly its state there, and restored into the reference core they
+/// must run to the reference's final state.
 #[test]
 fn production_snapshots_resume_identically_on_reference_core() {
     let (module, prog) = compile("snap-kernel", SNAP_KERNEL);
@@ -674,9 +679,9 @@ impl AsmHook for RetireCensus<'_> {
 }
 
 /// The asm-level twin of [`PhaseRecorder`]: retire events only, with the
-/// post-retire FLAGS image folded into the log so a fused pair that
-/// clobbered FLAGS between halves would be caught, not just one that
-/// reordered retires. At the fire point it flips `bit` of the target
+/// post-retire FLAGS image folded into the log so a core that clobbered
+/// FLAGS between two retires would be caught, not just one that
+/// reordered them. At the fire point it flips `bit` of the target
 /// instruction's destination (the lowest FLAGS bit it writes, for a
 /// FLAGS destination), like a PINFI fault. `sleep` as in
 /// [`PhaseRecorder`].
@@ -780,9 +785,10 @@ fn machine_events_match(
 /// Same contract at the asm level: the retire-event log of a fault hook
 /// that sleeps until a site, flips a destination bit there, wakes for a
 /// window, and sleeps again is identical across cores, and so is the
-/// final state. Checked on the fixed kernel's first fusable
-/// compare+branch (so the quiescent loop has to stop inside a
-/// superinstruction) and on 200 generated programs at three seeded
+/// final state. Checked on the fixed kernel's first FLAGS producer
+/// feeding an adjacent `jcc` (so the quiescent loop has to stop right
+/// before the instruction whose FLAGS the branch reads) and on 200
+/// generated programs at three seeded
 /// (site, instance, bit) triples each.
 #[test]
 fn machine_hook_event_order_matches_across_cores() {
@@ -798,7 +804,7 @@ fn machine_hook_event_order_matches_across_cores() {
                 Inst::Cmp { .. } | Inst::Alu { .. } | Inst::Test { .. }
             ) && matches!(tail, Inst::Jcc { .. })
         })
-        .expect("kernel lowers with at least one fusable compare+branch");
+        .expect("kernel lowers with at least one compare+branch pair");
     for bit in [None, Some(0)] {
         let events =
             machine_events_match("event-kernel", &prog, fault_budget(golden.steps), |sleep| {
@@ -862,13 +868,13 @@ impl AsmHook for FlagInjector {
     }
 }
 
-/// A FLAGS-targeted injection delivered at the ALU half of a fused
-/// ALU+jcc superinstruction must steer the branch: the fused pair
-/// re-reads FLAGS after the head's retire event, so flipping ZF there
-/// behaves exactly as it does between two reference steps. The backend
-/// always separates ALU ops from branches with an explicit compare, so
-/// the pair is hand-assembled: a countdown loop whose `sub rax, 1` feeds
-/// `jne` directly (the sub-as-compare idiom the fusion exists for).
+/// A ZF fault delivered at a `sub` must steer the adjacent `jne` on the
+/// production core exactly as on the reference core: the retire event
+/// of the `sub` runs before the `jne` reads FLAGS, on the quiescent
+/// loop's watch stop as on the evented loop. The backend always
+/// separates ALU ops from branches with an explicit compare, so the
+/// pair is hand-assembled: a countdown loop whose `sub rax, 1` feeds
+/// `jne` directly (the sub-as-compare idiom).
 #[test]
 fn flag_injection_inside_fused_alu_jcc_steers_branch_identically() {
     let insts = vec![
