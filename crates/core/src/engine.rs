@@ -53,8 +53,8 @@ use crate::outcome::{Outcome, OutcomeCounts};
 use crate::pinfi::{plan_pinfi_from, run_pinfi_observed, PinfiInjection};
 use crate::profile::{GoldenRef, LlfiProfile, PinfiProfile};
 use crate::telemetry::{
-    cell_counter, cell_hist, engine_counter, engine_hist, telemetry_header_line, RunTotals,
-    TaskTel, TelemetryFile, HUB_SPEC,
+    cell_counter, cell_hist, engine_counter, engine_hist, RunTotals, TaskTel, TelemetryFile,
+    HUB_SPEC, TELEMETRY_VERSION,
 };
 use fiq_asm::{AsmProgram, DecodedProgram, MachOptions, MachSnapshot};
 use fiq_interp::{DecodedModule, InterpOptions, InterpSnapshot};
@@ -423,14 +423,11 @@ impl CampaignPlan {
         cfg: &CampaignConfig,
         shard: Option<ShardSpec>,
     ) -> String {
-        header_line(
-            cells,
-            cfg,
-            &self.planned,
-            self.collapse,
-            &self.spaces,
-            shard,
-        )
+        let (version, exact) = match self.collapse {
+            Collapse::Sampled => (RECORD_VERSION, false),
+            Collapse::Exact => (EXACT_RECORD_VERSION, true),
+        };
+        self.header(cells, cfg, ("campaign", version), exact, None, shard)
     }
 
     /// The divergence-stream header for this plan (see
@@ -441,11 +438,13 @@ impl CampaignPlan {
         cfg: &CampaignConfig,
         shard: Option<ShardSpec>,
     ) -> String {
-        divergence_header_line(cells, cfg, &self.planned, shard)
+        let kind = ("divergence", DIVERGENCE_VERSION);
+        self.header(cells, cfg, kind, false, None, shard)
     }
 
     /// The telemetry-stream header for this plan (see
-    /// [`CampaignPlan::record_header`]).
+    /// [`CampaignPlan::record_header`]), which also carries the worker
+    /// count.
     pub fn telemetry_header(
         &self,
         cells: &[CellSpec<'_>],
@@ -453,7 +452,67 @@ impl CampaignPlan {
         workers: usize,
         shard: Option<ShardSpec>,
     ) -> String {
-        telemetry_header_line(cells, cfg, &self.planned, workers, shard)
+        let kind = ("telemetry", TELEMETRY_VERSION);
+        self.header(cells, cfg, kind, false, Some(workers), shard)
+    }
+
+    /// A stream header line: the stream's record kind and version, then
+    /// the campaign identity (seed, injections, hang factor, cells) that
+    /// resume and the shard merge check a file against, then the shard
+    /// identity of a spool. `exact` adds the `collapse` field and each
+    /// cell's fault-space size (exact-mode records: the header difference
+    /// is what blocks cross-mode resume); sampled record headers keep the
+    /// version-1 layout byte for byte.
+    fn header(
+        &self,
+        cells: &[CellSpec<'_>],
+        cfg: &CampaignConfig,
+        (record, version): (&str, u64),
+        exact: bool,
+        workers: Option<usize>,
+        shard: Option<ShardSpec>,
+    ) -> String {
+        let cell_objs = cells
+            .iter()
+            .zip(self.planned.iter().zip(&self.spaces))
+            .map(|(c, (&p, stats))| {
+                let mut fields = vec![
+                    ("label".into(), Json::str(c.label.clone())),
+                    ("tool".into(), Json::str(c.substrate.tool())),
+                    ("category".into(), Json::str(c.category.name())),
+                    ("planned".into(), Json::u64(u64::from(p))),
+                ];
+                if let Some(s) = stats.as_ref().filter(|_| exact) {
+                    fields.push(("space".into(), Json::u64(s.space())));
+                }
+                Json::Obj(fields)
+            })
+            .collect();
+        let mut fields = vec![
+            ("record".into(), Json::str(record)),
+            ("version".into(), Json::u64(version)),
+        ];
+        if exact {
+            fields.push(("collapse".into(), Json::str("exact")));
+        }
+        fields.extend([
+            ("seed".into(), Json::u64(cfg.seed)),
+            ("injections".into(), Json::u64(u64::from(cfg.injections))),
+            ("hang_factor".into(), Json::u64(cfg.hang_factor)),
+        ]);
+        if let Some(w) = workers {
+            fields.push(("workers".into(), Json::u64(w as u64)));
+        }
+        fields.push(("cells".into(), Json::Arr(cell_objs)));
+        if let Some(sh) = shard {
+            fields.extend([
+                ("shard".into(), Json::u64(sh.index as u64)),
+                ("shards".into(), Json::u64(sh.count as u64)),
+                ("task_lo".into(), Json::u64(sh.lo as u64)),
+                ("task_hi".into(), Json::u64(sh.hi as u64)),
+            ]);
+        }
+        Json::Obj(fields).to_string()
     }
 }
 
@@ -704,8 +763,12 @@ fn run_planned(
         }
         Some(path) => {
             if opts.resume && path.exists() {
-                let mut prefix = load_resume(path, &header, lo, range_len)?;
-                let mut keep = prefix.outcomes.len();
+                let mut prefix = load_prefix(path, &header, "record", "--records", |line, i| {
+                    (i < range_len)
+                        .then(|| parse_record(line, lo + i))
+                        .flatten()
+                })?;
+                let mut keep = prefix.items.len();
                 let div_prefix = match opts.divergence {
                     Some(div_path) => {
                         if !div_path.exists() {
@@ -716,20 +779,26 @@ fn run_planned(
                                 div_path.display()
                             ));
                         }
-                        let dp = load_div_resume(div_path, &div_header, lo, range_len)?;
-                        keep = keep.min(dp.timelines);
+                        let dp = load_prefix(
+                            div_path,
+                            &div_header,
+                            "divergence",
+                            "--divergence",
+                            |line, i| (i < range_len && parse_timeline(line, lo + i)).then_some(()),
+                        )?;
+                        keep = keep.min(dp.items.len());
                         Some(dp)
                     }
                     None => None,
                 };
-                prefix.outcomes.truncate(keep);
+                prefix.items.truncate(keep);
                 resumed = keep;
                 resumed_streams = true;
                 writer = Some(reopen_stream(path, prefix.byte_len(keep), "record")?);
                 if let (Some(div_path), Some(dp)) = (opts.divergence, div_prefix) {
                     div_writer = Some(reopen_stream(div_path, dp.byte_len(keep), "divergence")?);
                 }
-                for (i, o) in prefix.outcomes.into_iter().enumerate() {
+                for (i, o) in prefix.items.into_iter().enumerate() {
                     outcomes[i] = Some(o);
                 }
             } else {
@@ -888,13 +957,12 @@ fn run_planned(
         }
         file.write_summary(
             hub,
-            cells,
-            &RunTotals {
-                total: range_len,
-                done: completed,
-                resumed,
-                fast_forwarded,
-                early_exited,
+            RunTotals {
+                total: range_len as u64,
+                done: completed as u64,
+                resumed: resumed as u64,
+                fast_forwarded: fast_forwarded as u64,
+                early_exited: early_exited as u64,
             },
         )?;
     }
@@ -1298,97 +1366,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// The campaign header line: identifies the campaign a record file
-/// belongs to, so resume can refuse a mismatched file. Sampled
-/// campaigns keep the version-1 layout byte for byte; exact campaigns
-/// bump the version and add the `collapse` and per-cell `space` fields
-/// (the header difference is what blocks cross-mode resume).
-fn shard_fields(shard: Option<ShardSpec>, fields: &mut Vec<(String, Json)>) {
-    if let Some(sh) = shard {
-        fields.extend([
-            ("shard".into(), Json::u64(sh.index as u64)),
-            ("shards".into(), Json::u64(sh.count as u64)),
-            ("task_lo".into(), Json::u64(sh.lo as u64)),
-            ("task_hi".into(), Json::u64(sh.hi as u64)),
-        ]);
-    }
-}
-
-fn header_line(
-    cells: &[CellSpec<'_>],
-    cfg: &CampaignConfig,
-    planned: &[u32],
-    collapse: Collapse,
-    spaces: &[Option<CollapseStats>],
-    shard: Option<ShardSpec>,
-) -> String {
-    let cell_objs = cells
-        .iter()
-        .zip(planned.iter().zip(spaces))
-        .map(|(c, (&p, stats))| {
-            let mut fields = vec![
-                ("label".into(), Json::str(c.label.clone())),
-                ("tool".into(), Json::str(c.substrate.tool())),
-                ("category".into(), Json::str(c.category.name())),
-                ("planned".into(), Json::u64(u64::from(p))),
-            ];
-            if let Some(s) = stats {
-                fields.push(("space".into(), Json::u64(s.space())));
-            }
-            Json::Obj(fields)
-        })
-        .collect();
-    let mut fields = vec![("record".into(), Json::str("campaign"))];
-    match collapse {
-        Collapse::Sampled => fields.push(("version".into(), Json::u64(RECORD_VERSION))),
-        Collapse::Exact => {
-            fields.push(("version".into(), Json::u64(EXACT_RECORD_VERSION)));
-            fields.push(("collapse".into(), Json::str("exact")));
-        }
-    }
-    fields.extend([
-        ("seed".into(), Json::u64(cfg.seed)),
-        ("injections".into(), Json::u64(u64::from(cfg.injections))),
-        ("hang_factor".into(), Json::u64(cfg.hang_factor)),
-        ("cells".into(), Json::Arr(cell_objs)),
-    ]);
-    shard_fields(shard, &mut fields);
-    Json::Obj(fields).to_string()
-}
-
-/// The divergence-stream header line: identifies the campaign the stream
-/// belongs to, mirroring the record header, so resume can reconcile the
-/// two files and refuse a mismatched one.
-fn divergence_header_line(
-    cells: &[CellSpec<'_>],
-    cfg: &CampaignConfig,
-    planned: &[u32],
-    shard: Option<ShardSpec>,
-) -> String {
-    let cell_objs = cells
-        .iter()
-        .zip(planned)
-        .map(|(c, &p)| {
-            Json::Obj(vec![
-                ("label".into(), Json::str(c.label.clone())),
-                ("tool".into(), Json::str(c.substrate.tool())),
-                ("category".into(), Json::str(c.category.name())),
-                ("planned".into(), Json::u64(u64::from(p))),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("record".into(), Json::str("divergence")),
-        ("version".into(), Json::u64(DIVERGENCE_VERSION)),
-        ("seed".into(), Json::u64(cfg.seed)),
-        ("injections".into(), Json::u64(u64::from(cfg.injections))),
-        ("hang_factor".into(), Json::u64(cfg.hang_factor)),
-        ("cells".into(), Json::Arr(cell_objs)),
-    ];
-    shard_fields(shard, &mut fields);
-    Json::Obj(fields).to_string()
-}
-
 /// Appends one per-injection record line to `out`. Exact-collapse
 /// records append the class weight; sampled records stay byte-identical
 /// to version 1.
@@ -1454,104 +1431,41 @@ fn reopen_stream(path: &Path, valid_bytes: u64, what: &str) -> Result<BufWriter<
     Ok(BufWriter::new(file))
 }
 
-struct ResumePrefix {
-    /// Outcomes of tasks `0..outcomes.len()`, in task order.
-    outcomes: Vec<Outcome>,
+/// The valid prefix of an interrupted run's record or divergence
+/// stream.
+struct Prefix<T> {
+    /// The parsed lines of tasks `0..items.len()`, in task order.
+    items: Vec<T>,
     /// Byte length of the header line.
     header_bytes: u64,
-    /// `offsets[i]` = byte length of the header plus records `0..=i`.
+    /// `offsets[i]` = byte length of the header plus lines `0..=i`.
     offsets: Vec<u64>,
 }
 
-impl ResumePrefix {
-    /// Byte length of the header plus the first `records` records.
-    fn byte_len(&self, records: usize) -> u64 {
-        match records.checked_sub(1) {
+impl<T> Prefix<T> {
+    /// Byte length of the header plus the first `lines` lines.
+    fn byte_len(&self, lines: usize) -> u64 {
+        match lines.checked_sub(1) {
             Some(last) => self.offsets[last],
             None => self.header_bytes,
         }
     }
-}
-
-/// Parses the longest valid prefix of an existing record file.
-///
-/// The file must start with exactly `expected_header`; records must be
-/// contiguous from task 0. A torn final line (from a kill mid-write) is
-/// dropped, as is anything after the first malformed record.
-fn load_resume(
-    path: &Path,
-    expected_header: &str,
-    lo: usize,
-    max_items: usize,
-) -> Result<ResumePrefix, String> {
-    let (outcomes, header_bytes, offsets) =
-        load_prefix(path, expected_header, "record", "--records", |line, i| {
-            (i < max_items)
-                .then(|| parse_record(line, lo + i))
-                .flatten()
-        })?;
-    Ok(ResumePrefix {
-        outcomes,
-        header_bytes,
-        offsets,
-    })
-}
-
-/// The valid prefix of an interrupted run's divergence stream.
-struct DivPrefix {
-    /// Complete, well-formed timeline lines, contiguous from task 0.
-    timelines: usize,
-    header_bytes: u64,
-    offsets: Vec<u64>,
-}
-
-impl DivPrefix {
-    /// Byte length of the header plus the first `timelines` lines.
-    fn byte_len(&self, timelines: usize) -> u64 {
-        match timelines.checked_sub(1) {
-            Some(last) => self.offsets[last],
-            None => self.header_bytes,
-        }
-    }
-}
-
-/// [`load_resume`] for the divergence stream: validates the header and
-/// the longest contiguous timeline prefix (torn-tail tolerant, like the
-/// records channel).
-fn load_div_resume(
-    path: &Path,
-    expected_header: &str,
-    lo: usize,
-    max_items: usize,
-) -> Result<DivPrefix, String> {
-    let (lines, header_bytes, offsets) = load_prefix(
-        path,
-        expected_header,
-        "divergence",
-        "--divergence",
-        |line, i| (i < max_items && parse_timeline(line, lo + i)).then_some(()),
-    )?;
-    Ok(DivPrefix {
-        timelines: lines.len(),
-        header_bytes,
-        offsets,
-    })
 }
 
 /// Streams the longest valid prefix of a JSONL stream: the header line
 /// must equal `expected_header`, and `parse(line, index)` validates each
-/// subsequent line. Returns the parsed items, the header's byte length,
-/// and the cumulative byte offset after each item — the offsets let
-/// resume truncate the file back to any item count, not just the full
-/// valid prefix (needed when reconciling the record and divergence
-/// streams to their common task prefix).
+/// subsequent line, up to the first malformed one; a torn final line
+/// (from a kill mid-write) is dropped. The prefix's offsets let resume
+/// truncate the file back to any item count, not just the full valid
+/// prefix (needed when reconciling the record and divergence streams to
+/// their common task prefix).
 fn load_prefix<T>(
     path: &Path,
     expected_header: &str,
     what: &str,
     flag: &str,
     parse: impl Fn(&str, usize) -> Option<T>,
-) -> Result<(Vec<T>, u64, Vec<u64>), String> {
+) -> Result<Prefix<T>, String> {
     // Stream line by line instead of slurping the whole file: resume files
     // grow with the campaign (one line per injection) and only the tiny
     // parsed prefix needs to stay in memory.
@@ -1590,7 +1504,11 @@ fn load_prefix<T>(
         valid += line.len() as u64;
         offsets.push(valid);
     }
-    Ok((items, header_bytes, offsets))
+    Ok(Prefix {
+        items,
+        header_bytes,
+        offsets,
+    })
 }
 
 /// Parses one record line, requiring `task == expected_index`.

@@ -17,11 +17,11 @@
 //! panic or a NaN.
 
 use crate::divergence::DIVERGENCE_VERSION;
-use crate::json::{Field, Fields, Json};
+use crate::json::{Fields, Json};
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::stats::wilson_ci95;
-use crate::telemetry::TELEMETRY_VERSION;
-use fiq_telemetry::{HistData, HIST_BUCKETS};
+use crate::telemetry::{RunTotals, TelemetrySummary};
+use fiq_telemetry::HistData;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -147,21 +147,6 @@ impl CellSummary {
     }
 }
 
-/// End-of-run totals parsed from the telemetry `summary` line.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TelemetryTotals {
-    /// Total tasks in the campaign.
-    pub total: u64,
-    /// Tasks finished (including resumed).
-    pub done: u64,
-    /// Tasks restored from the record file.
-    pub resumed: u64,
-    /// Tasks that restored a fast-forward snapshot.
-    pub fast_forwarded: u64,
-    /// Tasks cut short by convergence detection.
-    pub early_exited: u64,
-}
-
 /// The engine-scope slice of the telemetry stream.
 #[derive(Debug, Clone, Default)]
 pub struct EngineSummary {
@@ -172,7 +157,7 @@ pub struct EngineSummary {
     /// Tasks executed per worker (the steal distribution).
     pub worker_tasks: Vec<u64>,
     /// End-of-run totals.
-    pub totals: TelemetryTotals,
+    pub totals: RunTotals,
     /// Streamed events seen, by kind.
     pub events: BTreeMap<String, u64>,
 }
@@ -196,7 +181,9 @@ pub struct CampaignReport {
     pub engine: Option<EngineSummary>,
 }
 
-fn read_lines(path: &Path) -> Result<impl Iterator<Item = Result<String, String>> + '_, String> {
+pub(crate) fn read_lines(
+    path: &Path,
+) -> Result<impl Iterator<Item = Result<String, String>> + '_, String> {
     let file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     let mut reader = BufReader::new(file);
     Ok(std::iter::from_fn(move || {
@@ -227,12 +214,12 @@ fn get_str<'j>(v: &'j Json, key: &str, what: &str) -> Result<&'j str, String> {
         .ok_or_else(|| format!("{what}: missing or non-string field {key:?}"))
 }
 
-fn field_u64(v: &Fields<'_>, key: &str, what: &str) -> Result<u64, String> {
+pub(crate) fn field_u64(v: &Fields<'_>, key: &str, what: &str) -> Result<u64, String> {
     v.u64(key)
         .ok_or_else(|| format!("{what}: missing or non-integer field {key:?}"))
 }
 
-fn field_str<'v>(v: &'v Fields<'_>, key: &str, what: &str) -> Result<&'v str, String> {
+pub(crate) fn field_str<'v>(v: &'v Fields<'_>, key: &str, what: &str) -> Result<&'v str, String> {
     v.str(key)
         .ok_or_else(|| format!("{what}: missing or non-string field {key:?}"))
 }
@@ -384,117 +371,48 @@ impl CampaignReport {
         })
     }
 
-    fn merge_telemetry(&mut self, path: &Path) -> Result<(), String> {
-        let what = "telemetry file";
-        let mut lines = read_lines(path)?;
-        let header_text = lines
-            .next()
-            .ok_or_else(|| format!("{}: empty telemetry file", path.display()))??;
-        let header = Json::parse(&header_text).map_err(|e| format!("{what} header: {e}"))?;
-        if header.get("record").and_then(Json::as_str) != Some("telemetry") {
-            return Err(format!("{}: not a telemetry file", path.display()));
-        }
-        let version = get_u64(&header, "version", what)?;
-        if version != TELEMETRY_VERSION {
-            return Err(format!(
-                "{what}: version {version} unsupported (expected {TELEMETRY_VERSION})"
-            ));
-        }
-        let seed = get_u64(&header, "seed", what)?;
+    /// Checks that an auxiliary `stream`'s header names the record
+    /// file's seed and cell grid.
+    fn check_campaign(&self, header: &Json, what: &str, stream: &str) -> Result<(), String> {
+        let seed = get_u64(header, "seed", what)?;
         if seed != self.seed {
             return Err(format!(
-                "telemetry stream (seed {seed}) does not belong to this record \
+                "{stream} stream (seed {seed}) does not belong to this record \
                  file (seed {})",
                 self.seed
             ));
         }
-        let tel_cells = parse_header_cells(&header, what)?;
-        if tel_cells.len() != self.cells.len()
-            || tel_cells
+        let cells = parse_header_cells(header, what)?;
+        if cells.len() != self.cells.len()
+            || cells
                 .iter()
                 .zip(&self.cells)
-                .any(|(t, r)| t.label != r.label || t.tool != r.tool || t.category != r.category)
+                .any(|(a, r)| a.label != r.label || a.tool != r.tool || a.category != r.category)
         {
-            return Err("telemetry stream describes a different cell grid".into());
+            return Err(format!("{stream} stream describes a different cell grid"));
         }
-        // A header without a worker count admits no worker lines.
-        let workers = header.get("workers").and_then(Json::as_u64).unwrap_or(0);
-        let mut engine = EngineSummary::default();
-        for line in lines {
-            let line = line?;
-            let v = Fields::parse(&line).map_err(|e| format!("{what}: bad line: {e}"))?;
-            match v.str("record") {
-                Some("event") => {
-                    let kind = field_str(&v, "kind", what)?;
-                    match engine.events.get_mut(kind) {
-                        Some(n) => *n += 1,
-                        None => {
-                            engine.events.insert(kind.to_string(), 1);
-                        }
-                    }
-                }
-                Some("counter") => {
-                    let name = field_str(&v, "name", what)?.to_string();
-                    let value = field_u64(&v, "value", what)?;
-                    match field_str(&v, "scope", what)? {
-                        "engine" => {
-                            engine.counters.insert(name, value);
-                        }
-                        "cell" => {
-                            let ci = self.cell_index(&v, what)?;
-                            self.cells[ci].counters.insert(name, value);
-                        }
-                        s => return Err(format!("{what}: unknown scope {s:?}")),
-                    }
-                }
-                Some("hist") => {
-                    let name = field_str(&v, "name", what)?.to_string();
-                    let data = parse_hist(&v, what)?;
-                    match field_str(&v, "scope", what)? {
-                        "engine" => {
-                            engine.hists.insert(name, data);
-                        }
-                        "cell" => {
-                            let ci = self.cell_index(&v, what)?;
-                            self.cells[ci].hists.insert(name, data);
-                        }
-                        s => return Err(format!("{what}: unknown scope {s:?}")),
-                    }
-                }
-                Some("worker") => {
-                    // Worker lines come in index order, one per worker of
-                    // the header's count, so an index is never past the
-                    // list's end; anything else would size the list from
-                    // the input alone.
-                    let w = field_u64(&v, "worker", what)?;
-                    let known = engine.worker_tasks.len();
-                    if w >= workers || w > known as u64 {
-                        return Err(format!(
-                            "{what}: worker index {w} out of range \
-                             ({workers} workers, {known} listed so far)"
-                        ));
-                    }
-                    let tasks = field_u64(&v, "tasks", what)?;
-                    match engine.worker_tasks.get_mut(w as usize) {
-                        Some(slot) => *slot = tasks,
-                        None => engine.worker_tasks.push(tasks),
-                    }
-                }
-                Some("summary") => {
-                    engine.totals = TelemetryTotals {
-                        total: field_u64(&v, "total", what)?,
-                        done: field_u64(&v, "done", what)?,
-                        resumed: field_u64(&v, "resumed", what)?,
-                        fast_forwarded: field_u64(&v, "fast_forwarded", what)?,
-                        early_exited: field_u64(&v, "early_exited", what)?,
-                    };
-                }
-                _ => return Err(format!("{what}: unknown line {line}")),
-            }
+        Ok(())
+    }
+
+    fn merge_telemetry(&mut self, path: &Path) -> Result<(), String> {
+        let what = "telemetry file";
+        let tel = TelemetrySummary::read(path)?;
+        self.check_campaign(&tel.header, what, "telemetry")?;
+        let events = tel.event_kinds();
+        for (cell, m) in self.cells.iter_mut().zip(tel.cells) {
+            cell.counters = m.counters.into_iter().collect();
+            cell.hists = m.hists.into_iter().collect();
         }
+        let engine = EngineSummary {
+            counters: tel.engine.counters.into_iter().collect(),
+            hists: tel.engine.hists.into_iter().collect(),
+            worker_tasks: tel.workers,
+            totals: tel.totals.unwrap_or_default(),
+            events,
+        };
         // Cross-check: executed task counters must cover exactly the
         // non-resumed portion of the campaign.
-        let tasks: u64 = self.cells.iter().map(|c| c.counter("tasks")).sum();
+        let tasks = (self.cells.iter()).fold(0u64, |n, c| n.saturating_add(c.counter("tasks")));
         // saturating: a truncated or hand-edited stream can report more
         // resumed than done; that must surface as the inconsistency error
         // below, not as a u64 underflow panic.
@@ -525,23 +443,7 @@ impl CampaignReport {
                 "{what}: version {version} unsupported (expected {DIVERGENCE_VERSION})"
             ));
         }
-        let seed = get_u64(&header, "seed", what)?;
-        if seed != self.seed {
-            return Err(format!(
-                "divergence stream (seed {seed}) does not belong to this record \
-                 file (seed {})",
-                self.seed
-            ));
-        }
-        let div_cells = parse_header_cells(&header, what)?;
-        if div_cells.len() != self.cells.len()
-            || div_cells
-                .iter()
-                .zip(&self.cells)
-                .any(|(d, r)| d.label != r.label || d.tool != r.tool || d.category != r.category)
-        {
-            return Err("divergence stream describes a different cell grid".into());
-        }
+        self.check_campaign(&header, what, "divergence")?;
         // Every cell in the header gets a (possibly empty) summary: a
         // campaign killed before any timeline flushed still reports a
         // propagation section, just with zero counts.
@@ -591,14 +493,6 @@ impl CampaignReport {
             p.peak_pages_sum = p.peak_pages_sum.saturating_add(peak);
         }
         Ok(())
-    }
-
-    fn cell_index(&self, v: &Fields<'_>, what: &str) -> Result<usize, String> {
-        let ci = field_u64(v, "cell", what)?;
-        match usize::try_from(ci) {
-            Ok(ci) if ci < self.cells.len() => Ok(ci),
-            _ => Err(format!("{what}: cell index {ci} out of range")),
-        }
     }
 
     /// The machine-readable (`--json`) form of the report.
@@ -1026,48 +920,6 @@ impl CampaignReport {
         }
         out
     }
-}
-
-fn parse_hist(v: &Fields<'_>, what: &str) -> Result<HistData, String> {
-    let mut data = HistData {
-        sum: field_u64(v, "sum", what)?,
-        ..HistData::default()
-    };
-    let count = field_u64(v, "count", what)?;
-    let buckets = v
-        .get("buckets")
-        .and_then(Field::as_raw)
-        .map(Json::parse)
-        .transpose()?;
-    for pair in buckets
-        .as_ref()
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{what}: hist missing buckets"))?
-    {
-        let pair = pair
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{what}: malformed hist bucket"))?;
-        let (i, c) = (
-            pair[0]
-                .as_u64()
-                .ok_or_else(|| format!("{what}: malformed hist bucket"))? as usize,
-            pair[1]
-                .as_u64()
-                .ok_or_else(|| format!("{what}: malformed hist bucket"))?,
-        );
-        if i >= HIST_BUCKETS {
-            return Err(format!("{what}: hist bucket index {i} out of range"));
-        }
-        data.buckets[i] = c;
-    }
-    if data.count() != count {
-        return Err(format!(
-            "{what}: hist bucket counts sum to {} but count field says {count}",
-            data.count()
-        ));
-    }
-    Ok(data)
 }
 
 /// Renders a value→count map as `v:c v:c …` (or `-` when empty).

@@ -1,10 +1,13 @@
 //! Campaign telemetry: the metric schema, the per-task recording handle
-//! used by the injectors, and the `telemetry.jsonl` writer.
+//! used by the injectors, and the `telemetry.jsonl` codec.
 //!
 //! The generic sharded-metrics machinery (counters, log2 histograms,
 //! event batching) lives in the dependency-free `fiq-telemetry` crate;
 //! this module pins down *what* the campaign engine measures and how it
-//! is serialized with the [`crate::json`] codec.
+//! is serialized. [`TelemetrySummary`] is the only code that lays out or
+//! parses the stream's counter, histogram, worker and summary lines: the
+//! engine writes through it, `fiq report` reads through it, and the
+//! daemon's shard merge is its monoid [`TelemetrySummary::merge`].
 //!
 //! ## Determinism contract
 //!
@@ -21,10 +24,12 @@
 //!   determinism assertions ([`DETERMINISTIC_CELL_HISTS`] lists the
 //!   histograms that *are* covered).
 
-use crate::campaign::CampaignConfig;
-use crate::engine::CellSpec;
 use crate::json::{Field, Fields, Json, ObjWriter};
-use fiq_telemetry::{EvVal, EventSink, HistData, HubSpec, TelemetryHub, WorkerHandle};
+use crate::report::{field_str, field_u64, read_lines};
+use fiq_telemetry::{
+    EvVal, EventSink, HistData, HubSpec, TelemetryHub, WorkerHandle, HIST_BUCKETS,
+};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -255,19 +260,470 @@ impl<'a> TaskTel<'a> {
     }
 }
 
-/// End-of-run totals written as the telemetry `summary` line.
-pub(crate) struct RunTotals {
-    pub total: usize,
-    pub done: usize,
-    pub resumed: usize,
-    pub fast_forwarded: usize,
-    pub early_exited: usize,
+/// End-of-run totals: the telemetry stream's `summary` line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunTotals {
+    /// Total tasks in the campaign (or shard).
+    pub total: u64,
+    /// Tasks finished, including resumed ones.
+    pub done: u64,
+    /// Tasks restored from the record file instead of executed.
+    pub resumed: u64,
+    /// Tasks that restored a fast-forward snapshot.
+    pub fast_forwarded: u64,
+    /// Tasks cut short by convergence detection.
+    pub early_exited: u64,
+}
+
+/// The `summary` line's fields, in [`RunTotals::fields`] order.
+const TOTALS: [&str; 5] = ["total", "done", "resumed", "fast_forwarded", "early_exited"];
+
+impl RunTotals {
+    fn fields(&mut self) -> [&mut u64; 5] {
+        [
+            &mut self.total,
+            &mut self.done,
+            &mut self.resumed,
+            &mut self.fast_forwarded,
+            &mut self.early_exited,
+        ]
+    }
+}
+
+/// One scope's end-of-run counters and histograms by name, in stream
+/// order (the engine writes them in [`HUB_SPEC`] order).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Metrics {
+    /// Counter values by name.
+    pub counters: Vec<(String, u64)>,
+    /// Histograms by name.
+    pub hists: Vec<(String, HistData)>,
+}
+
+impl Metrics {
+    fn from_hub(names: (&[&str], &[&str]), counters: Vec<u64>, hists: Vec<HistData>) -> Metrics {
+        let named = |n: &[&str]| n.iter().map(|n| (*n).to_string()).collect::<Vec<_>>();
+        Metrics {
+            counters: named(names.0).into_iter().zip(counters).collect(),
+            hists: named(names.1).into_iter().zip(hists).collect(),
+        }
+    }
+
+    /// Adds `other` by name; a name only one side has is kept as is.
+    fn merge(&mut self, other: Metrics) -> Result<(), String> {
+        for (name, v) in other.counters {
+            match self.counters.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, a)) => *a = add(*a, v)?,
+                None => self.counters.push((name, v)),
+            }
+        }
+        for (name, h) in other.hists {
+            match self.hists.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, a)) => {
+                    for (x, y) in a.buckets.iter_mut().zip(&h.buckets) {
+                        *x = add(*x, *y)?;
+                    }
+                    a.sum = a.sum.wrapping_add(h.sum);
+                    hist_count(a)?;
+                }
+                None => self.hists.push((name, h)),
+            }
+        }
+        Ok(())
+    }
+}
+
+fn add(a: u64, b: u64) -> Result<u64, String> {
+    a.checked_add(b)
+        .ok_or_else(|| "telemetry value overflows u64".to_string())
+}
+
+/// A histogram's observation count, refusing one that overflows `u64`.
+fn hist_count(h: &HistData) -> Result<u64, String> {
+    h.buckets.iter().try_fold(0, |n, &c| add(n, c))
+}
+
+/// A telemetry stream, parsed: its header, the end-of-run counter,
+/// histogram, worker and summary lines, and the `event` lines verbatim.
+/// This is the one codec of the stream's layout — the engine writes its
+/// end of run through [`TelemetrySummary::write`], `fiq report` reads
+/// with [`TelemetrySummary::read`], and the daemon folds shard spools
+/// with [`TelemetrySummary::merge`].
+#[derive(Debug, Clone)]
+pub struct TelemetrySummary {
+    /// The header line: campaign identity plus the worker count.
+    pub header: Json,
+    /// Engine-scope metrics.
+    pub engine: Metrics,
+    /// Cell-scope metrics, one entry per header cell.
+    pub cells: Vec<Metrics>,
+    /// Tasks executed per worker (the steal distribution).
+    pub workers: Vec<u64>,
+    /// The `summary` line; `None` when the run was killed before it.
+    pub totals: Option<RunTotals>,
+    /// The `event` lines, verbatim, in stream order.
+    pub events: Vec<String>,
+}
+
+impl TelemetrySummary {
+    /// An empty stream under `header` — the identity of
+    /// [`TelemetrySummary::merge`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless `header` is a telemetry header of this
+    /// version with a labelled cell list and an integer (or no) `workers`.
+    pub fn new(header: &str) -> Result<TelemetrySummary, String> {
+        let what = "telemetry header";
+        let header = Json::parse(header).map_err(|e| format!("{what}: {e}"))?;
+        if header.get("record").and_then(Json::as_str) != Some("telemetry") {
+            return Err("not a telemetry stream".into());
+        }
+        let version = header.get("version").and_then(Json::as_u64);
+        if version != Some(TELEMETRY_VERSION) {
+            return Err(format!(
+                "{what}: version {version:?} unsupported (expected {TELEMETRY_VERSION})"
+            ));
+        }
+        let cells = header
+            .get("cells")
+            .and_then(Json::as_array)
+            .filter(|c| {
+                c.iter()
+                    .all(|c| c.get("label").and_then(Json::as_str).is_some())
+            })
+            .ok_or_else(|| format!("{what}: missing or unlabelled cells array"))?
+            .len();
+        if header.get("workers").is_some_and(|w| w.as_u64().is_none()) {
+            return Err(format!("{what}: non-integer field \"workers\""));
+        }
+        Ok(TelemetrySummary {
+            header,
+            engine: Metrics::default(),
+            cells: vec![Metrics::default(); cells],
+            workers: Vec::new(),
+            totals: None,
+            events: Vec::new(),
+        })
+    }
+
+    /// What the engine holds once its pool drains: `hub`'s merged
+    /// metrics and per-worker task counts under `header`.
+    pub(crate) fn from_hub(
+        header: &str,
+        hub: &TelemetryHub,
+        totals: RunTotals,
+    ) -> Result<TelemetrySummary, String> {
+        let mut s = TelemetrySummary::new(header)?;
+        let (spec, snap) = (hub.spec(), hub.merged());
+        if snap.cells.len() != s.cells.len() {
+            return Err("telemetry header and hub disagree on the cell count".into());
+        }
+        s.engine = Metrics::from_hub((spec.counters, spec.hists), snap.counters, snap.hists);
+        s.cells = snap
+            .cells
+            .into_iter()
+            .map(|c| Metrics::from_hub((spec.cell_counters, spec.cell_hists), c.counters, c.hists))
+            .collect();
+        s.workers = hub.per_worker(engine_counter::TASKS);
+        s.totals = Some(totals);
+        Ok(s)
+    }
+
+    /// Reads a telemetry stream. Every missing, mistyped or out-of-range
+    /// field is an error, and so is a repeated metric or summary line, a
+    /// histogram whose buckets are out of order or do not sum to its
+    /// `count`, and a worker line out of sequence or past the header's
+    /// `workers`. A torn final line (a kill mid-write) is dropped, as in
+    /// the other streams.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming `path` when the file is unreadable or any
+    /// line is malformed.
+    pub fn read(path: &Path) -> Result<TelemetrySummary, String> {
+        let at = |e: String| format!("{}: {e}", path.display());
+        let mut lines = read_lines(path)?;
+        let header = lines
+            .next()
+            .ok_or_else(|| at("empty telemetry file".into()))??;
+        let mut s = TelemetrySummary::new(&header).map_err(at)?;
+        for line in lines {
+            s.read_line(line?).map_err(at)?;
+        }
+        Ok(s)
+    }
+
+    fn read_line(&mut self, line: String) -> Result<(), String> {
+        let v = Fields::parse(&line).map_err(|e| format!("bad telemetry line: {e}"))?;
+        match v.str("record") {
+            Some("event") => {
+                field_str(&v, "kind", "event line")?;
+                self.events.push(line);
+            }
+            Some("counter") => {
+                let (name, value) = (
+                    field_str(&v, "name", "counter line")?,
+                    field_u64(&v, "value", "counter line")?,
+                );
+                insert(&mut self.scope(&v)?.counters, name, value)?;
+            }
+            Some("hist") => {
+                let (name, data) = (field_str(&v, "name", "hist line")?, read_hist(&v)?);
+                insert(&mut self.scope(&v)?.hists, name, data)?;
+            }
+            Some("worker") => {
+                let (w, declared) = (field_u64(&v, "worker", "worker line")?, self.declared());
+                let known = self.workers.len();
+                if w >= declared || w != known as u64 {
+                    return Err(format!(
+                        "worker index {w} out of range ({declared} workers, {known} listed so far)"
+                    ));
+                }
+                self.workers.push(field_u64(&v, "tasks", "worker line")?);
+            }
+            Some("summary") => {
+                if self.totals.is_some() {
+                    return Err("repeated summary line".into());
+                }
+                if self.workers.len() as u64 != self.declared() {
+                    return Err(format!(
+                        "summary line after {} of {} worker lines",
+                        self.workers.len(),
+                        self.declared()
+                    ));
+                }
+                let mut totals = RunTotals::default();
+                for (slot, key) in totals.fields().into_iter().zip(TOTALS) {
+                    *slot = field_u64(&v, key, "summary line")?;
+                }
+                self.totals = Some(totals);
+            }
+            _ => return Err(format!("unknown telemetry line {line}")),
+        }
+        Ok(())
+    }
+
+    /// The metrics a counter or histogram line belongs to.
+    fn scope(&mut self, v: &Fields<'_>) -> Result<&mut Metrics, String> {
+        let what = "metric line";
+        match field_str(v, "scope", what)? {
+            "engine" => Ok(&mut self.engine),
+            "cell" => {
+                let ci = field_u64(v, "cell", what)?;
+                let ci = usize::try_from(ci)
+                    .ok()
+                    .filter(|&ci| ci < self.cells.len())
+                    .ok_or_else(|| format!("{what}: cell index {ci} out of range"))?;
+                let label = self.labels().nth(ci);
+                if v.get("label").is_some_and(|l| l.as_str() != label) {
+                    return Err(format!("{what}: label does not match header cell {ci}"));
+                }
+                Ok(&mut self.cells[ci])
+            }
+            s => Err(format!("{what}: unknown scope {s:?}")),
+        }
+    }
+
+    /// The header's `workers` field (0 when absent).
+    fn declared(&self) -> u64 {
+        self.header
+            .get("workers")
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    }
+
+    /// The header's cell labels, in cell order.
+    fn labels(&self) -> impl Iterator<Item = &str> {
+        self.header
+            .get("cells")
+            .and_then(Json::as_array)
+            .unwrap_or_default()
+            .iter()
+            .map(|c| c.get("label").and_then(Json::as_str).unwrap_or_default())
+    }
+
+    /// The monoid: adds `other` into `self`. Counters, histograms
+    /// (bucketwise, `sum` wrapping), the header's `workers` and the totals
+    /// add; worker lists and events concatenate, `other`'s after
+    /// `self`'s. The rest of the header stays `self`'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the two streams have different cell counts
+    /// or a sum overflows `u64`.
+    pub fn merge(&mut self, other: TelemetrySummary) -> Result<(), String> {
+        if other.cells.len() != self.cells.len() {
+            return Err("telemetry streams describe different cell grids".into());
+        }
+        let workers = add(self.declared(), other.declared())?;
+        self.engine.merge(other.engine)?;
+        for (a, b) in self.cells.iter_mut().zip(other.cells) {
+            a.merge(b)?;
+        }
+        if let Json::Obj(fields) = &mut self.header {
+            for (_, v) in fields.iter_mut().filter(|(k, _)| k == "workers") {
+                *v = Json::u64(workers);
+            }
+        }
+        self.workers.extend(other.workers);
+        self.totals = match (self.totals, other.totals) {
+            (Some(mut a), Some(mut b)) => {
+                for (a, b) in a.fields().into_iter().zip(b.fields()) {
+                    *a = add(*a, *b)?;
+                }
+                Some(a)
+            }
+            (a, b) => a.or(b),
+        };
+        self.events.extend(other.events);
+        Ok(())
+    }
+
+    /// Writes the whole stream: header, events, then the end of run.
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's I/O error.
+    pub fn write(&self, w: &mut impl Write) -> std::io::Result<()> {
+        writeln!(w, "{}", self.header)?;
+        for ev in &self.events {
+            writeln!(w, "{ev}")?;
+        }
+        self.write_end(w)
+    }
+
+    /// Writes the end-of-run lines: counters and histograms (engine
+    /// scope, then each cell), one line per worker, and the summary.
+    fn write_end(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let mut out = String::new();
+        let cells = self.labels().enumerate().map(Some).zip(&self.cells);
+        for (cell, m) in std::iter::once((None, &self.engine)).chain(cells) {
+            for (name, value) in &m.counters {
+                let mut o = metric_line(&mut out, "counter", cell, name);
+                o.u64("value", *value);
+                o.close();
+                out.push('\n');
+            }
+            for (name, data) in &m.hists {
+                let mut o = metric_line(&mut out, "hist", cell, name);
+                o.u64("count", data.count())
+                    .u64("sum", data.sum)
+                    .u64_rows("buckets", data.nonempty().map(|(i, c)| [i as u64, c]));
+                o.close();
+                out.push('\n');
+            }
+        }
+        for (wi, tasks) in self.workers.iter().enumerate() {
+            let mut o = ObjWriter::open(&mut out);
+            o.str("record", "worker")
+                .u64("worker", wi as u64)
+                .u64("tasks", *tasks);
+            o.close();
+            out.push('\n');
+        }
+        if let Some(mut totals) = self.totals {
+            let mut o = ObjWriter::open(&mut out);
+            o.str("record", "summary");
+            for (key, v) in TOTALS.into_iter().zip(totals.fields()) {
+                o.u64(key, *v);
+            }
+            o.close();
+            out.push('\n');
+        }
+        w.write_all(out.as_bytes())
+    }
+
+    /// Events seen, by kind.
+    pub fn event_kinds(&self) -> BTreeMap<String, u64> {
+        let mut kinds = BTreeMap::new();
+        for line in &self.events {
+            let Ok(v) = Fields::parse(line) else { continue };
+            let Some(kind) = v.str("kind") else { continue };
+            match kinds.get_mut(kind) {
+                Some(n) => *n += 1,
+                None => {
+                    kinds.insert(kind.to_string(), 1);
+                }
+            }
+        }
+        kinds
+    }
+}
+
+/// Adds a metric to a scope, refusing a second line for one name.
+fn insert<T>(list: &mut Vec<(String, T)>, name: &str, value: T) -> Result<(), String> {
+    if list.iter().any(|(n, _)| n == name) {
+        return Err(format!("repeated metric {name:?}"));
+    }
+    list.push((name.to_string(), value));
+    Ok(())
+}
+
+/// Opens a counter or histogram line up to its `name` member.
+fn metric_line<'o>(
+    out: &'o mut String,
+    record: &str,
+    cell: Option<(usize, &str)>,
+    name: &str,
+) -> ObjWriter<'o> {
+    let mut o = ObjWriter::open(out);
+    o.str("record", record)
+        .str("scope", if cell.is_some() { "cell" } else { "engine" });
+    if let Some((ci, label)) = cell {
+        o.u64("cell", ci as u64).str("label", label);
+    }
+    o.str("name", name);
+    o
+}
+
+/// A histogram line's data: buckets in increasing index order, each
+/// below [`HIST_BUCKETS`], summing to the line's `count`.
+fn read_hist(v: &Fields<'_>) -> Result<HistData, String> {
+    let what = "hist line";
+    let count = field_u64(v, "count", what)?;
+    let mut data = HistData {
+        sum: field_u64(v, "sum", what)?,
+        ..HistData::default()
+    };
+    let buckets = v
+        .get("buckets")
+        .and_then(Field::as_raw)
+        .map(Json::parse)
+        .transpose()?;
+    let mut next = 0;
+    for pair in buckets
+        .as_ref()
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{what}: missing buckets"))?
+    {
+        let (Some(i), Some(c)) = (match pair.as_array() {
+            Some([i, c]) => (i.as_u64(), c.as_u64()),
+            _ => (None, None),
+        }) else {
+            return Err(format!("{what}: malformed bucket"));
+        };
+        let i = usize::try_from(i)
+            .ok()
+            .filter(|&i| (next..HIST_BUCKETS).contains(&i))
+            .ok_or_else(|| format!("{what}: bucket index {i} out of range or order"))?;
+        data.buckets[i] = c;
+        next = i + 1;
+    }
+    let total = hist_count(&data)?;
+    if total != count {
+        return Err(format!(
+            "{what}: bucket counts sum to {total} but count field says {count}"
+        ));
+    }
+    Ok(data)
 }
 
 /// The shared `telemetry.jsonl` writer: the event sink appends batches
-/// while workers run, and the engine appends the counter/histogram
-/// summary after the pool drains. One mutex serializes both.
+/// while workers run, and the engine appends the end-of-run lines after
+/// the pool drains. One mutex serializes both.
 pub(crate) struct TelemetryFile {
+    header: String,
     writer: Arc<Mutex<BufWriter<File>>>,
 }
 
@@ -283,6 +739,7 @@ impl TelemetryFile {
         let mut w = BufWriter::new(file);
         writeln!(w, "{header}").map_err(|e| format!("write telemetry header: {e}"))?;
         Ok(TelemetryFile {
+            header: header.to_string(),
             writer: Arc::new(Mutex::new(w)),
         })
     }
@@ -298,9 +755,8 @@ impl TelemetryFile {
     /// task prefix, and each task index appears in at most one `task`
     /// event across all attempts.
     ///
-    /// The old header must describe the same campaign shard; only its
-    /// `workers` field may differ (a resumed attempt caps workers at the
-    /// remaining task count).
+    /// The old header must describe the same campaign shard (see
+    /// [`same_campaign`]).
     pub(crate) fn reconcile(
         path: &Path,
         expected_header: &str,
@@ -314,7 +770,7 @@ impl TelemetryFile {
             .transpose()
             .map_err(|e| format!("read telemetry file {}: {e}", path.display()))?
             .unwrap_or_default();
-        if !headers_match_ignoring_workers(&found, expected_header) {
+        if !Json::parse(&found).is_ok_and(|found| same_campaign(&found, expected_header)) {
             return Err(format!(
                 "telemetry file {} belongs to a different campaign; \
                  delete it or pass a fresh --telemetry path",
@@ -325,17 +781,13 @@ impl TelemetryFile {
             .map_while(Result::ok)
             .filter(|l| keep_event_line(l, keep_below))
             .collect();
-        let out = File::create(path)
-            .map_err(|e| format!("create telemetry file {}: {e}", path.display()))?;
-        let mut w = BufWriter::new(out);
-        let werr = |e: std::io::Error| format!("write telemetry: {e}");
-        writeln!(w, "{expected_header}").map_err(werr)?;
+        let file = TelemetryFile::create(path, expected_header)?;
+        let mut w = lock(&file.writer);
         for line in &kept {
-            writeln!(w, "{line}").map_err(werr)?;
+            writeln!(w, "{line}").map_err(|e| format!("write telemetry: {e}"))?;
         }
-        Ok(TelemetryFile {
-            writer: Arc::new(Mutex::new(w)),
-        })
+        drop(w);
+        Ok(file)
     }
 
     /// An event sink appending `record: "event"` lines to this file.
@@ -355,115 +807,43 @@ impl TelemetryFile {
         )
     }
 
-    /// Writes the merged counter/histogram/worker/summary lines and
-    /// flushes the file. Call once, after `TelemetryHub::flush_events`.
+    /// Writes the end-of-run lines for `hub` and flushes the file. Call
+    /// once, after `TelemetryHub::flush_events`.
     pub(crate) fn write_summary(
         &self,
         hub: &TelemetryHub,
-        cells: &[CellSpec<'_>],
-        totals: &RunTotals,
+        totals: RunTotals,
     ) -> Result<(), String> {
-        let spec = hub.spec();
-        let snap = hub.merged();
+        let summary = TelemetrySummary::from_hub(&self.header, hub, totals)?;
         let mut w = lock(&self.writer);
-        let werr = |e: std::io::Error| format!("write telemetry: {e}");
-        for (name, value) in spec.counters.iter().zip(&snap.counters) {
-            writeln!(w, "{}", counter_line("engine", None, name, *value)).map_err(werr)?;
-        }
-        for (name, data) in spec.hists.iter().zip(&snap.hists) {
-            writeln!(w, "{}", hist_line("engine", None, name, data)).map_err(werr)?;
-        }
-        for (ci, cell) in snap.cells.iter().enumerate() {
-            let label = Some((ci, cells[ci].label.as_str()));
-            for (name, value) in spec.cell_counters.iter().zip(&cell.counters) {
-                writeln!(w, "{}", counter_line("cell", label, name, *value)).map_err(werr)?;
-            }
-            for (name, data) in spec.cell_hists.iter().zip(&cell.hists) {
-                writeln!(w, "{}", hist_line("cell", label, name, data)).map_err(werr)?;
-            }
-        }
-        for (wi, tasks) in hub.per_worker(engine_counter::TASKS).iter().enumerate() {
-            let line = Json::Obj(vec![
-                ("record".into(), Json::str("worker")),
-                ("worker".into(), Json::u64(wi as u64)),
-                ("tasks".into(), Json::u64(*tasks)),
-            ]);
-            writeln!(w, "{line}").map_err(werr)?;
-        }
-        let summary = Json::Obj(vec![
-            ("record".into(), Json::str("summary")),
-            ("total".into(), Json::u64(totals.total as u64)),
-            ("done".into(), Json::u64(totals.done as u64)),
-            ("resumed".into(), Json::u64(totals.resumed as u64)),
-            (
-                "fast_forwarded".into(),
-                Json::u64(totals.fast_forwarded as u64),
-            ),
-            ("early_exited".into(), Json::u64(totals.early_exited as u64)),
-        ]);
-        writeln!(w, "{summary}").map_err(werr)?;
-        w.flush().map_err(werr)
+        summary
+            .write_end(&mut *w)
+            .and_then(|()| w.flush())
+            .map_err(|e| format!("write telemetry: {e}"))
     }
 }
 
-/// The telemetry header line: identifies the campaign the stream belongs
-/// to, mirroring the record-stream header plus the worker count.
-pub(crate) fn telemetry_header_line(
-    cells: &[CellSpec<'_>],
-    cfg: &CampaignConfig,
-    planned: &[u32],
-    workers: usize,
-    shard: Option<crate::engine::ShardSpec>,
-) -> String {
-    let cell_objs = cells
-        .iter()
-        .zip(planned)
-        .map(|(c, &p)| {
-            Json::Obj(vec![
-                ("label".into(), Json::str(c.label.clone())),
-                ("tool".into(), Json::str(c.substrate.tool())),
-                ("category".into(), Json::str(c.category.name())),
-                ("planned".into(), Json::u64(u64::from(p))),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("record".into(), Json::str("telemetry")),
-        ("version".into(), Json::u64(TELEMETRY_VERSION)),
-        ("seed".into(), Json::u64(cfg.seed)),
-        ("injections".into(), Json::u64(u64::from(cfg.injections))),
-        ("hang_factor".into(), Json::u64(cfg.hang_factor)),
-        ("workers".into(), Json::u64(workers as u64)),
-        ("cells".into(), Json::Arr(cell_objs)),
-    ];
-    if let Some(sh) = shard {
-        fields.extend([
-            ("shard".into(), Json::u64(sh.index as u64)),
-            ("shards".into(), Json::u64(sh.count as u64)),
-            ("task_lo".into(), Json::u64(sh.lo as u64)),
-            ("task_hi".into(), Json::u64(sh.hi as u64)),
-        ]);
+/// True when a found telemetry header describes the same campaign shard
+/// as `expected`, ignoring the `workers` field: the worker count is
+/// `min(threads, remaining-tasks)`, so a resumed attempt legitimately
+/// runs with fewer workers than the attempt it reconciles against, and
+/// shards of one campaign run with different counts. Resume
+/// reconciliation and the daemon's shard merge both check headers so.
+pub fn same_campaign(found: &Json, expected: &str) -> bool {
+    fn without_workers(h: &Json) -> Option<impl Iterator<Item = &(String, Json)>> {
+        match h {
+            Json::Obj(fields) => Some(fields.iter().filter(|(k, _)| k != "workers")),
+            _ => None,
+        }
     }
-    Json::Obj(fields).to_string()
-}
-
-/// True when two telemetry headers describe the same campaign shard,
-/// ignoring the `workers` field: the worker count is `min(threads,
-/// remaining-tasks)`, so a resumed attempt legitimately runs with fewer
-/// workers than the attempt it reconciles against.
-fn headers_match_ignoring_workers(found: &str, expected: &str) -> bool {
-    let strip = |line: &str| {
-        Json::parse(line).ok().map(|v| match v {
-            Json::Obj(fields) => {
-                Json::Obj(fields.into_iter().filter(|(k, _)| k != "workers").collect())
-            }
-            other => other,
-        })
+    let Ok(expected) = Json::parse(expected) else {
+        return false;
     };
-    match (strip(found), strip(expected)) {
-        (Some(a), Some(b)) => a == b,
+    let same = match (without_workers(found), without_workers(&expected)) {
+        (Some(a), Some(b)) => a.eq(b),
         _ => false,
-    }
+    };
+    same
 }
 
 /// True for event lines the resume reconciliation keeps: non-task events
@@ -485,40 +865,6 @@ fn keep_event_line(line: &str, keep_below: u64) -> bool {
         .and_then(|f| Fields::parse(f).ok())
         .and_then(|f| f.u64("task"))
         .is_some_and(|t| t < keep_below)
-}
-
-fn counter_line(scope: &str, cell: Option<(usize, &str)>, name: &str, value: u64) -> String {
-    let mut fields = vec![
-        ("record".into(), Json::str("counter")),
-        ("scope".into(), Json::str(scope)),
-    ];
-    if let Some((ci, label)) = cell {
-        fields.push(("cell".into(), Json::u64(ci as u64)));
-        fields.push(("label".into(), Json::str(label)));
-    }
-    fields.push(("name".into(), Json::str(name)));
-    fields.push(("value".into(), Json::u64(value)));
-    Json::Obj(fields).to_string()
-}
-
-fn hist_line(scope: &str, cell: Option<(usize, &str)>, name: &str, data: &HistData) -> String {
-    let mut fields = vec![
-        ("record".into(), Json::str("hist")),
-        ("scope".into(), Json::str(scope)),
-    ];
-    if let Some((ci, label)) = cell {
-        fields.push(("cell".into(), Json::u64(ci as u64)));
-        fields.push(("label".into(), Json::str(label)));
-    }
-    fields.push(("name".into(), Json::str(name)));
-    fields.push(("count".into(), Json::u64(data.count())));
-    fields.push(("sum".into(), Json::u64(data.sum)));
-    let buckets = data
-        .nonempty()
-        .map(|(i, c)| Json::Arr(vec![Json::u64(i as u64), Json::u64(c)]))
-        .collect();
-    fields.push(("buckets".into(), Json::Arr(buckets)));
-    Json::Obj(fields).to_string()
 }
 
 /// Appends one `record: "event"` line (without its newline) to `out`.
@@ -569,6 +915,58 @@ mod tests {
             ("fields".into(), Json::Obj(fields)),
         ])
         .to_string()
+    }
+
+    /// A summary written and read back writes the same bytes, and
+    /// merging two hubs' summaries gives the metrics of one hub that did
+    /// both hubs' work.
+    #[test]
+    fn summary_round_trips_and_merges_like_one_hub() {
+        let header = |workers: usize| {
+            format!(
+                r#"{{"record":"telemetry","version":1,"seed":1,"workers":{workers},"cells":[{{"label":"q\"x","tool":"llfi","category":"all","planned":4}}]}}"#
+            )
+        };
+        let hub = |workers: usize, steps: &[u64]| {
+            let hub = TelemetryHub::new(&HUB_SPEC, workers, 1, None);
+            for (i, &v) in steps.iter().enumerate() {
+                let h = hub.worker(i % workers);
+                h.add(engine_counter::TASKS, 1);
+                h.cell_add(0, cell_counter::TASKS, 1);
+                h.cell_record(0, cell_hist::TASK_STEPS, v);
+            }
+            let n = steps.len() as u64;
+            let totals = RunTotals {
+                total: n,
+                done: n,
+                ..RunTotals::default()
+            };
+            TelemetrySummary::from_hub(&header(workers), &hub, totals).unwrap()
+        };
+        let (a, b) = (hub(2, &[0, 5, u64::MAX]), hub(1, &[7]));
+        let whole = hub(3, &[0, 5, u64::MAX, 7]);
+
+        let path = std::env::temp_dir().join(format!("fiq-codec-{}.jsonl", std::process::id()));
+        let mut bytes = Vec::new();
+        a.write(&mut bytes).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let back = TelemetrySummary::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let mut again = Vec::new();
+        back.write(&mut again).unwrap();
+        assert_eq!(
+            String::from_utf8(again).unwrap(),
+            String::from_utf8(bytes).unwrap()
+        );
+
+        let mut merged = TelemetrySummary::new(&header(0)).unwrap();
+        merged.merge(a).unwrap();
+        merged.merge(b).unwrap();
+        assert_eq!(merged.header.to_string(), header(3));
+        assert_eq!(merged.engine, whole.engine);
+        assert_eq!(merged.cells, whole.cells);
+        assert_eq!(merged.totals, whole.totals);
+        assert_eq!(merged.workers, [2, 1, 1]);
     }
 
     /// Keys and kinds are static in the engine; these cover the escaping

@@ -20,8 +20,9 @@
 //! * [`aggregate`] — merges per-shard record/divergence spools by
 //!   validated header-stripped concatenation (byte-identical to the
 //!   single-process stream at any shard count) and per-shard telemetry
-//!   by monoid merge (counters sum, histograms add bucketwise, the
-//!   summary line totals add).
+//!   with the telemetry codec's monoid merge
+//!   (`fiq_core::telemetry::TelemetrySummary`: counters sum, histograms
+//!   add bucketwise, the summary line totals add).
 //! * [`http`] + [`daemon`] + [`client`] — a dependency-free HTTP/1.1
 //!   JSON API over a local TCP socket (`POST /api/submit`,
 //!   `GET /api/status`, `GET /api/campaign/<id>`, `GET /api/report/<id>`,

@@ -390,6 +390,44 @@ fn merge_rejects_a_shard_spool_with_an_appended_line() {
     assert!(err.contains("shard-1.divergence"), "{err}");
 }
 
+/// A telemetry spool with a value missing must not merge: reading it as
+/// zero would hand the report a stream with wrong numbers.
+#[test]
+fn merge_rejects_a_telemetry_spool_with_a_missing_value() {
+    let dir = temp_dir("merge-tel-value");
+    let (prepared, plan) = two_shard_spools(&dir);
+    let spool = aggregate::shard_path(&dir, "telemetry", 1);
+    let full = read(&spool);
+    let line = full
+        .lines()
+        .find(|l| l.contains(r#""scope":"cell""#) && l.contains(r#""name":"steps_executed""#))
+        .expect("a cell steps_executed counter line");
+    let value = line.rfind(r#","value":"#).unwrap();
+    let damaged = format!("{}}}", &line[..value]);
+    std::fs::write(&spool, full.replacen(line, &damaged, 1)).unwrap();
+    let err = aggregate::merge_campaign(&prepared, &plan, &dir).unwrap_err();
+    assert!(err.contains("shard-1.telemetry"), "{err}");
+    assert!(err.contains("value"), "{err}");
+}
+
+/// Telemetry spools swapped between shards must not merge, just as
+/// swapped record and divergence spools do not: each spool's header
+/// names its shard.
+#[test]
+fn merge_rejects_swapped_telemetry_spools() {
+    let dir = temp_dir("merge-tel-swap");
+    let (prepared, plan) = two_shard_spools(&dir);
+    let (a, b) = (
+        aggregate::shard_path(&dir, "telemetry", 0),
+        aggregate::shard_path(&dir, "telemetry", 1),
+    );
+    let (text_a, text_b) = (read(&a), read(&b));
+    std::fs::write(&a, text_b).unwrap();
+    std::fs::write(&b, text_a).unwrap();
+    let err = aggregate::merge_campaign(&prepared, &plan, &dir).unwrap_err();
+    assert!(err.contains("shard-0.telemetry"), "{err}");
+}
+
 /// Satellite regression: a run killed between flushes leaves the three
 /// streams torn to *different* lengths. Resume must reconcile them to
 /// the minimum consistent prefix — records and divergence trimmed to
