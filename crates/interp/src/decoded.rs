@@ -3,14 +3,15 @@
 //! [`DecodedModule::decode`] runs once per module and resolves everything
 //! the reference per-step `match` (`Interp::step`) re-derives on every
 //! dynamic instruction:
-//! operand kinds ([`Opnd`] — slot index, argument index, or a fully
-//! materialized [`RtVal`] constant, with globals resolved to their
-//! deterministic addresses), result types, load/store widths, alloca
-//! sizes, and GEP strides (constant indices folded into flat byte
-//! offsets). Every block is decoded into two tables: `plain`, one entry
-//! per instruction, and `code`, the same entries after a fusion pass has
-//! rewritten four hot adjacent idioms into superinstructions: integer
-//! compare+branch, GEP+load, single-use integer ALU chains, and
+//! operands (an [`Opnd`] is one frame-slot index: SSA results, then
+//! arguments, written at call entry, then constants, with globals
+//! resolved to their deterministic addresses, copied from the function's
+//! slot template when its frame is pushed), result types, load/store
+//! widths, alloca sizes, and GEP strides (constant indices folded into
+//! flat byte offsets). Every block is decoded into two tables: `plain`,
+//! one entry per instruction, and `code`, the same entries after a fusion
+//! pass has rewritten four hot adjacent idioms into superinstructions:
+//! integer compare+branch, GEP+load, single-use integer ALU chains, and
 //! binop+compare+branch loop latches. Each stays because it covers a
 //! measurable share of retired steps on the benchmark workloads (DESIGN
 //! §4g); float compare+branch and GEP+store did not and are not fused.
@@ -36,7 +37,8 @@ use fiq_ir::{
     BinOp, BlockId, Callee, CastOp, Constant, FCmpPred, FloatTy, FuncId, ICmpPred, InstId,
     InstKind, IntTy, Intrinsic, Module, Type, Value,
 };
-use fiq_mem::{Memory, Trap};
+use fiq_mem::{Memory, Quiescence, Trap};
+use std::collections::HashMap;
 
 /// The widest superinstruction's retire count: a [`DecOp::FusedIntChain`]
 /// (head plus two links) and a [`DecOp::FusedBinICmpBr`] (binop, compare,
@@ -45,24 +47,34 @@ use fiq_mem::{Memory, Trap};
 /// table so it stops exactly on the boundary (see the module docs).
 pub(crate) const MAX_FUSED_RETIRE: u64 = 3;
 
-/// A pre-resolved operand: everything `Value` evaluation needs, with
-/// constants (including globals and function addresses) materialized at
-/// decode time. Only `Slot` reads fire an `on_use` event, exactly like
+/// A pre-resolved operand: the frame slot holding its raw image and the
+/// scalar kind that retags it. A frame's slots are the function's SSA
+/// results (slot `n` is `InstId(n)`), then its arguments, then its
+/// constants (including globals and function addresses), materialized at
+/// decode time. Only SSA-result reads fire an `on_use` event, exactly like
 /// `Value::Inst` in the reference core.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Opnd {
-    /// Read the SSA slot of instruction `InstId(n)` in the current frame,
-    /// retagging the raw image with the decode-time scalar kind (the
-    /// defining instruction's static result type).
-    Slot(u32, LoadKind),
-    /// Read argument `n` of the current frame.
-    Arg(u32),
-    /// A fully materialized constant.
-    Const(RtVal),
+pub(crate) struct Opnd {
+    pub(crate) slot: u32,
+    pub(crate) kind: LoadKind,
+    /// True for an SSA-result slot: reading it fires `on_use`.
+    pub(crate) fires_use: bool,
 }
 
-/// The scalar type of a load destination or SSA slot, pre-resolved from
-/// `inst.ty`.
+impl Opnd {
+    /// True when this operand reads the SSA result of instruction `id`.
+    fn reads(self, id: InstId) -> bool {
+        self.fires_use && self.slot == id.0
+    }
+}
+
+/// The slot of argument `n` in a frame of `func` (after its SSA results).
+pub(crate) fn arg_slot(func: &fiq_ir::Function, n: u32) -> usize {
+    func.insts.len() + n as usize
+}
+
+/// The scalar type of a load destination or frame slot, pre-resolved
+/// from the static type.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LoadKind {
     Int(IntTy),
@@ -118,31 +130,37 @@ pub(crate) fn val_of_raw(kind: LoadKind, raw: u64) -> RtVal {
     }
 }
 
-/// Reads an operand's raw 64-bit image without constructing a tagged
-/// `RtVal`: the event-free twin of `eval_opnd` for the quiescent loop.
-/// Only sound with `EVENTS = false` (slot reads fire no `on_use`) and
-/// only for operand positions whose consumers want the canonical raw
-/// bits — integer payloads and pointer addresses, where `raw_of ∘
-/// val_of_raw` is the identity and the tag/retag round trip (with its
-/// unfoldable wrong-tag panic branches) is pure overhead.
-#[inline]
-fn raw_opnd(frame: &Frame, o: &Opnd) -> u64 {
-    match o {
-        Opnd::Slot(i, _) => frame.slots[*i as usize],
-        Opnd::Arg(n) => raw_of(frame.args[*n as usize]),
-        Opnd::Const(v) => raw_of(*v),
+/// The raw image and kind of a constant operand: what the reference core
+/// materializes per read, and the decoded core once per function.
+pub(crate) fn const_image(c: Constant, global_addrs: &[u64]) -> (u64, LoadKind) {
+    match c {
+        Constant::Int(t, raw) => (raw, LoadKind::Int(t)),
+        Constant::Float(FloatTy::F32, bits) => (u64::from(bits as u32), LoadKind::F32),
+        Constant::Float(FloatTy::F64, bits) => (bits, LoadKind::F64),
+        Constant::NullPtr => (0, LoadKind::Ptr),
+        Constant::Global(g) => (global_addrs[g.index()], LoadKind::Ptr),
+        Constant::Func(f) => (0x4000_0000_0000_0000 | u64::from(f.0), LoadKind::Ptr),
+        Constant::Undef(t) => (0, LoadKind::Int(t)),
     }
 }
 
-/// [`raw_opnd`] sign-extended by the operand's static integer kind —
-/// the event-free twin of `eval_opnd(..).as_sint()` for GEP indices.
+/// Reads an operand's raw 64-bit image without constructing a tagged
+/// `RtVal` or firing an event: the event-free twin of `eval_opnd` for
+/// the quiescent loop. Only for operand positions whose consumers want
+/// the canonical raw bits — integer payloads and pointer addresses, where
+/// `raw_of ∘ val_of_raw` is the identity and the tag/retag round trip
+/// (with its unfoldable wrong-tag panic branches) is pure overhead.
 #[inline]
-fn sraw_opnd(frame: &Frame, o: &Opnd) -> i64 {
-    match o {
-        Opnd::Slot(i, LoadKind::Int(t)) => t.sext(frame.slots[*i as usize]),
-        Opnd::Slot(i, _) => frame.slots[*i as usize] as i64,
-        Opnd::Arg(n) => frame.args[*n as usize].as_sint(),
-        Opnd::Const(v) => v.as_sint(),
+fn raw_opnd(frame: &Frame, o: &Opnd) -> u64 {
+    frame.slots[o.slot as usize]
+}
+
+/// A raw GEP index image sign-extended by its static integer kind.
+#[inline]
+fn sext_index(kind: LoadKind, raw: u64) -> i64 {
+    match kind {
+        LoadKind::Int(t) => t.sext(raw),
+        _ => raw as i64,
     }
 }
 
@@ -341,10 +359,13 @@ pub(crate) struct DecodedBlock {
     pub(crate) plain: Box<[DecInst]>,
 }
 
-/// One decoded function: blocks indexed by `BlockId`.
+/// One decoded function: blocks indexed by `BlockId`, and the slots a
+/// new frame starts from — zeroed SSA-result and argument slots, then the
+/// function's distinct constants.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedFunc {
     pub(crate) blocks: Box<[DecodedBlock]>,
+    pub(crate) frame_template: Box<[u64]>,
 }
 
 /// A module pre-decoded for the interpreter's execution core. Decode once
@@ -383,35 +404,72 @@ impl DecodedModule {
     }
 }
 
-/// Resolves one `Value` operand against the decode-time global layout;
-/// slot reads carry the defining instruction's static scalar kind so the
-/// untagged raw image can be retagged without consulting the module.
-fn opnd(func: &fiq_ir::Function, v: Value, global_addrs: &[u64]) -> Opnd {
-    match v {
-        Value::Inst(id) => Opnd::Slot(id.0, LoadKind::of(&func.inst(id).ty)),
-        Value::Arg(n) => Opnd::Arg(n),
-        Value::Const(c) => Opnd::Const(match c {
-            Constant::Int(t, raw) => RtVal::Int(t, raw),
-            Constant::Float(FloatTy::F32, bits) => RtVal::F32(f32::from_bits(bits as u32)),
-            Constant::Float(FloatTy::F64, bits) => RtVal::F64(f64::from_bits(bits)),
-            Constant::NullPtr => RtVal::Ptr(0),
-            Constant::Global(g) => RtVal::Ptr(global_addrs[g.index()]),
-            Constant::Func(f) => RtVal::Ptr(0x4000_0000_0000_0000 | u64::from(f.0)),
-            Constant::Undef(t) => RtVal::Int(t, 0),
-        }),
+/// Decode-time state of one function: resolves `Value` operands to
+/// frame slots, interning each distinct constant image into the frame
+/// template (constants of different kinds with one image share a slot:
+/// the kind travels in the [`Opnd`]).
+struct FuncDecoder<'f> {
+    func: &'f fiq_ir::Function,
+    global_addrs: &'f [u64],
+    template: Vec<u64>,
+    const_slots: HashMap<u64, usize>,
+}
+
+impl<'f> FuncDecoder<'f> {
+    fn new(func: &'f fiq_ir::Function, global_addrs: &'f [u64]) -> FuncDecoder<'f> {
+        FuncDecoder {
+            func,
+            global_addrs,
+            template: vec![0; func.insts.len() + func.params.len()],
+            const_slots: HashMap::new(),
+        }
+    }
+
+    /// Resolves one operand; SSA-result reads carry the defining
+    /// instruction's static scalar kind, argument reads the parameter's,
+    /// so the untagged raw image can be retagged without consulting the
+    /// module.
+    fn opnd(&mut self, v: Value) -> Opnd {
+        let func = self.func;
+        let (slot, kind, fires_use) = match v {
+            Value::Inst(id) => (id.index(), LoadKind::of(&func.inst(id).ty), true),
+            Value::Arg(n) => (
+                arg_slot(func, n),
+                LoadKind::of(&func.params[n as usize]),
+                false,
+            ),
+            Value::Const(c) => {
+                let (raw, kind) = const_image(c, self.global_addrs);
+                let template = &mut self.template;
+                let slot = *self.const_slots.entry(raw).or_insert_with(|| {
+                    template.push(raw);
+                    template.len() - 1
+                });
+                (slot, kind, false)
+            }
+        };
+        Opnd {
+            slot: u32::try_from(slot).expect("frame slots fit u32"),
+            kind,
+            fires_use,
+        }
+    }
+
+    fn opnds(&mut self, vs: &[Value]) -> Box<[Opnd]> {
+        vs.iter().map(|v| self.opnd(*v)).collect()
+    }
+
+    /// The sign-extended value of a constant GEP index.
+    fn const_index(&self, c: Constant) -> i64 {
+        let (raw, kind) = const_image(c, self.global_addrs);
+        sext_index(kind, raw)
     }
 }
 
 /// Pre-computes a GEP's address steps, folding constant indices into flat
 /// byte offsets. Falls back to [`DecOp::GepDyn`] when a struct is indexed
 /// by a non-constant (the stride walk then depends on runtime values).
-fn decode_gep(
-    func: &fiq_ir::Function,
-    elem_ty: &Type,
-    base: Value,
-    indices: &[Value],
-    ga: &[u64],
-) -> DecOp {
+fn decode_gep(dec: &mut FuncDecoder, elem_ty: &Type, base: Value, indices: &[Value]) -> DecOp {
     let mut steps: Vec<GepStep> = Vec::new();
     let mut pending: u64 = 0;
     let mut cur_ty = elem_ty;
@@ -425,14 +483,14 @@ fn decode_gep(
                     cur_ty.size()
                 }
                 Type::Struct(fields) => {
-                    let Opnd::Const(c) = opnd(func, *idx, ga) else {
+                    let Value::Const(c) = *idx else {
                         return DecOp::GepDyn {
                             elem_ty: elem_ty.clone(),
-                            base: opnd(func, base, ga),
-                            indices: indices.iter().map(|v| opnd(func, *v, ga)).collect(),
+                            base: dec.opnd(base),
+                            indices: dec.opnds(indices),
                         };
                     };
-                    let field = c.as_sint() as usize;
+                    let field = dec.const_index(c) as usize;
                     pending = pending.wrapping_add(cur_ty.struct_field_offset(field));
                     cur_ty = &fields[field];
                     continue;
@@ -440,61 +498,61 @@ fn decode_gep(
                 other => panic!("verified gep walks aggregate, got {other}"),
             }
         };
-        match opnd(func, *idx, ga) {
-            Opnd::Const(c) => {
-                pending = pending.wrapping_add((c.as_sint() as u64).wrapping_mul(stride));
+        if let Value::Const(c) = *idx {
+            pending = pending.wrapping_add((dec.const_index(c) as u64).wrapping_mul(stride));
+        } else {
+            if pending != 0 {
+                steps.push(GepStep::Const(pending));
+                pending = 0;
             }
-            o => {
-                if pending != 0 {
-                    steps.push(GepStep::Const(pending));
-                    pending = 0;
-                }
-                steps.push(GepStep::Scale { idx: o, stride });
-            }
+            steps.push(GepStep::Scale {
+                idx: dec.opnd(*idx),
+                stride,
+            });
         }
     }
     if pending != 0 {
         steps.push(GepStep::Const(pending));
     }
     DecOp::Gep {
-        base: opnd(func, base, ga),
+        base: dec.opnd(base),
         steps: steps.into(),
     }
 }
 
-fn decode_inst(func: &fiq_ir::Function, id: InstId, ga: &[u64]) -> DecOp {
-    let inst = func.inst(id);
+fn decode_inst(dec: &mut FuncDecoder, id: InstId) -> DecOp {
+    let inst = dec.func.inst(id);
     match &inst.kind {
         InstKind::Phi { .. } => unreachable!("phi decoded via the block's phi table"),
         InstKind::Binary { op, lhs, rhs } => {
             if op.is_float() {
                 DecOp::FloatBin {
                     op: *op,
-                    lhs: opnd(func, *lhs, ga),
-                    rhs: opnd(func, *rhs, ga),
+                    lhs: dec.opnd(*lhs),
+                    rhs: dec.opnd(*rhs),
                 }
             } else {
                 DecOp::IntBin {
                     op: *op,
                     ty: inst.ty.as_int().expect("verified int binop"),
-                    lhs: opnd(func, *lhs, ga),
-                    rhs: opnd(func, *rhs, ga),
+                    lhs: dec.opnd(*lhs),
+                    rhs: dec.opnd(*rhs),
                 }
             }
         }
         InstKind::ICmp { pred, lhs, rhs } => DecOp::ICmp {
             pred: *pred,
-            lhs: opnd(func, *lhs, ga),
-            rhs: opnd(func, *rhs, ga),
+            lhs: dec.opnd(*lhs),
+            rhs: dec.opnd(*rhs),
         },
         InstKind::FCmp { pred, lhs, rhs } => DecOp::FCmp {
             pred: *pred,
-            lhs: opnd(func, *lhs, ga),
-            rhs: opnd(func, *rhs, ga),
+            lhs: dec.opnd(*lhs),
+            rhs: dec.opnd(*rhs),
         },
         InstKind::Cast { op, val } => DecOp::Cast {
             op: *op,
-            val: opnd(func, *val, ga),
+            val: dec.opnd(*val),
             ty: inst.ty.clone(),
         },
         InstKind::Alloca { ty } => DecOp::Alloca {
@@ -502,29 +560,29 @@ fn decode_inst(func: &fiq_ir::Function, id: InstId, ga: &[u64]) -> DecOp {
             align: ty.align().max(1),
         },
         InstKind::Load { ptr } => DecOp::Load {
-            ptr: opnd(func, *ptr, ga),
+            ptr: dec.opnd(*ptr),
             kind: LoadKind::of(&inst.ty),
         },
         InstKind::Store { val, ptr } => DecOp::Store {
-            val: opnd(func, *val, ga),
-            ptr: opnd(func, *ptr, ga),
+            val: dec.opnd(*val),
+            ptr: dec.opnd(*ptr),
         },
         InstKind::Gep {
             elem_ty,
             base,
             indices,
-        } => decode_gep(func, elem_ty, *base, indices, ga),
+        } => decode_gep(dec, elem_ty, *base, indices),
         InstKind::Select {
             cond,
             then_val,
             else_val,
         } => DecOp::Select {
-            cond: opnd(func, *cond, ga),
-            then_val: opnd(func, *then_val, ga),
-            else_val: opnd(func, *else_val, ga),
+            cond: dec.opnd(*cond),
+            then_val: dec.opnd(*then_val),
+            else_val: dec.opnd(*else_val),
         },
         InstKind::Call { callee, args } => {
-            let args: Box<[Opnd]> = args.iter().map(|a| opnd(func, *a, ga)).collect();
+            let args = dec.opnds(args);
             let has_result = inst.has_result();
             match callee {
                 Callee::Func(target) => DecOp::CallFunc {
@@ -545,12 +603,12 @@ fn decode_inst(func: &fiq_ir::Function, id: InstId, ga: &[u64]) -> DecOp {
             then_bb,
             else_bb,
         } => DecOp::CondBr {
-            cond: opnd(func, *cond, ga),
+            cond: dec.opnd(*cond),
             then_bb: *then_bb,
             else_bb: *else_bb,
         },
         InstKind::Ret { val } => DecOp::Ret {
-            val: val.map(|v| opnd(func, v, ga)),
+            val: val.map(|v| dec.opnd(v)),
         },
         InstKind::Unreachable => DecOp::Unreachable,
     }
@@ -558,9 +616,9 @@ fn decode_inst(func: &fiq_ir::Function, id: InstId, ga: &[u64]) -> DecOp {
 
 /// Builds the superinstruction for an adjacent (head, tail) pair, or
 /// `None` if they don't form a fusable idiom. The tail must consume the
-/// head's result directly (`Opnd::Slot` of the head's id).
+/// head's result directly (its SSA-result slot).
 fn fuse_pair(head: &DecInst, tail: &DecInst) -> Option<DecOp> {
-    let feeds = |o: &Opnd| matches!(o, Opnd::Slot(s, _) if *s == head.id.0);
+    let feeds = |o: &Opnd| o.reads(head.id);
     match (&head.op, &tail.op) {
         (
             DecOp::ICmp { pred, lhs, rhs },
@@ -669,7 +727,7 @@ fn fuse_chain(code: &[DecInst], j: usize, uses: &[u32]) -> Option<(DecOp, usize)
         id: InstId(0),
         op,
         ty,
-        other: Opnd::Const(RtVal::Ptr(0)),
+        other: lhs,
         head_is_lhs: false,
     };
     let mut links = [dummy; 2];
@@ -691,10 +749,9 @@ fn fuse_chain(code: &[DecInst], j: usize, uses: &[u32]) -> Option<(DecOp, usize)
         if uses[prev.index()] != 1 {
             break;
         }
-        let feeds = |o: Opnd| matches!(o, Opnd::Slot(s, _) if s as usize == prev.index());
-        let (other, head_is_lhs) = if feeds(llhs) {
+        let (other, head_is_lhs) = if llhs.reads(prev) {
             (lrhs, true)
-        } else if feeds(lrhs) {
+        } else if lrhs.reads(prev) {
             (llhs, false)
         } else {
             break;
@@ -756,13 +813,12 @@ fn fuse_latch(code: &[DecInst], j: usize) -> Option<DecOp> {
     else {
         return None;
     };
-    let feeds = |o: Opnd, id: InstId| matches!(o, Opnd::Slot(s, _) if s as usize == id.index());
-    if !feeds(cond, cmp.id) {
+    if !cond.reads(cmp.id) {
         return None;
     }
-    let (other, bin_is_lhs) = if feeds(clhs, bin_id) {
+    let (other, bin_is_lhs) = if clhs.reads(bin_id) {
         (crhs, true)
-    } else if feeds(crhs, bin_id) {
+    } else if crhs.reads(bin_id) {
         (clhs, false)
     } else {
         return None;
@@ -784,6 +840,7 @@ fn fuse_latch(code: &[DecInst], j: usize) -> Option<DecOp> {
 
 fn decode_func(func: &fiq_ir::Function, ga: &[u64]) -> DecodedFunc {
     let uses = slot_use_counts(func);
+    let mut dec = FuncDecoder::new(func, ga);
     let blocks = func
         .block_ids()
         .map(|bb| {
@@ -818,7 +875,7 @@ fn decode_func(func: &fiq_ir::Function, ga: &[u64]) -> DecodedFunc {
                                 .iter()
                                 .find(|(pb, _)| *pb == pred)
                                 .expect("verified phi has incoming for every predecessor");
-                            opnd(func, *v, ga)
+                            dec.opnd(*v)
                         })
                         .collect();
                     (pred, row)
@@ -828,7 +885,7 @@ fn decode_func(func: &fiq_ir::Function, ga: &[u64]) -> DecodedFunc {
                 .iter()
                 .map(|&id| DecInst {
                     id,
-                    op: decode_inst(func, id, ga),
+                    op: decode_inst(&mut dec, id),
                 })
                 .collect();
             // Pair heads (icmp/GEP), chain heads (integer binop), and tails
@@ -861,15 +918,37 @@ fn decode_func(func: &fiq_ir::Function, ga: &[u64]) -> DecodedFunc {
             }
         })
         .collect();
-    DecodedFunc { blocks }
+    DecodedFunc {
+        blocks,
+        frame_template: dec.template.into(),
+    }
 }
 
 impl<'m, H: InterpHook> Interp<'m, H> {
-    /// Evaluates one pre-resolved operand. Under `EVENTS`, slot reads
-    /// fire the same `on_use` event the reference core fires for
-    /// `Value::Inst`; the quiescent instantiation compiles the hook call
-    /// out entirely. The raw slot image is retagged with the decode-time
-    /// scalar kind.
+    /// Reads one pre-resolved operand's raw image. Under `EVENTS`,
+    /// SSA-result reads fire the same `on_use` event the reference core
+    /// fires for `Value::Inst`; the quiescent instantiation compiles the
+    /// hook call out entirely.
+    #[inline]
+    fn use_raw<const EVENTS: bool>(&mut self, frame: &Frame, consumer: InstId, o: &Opnd) -> u64 {
+        if EVENTS && o.fires_use {
+            self.hook.on_use(
+                InstSite {
+                    func: frame.fid,
+                    inst: InstId(o.slot),
+                },
+                InstSite {
+                    func: frame.fid,
+                    inst: consumer,
+                },
+                frame.frame_id,
+            );
+        }
+        frame.slots[o.slot as usize]
+    }
+
+    /// [`Interp::use_raw`] retagged with the operand's decode-time scalar
+    /// kind.
     #[inline]
     fn eval_opnd<const EVENTS: bool>(
         &mut self,
@@ -877,26 +956,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         consumer: InstId,
         o: &Opnd,
     ) -> RtVal {
-        match o {
-            Opnd::Slot(i, k) => {
-                if EVENTS {
-                    self.hook.on_use(
-                        InstSite {
-                            func: frame.fid,
-                            inst: InstId(*i),
-                        },
-                        InstSite {
-                            func: frame.fid,
-                            inst: consumer,
-                        },
-                        frame.frame_id,
-                    );
-                }
-                val_of_raw(*k, frame.slots[*i as usize])
-            }
-            Opnd::Arg(n) => frame.args[*n as usize],
-            Opnd::Const(v) => *v,
-        }
+        val_of_raw(o.kind, self.use_raw::<EVENTS>(frame, consumer, o))
     }
 
     fn load_kind(&self, addr: u64, k: LoadKind) -> Result<RtVal, Trap> {
@@ -919,19 +979,11 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         base: &Opnd,
         steps: &[GepStep],
     ) -> u64 {
-        let mut addr = if EVENTS {
-            self.eval_opnd::<EVENTS>(frame, id, base).as_ptr()
-        } else {
-            raw_opnd(frame, base)
-        };
+        let mut addr = self.use_raw::<EVENTS>(frame, id, base);
         for s in steps {
             match s {
                 GepStep::Scale { idx, stride } => {
-                    let iv = if EVENTS {
-                        self.eval_opnd::<EVENTS>(frame, id, idx).as_sint()
-                    } else {
-                        sraw_opnd(frame, idx)
-                    };
+                    let iv = sext_index(idx.kind, self.use_raw::<EVENTS>(frame, id, idx));
                     addr = addr.wrapping_add((iv as u64).wrapping_mul(*stride));
                 }
                 GepStep::Const(off) => addr = addr.wrapping_add(*off),
@@ -1002,6 +1054,18 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         let mut dblock = &dfunc.blocks[frame.cur.index()];
         let mut phi_len = dblock.phi_ids.len();
         loop {
+            // At each block entry the evented slice hands control back
+            // once the hook has left its active phase, so the run loop can
+            // pick the fast loop: a fault that settles inside a call-free
+            // loop nest must not keep the rest of the run evented.
+            if EVENTS
+                && frame.ip == 0
+                && !self.needs_evented_loop()
+                && !matches!(self.hook.quiescence(), Quiescence::Active)
+            {
+                self.frames.push(frame);
+                return Ok(false);
+            }
             if frame.ip == 0 && phi_len != 0 {
                 if self.steps >= yield_at {
                     self.frames.push(frame);
@@ -1195,13 +1259,10 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     frame.ip += 1;
                 }
                 DecOp::Load { ptr, kind } => {
-                    let p = if EVENTS {
-                        let p = self.eval_opnd::<EVENTS>(&frame, id, ptr).as_ptr();
+                    let p = self.use_raw::<EVENTS>(&frame, id, ptr);
+                    if EVENTS {
                         self.hook.on_load(site, frame.frame_id, p, kind.size());
-                        p
-                    } else {
-                        raw_opnd(&frame, ptr)
-                    };
+                    }
                     let mut val = self.load_kind(p, *kind)?;
                     if EVENTS {
                         self.result(site, frame.frame_id, &mut val);
@@ -1211,11 +1272,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                 }
                 DecOp::Store { val, ptr } => {
                     let v = self.eval_opnd::<EVENTS>(&frame, id, val);
-                    let p = if EVENTS {
-                        self.eval_opnd::<EVENTS>(&frame, id, ptr).as_ptr()
-                    } else {
-                        raw_opnd(&frame, ptr)
-                    };
+                    let p = self.use_raw::<EVENTS>(&frame, id, ptr);
                     let size = v.ty().size();
                     self.store_typed(p, v)?;
                     if EVENTS {
@@ -1237,10 +1294,10 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     base,
                     indices,
                 } => {
-                    let mut addr = self.eval_opnd::<EVENTS>(&frame, id, base).as_ptr();
+                    let mut addr = self.use_raw::<EVENTS>(&frame, id, base);
                     let mut cur: &Type = elem_ty;
                     for (i, idx) in indices.iter().enumerate() {
-                        let sidx = self.eval_opnd::<EVENTS>(&frame, id, idx).as_sint();
+                        let sidx = sext_index(idx.kind, self.use_raw::<EVENTS>(&frame, id, idx));
                         if i == 0 {
                             addr = addr.wrapping_add((sidx as u64).wrapping_mul(cur.size()));
                         } else {
@@ -1282,13 +1339,15 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     frame.ip += 1;
                 }
                 DecOp::CallFunc { target, args, .. } => {
-                    let mut vals = Vec::with_capacity(args.len());
+                    let mut raw = std::mem::take(&mut self.arg_buf);
+                    raw.clear();
                     for a in args.iter() {
-                        vals.push(self.eval_opnd::<EVENTS>(&frame, id, a));
+                        raw.push(self.use_raw::<EVENTS>(&frame, id, a));
                     }
-                    let target = *target;
                     self.frames.push(frame);
-                    self.push_frame(target, vals)?;
+                    let pushed = self.push_frame(*target, &raw);
+                    self.arg_buf = raw;
+                    pushed?;
                     return Ok(false);
                 }
                 DecOp::CallIntr {
@@ -1327,11 +1386,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     then_bb,
                     else_bb,
                 } => {
-                    let c = if EVENTS {
-                        self.eval_opnd::<EVENTS>(&frame, id, cond).as_bool()
-                    } else {
-                        raw_opnd(&frame, cond) != 0
-                    };
+                    let c = self.use_raw::<EVENTS>(&frame, id, cond) != 0;
                     frame.prev = Some(frame.cur);
                     frame.cur = if c { *then_bb } else { *else_bb };
                     frame.ip = 0;

@@ -5,13 +5,14 @@
 //! state of a paused program is the frame stack plus memory, console,
 //! stack pointer, and step counter, all of which are plain data.
 
-use crate::decoded::{raw_of, val_of_raw, DecodedModule, LoadKind, MAX_FUSED_RETIRE};
+use crate::decoded::{
+    arg_slot, const_image, raw_of, val_of_raw, DecodedModule, LoadKind, MAX_FUSED_RETIRE,
+};
 use crate::hook::{InstSite, InterpHook};
 use crate::ops;
 use crate::rtval::RtVal;
 use fiq_ir::{
-    BlockId, Callee, Constant, FloatTy, FuncId, GlobalInit, InstId, InstKind, Intrinsic, Module,
-    Type, Value,
+    BlockId, Callee, FloatTy, FuncId, GlobalInit, InstId, InstKind, Intrinsic, Module, Type, Value,
 };
 use fiq_mem::{
     component, Console, Divergence, Hasher64, MemSnapshot, Memory, Quiescence, RegionKind,
@@ -93,62 +94,32 @@ pub fn materialize_globals(module: &Module, mem: &mut Memory) -> Result<Vec<u64>
 
 /// One guest activation record on the explicit frame stack.
 ///
-/// SSA results live in `slots` as *untagged* raw 64-bit images (see
-/// [`crate::decoded::raw_of`]): each slot's scalar kind is static — it is
-/// the defining instruction's result type — so the tag is recovered at
+/// `slots` holds *untagged* raw 64-bit images (see
+/// [`crate::decoded::raw_of`]): the function's SSA results (slot `n` is
+/// `InstId(n)`), then its arguments, written at call entry, then its
+/// constants, copied from the decoded slot template. Each slot's scalar
+/// kind is static — the defining instruction's result type, the
+/// parameter's type, the constant's type — so the tag is recovered at
 /// read time from decode-time kind tables instead of being stored and
-/// branch-checked per access. Unwritten slots read as raw 0, which
-/// verified-SSA execution can never observe: every read is dominated by
-/// its def, so the def has rewritten the slot on every path to the read.
+/// branch-checked per access. Unwritten result slots read as raw 0,
+/// which verified-SSA execution can never observe: every read is
+/// dominated by its def, so the def has rewritten the slot on every path
+/// to the read.
 #[derive(Debug, Clone)]
 pub(crate) struct Frame {
     pub(crate) fid: FuncId,
     pub(crate) frame_id: u64,
     pub(crate) saved_sp: u64,
-    pub(crate) args: Vec<RtVal>,
     pub(crate) slots: Vec<u64>,
     pub(crate) cur: BlockId,
     pub(crate) prev: Option<BlockId>,
     pub(crate) ip: usize,
 }
 
-/// Mixes a runtime value into `h` *bitwise*: floats by their bit pattern
-/// (so NaN payloads participate), with a type tag so `Int(I64, x)`,
-/// `Ptr(x)`, and `F64(from_bits(x))` hash differently.
-fn hash_rtval(h: &mut Hasher64, v: &RtVal) {
-    match v {
-        RtVal::Int(t, raw) => {
-            h.write_u64(u64::from(t.bits()));
-            h.write_u64(*raw);
-        }
-        RtVal::F32(f) => {
-            h.write_u64(100);
-            h.write_u64(u64::from(f.to_bits()));
-        }
-        RtVal::F64(f) => {
-            h.write_u64(101);
-            h.write_u64(f.to_bits());
-        }
-        RtVal::Ptr(p) => {
-            h.write_u64(102);
-            h.write_u64(*p);
-        }
-    }
-}
-
-/// Bitwise value equality. Deliberately *not* `PartialEq`: convergence
-/// detection must treat `NaN` as equal to the same `NaN` (identical bits ⇒
-/// identical future behaviour) and `-0.0` as different from `0.0`.
-fn rtval_bits_eq(a: &RtVal, b: &RtVal) -> bool {
-    match (a, b) {
-        (RtVal::Int(ta, va), RtVal::Int(tb, vb)) => ta == tb && va == vb,
-        (RtVal::F32(x), RtVal::F32(y)) => x.to_bits() == y.to_bits(),
-        (RtVal::F64(x), RtVal::F64(y)) => x.to_bits() == y.to_bits(),
-        (RtVal::Ptr(x), RtVal::Ptr(y)) => x == y,
-        _ => false,
-    }
-}
-
+/// Bitwise frame-stack equality. Slots compare as raw images, so
+/// convergence detection treats `NaN` as equal to the same `NaN`
+/// (identical bits ⇒ identical future behaviour) and `-0.0` as different
+/// from `0.0`.
 fn frames_bits_eq(a: &[Frame], b: &[Frame]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(fa, fb)| {
@@ -158,12 +129,6 @@ fn frames_bits_eq(a: &[Frame], b: &[Frame]) -> bool {
                 && fa.cur == fb.cur
                 && fa.prev == fb.prev
                 && fa.ip == fb.ip
-                && fa.args.len() == fb.args.len()
-                && fa
-                    .args
-                    .iter()
-                    .zip(&fb.args)
-                    .all(|(x, y)| rtval_bits_eq(x, y))
                 // Raw slot images: kinds are static per slot, so bitwise
                 // equality is value equality. An unwritten slot and a
                 // written raw-0 compare equal, which is sound here: the
@@ -268,6 +233,8 @@ pub struct Interp<'m, H> {
     pub(crate) decoded: Arc<DecodedModule>,
     /// Reusable staging buffer for φ-batches (reads before writes).
     pub(crate) phi_buf: Vec<RtVal>,
+    /// Reusable staging buffer for call arguments' raw images.
+    pub(crate) arg_buf: Vec<u64>,
 }
 
 impl<'m, H: InterpHook> Interp<'m, H> {
@@ -317,6 +284,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             pause_at: None,
             decoded,
             phi_buf: Vec::new(),
+            arg_buf: Vec::new(),
         })
     }
 
@@ -365,6 +333,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             pause_at: None,
             decoded,
             phi_buf: Vec::new(),
+            arg_buf: Vec::new(),
         }
     }
 
@@ -616,13 +585,8 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             h.write_u64(f.cur.index() as u64);
             h.write_u64(f.prev.map_or(u64::MAX, |b| b.index() as u64));
             h.write_u64(f.ip as u64);
-            h.write_u64(f.args.len() as u64);
-            for v in &f.args {
-                hash_rtval(&mut h, v);
-            }
             // Slots hash as raw images: the kind of each slot is static
-            // (its defining instruction's result type), so tagging would
-            // add no information.
+            // (see `Frame`), so tagging would add no information.
             for &s in &f.slots {
                 h.write_u64(s);
             }
@@ -634,7 +598,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     fn start(&mut self) -> Result<(), Stop> {
         if self.frames.is_empty() {
             let main = self.module.main_func().expect("module has a main function");
-            self.push_frame(main, Vec::new())?;
+            self.push_frame(main, &[])?;
         }
         Ok(())
     }
@@ -649,16 +613,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                 return Ok(());
             }
             self.maybe_snapshot();
-            // The fast loop skips the per-step snapshot bookkeeping, so
-            // it is only eligible when capture is off. It also stops
-            // short of a pause point, so the last steps before one are
-            // always evented: the evented slice walks up to the pause on
-            // the plain table.
-            if self.snap.is_some()
-                || self
-                    .pause_at
-                    .is_some_and(|p| p - self.steps < MAX_FUSED_RETIRE)
-            {
+            if self.needs_evented_loop() {
                 self.step_decoded(&dec)?;
                 continue;
             }
@@ -687,6 +642,18 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         Ok(())
     }
 
+    /// True when the next slice must run evented whatever the hook's
+    /// phase. The fast loop skips the per-step snapshot bookkeeping, so it
+    /// is only eligible when capture is off. It also stops short of a
+    /// pause point, so the last steps before one are always evented: the
+    /// evented slice walks up to the pause on the plain table.
+    pub(crate) fn needs_evented_loop(&self) -> bool {
+        self.snap.is_some()
+            || self
+                .pause_at
+                .is_some_and(|p| p.saturating_sub(self.steps) < MAX_FUSED_RETIRE)
+    }
+
     /// The reference core's run loop (see [`Interp::run_reference_until`]).
     fn exec_reference(&mut self) -> Result<(), Stop> {
         self.start()?;
@@ -699,21 +666,24 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         Ok(())
     }
 
-    /// Pushes an activation record for `fid`. The depth check mirrors the
-    /// old recursive implementation: the frame about to be pushed sits at
-    /// depth `frames.len()`.
-    pub(crate) fn push_frame(&mut self, fid: FuncId, args: Vec<RtVal>) -> Result<(), Stop> {
+    /// Pushes an activation record for `fid`: a copy of its decoded slot
+    /// template with the arguments' raw images written in. The depth check
+    /// mirrors the old recursive implementation: the frame about to be
+    /// pushed sits at depth `frames.len()`.
+    pub(crate) fn push_frame(&mut self, fid: FuncId, args: &[u64]) -> Result<(), Stop> {
         if self.frames.len() >= self.opts.max_call_depth as usize {
             return Err(Trap::CallDepthExceeded.into());
         }
         let func = self.module.func(fid);
+        let mut slots = self.decoded.funcs[fid.index()].frame_template.to_vec();
+        let first_arg = arg_slot(func, 0);
+        slots[first_arg..first_arg + args.len()].copy_from_slice(args);
         self.frame_counter += 1;
         self.frames.push(Frame {
             fid,
             frame_id: self.frame_counter,
             saved_sp: self.sp,
-            args,
-            slots: vec![0u64; func.insts.len()],
+            slots,
             cur: func.entry(),
             prev: None,
             ip: 0,
@@ -988,9 +958,9 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         Callee::Func(target) => {
                             // Leave `ip` at the call; return delivery
                             // advances it.
-                            let target = *target;
+                            let raw: Vec<u64> = vals.into_iter().map(raw_of).collect();
                             self.frames.push(frame);
-                            self.push_frame(target, vals)?;
+                            self.push_frame(*target, &raw)?;
                             return Ok(());
                         }
                         Callee::Intrinsic(i) => {
@@ -1104,16 +1074,14 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                 // instruction's static result type.
                 val_of_raw(LoadKind::of(&func.inst(id).ty), frame.slots[id.index()])
             }
-            Value::Arg(n) => frame.args[n as usize],
-            Value::Const(c) => match c {
-                Constant::Int(t, raw) => RtVal::Int(t, raw),
-                Constant::Float(FloatTy::F32, bits) => RtVal::F32(f32::from_bits(bits as u32)),
-                Constant::Float(FloatTy::F64, bits) => RtVal::F64(f64::from_bits(bits)),
-                Constant::NullPtr => RtVal::Ptr(0),
-                Constant::Global(g) => RtVal::Ptr(self.global_addrs[g.index()]),
-                Constant::Func(f) => RtVal::Ptr(0x4000_0000_0000_0000 | u64::from(f.0)),
-                Constant::Undef(t) => RtVal::Int(t, 0),
-            },
+            Value::Arg(n) => val_of_raw(
+                LoadKind::of(&func.params[n as usize]),
+                frame.slots[arg_slot(func, n)],
+            ),
+            Value::Const(c) => {
+                let (raw, kind) = const_image(c, &self.global_addrs);
+                val_of_raw(kind, raw)
+            }
         })
     }
 

@@ -8,7 +8,7 @@ use fiq_ir::{
     BinOp, Callee, Constant, FuncBuilder, Function, Global, GlobalInit, ICmpPred, InstKind, IntTy,
     Intrinsic, Module, Type, Value,
 };
-use fiq_mem::Trap;
+use fiq_mem::{Quiescence, Trap};
 
 fn opts() -> InterpOptions {
     InterpOptions {
@@ -508,4 +508,38 @@ fn narrow_int_memory_roundtrip() {
     fiq_ir::verify_module(&m).unwrap();
     let r = run_module(&m, opts()).unwrap();
     assert_eq!(r.output, "-1\n");
+}
+
+/// Fully active for its first `left` results, then inert for good — the
+/// phase shape of a fault hook whose outcome settles right after
+/// injection.
+struct SettlesAfter {
+    left: u32,
+}
+
+impl InterpHook for SettlesAfter {
+    fn on_result(&mut self, _site: InstSite, _frame: u64, _val: &mut RtVal) {
+        self.left = self.left.saturating_sub(1);
+    }
+
+    fn quiescence(&self) -> Quiescence<InstSite> {
+        if self.left == 0 {
+            Quiescence::Forever
+        } else {
+            Quiescence::Active
+        }
+    }
+}
+
+#[test]
+fn settled_hook_hands_a_call_free_loop_back_to_the_fast_loop() {
+    let m = loop_sum_module(10_000);
+    let mut interp = Interp::new(&m, opts(), SettlesAfter { left: 50 }).unwrap();
+    let r = interp.run();
+    assert!(r.finished());
+    assert_eq!(r.output, "49995000\n");
+    // Fifty results take about ten loop iterations; from the next block
+    // entry on, the loop runs on the quiescent core.
+    let evented = r.steps - interp.steps_quiescent();
+    assert!(evented < 200, "{evented} of {} steps ran evented", r.steps);
 }

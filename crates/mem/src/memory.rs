@@ -78,15 +78,71 @@ pub struct Memory {
     /// Pages hashed or byte-compared by the snapshot compares against
     /// this memory (work counter).
     pages_compared: Cell<u64>,
-    regions: Vec<Region>, // sorted by start (allocation is monotonic)
-    /// Index of the region the last successful lookup hit. Accesses
-    /// cluster heavily (a loop hammers one array, the stack pointer stays
-    /// in the stack region), so checking this first skips the binary
-    /// search on the hot path. Purely a cache: never observable.
-    last_hit: Cell<usize>,
+    /// The region table and its lookup index, shared with every snapshot
+    /// of this memory and every memory restored from one.
+    layout: Arc<Layout>,
     next: u64,
     capacity: u64,
+}
+
+/// Granularity of the access-check index: one entry per this many bytes
+/// of address space above [`NULL_GUARD`].
+const INDEX_GRAIN: u64 = SNAPSHOT_PAGE as u64;
+
+/// Terminates [`Layout::runs`]: no address lies below its end without
+/// also lying below its start, so a lookup stops there as unmapped.
+const SENTINEL_RUN: (u64, u64) = (u64::MAX, u64::MAX);
+
+/// The allocated regions of a memory and an index that answers the access
+/// check in constant time. Allocation is the only thing that changes it,
+/// so memories and snapshots of one layout share it through an `Arc`.
+#[derive(Debug, Clone)]
+struct Layout {
+    /// Sorted by start (allocation is monotonic).
+    regions: Vec<Region>,
     stack: Option<Region>,
+    /// Maximal runs `[start, end)` of back-to-back regions, then
+    /// [`SENTINEL_RUN`]. An access may cross between adjacent regions, as
+    /// on real paged hardware, so it is valid exactly when one run holds
+    /// all of it.
+    runs: Vec<(u64, u64)>,
+    /// For each [`INDEX_GRAIN`]-sized granule from [`NULL_GUARD`] up to
+    /// the end of the last run, the index of the first run ending past
+    /// the granule's start.
+    first_run: Vec<u32>,
+}
+
+impl Layout {
+    fn new() -> Layout {
+        Layout {
+            regions: Vec::new(),
+            stack: None,
+            runs: vec![SENTINEL_RUN],
+            first_run: Vec::new(),
+        }
+    }
+
+    /// Appends a region that starts at or above the end of every other.
+    /// Granules already indexed keep their entry: the runs before their
+    /// first run are unchanged, and that run can only have grown.
+    fn push(&mut self, region: Region) {
+        if region.kind == RegionKind::Stack {
+            self.stack = Some(region);
+        }
+        self.regions.push(region);
+        self.runs.pop();
+        match self.runs.last_mut() {
+            Some(last) if last.1 == region.start => last.1 = region.end(),
+            _ => self.runs.push((region.start, region.end())),
+        }
+        let run = u32::try_from(self.runs.len() - 1).expect("fewer than 2^32 runs");
+        let granules = (region.end() - NULL_GUARD).div_ceil(INDEX_GRAIN);
+        self.first_run.resize(
+            usize::try_from(granules).expect("index fits the address space"),
+            run,
+        );
+        self.runs.push(SENTINEL_RUN);
+    }
 }
 
 /// Buffers smaller than this are not worth pooling.
@@ -181,11 +237,9 @@ impl Memory {
             base: None,
             restore_pages_copied: 0,
             pages_compared: Cell::new(0),
-            regions: Vec::new(),
-            last_hit: Cell::new(0),
+            layout: Arc::new(Layout::new()),
             next: NULL_GUARD,
             capacity,
-            stack: None,
         }
     }
 
@@ -234,15 +288,11 @@ impl Memory {
             &mut self.written,
             (end - NULL_GUARD) as usize,
         );
-        let region = Region {
+        Arc::make_mut(&mut self.layout).push(Region {
             start,
             size: size.max(1),
             kind,
-        };
-        if kind == RegionKind::Stack {
-            self.stack = Some(region);
-        }
-        self.regions.push(region);
+        });
         self.next = end;
         Ok(start)
     }
@@ -273,37 +323,17 @@ impl Memory {
 
     /// The stack region, if allocated.
     pub fn stack(&self) -> Option<Region> {
-        self.stack
+        self.layout.stack
     }
 
     /// All live regions, ordered by start address.
     pub fn regions(&self) -> &[Region] {
-        &self.regions
+        &self.layout.regions
     }
 
     /// Total bytes currently mapped.
     pub fn mapped_bytes(&self) -> u64 {
         self.next - NULL_GUARD
-    }
-
-    /// Finds the region containing `addr`.
-    #[inline]
-    fn region_of(&self, addr: u64) -> Option<&Region> {
-        if let Some(r) = self.regions.get(self.last_hit.get()) {
-            if r.contains(addr) {
-                return Some(r);
-            }
-        }
-        let idx = self.regions.partition_point(|r| r.start <= addr);
-        if idx == 0 {
-            return None;
-        }
-        let r = &self.regions[idx - 1];
-        if r.contains(addr) {
-            self.last_hit.set(idx - 1);
-            return Some(r);
-        }
-        None
     }
 
     /// Checks that `[addr, addr+size)` is a valid access.
@@ -317,24 +347,39 @@ impl Memory {
     ///   allowed, as on real paged hardware).
     #[inline]
     pub fn check(&self, addr: u64, size: u64) -> Result<(), Trap> {
-        if addr < NULL_GUARD {
-            return Err(Trap::NullDeref { addr });
-        }
-        let r = self.region_of(addr).ok_or(Trap::Unmapped { addr })?;
-        let end = addr.checked_add(size).ok_or(Trap::OutOfBounds { addr })?;
-        if end <= r.end() {
-            return Ok(());
-        }
-        // Access straddles the region end; permit it only if the bytes past
-        // the end are themselves mapped (adjacent region).
-        let mut cursor = r.end();
-        while cursor < end {
-            match self.region_of(cursor) {
-                Some(next) => cursor = next.end(),
-                None => return Err(Trap::OutOfBounds { addr }),
+        let layout = &*self.layout;
+        // Below the null guard the subtraction wraps past every granule.
+        let granule = addr.wrapping_sub(NULL_GUARD) / INDEX_GRAIN;
+        if let Some(&first) = layout.first_run.get(granule as usize) {
+            let mut i = first as usize;
+            loop {
+                let (start, end) = layout.runs[i];
+                if addr < end {
+                    if addr >= start && size <= end - addr {
+                        return Ok(());
+                    }
+                    break;
+                }
+                i += 1;
             }
         }
-        Ok(())
+        Err(self.trap_at(addr))
+    }
+
+    /// The trap a failed [`Memory::check`] of an access at `addr` raises.
+    #[cold]
+    #[inline(never)]
+    fn trap_at(&self, addr: u64) -> Trap {
+        if addr < NULL_GUARD {
+            return Trap::NullDeref { addr };
+        }
+        let runs = &self.layout.runs;
+        let (start, _) = runs[runs.partition_point(|r| r.1 <= addr)];
+        if addr < start {
+            Trap::Unmapped { addr }
+        } else {
+            Trap::OutOfBounds { addr }
+        }
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -520,10 +565,9 @@ pub struct MemSnapshot {
     pages: Arc<[Arc<[u8]>]>,
     page_hashes: Vec<u64>,
     len: usize,
-    regions: Vec<Region>,
+    layout: Arc<Layout>,
     next: u64,
     capacity: u64,
-    stack: Option<Region>,
 }
 
 impl MemSnapshot {
@@ -596,10 +640,9 @@ impl Memory {
             pages: Arc::from(pages),
             page_hashes,
             len: self.data.len(),
-            regions: self.regions.clone(),
+            layout: Arc::clone(&self.layout),
             next: self.next,
             capacity: self.capacity,
-            stack: self.stack,
         }
     }
 
@@ -626,11 +669,9 @@ impl Memory {
             base: Some(Arc::clone(&snap.pages)),
             restore_pages_copied: copied,
             pages_compared: Cell::new(0),
-            regions: snap.regions.clone(),
-            last_hit: Cell::new(0),
+            layout: Arc::clone(&snap.layout),
             next: snap.next,
             capacity: snap.capacity,
-            stack: snap.stack,
         }
     }
 
@@ -705,8 +746,9 @@ impl Memory {
     pub fn layout_matches_snapshot(&self, snap: &MemSnapshot) -> bool {
         self.data.len() == snap.len
             && self.next == snap.next
-            && self.stack == snap.stack
-            && self.regions == snap.regions
+            && (Arc::ptr_eq(&self.layout, &snap.layout)
+                || (self.layout.stack == snap.layout.stack
+                    && self.layout.regions == snap.layout.regions))
     }
 
     /// Counts the 4 KiB pages whose content provably differs from `snap`:

@@ -276,6 +276,92 @@ proptest! {
     }
 }
 
+/// The access check spelled out over the region list: the region holding
+/// `addr`, then a walk across back-to-back regions until the access ends
+/// or reaches unmapped space.
+fn naive_check(regions: &[Region], addr: u64, size: u64) -> Result<(), Trap> {
+    if addr < NULL_GUARD {
+        return Err(Trap::NullDeref { addr });
+    }
+    let holding = |a: u64| regions.iter().find(|r| r.contains(a));
+    let r = holding(addr).ok_or(Trap::Unmapped { addr })?;
+    let end = addr.checked_add(size).ok_or(Trap::OutOfBounds { addr })?;
+    let mut cursor = r.end();
+    while cursor < end {
+        cursor = holding(cursor).ok_or(Trap::OutOfBounds { addr })?.end();
+    }
+    Ok(())
+}
+
+/// Checks every access of 1, 2, 4 or 8 bytes starting within 16 bytes of
+/// a region edge against [`naive_check`].
+fn check_edges(m: &Memory, regions: &[Region]) -> Result<(), TestCaseError> {
+    for r in regions {
+        for edge in [r.start, r.end()] {
+            for addr in edge.saturating_sub(16)..=edge + 16 {
+                for size in [1, 2, 4, 8] {
+                    prop_assert_eq!(
+                        m.check(addr, size),
+                        naive_check(regions, addr, size),
+                        "access of {} bytes at {:#x}",
+                        size,
+                        addr
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One allocation of a random layout: bytes of guard space skipped
+/// first (none in two draws of three), then the region's size (under 64
+/// bytes in two draws of three) and alignment.
+fn region_spec() -> impl Strategy<Value = (u64, u64, u64)> {
+    (
+        prop_oneof![Just(0u64), Just(0u64), 1u64..(2 * SNAPSHOT_PAGE as u64)],
+        prop_oneof![1u64..64, 1u64..64, 1u64..(3 * SNAPSHOT_PAGE as u64)],
+        prop::sample::select(vec![1u64, 2, 4, 8, 16, 64, SNAPSHOT_PAGE as u64]),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The indexed access check raises exactly the trap (or success) of a
+    /// linear scan over the regions, on layouts with alignment holes,
+    /// guard gaps and a stack: after every allocation, on a restored
+    /// copy, and after allocating past the restored layout.
+    #[test]
+    fn access_check_matches_a_linear_scan(
+        globals in prop::collection::vec(region_spec(), 1..12),
+        stack_guard in 0u64..(2 * SNAPSHOT_PAGE as u64),
+        stack in 1u64..(4 * SNAPSHOT_PAGE as u64),
+        heap in region_spec(),
+    ) {
+        let mut m = Memory::new();
+        for &(guard, size, align) in &globals {
+            m.reserve_guard(guard);
+            m.alloc(size, align, RegionKind::Global).unwrap();
+            check_edges(&m, m.regions())?;
+        }
+        m.reserve_guard(stack_guard);
+        m.alloc_stack(stack).unwrap();
+        let regions = m.regions().to_vec();
+        check_edges(&m, &regions)?;
+
+        let mut back = Memory::from_snapshot(&m.snapshot(None));
+        prop_assert_eq!(back.regions(), &regions[..]);
+        check_edges(&back, &regions)?;
+        let (guard, size, align) = heap;
+        back.reserve_guard(guard);
+        back.alloc(size, align, RegionKind::Heap).unwrap();
+        check_edges(&back, back.regions())?;
+        // The copy's allocation leaves the original's layout alone.
+        check_edges(&m, &regions)?;
+    }
+}
+
 #[test]
 fn guard_gap_between_globals_and_stack_traps() {
     let mut m = Memory::new();

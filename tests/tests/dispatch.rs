@@ -663,6 +663,215 @@ fn interp_hook_event_order_matches_across_cores() {
     }
 }
 
+/// Builds `mix`, `pick` and a `main` that calls `mix` in a loop, directly
+/// as IR so the calls stay calls: the optimizer inlines every call of the
+/// catalog programs, so they never read an argument slot. Every scalar
+/// kind crosses a call twice, once computed and once as a constant, and
+/// `mix` reads its arguments through stores, struct-field GEPs with
+/// constant indices, float arithmetic with `f32` and `f64` constants, an
+/// intrinsic, a select, and a nested call whose branch tests an argument.
+fn call_kernel() -> Module {
+    use fiq_ir::{
+        BinOp, Callee, CastOp, Constant, FuncBuilder, Function, Global, GlobalInit, ICmpPred,
+        InstKind, IntTy, Intrinsic, Type, Value,
+    };
+    let rec_ty = Type::Struct(vec![
+        Type::i8(),
+        Type::i16(),
+        Type::i32(),
+        Type::i64(),
+        Type::f32(),
+        Type::f64(),
+        Type::Ptr,
+    ]);
+    let mut m = Module::new("call-kernel");
+    let rec = m.add_global(Global {
+        name: "rec".into(),
+        ty: rec_ty.clone(),
+        init: GlobalInit::Zeroed,
+    });
+
+    // pick(c: i1, x: i64, y: i64) -> i64
+    let mut pick = Function::new(
+        "pick",
+        vec![Type::i1(), Type::i64(), Type::i64()],
+        Type::i64(),
+    );
+    let mut b = FuncBuilder::new(&mut pick);
+    let (then_bb, else_bb) = (b.new_block(), b.new_block());
+    b.cond_br(Value::Arg(0), then_bb, else_bb);
+    b.switch_to(then_bb);
+    let t = b.binary(BinOp::Add, Value::Arg(1), Value::i64(3));
+    b.ret(Some(t));
+    b.switch_to(else_bb);
+    let e = b.binary(BinOp::Sub, Value::Arg(2), Value::Arg(1));
+    b.ret(Some(e));
+    let pick = m.add_func(pick);
+
+    // mix(a: i1, b: i8, c: i16, d: i32, e: i64, f: f32, g: f64, p: ptr) -> i64
+    let params = vec![
+        Type::i1(),
+        Type::i8(),
+        Type::i16(),
+        Type::i32(),
+        Type::i64(),
+        Type::f32(),
+        Type::f64(),
+        Type::Ptr,
+    ];
+    let mut mix = Function::new("mix", params.clone(), Type::i64());
+    let mut b = FuncBuilder::new(&mut mix);
+    let mut fields = Vec::new();
+    for k in 0..7u32 {
+        let field = b.gep(
+            rec_ty.clone(),
+            Value::Arg(7),
+            vec![Value::i64(0), Value::int(IntTy::I32, i64::from(k))],
+        );
+        b.store(Value::Arg(k + 1), field);
+        fields.push(b.load(params[k as usize + 1].clone(), field));
+    }
+    let sb = b.cast(CastOp::SExt, fields[0], Type::i64());
+    let sc = b.cast(CastOp::SExt, fields[1], Type::i64());
+    let sd = b.cast(CastOp::SExt, fields[2], Type::i64());
+    let x = b.binary(BinOp::Add, sb, sc);
+    let x = b.binary(BinOp::Add, x, sd);
+    let x = b.binary(BinOp::Xor, x, fields[3]);
+    let f = b.binary(BinOp::FMul, fields[4], Value::Const(Constant::f32(2.5)));
+    let f = b.cast(CastOp::FpExt, f, Type::f64());
+    let g = b.binary(BinOp::FMul, fields[5], Value::f64(-0.25));
+    let fs = b.binary(BinOp::FAdd, f, g);
+    let fs = b.binary(BinOp::FAdd, fs, Value::Arg(6));
+    b.call(
+        Callee::Intrinsic(Intrinsic::PrintF64),
+        vec![Value::Arg(6)],
+        Type::Void,
+    );
+    let y = b.cast(CastOp::FpToSi, fs, Type::i64());
+    let z = b.select(Value::Arg(0), x, y);
+    let w = b.call(
+        Callee::Func(pick),
+        vec![Value::Arg(0), z, Value::i64(7)],
+        Type::i64(),
+    );
+    let pa = b.cast(CastOp::PtrToInt, Value::Arg(7), Type::i64());
+    let pf = b.cast(CastOp::PtrToInt, fields[6], Type::i64());
+    let same = b.binary(BinOp::Sub, pa, pf);
+    let r = b.binary(BinOp::Add, w, same);
+    b.ret(Some(r));
+    let mix = m.add_func(mix);
+
+    let mut main = Function::new("main", vec![], Type::Void);
+    let mut b = FuncBuilder::new(&mut main);
+    let entry = b.current_block();
+    let (header, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+    b.br(header);
+    b.switch_to(header);
+    let i = b.phi(Type::i64(), vec![(entry, Value::i64(0))]);
+    let acc = b.phi(Type::i64(), vec![(entry, Value::i64(0))]);
+    let more = b.icmp(ICmpPred::Slt, i, Value::i64(12));
+    b.cond_br(more, body, exit);
+    b.switch_to(body);
+    let computed = vec![
+        b.icmp(ICmpPred::Slt, i, Value::i64(6)),
+        b.cast(CastOp::Trunc, i, Type::i8()),
+        b.cast(CastOp::Trunc, i, Type::i16()),
+        b.cast(CastOp::Trunc, i, Type::i32()),
+        i,
+        b.cast(CastOp::SiToFp, i, Type::f32()),
+        b.cast(CastOp::SiToFp, i, Type::f64()),
+        Value::Const(Constant::Global(rec)),
+    ];
+    let r1 = b.call(Callee::Func(mix), computed, Type::i64());
+    let constants = vec![
+        Value::bool(true),
+        Value::int(IntTy::I8, -3),
+        Value::int(IntTy::I16, 300),
+        Value::int(IntTy::I32, -70_000),
+        Value::i64(1 << 40),
+        Value::Const(Constant::f32(1.25)),
+        Value::f64(-2.5),
+        Value::Const(Constant::Global(rec)),
+    ];
+    let r2 = b.call(Callee::Func(mix), constants, Type::i64());
+    let s = b.binary(BinOp::Add, r1, r2);
+    let acc2 = b.binary(BinOp::Add, acc, s);
+    let i2 = b.binary(BinOp::Add, i, Value::i64(1));
+    b.br(header);
+    b.switch_to(exit);
+    b.call(
+        Callee::Intrinsic(Intrinsic::PrintI64),
+        vec![acc],
+        Type::Void,
+    );
+    b.ret(None);
+    for (phi, next) in [(i, i2), (acc, acc2)] {
+        let InstKind::Phi { incomings } = &mut main.inst_mut(phi.as_inst().unwrap()).kind else {
+            unreachable!("built as a phi")
+        };
+        incomings.push((body, next));
+    }
+    m.add_func(main);
+    fiq_ir::verify_module(&m).expect("call kernel verifies");
+    m
+}
+
+/// Every hook event, in order, from an always-active hook.
+#[derive(Default)]
+struct EventLog(Vec<String>);
+
+impl InterpHook for EventLog {
+    fn on_result(&mut self, site: InstSite, frame: u64, val: &mut RtVal) {
+        self.0.push(format!("result {site:?} f{frame} {val:?}"));
+    }
+
+    fn on_use(&mut self, def: InstSite, consumer: InstSite, frame: u64) {
+        self.0.push(format!("use {def:?} -> {consumer:?} f{frame}"));
+    }
+
+    fn on_load(&mut self, site: InstSite, frame: u64, addr: u64, size: u64) {
+        self.0
+            .push(format!("load {site:?} f{frame} {addr:#x}+{size}"));
+    }
+
+    fn on_store(&mut self, site: InstSite, frame: u64, addr: u64, size: u64) {
+        self.0
+            .push(format!("store {site:?} f{frame} {addr:#x}+{size}"));
+    }
+}
+
+/// Argument and constant slots: calls that pass every scalar kind, as
+/// computed values and as constants, run identically on the reference
+/// core and on both production loops — whole runs, the full event log,
+/// a pause at every step, and faulted runs that sleep, wake at a seeded
+/// site and sleep again.
+#[test]
+fn argument_and_constant_slots_match_reference() {
+    let module = call_kernel();
+    let max_steps = 1_000_000;
+    let (want, census) = run_interp(&module, max_steps, SiteCensus::default(), Core::Reference);
+    assert!(want.status.contains("Finished"), "{}", want.status);
+    let (got, _) = run_interp(&module, max_steps, NopHook, Core::Production);
+    assert_eq!(got, want, "call kernel: quiescent loop diverged");
+    let (got, _) = run_interp(&module, max_steps, ActiveNop, Core::Production);
+    assert_eq!(got, want, "call kernel: evented loop diverged");
+    let (_, log_want) = run_interp(&module, max_steps, EventLog::default(), Core::Reference);
+    let (_, log_got) = run_interp(&module, max_steps, EventLog::default(), Core::Production);
+    assert_eq!(log_got.0, log_want.0, "call kernel: event log");
+
+    sweep_interp("call-kernel", &module, max_steps, || NopHook);
+    sweep_interp("call-kernel", &module, max_steps, || ActiveNop);
+
+    let mut rng = StdRng::seed_from_u64(5);
+    for (target, nth) in pick_targets(&census.results, &mut rng, 12) {
+        let bit = rng.gen_range(0..64u32);
+        let label = format!("call-kernel {target:?}#{nth} bit {bit}");
+        interp_events_match(&label, &module, fault_budget(want.steps), |sleep| {
+            PhaseRecorder::new(target, nth, Some(bit), sleep)
+        });
+    }
+}
+
 /// Records every retire index whose instruction writes a register —
 /// used on the reference core to pick fault targets for the asm recorder.
 struct RetireCensus<'p> {
