@@ -1339,15 +1339,12 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     frame.ip += 1;
                 }
                 DecOp::CallFunc { target, args, .. } => {
-                    let mut raw = std::mem::take(&mut self.arg_buf);
-                    raw.clear();
-                    for a in args.iter() {
-                        raw.push(self.use_raw::<EVENTS>(&frame, id, a));
-                    }
+                    let raw: Vec<u64> = args
+                        .iter()
+                        .map(|a| self.use_raw::<EVENTS>(&frame, id, a))
+                        .collect();
                     self.frames.push(frame);
-                    let pushed = self.push_frame(*target, &raw);
-                    self.arg_buf = raw;
-                    pushed?;
+                    self.push_frame(*target, &raw)?;
                     return Ok(false);
                 }
                 DecOp::CallIntr {

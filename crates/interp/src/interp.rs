@@ -233,8 +233,6 @@ pub struct Interp<'m, H> {
     pub(crate) decoded: Arc<DecodedModule>,
     /// Reusable staging buffer for φ-batches (reads before writes).
     pub(crate) phi_buf: Vec<RtVal>,
-    /// Reusable staging buffer for call arguments' raw images.
-    pub(crate) arg_buf: Vec<u64>,
 }
 
 impl<'m, H: InterpHook> Interp<'m, H> {
@@ -284,7 +282,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             pause_at: None,
             decoded,
             phi_buf: Vec::new(),
-            arg_buf: Vec::new(),
         })
     }
 
@@ -333,7 +330,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             pause_at: None,
             decoded,
             phi_buf: Vec::new(),
-            arg_buf: Vec::new(),
         }
     }
 

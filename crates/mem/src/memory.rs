@@ -90,7 +90,8 @@ pub struct Memory {
 const INDEX_GRAIN: u64 = SNAPSHOT_PAGE as u64;
 
 /// Terminates [`Layout::runs`]: no address lies below its end without
-/// also lying below its start, so a lookup stops there as unmapped.
+/// also lying below its start, so a lookup stops there as unmapped. The
+/// address `u64::MAX` lies past it and never reaches the run walk.
 const SENTINEL_RUN: (u64, u64) = (u64::MAX, u64::MAX);
 
 /// The allocated regions of a memory and an index that answers the access
@@ -373,12 +374,12 @@ impl Memory {
         if addr < NULL_GUARD {
             return Trap::NullDeref { addr };
         }
+        // The first run ending past `addr`; there is none for an address
+        // at or above the sentinel's end, which no run can hold.
         let runs = &self.layout.runs;
-        let (start, _) = runs[runs.partition_point(|r| r.1 <= addr)];
-        if addr < start {
-            Trap::Unmapped { addr }
-        } else {
-            Trap::OutOfBounds { addr }
+        match runs.get(runs.partition_point(|r| r.1 <= addr)) {
+            Some(&(start, _)) if addr >= start => Trap::OutOfBounds { addr },
+            _ => Trap::Unmapped { addr },
         }
     }
 

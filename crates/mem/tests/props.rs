@@ -294,20 +294,23 @@ fn naive_check(regions: &[Region], addr: u64, size: u64) -> Result<(), Trap> {
 }
 
 /// Checks every access of 1, 2, 4 or 8 bytes starting within 16 bytes of
-/// a region edge against [`naive_check`].
+/// a region edge, of the end of the last index granule, of the null guard
+/// or of the top of the address space against [`naive_check`].
 fn check_edges(m: &Memory, regions: &[Region]) -> Result<(), TestCaseError> {
-    for r in regions {
-        for edge in [r.start, r.end()] {
-            for addr in edge.saturating_sub(16)..=edge + 16 {
-                for size in [1, 2, 4, 8] {
-                    prop_assert_eq!(
-                        m.check(addr, size),
-                        naive_check(regions, addr, size),
-                        "access of {} bytes at {:#x}",
-                        size,
-                        addr
-                    );
-                }
+    let last_end = regions.last().map_or(NULL_GUARD, Region::end);
+    let granule_end = (last_end - NULL_GUARD).next_multiple_of(SNAPSHOT_PAGE as u64) + NULL_GUARD;
+    let extremes = [granule_end, NULL_GUARD, 0, u64::MAX];
+    let edges = regions.iter().flat_map(|r| [r.start, r.end()]);
+    for edge in edges.chain(extremes) {
+        for addr in edge.saturating_sub(16)..=edge.saturating_add(16) {
+            for size in [1, 2, 4, 8] {
+                prop_assert_eq!(
+                    m.check(addr, size),
+                    naive_check(regions, addr, size),
+                    "access of {} bytes at {:#x}",
+                    size,
+                    addr
+                );
             }
         }
     }
@@ -330,8 +333,8 @@ proptest! {
 
     /// The indexed access check raises exactly the trap (or success) of a
     /// linear scan over the regions, on layouts with alignment holes,
-    /// guard gaps and a stack: after every allocation, on a restored
-    /// copy, and after allocating past the restored layout.
+    /// guard gaps and a stack: before and after every allocation, on a
+    /// restored copy, and after allocating past the restored layout.
     #[test]
     fn access_check_matches_a_linear_scan(
         globals in prop::collection::vec(region_spec(), 1..12),
@@ -340,6 +343,7 @@ proptest! {
         heap in region_spec(),
     ) {
         let mut m = Memory::new();
+        check_edges(&m, &[])?;
         for &(guard, size, align) in &globals {
             m.reserve_guard(guard);
             m.alloc(size, align, RegionKind::Global).unwrap();
