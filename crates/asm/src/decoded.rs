@@ -1,13 +1,17 @@
 //! The machine emulator's execution core: a pre-decoded opcode table.
 //!
 //! [`DecodedProgram::decode`] flattens each [`Inst`] into a `Copy`
-//! [`DecInst`] with operand addressing pre-resolved: the hot register and
+//! [`DecInst`] with operand addressing pre-resolved: the register and
 //! immediate forms of mov/alu/cmp/test/branch get dedicated variants
-//! (immediates pre-masked to their destination width), memory forms keep
-//! their [`MemRef`], and everything else falls back to [`DecInst::Generic`],
-//! which re-executes the original instruction at the same index through
-//! the shared reference semantics (`Machine::exec_inst`). The table is
-//! indexed by rip, one entry per instruction. There are no
+//! (immediates pre-masked to their destination width), and so does every
+//! other shape that retires at least 1% of the catalog golden runs' steps
+//! — `movsd` x←x, x←m and m←x, `Sse` x,x and x,m, `cmp r,m` and `alu r,m`
+//! (DESIGN §4g, "The decoded-form census"). Memory forms keep their
+//! [`MemRef`]. Everything else falls back to [`DecInst::Generic`], which
+//! re-executes the original instruction at the same index through the
+//! shared reference semantics (`Machine::exec_inst`); forms that share an
+//! operation with it share its helper (`alu_exec`, `sse_exec`). The table
+//! is indexed by rip, one entry per instruction. There are no
 //! superinstructions: a census of the benchmark workloads showed that
 //! fusing adjacent pairs did not pay for the boundary handling it forced
 //! (DESIGN §4g).
@@ -23,9 +27,9 @@
 //! core's do with no special handling.
 
 use crate::flags::Cond;
-use crate::inst::{AluOp, Inst, MemRef, Operand, Width};
+use crate::inst::{AluOp, Inst, MemRef, Operand, SseOp, Width, XOperand};
 use crate::program::AsmProgram;
-use crate::regs::Reg;
+use crate::regs::{Reg, Xmm};
 
 /// One pre-decoded instruction. `Copy`, so the dispatch loop lifts it out
 /// of the shared table without holding a borrow across execution.
@@ -48,12 +52,26 @@ pub(crate) enum DecInst {
     AluRR { op: AluOp, dst: Reg, src: Reg },
     /// ALU op with an immediate source.
     AluRI { op: AluOp, dst: Reg, imm: u64 },
+    /// ALU op with an 8-byte memory source.
+    AluRM { op: AluOp, dst: Reg, m: MemRef },
     /// `cmp lhs, rhs` between registers.
     CmpRR { lhs: Reg, rhs: Reg },
     /// `cmp lhs, imm`.
     CmpRI { lhs: Reg, imm: u64 },
+    /// `cmp lhs, [m]` (8-byte load).
+    CmpRM { lhs: Reg, m: MemRef },
     /// `test lhs, rhs` between registers.
     TestRR { lhs: Reg, rhs: Reg },
+    /// `movsd dst, src` between XMM low halves.
+    MovsdXX { dst: Xmm, src: Xmm },
+    /// `movsd dst, [m]` (8-byte load into the low half).
+    MovsdXM { dst: Xmm, m: MemRef },
+    /// `movsd [m], src` (8-byte store of the low half).
+    MovsdMX { m: MemRef, src: Xmm },
+    /// Scalar-double op with an XMM source.
+    SseXX { op: SseOp, dst: Xmm, src: Xmm },
+    /// Scalar-double op with an 8-byte memory source.
+    SseXM { op: SseOp, dst: Xmm, m: MemRef },
     /// Unconditional jump.
     Jmp { target: u32 },
     /// Conditional jump.
@@ -77,6 +95,13 @@ impl DecodedProgram {
         DecodedProgram {
             code: prog.insts.iter().map(decode_inst).collect(),
         }
+    }
+
+    /// True when instruction `idx` has no decoded form and runs through
+    /// the reference semantics ([`DecInst::Generic`]); the census of
+    /// retired steps that reach the fallback is built on this.
+    pub fn is_generic(&self, idx: usize) -> bool {
+        matches!(self.code[idx], DecInst::Generic)
     }
 }
 
@@ -115,7 +140,7 @@ fn decode_inst(inst: &Inst) -> DecInst {
                 dst,
                 imm: v as u64,
             },
-            Operand::Mem(_) => DecInst::Generic,
+            Operand::Mem(m) => DecInst::AluRM { op, dst, m },
         },
         Inst::Cmp { lhs, rhs } => match (lhs, rhs) {
             (Operand::Reg(a), Operand::Reg(b)) => DecInst::CmpRR { lhs: a, rhs: b },
@@ -123,11 +148,22 @@ fn decode_inst(inst: &Inst) -> DecInst {
                 lhs: a,
                 imm: v as u64,
             },
+            (Operand::Reg(a), Operand::Mem(m)) => DecInst::CmpRM { lhs: a, m },
             _ => DecInst::Generic,
         },
         Inst::Test { lhs, rhs } => match (lhs, rhs) {
             (Operand::Reg(a), Operand::Reg(b)) => DecInst::TestRR { lhs: a, rhs: b },
             _ => DecInst::Generic,
+        },
+        Inst::Movsd { dst, src } => match (dst, src) {
+            (XOperand::Xmm(d), XOperand::Xmm(s)) => DecInst::MovsdXX { dst: d, src: s },
+            (XOperand::Xmm(d), XOperand::Mem(m)) => DecInst::MovsdXM { dst: d, m },
+            (XOperand::Mem(m), XOperand::Xmm(s)) => DecInst::MovsdMX { m, src: s },
+            (XOperand::Mem(_), XOperand::Mem(_)) => DecInst::Generic,
+        },
+        Inst::Sse { op, dst, src } => match src {
+            XOperand::Xmm(s) => DecInst::SseXX { op, dst, src: s },
+            XOperand::Mem(m) => DecInst::SseXM { op, dst, m },
         },
         Inst::Jmp { target } => DecInst::Jmp { target },
         Inst::Jcc { cond, target } => DecInst::Jcc { cond, target },

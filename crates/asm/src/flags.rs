@@ -66,6 +66,7 @@ impl Cond {
     }
 
     /// Evaluates the condition against a FLAGS value.
+    #[inline]
     pub fn eval(self, flags: u64) -> bool {
         let bit = |b: u32| flags & (1 << b) != 0;
         match self {

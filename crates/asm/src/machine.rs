@@ -758,14 +758,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
             Inst::Sse { op, dst, src } => {
                 let b = self.read_xoperand(&src)?;
                 let a = self.st.xmm_f64(dst);
-                let r = match op {
-                    SseOp::Addsd => a + b,
-                    SseOp::Subsd => a - b,
-                    SseOp::Mulsd => a * b,
-                    SseOp::Divsd => a / b,
-                    SseOp::Sqrtsd => b.sqrt(),
-                };
-                self.st.set_xmm_f64(dst, r);
+                self.st.set_xmm_f64(dst, sse_exec(op, a, b));
             }
             Inst::Ucomisd { lhs, rhs } => {
                 let a = self.st.xmm_f64(lhs);
@@ -878,6 +871,13 @@ impl<'p, H: AsmHook> Machine<'p, H> {
                 self.st.set_reg(dst, result);
                 self.st.flags = fl;
             }
+            DecInst::AluRM { op, dst, m } => {
+                let a = self.st.reg(dst);
+                let b = self.st.mem.read_uint(self.effective_addr(&m), 8)?;
+                let (result, fl) = alu_exec(op, a, b);
+                self.st.set_reg(dst, result);
+                self.st.flags = fl;
+            }
             DecInst::CmpRR { lhs, rhs } => {
                 let a = self.st.reg(lhs);
                 let b = self.st.reg(rhs);
@@ -887,10 +887,36 @@ impl<'p, H: AsmHook> Machine<'p, H> {
                 let a = self.st.reg(lhs);
                 self.st.flags = flags::sub_flags(a, imm, a.wrapping_sub(imm));
             }
+            DecInst::CmpRM { lhs, m } => {
+                let a = self.st.reg(lhs);
+                let b = self.st.mem.read_uint(self.effective_addr(&m), 8)?;
+                self.st.flags = flags::sub_flags(a, b, a.wrapping_sub(b));
+            }
             DecInst::TestRR { lhs, rhs } => {
                 let a = self.st.reg(lhs);
                 let b = self.st.reg(rhs);
                 self.st.flags = flags::logic_flags(a & b);
+            }
+            DecInst::MovsdXX { dst, src } => {
+                self.st.xmm[dst.index()][0] = self.st.xmm[src.index()][0];
+            }
+            DecInst::MovsdXM { dst, m } => {
+                let bits = self.st.mem.read_uint(self.effective_addr(&m), 8)?;
+                self.st.xmm[dst.index()][0] = bits;
+            }
+            DecInst::MovsdMX { m, src } => {
+                let a = self.effective_addr(&m);
+                self.st.mem.write_uint(a, self.st.xmm[src.index()][0], 8)?;
+            }
+            DecInst::SseXX { op, dst, src } => {
+                let b = self.st.xmm_f64(src);
+                let a = self.st.xmm_f64(dst);
+                self.st.set_xmm_f64(dst, sse_exec(op, a, b));
+            }
+            DecInst::SseXM { op, dst, m } => {
+                let b = f64::from_bits(self.st.mem.read_uint(self.effective_addr(&m), 8)?);
+                let a = self.st.xmm_f64(dst);
+                self.st.set_xmm_f64(dst, sse_exec(op, a, b));
             }
             DecInst::Jmp { target } => {
                 self.jump(target)?;
@@ -1041,8 +1067,9 @@ impl<'p, H: AsmHook> Machine<'p, H> {
 }
 
 /// Computes an ALU op's result and resulting FLAGS — the one definition
-/// shared by the reference `Inst::Alu` arm and the decoded `AluRR`/`AluRI`
-/// variants, so the two cores cannot drift.
+/// shared by the reference `Inst::Alu` arm and the decoded
+/// `AluRR`/`AluRI`/`AluRM` variants, so the two cores cannot drift.
+#[inline(always)]
 fn alu_exec(op: AluOp, a: u64, b: u64) -> (u64, u64) {
     match op {
         AluOp::Add => {
@@ -1074,6 +1101,20 @@ fn alu_exec(op: AluOp, a: u64, b: u64) -> (u64, u64) {
             let r = a ^ b;
             (r, flags::logic_flags(r))
         }
+    }
+}
+
+/// Computes a scalar-double op's result — the one definition shared by
+/// the reference `Inst::Sse` arm and the decoded `SseXX`/`SseXM`
+/// variants.
+#[inline(always)]
+fn sse_exec(op: SseOp, a: f64, b: f64) -> f64 {
+    match op {
+        SseOp::Addsd => a + b,
+        SseOp::Subsd => a - b,
+        SseOp::Mulsd => a * b,
+        SseOp::Divsd => a / b,
+        SseOp::Sqrtsd => b.sqrt(),
     }
 }
 

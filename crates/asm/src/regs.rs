@@ -45,9 +45,12 @@ impl Reg {
         Reg::R15,
     ];
 
-    /// Encoding index (0..16).
+    /// Encoding index (0..16). The mask is the identity on the sixteen
+    /// discriminants; it tells the compiler the index is in range, so a
+    /// register-file access `regs[r.index()]` carries no bounds check.
+    #[inline]
     pub fn index(self) -> usize {
-        self as usize
+        self as usize & 15
     }
 
     /// Integer-argument registers of the calling convention, in order.

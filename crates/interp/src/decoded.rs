@@ -222,14 +222,6 @@ pub(crate) enum DecOp {
         base: Opnd,
         steps: Box<[GepStep]>,
     },
-    /// Fallback for a GEP with a *dynamic* struct index (the stride walk
-    /// depends on runtime values): runs the reference algorithm, but over
-    /// type references instead of per-step clones.
-    GepDyn {
-        elem_ty: Type,
-        base: Opnd,
-        indices: Box<[Opnd]>,
-    },
     Select {
         cond: Opnd,
         then_val: Opnd,
@@ -467,8 +459,8 @@ impl<'f> FuncDecoder<'f> {
 }
 
 /// Pre-computes a GEP's address steps, folding constant indices into flat
-/// byte offsets. Falls back to [`DecOp::GepDyn`] when a struct is indexed
-/// by a non-constant (the stride walk then depends on runtime values).
+/// byte offsets. A verified module indexes structs only by constants
+/// (`fiq_ir::verify`), so every struct step is a constant offset.
 fn decode_gep(dec: &mut FuncDecoder, elem_ty: &Type, base: Value, indices: &[Value]) -> DecOp {
     let mut steps: Vec<GepStep> = Vec::new();
     let mut pending: u64 = 0;
@@ -477,25 +469,18 @@ fn decode_gep(dec: &mut FuncDecoder, elem_ty: &Type, base: Value, indices: &[Val
         let stride = if i == 0 {
             cur_ty.size()
         } else {
-            match cur_ty {
-                Type::Array(elem, _) => {
+            match (cur_ty, *idx) {
+                (Type::Array(elem, _), _) => {
                     cur_ty = elem;
                     cur_ty.size()
                 }
-                Type::Struct(fields) => {
-                    let Value::Const(c) = *idx else {
-                        return DecOp::GepDyn {
-                            elem_ty: elem_ty.clone(),
-                            base: dec.opnd(base),
-                            indices: dec.opnds(indices),
-                        };
-                    };
+                (Type::Struct(fields), Value::Const(c)) => {
                     let field = dec.const_index(c) as usize;
                     pending = pending.wrapping_add(cur_ty.struct_field_offset(field));
                     cur_ty = &fields[field];
                     continue;
                 }
-                other => panic!("verified gep walks aggregate, got {other}"),
+                (other, _) => panic!("verified gep walks aggregate, got {other}"),
             }
         };
         if let Value::Const(c) = *idx {
@@ -959,6 +944,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         val_of_raw(o.kind, self.use_raw::<EVENTS>(frame, consumer, o))
     }
 
+    #[inline(always)]
     fn load_kind(&self, addr: u64, k: LoadKind) -> Result<RtVal, Trap> {
         Ok(match k {
             LoadKind::Int(t) => RtVal::Int(t, t.truncate(self.mem.read_uint(addr, t.bytes())?)),
@@ -1282,40 +1268,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                 }
                 DecOp::Gep { base, steps } => {
                     let addr = self.gep_addr::<EVENTS>(&frame, id, base, steps);
-                    let mut val = RtVal::Ptr(addr);
-                    if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
-                    }
-                    frame.slots[id.index()] = raw_of(val);
-                    frame.ip += 1;
-                }
-                DecOp::GepDyn {
-                    elem_ty,
-                    base,
-                    indices,
-                } => {
-                    let mut addr = self.use_raw::<EVENTS>(&frame, id, base);
-                    let mut cur: &Type = elem_ty;
-                    for (i, idx) in indices.iter().enumerate() {
-                        let sidx = sext_index(idx.kind, self.use_raw::<EVENTS>(&frame, id, idx));
-                        if i == 0 {
-                            addr = addr.wrapping_add((sidx as u64).wrapping_mul(cur.size()));
-                        } else {
-                            match cur {
-                                Type::Array(elem, _) => {
-                                    addr =
-                                        addr.wrapping_add((sidx as u64).wrapping_mul(elem.size()));
-                                    cur = elem;
-                                }
-                                Type::Struct(fields) => {
-                                    addr =
-                                        addr.wrapping_add(cur.struct_field_offset(sidx as usize));
-                                    cur = &fields[sidx as usize];
-                                }
-                                other => panic!("verified gep walks aggregate, got {other}"),
-                            }
-                        }
-                    }
                     let mut val = RtVal::Ptr(addr);
                     if EVENTS {
                         self.result(site, frame.frame_id, &mut val);

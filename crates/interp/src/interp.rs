@@ -1091,7 +1091,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         })
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn store_typed(&mut self, addr: u64, v: RtVal) -> Result<(), Trap> {
         match v {
             RtVal::Int(t, raw) => self.mem.write_uint(addr, raw, t.bytes()),

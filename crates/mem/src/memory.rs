@@ -245,7 +245,7 @@ impl Memory {
     }
 
     /// Marks the pages covering `[off, off+len)` as written.
-    #[inline]
+    #[inline(always)]
     fn mark_written(&mut self, off: usize, len: usize) {
         if len == 0 {
             return;
@@ -409,6 +409,43 @@ impl Memory {
         Ok(())
     }
 
+    /// The data offset of a `size`-byte access at `addr` when `size` is
+    /// 1, 2, 4 or 8 and the first run [`Layout::first_run`] names for the
+    /// granule of `addr` holds the whole access — the common case, which
+    /// needs no walk. `None` sends the access to [`Memory::sized_cold`].
+    #[inline(always)]
+    fn sized_fast(&self, addr: u64, size: u64) -> Option<usize> {
+        let layout = &*self.layout;
+        let granule = addr.wrapping_sub(NULL_GUARD) / INDEX_GRAIN;
+        let &first = layout.first_run.get(granule as usize)?;
+        let &(start, end) = layout.runs.get(first as usize)?;
+        let held = addr >= start && addr <= end && size <= end - addr;
+        (held && matches!(size, 1 | 2 | 4 | 8)).then(|| (addr - NULL_GUARD) as usize)
+    }
+
+    /// Every sized access [`Memory::sized_fast`] declines: panics on a
+    /// size other than 1, 2, 4 or 8, else runs the full [`Memory::check`]
+    /// walk and returns the data offset or the trap.
+    #[cold]
+    #[inline(never)]
+    fn sized_cold(&self, addr: u64, size: u64) -> Result<usize, Trap> {
+        assert!(
+            matches!(size, 1 | 2 | 4 | 8),
+            "unsupported access size {size}"
+        );
+        self.check(addr, size)?;
+        Ok((addr - NULL_GUARD) as usize)
+    }
+
+    /// The data offset of a checked `size`-byte access at `addr`.
+    #[inline(always)]
+    fn sized_offset(&self, addr: u64, size: u64) -> Result<usize, Trap> {
+        match self.sized_fast(addr, size) {
+            Some(off) => Ok(off),
+            None => self.sized_cold(addr, size),
+        }
+    }
+
     /// Reads a little-endian unsigned integer of `size` ∈ {1,2,4,8} bytes.
     ///
     /// # Errors
@@ -418,15 +455,17 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `size` is not 1, 2, 4, or 8.
-    #[inline]
+    #[inline(always)]
     pub fn read_uint(&self, addr: u64, size: u64) -> Result<u64, Trap> {
-        let b = self.read_bytes(addr, size)?;
+        let off = self.sized_offset(addr, size)?;
+        // Fixed widths: a variable-length slice copy would be a `memcpy`
+        // call. The size is 1, 2, 4 or 8 once the offset is known.
+        let d = &self.data;
         Ok(match size {
-            1 => u64::from(b[0]),
-            2 => u64::from(u16::from_le_bytes([b[0], b[1]])),
-            4 => u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-            8 => u64::from_le_bytes(b.try_into().expect("8 bytes")),
-            _ => panic!("unsupported access size {size}"),
+            1 => u64::from(d[off]),
+            2 => u64::from(u16::from_le_bytes(fixed(d, off))),
+            4 => u64::from(u32::from_le_bytes(fixed(d, off))),
+            _ => u64::from_le_bytes(fixed(d, off)),
         })
     }
 
@@ -439,13 +478,19 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `size` is not 1, 2, 4, or 8.
-    #[inline]
+    #[inline(always)]
     pub fn write_uint(&mut self, addr: u64, val: u64, size: u64) -> Result<(), Trap> {
-        let bytes = val.to_le_bytes();
+        let off = self.sized_offset(addr, size)?;
+        self.mark_written(off, size as usize);
+        let b = val.to_le_bytes();
+        let d = &mut self.data;
         match size {
-            1 | 2 | 4 | 8 => self.write_bytes(addr, &bytes[..size as usize]),
-            _ => panic!("unsupported access size {size}"),
+            1 => d[off] = b[0],
+            2 => d[off..off + 2].copy_from_slice(&b[..2]),
+            4 => d[off..off + 4].copy_from_slice(&b[..4]),
+            _ => d[off..off + 8].copy_from_slice(&b),
         }
+        Ok(())
     }
 
     /// Reads an `f64`.
@@ -453,7 +498,7 @@ impl Memory {
     /// # Errors
     ///
     /// Propagates [`Memory::check`] failures.
-    #[inline]
+    #[inline(always)]
     pub fn read_f64(&self, addr: u64) -> Result<f64, Trap> {
         Ok(f64::from_bits(self.read_uint(addr, 8)?))
     }
@@ -463,7 +508,7 @@ impl Memory {
     /// # Errors
     ///
     /// Propagates [`Memory::check`] failures.
-    #[inline]
+    #[inline(always)]
     pub fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), Trap> {
         self.write_uint(addr, v.to_bits(), 8)
     }
@@ -473,7 +518,7 @@ impl Memory {
     /// # Errors
     ///
     /// Propagates [`Memory::check`] failures.
-    #[inline]
+    #[inline(always)]
     pub fn read_f32(&self, addr: u64) -> Result<f32, Trap> {
         Ok(f32::from_bits(self.read_uint(addr, 4)? as u32))
     }
@@ -483,10 +528,16 @@ impl Memory {
     /// # Errors
     ///
     /// Propagates [`Memory::check`] failures.
-    #[inline]
+    #[inline(always)]
     pub fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), Trap> {
         self.write_uint(addr, u64::from(v.to_bits()), 4)
     }
+}
+
+/// The `N` bytes of `data` at `off`, as a fixed-width array.
+#[inline(always)]
+fn fixed<const N: usize>(data: &[u8], off: usize) -> [u8; N] {
+    data[off..off + N].try_into().expect("N bytes")
 }
 
 impl Default for Memory {

@@ -366,6 +366,128 @@ proptest! {
     }
 }
 
+/// The little-endian value of `size` model bytes at `addr`.
+fn model_read(image: &[u8], addr: u64, size: u64) -> u64 {
+    let off = (addr - NULL_GUARD) as usize;
+    image[off..off + size as usize]
+        .iter()
+        .rev()
+        .fold(0, |v, &b| (v << 8) | u64::from(b))
+}
+
+/// True when `f` panics.
+fn panics(f: impl FnOnce()) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+}
+
+/// Checks every 1, 2, 4 and 8-byte `read_uint` and `write_uint` starting
+/// within 16 bytes of a region edge, in the last 7 bytes of the mapped
+/// image, or within 16 bytes of the null guard, of 0 or of `u64::MAX`
+/// against [`naive_check`] and a byte model. `m` and `twin` are restored
+/// from `snap`; every write to `m` is repeated on `twin` through
+/// `write_bytes`, the general mutation path, and both must then report
+/// the same pages diverged from `snap` (the byte-exact count, which skips
+/// exactly the pages the written bitmap calls clean).
+fn check_sized(
+    m: &mut Memory,
+    twin: &mut Memory,
+    snap: &MemSnapshot,
+    rng: &mut Rng,
+) -> Result<(), TestCaseError> {
+    let regions = m.regions().to_vec();
+    let mut image = Shadow::of(m).image;
+    let last_end = regions.last().map_or(NULL_GUARD, Region::end);
+    let tail = last_end.saturating_sub(7)..last_end;
+    let edges = regions
+        .iter()
+        .flat_map(|r| [r.start, r.end()])
+        .chain([NULL_GUARD, 0, u64::MAX])
+        .flat_map(|e| e.saturating_sub(16)..=e.saturating_add(16));
+    for addr in tail.chain(edges) {
+        for size in [1, 2, 4, 8] {
+            let want = naive_check(&regions, addr, size);
+            prop_assert_eq!(
+                m.read_uint(addr, size),
+                want.map(|()| model_read(&image, addr, size)),
+                "read of {} bytes at {:#x}",
+                size,
+                addr
+            );
+            let val = rng.next();
+            let bytes = &val.to_le_bytes()[..size as usize];
+            prop_assert_eq!(
+                m.write_uint(addr, val, size),
+                want,
+                "write of {} bytes at {:#x}",
+                size,
+                addr
+            );
+            prop_assert_eq!(twin.write_bytes(addr, bytes), want);
+            if want.is_ok() {
+                let off = (addr - NULL_GUARD) as usize;
+                image[off..off + bytes.len()].copy_from_slice(bytes);
+            }
+            prop_assert_eq!(
+                m.diverged_pages_exact(snap),
+                twin.diverged_pages_exact(snap),
+                "pages written by {} bytes at {:#x}",
+                size,
+                addr
+            );
+        }
+    }
+    prop_assert!(m.equals_snapshot(&twin.snapshot(None)));
+    for addr in [regions[0].start, 0] {
+        prop_assert!(
+            panics(|| {
+                let _ = m.read_uint(addr, 3);
+            }),
+            "read of 3 bytes at {:#x}",
+            addr
+        );
+        prop_assert!(
+            panics(|| {
+                let _ = m.write_uint(addr, 0, 3);
+            }),
+            "write of 3 bytes at {:#x}",
+            addr
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sized accessors — an inline fast path for an access inside
+    /// the first run of its granule, a cold walk for the rest — return
+    /// exactly the model's value or the linear scan's trap, and mark
+    /// exactly the pages the general write path marks, on layouts with
+    /// alignment holes, guard gaps and a stack.
+    #[test]
+    fn sized_access_matches_a_linear_scan(
+        seed in any::<u64>(),
+        globals in prop::collection::vec(region_spec(), 1..12),
+        stack_guard in 0u64..(2 * SNAPSHOT_PAGE as u64),
+        stack in 1u64..(4 * SNAPSHOT_PAGE as u64),
+    ) {
+        let mut rng = Rng(seed);
+        let mut golden = Memory::new();
+        for &(guard, size, align) in &globals {
+            golden.reserve_guard(guard);
+            golden.alloc(size, align, RegionKind::Global).unwrap();
+        }
+        golden.reserve_guard(stack_guard);
+        golden.alloc_stack(stack).unwrap();
+        let revert = Shadow::of(&golden);
+        random_writes(&mut golden, &mut rng, 8, &revert);
+        let snap = golden.snapshot(None);
+        let mut m = Memory::from_snapshot(&snap);
+        let mut twin = Memory::from_snapshot(&snap);
+        check_sized(&mut m, &mut twin, &snap, &mut rng)?;
+    }
+}
+
 #[test]
 fn guard_gap_between_globals_and_stack_traps() {
     let mut m = Memory::new();

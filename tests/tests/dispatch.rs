@@ -21,7 +21,11 @@
 //!   site, flip one bit there, record a window of events, and sleep
 //!   again, over a fixed kernel and 200 generated programs;
 //! * a ZF fault delivered at a `sub` steering the adjacent `jne` on the
-//!   machine's production core exactly as on its reference core.
+//!   machine's production core exactly as on its reference core;
+//! * a hand-built program through every census-driven asm decoded form,
+//!   on NaN, ±0.0 and ±inf operands and with each memory form trapping;
+//! * the census itself: the share of the catalog golden runs' asm steps
+//!   that still take the `Generic` fallback.
 
 use fiq_asm::{
     AluOp, AsmFunc, AsmHook, AsmProgram, Cond, Inst, MachOptions, MachState, Machine, NopAsmHook,
@@ -1148,4 +1152,335 @@ fn flag_injection_inside_fused_alu_jcc_steers_branch_identically() {
     assert_eq!(got, faulty_ref, "steered branch diverged from reference");
     let (got, _) = run_machine(&prog, 1_000_000, NopAsmHook, Core::Production);
     assert_eq!(got, clean, "clean run diverged from reference");
+}
+
+/// Logs every retire with the full register file and FLAGS, and reports
+/// itself always active, so the production core runs its evented loop.
+#[derive(Default)]
+struct RetireLog(Vec<String>);
+
+impl AsmHook for RetireLog {
+    fn on_retire(&mut self, idx: usize, st: &mut MachState) {
+        self.0.push(format!(
+            "{idx} flags={:#x} regs={:x?} xmm={:x?}",
+            st.flags, st.regs, st.xmm
+        ));
+    }
+}
+
+/// The memory forms [`decoded_forms_program`] can end on a trap with.
+#[derive(Clone, Copy, Debug)]
+enum MemForm {
+    MovsdLoad,
+    MovsdStore,
+    SseMem,
+    CmpMem,
+    AluMem,
+}
+
+/// A hand-assembled program that retires every decoded form the census
+/// added — `movsd` x←x, x←m and m←x, `Sse` x,x and x,m for every op, `cmp
+/// r,m` and `alu r,m` for every op — over every pair of eight operands:
+/// NaN, ±0.0, ±inf and three finite values whose integer images differ in
+/// their upper halves. Conditional jumps read the FLAGS each `cmp r,m` and
+/// `alu r,m` leaves. With `trap`, the program then runs one access of
+/// that form at the given address before returning. Also returns the
+/// end of the globals, which the machine's guard gap follows.
+fn decoded_forms_program(trap: Option<(MemForm, u64)>) -> (AsmProgram, u64) {
+    use fiq_asm::{GlobalImage, MemRef, SseOp, XOperand, Xmm};
+    let specials = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5,
+        -2.25,
+        f64::from_bits(0x0000_0001_ffff_fff0),
+    ];
+    let globals = vec![
+        GlobalImage {
+            name: "vals".into(),
+            size: 64,
+            align: 8,
+            init: specials.iter().flat_map(|v| v.to_le_bytes()).collect(),
+        },
+        GlobalImage {
+            name: "out".into(),
+            size: 64,
+            align: 8,
+            init: Vec::new(),
+        },
+    ];
+    let addrs = AsmProgram::global_addresses(&globals);
+    let (vals, out) = (addrs[0], addrs[1]);
+    let at = |base: Reg, index: Reg| MemRef {
+        base: Some(base),
+        index: Some(index),
+        scale: 8,
+        disp: 0,
+    };
+    let (vi, vj, oj) = (
+        at(Reg::Rbx, Reg::Rsi),
+        at(Reg::Rbx, Reg::Rdi),
+        at(Reg::R12, Reg::Rdi),
+    );
+    let x = |n: u8| XOperand::Xmm(Xmm(n));
+    let movi = |r: Reg, v: i64| Inst::Mov {
+        width: Width::B8,
+        dst: Operand::Reg(r),
+        src: Operand::Imm(v),
+    };
+    let movsd = |dst: XOperand, src: XOperand| Inst::Movsd { dst, src };
+    let sse = |op: SseOp, dst: u8, src: XOperand| Inst::Sse {
+        op,
+        dst: Xmm(dst),
+        src,
+    };
+    let alu = |op: AluOp, dst: Reg, src: Operand| Inst::Alu { op, dst, src };
+    let cmp = |lhs: Reg, rhs: Operand| Inst::Cmp {
+        lhs: Operand::Reg(lhs),
+        rhs,
+    };
+    let mem = |m: MemRef| XOperand::Mem(m);
+    let mut insts = vec![
+        movi(Reg::Rbx, vals as i64),
+        movi(Reg::R12, out as i64),
+        movi(Reg::Rsi, 0),
+    ];
+    let outer = insts.len() as u32;
+    insts.push(movi(Reg::Rdi, 0));
+    let inner = insts.len() as u32;
+    insts.extend([
+        movsd(x(0), mem(vi)),
+        movsd(x(1), mem(vj)),
+        movsd(x(2), x(0)),
+        sse(SseOp::Addsd, 2, x(1)),
+        movsd(x(3), x(0)),
+        sse(SseOp::Subsd, 3, mem(vj)),
+        movsd(x(4), x(0)),
+        sse(SseOp::Mulsd, 4, x(1)),
+        sse(SseOp::Mulsd, 5, mem(vj)),
+        movsd(x(6), x(0)),
+        sse(SseOp::Divsd, 6, mem(vj)),
+        sse(SseOp::Divsd, 7, x(1)),
+        sse(SseOp::Subsd, 8, x(0)),
+        sse(SseOp::Addsd, 9, mem(vi)),
+        sse(SseOp::Sqrtsd, 10, x(1)),
+        sse(SseOp::Sqrtsd, 11, mem(vi)),
+        movsd(mem(oj), x(6)),
+        sse(SseOp::Addsd, 12, mem(oj)),
+        Inst::Mov {
+            width: Width::B8,
+            dst: Operand::Reg(Reg::Rax),
+            src: Operand::Mem(vi),
+        },
+        cmp(Reg::Rax, Operand::Mem(vj)),
+    ]);
+    // Each conditional skips the next instruction, so FLAGS steer state.
+    let skip = |insts: &Vec<Inst>, cond: Cond| Inst::Jcc {
+        cond,
+        target: insts.len() as u32 + 2,
+    };
+    for (cond, op, dst) in [
+        (Cond::L, AluOp::Add, Reg::R8),
+        (Cond::B, AluOp::Sub, Reg::R9),
+        (Cond::E, AluOp::Imul, Reg::R10),
+        (Cond::P, AluOp::And, Reg::R11),
+        (Cond::A, AluOp::Or, Reg::R13),
+        (Cond::G, AluOp::Xor, Reg::R14),
+    ] {
+        insts.push(skip(&insts, cond));
+        insts.push(alu(op, dst, Operand::Mem(vj)));
+        insts.push(skip(&insts, Cond::Ne));
+        insts.push(cmp(dst, Operand::Mem(oj)));
+    }
+    insts.extend([
+        alu(AluOp::Add, Reg::Rdi, Operand::Imm(1)),
+        cmp(Reg::Rdi, Operand::Imm(8)),
+        Inst::Jcc {
+            cond: Cond::Ne,
+            target: inner,
+        },
+        alu(AluOp::Add, Reg::Rsi, Operand::Imm(1)),
+        cmp(Reg::Rsi, Operand::Imm(8)),
+        Inst::Jcc {
+            cond: Cond::Ne,
+            target: outer,
+        },
+    ]);
+    if let Some((form, addr)) = trap {
+        let m = MemRef::base_disp(Reg::Rcx, 0);
+        insts.push(movi(Reg::Rcx, addr as i64));
+        insts.push(match form {
+            MemForm::MovsdLoad => movsd(x(0), mem(m)),
+            MemForm::MovsdStore => movsd(mem(m), x(0)),
+            MemForm::SseMem => sse(SseOp::Addsd, 0, mem(m)),
+            MemForm::CmpMem => cmp(Reg::Rax, Operand::Mem(m)),
+            MemForm::AluMem => alu(AluOp::Add, Reg::Rax, Operand::Mem(m)),
+        });
+    }
+    insts.push(Inst::Ret);
+    let end = insts.len() as u32;
+    let prog = AsmProgram {
+        insts,
+        funcs: vec![AsmFunc {
+            name: "main".into(),
+            entry: 0,
+            end,
+        }],
+        globals,
+        main: 0,
+    };
+    (prog, out + 64)
+}
+
+/// Runs `prog` to the end on `core` and returns what the cores must
+/// agree on plus a byte image of the mapped memory.
+fn run_machine_with_memory<H: AsmHook>(
+    p: &AsmProgram,
+    hook: H,
+    core: Core,
+) -> (Observed, H, Vec<u8>) {
+    let mut machine = Machine::new(p, MachOptions::default(), hook).expect("machine setup");
+    let res = match core {
+        Core::Reference => machine.run_reference_until(u64::MAX).expect("stops"),
+        Core::Production => machine.run(),
+    };
+    let obs = observe_machine(&machine, res);
+    let image = machine
+        .memory()
+        .regions()
+        .iter()
+        .flat_map(|r| {
+            machine
+                .memory()
+                .read_bytes(r.start, r.size)
+                .unwrap()
+                .to_vec()
+        })
+        .collect();
+    (obs, machine.into_hook(), image)
+}
+
+/// Every decoded form the census added runs in lockstep with the
+/// reference core on NaN, ±0.0 and ±inf operands, and each memory form
+/// traps as the reference does on a null, an unmapped and a
+/// region-straddling address: whole runs on the quiescent and the evented
+/// loop (state, memory and the full retire log), a pause at every step on
+/// both loops, and faults injected into each new form's destination.
+#[test]
+fn census_decoded_forms_lockstep_with_reference() {
+    let (_, data_end) = decoded_forms_program(None);
+    let mut cases = vec![(String::from("no trap"), None)];
+    for form in [
+        MemForm::MovsdLoad,
+        MemForm::MovsdStore,
+        MemForm::SseMem,
+        MemForm::CmpMem,
+        MemForm::AluMem,
+    ] {
+        for (trap, addr) in [
+            ("NullDeref", 8),
+            ("Unmapped", data_end + 64),
+            ("OutOfBounds", data_end - 4),
+        ] {
+            cases.push((format!("{form:?} {trap}"), Some((form, addr, trap))));
+        }
+    }
+    for (name, trap) in cases {
+        let (prog, _) = decoded_forms_program(trap.map(|(form, addr, _)| (form, addr)));
+        let dec = fiq_asm::DecodedProgram::decode(&prog);
+        let generic: Vec<_> = (0..prog.insts.len())
+            .filter(|&i| dec.is_generic(i))
+            .collect();
+        assert_eq!(
+            generic,
+            [prog.insts.len() - 1],
+            "{name}: only `ret` is generic"
+        );
+
+        let (want, want_log, want_mem) =
+            run_machine_with_memory(&prog, RetireLog::default(), Core::Reference);
+        let want_status = trap.map_or("Finished".into(), |(_, addr, trap)| {
+            format!("Trapped({trap} {{ addr: {addr} }})")
+        });
+        assert_eq!(want.status, want_status, "{name}");
+        let (got, got_log, got_mem) =
+            run_machine_with_memory(&prog, RetireLog::default(), Core::Production);
+        let (got_log, want_log) = (got_log.0, want_log.0);
+        if let Some(k) =
+            (0..got_log.len().max(want_log.len())).find(|&k| got_log.get(k) != want_log.get(k))
+        {
+            panic!(
+                "{name}: retire {k} is {:?}, reference {:?}",
+                got_log.get(k),
+                want_log.get(k)
+            );
+        }
+        assert_eq!((&got, &got_mem), (&want, &want_mem), "{name}: evented run");
+        let (got, _, got_mem) = run_machine_with_memory(&prog, NopAsmHook, Core::Production);
+        assert_eq!(
+            (&got, &got_mem),
+            (&want, &want_mem),
+            "{name}: quiescent run"
+        );
+
+        sweep_machine(&name, &prog, 1_000_000, || NopAsmHook);
+        sweep_machine(&name, &prog, 1_000_000, || ActiveNop);
+        for target in 3..prog.insts.len() - 1 {
+            if prog.insts[target].dest().is_some() {
+                let label = format!("{name} inst {target}");
+                machine_events_match(&label, &prog, 1_000_000, |sleep| {
+                    AsmPhaseRecorder::new(&prog, target, 11, Some(63), sleep)
+                });
+            }
+        }
+    }
+}
+
+/// Counts retires per static instruction index.
+struct RetireCounts(Vec<u64>);
+
+impl AsmHook for RetireCounts {
+    fn on_retire(&mut self, idx: usize, _st: &mut MachState) {
+        self.0[idx] += 1;
+    }
+}
+
+/// The census of retired asm steps that reach the decoded core's
+/// `Generic` fallback, over the golden runs of the six catalog workloads
+/// (a noise-free work counter for the decoded forms; 31.6% before the
+/// census-driven forms were added). Prints each workload's share and
+/// bounds the total.
+#[test]
+fn generic_fallback_is_a_small_share_of_catalog_asm_steps() {
+    let (mut generic, mut total) = (0u64, 0u64);
+    for w in &fiq_workloads::CATALOG {
+        let c = w.compile().expect("catalog compiles");
+        let dec = fiq_asm::DecodedProgram::decode(&c.program);
+        let counts = RetireCounts(vec![0; c.program.insts.len()]);
+        let (_, counts) = run_machine(&c.program, u64::MAX, counts, Core::Reference);
+        let all: u64 = counts.0.iter().sum();
+        let gen: u64 = (0..counts.0.len())
+            .filter(|&i| dec.is_generic(i))
+            .map(|i| counts.0[i])
+            .sum();
+        println!(
+            "{:10} {all:9} steps, {gen:8} generic ({:.1}%)",
+            w.name,
+            100.0 * gen as f64 / all as f64
+        );
+        generic += gen;
+        total += all;
+    }
+    let share = 100.0 * generic as f64 / total as f64;
+    println!(
+        "{:10} {total:9} steps, {generic:8} generic ({share:.1}%)",
+        "total"
+    );
+    assert!(
+        share <= 5.0,
+        "Generic share {share:.1}% of retired asm steps"
+    );
 }
