@@ -431,8 +431,9 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     /// fires the same retire events in the same order as the decoded
     /// core but never consults [`AsmHook::quiescence`].
     ///
-    /// This is the oracle the lockstep tests and the step-rate bench
-    /// compare the decoded core against; no production path calls it.
+    /// This is the oracle the decoded core is checked against. Its only
+    /// callers are the lockstep tests (`tests/tests/dispatch.rs`); no
+    /// production path calls it.
     pub fn run_reference_until(&mut self, until: u64) -> Option<RunResult> {
         let stop = loop {
             if self.steps >= until {

@@ -306,10 +306,6 @@ fn emit_inst(
             dst: r(*dst),
             src: op(src),
         }),
-        VInst::Lea { dst, addr } => out.push(Inst::Lea {
-            dst: r(*dst),
-            addr: mem(addr),
-        }),
         VInst::LeaFrame { dst, slot } => out.push(Inst::Lea {
             dst: r(*dst),
             addr: slot_mem(*slot),

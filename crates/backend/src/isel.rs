@@ -219,7 +219,6 @@ impl<'a> Isel<'a> {
             }
         }
         Ok(VFunc {
-            name: self.func.name.clone(),
             insts: self.out,
             block_ranges: self.block_ranges,
             layout,

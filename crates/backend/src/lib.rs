@@ -26,8 +26,6 @@ mod regalloc;
 mod vcode;
 
 pub use isel::LowerOptions;
-pub use regalloc::{allocate, Alloc, Assignment};
-pub use vcode::{FrameSlot, VFunc, VInst, VMem, VOperand, VXOperand, VR, XV};
 
 use fiq_asm::{AsmFunc, AsmProgram, GlobalImage, Inst};
 use fiq_ir::{GlobalInit, Module};
@@ -90,62 +88,6 @@ pub fn lowering_info(module: &Module, opts: LowerOptions) -> LoweringInfo {
         folded_geps,
         folded_loads,
     }
-}
-
-/// Per-function register-allocation statistics (diagnostics).
-#[derive(Debug, Clone)]
-pub struct AllocStats {
-    /// Function name.
-    pub name: String,
-    /// Number of integer virtual registers.
-    pub int_vregs: u32,
-    /// Integer vregs spilled to the stack.
-    pub int_spills: usize,
-    /// Number of float virtual registers.
-    pub xmm_vregs: u32,
-    /// Float vregs spilled to the stack.
-    pub xmm_spills: usize,
-}
-
-/// Computes allocation statistics for every function (diagnostics for
-/// code-quality work; not needed for normal lowering).
-///
-/// # Errors
-///
-/// Returns a [`LowerError`] if instruction selection fails.
-pub fn alloc_stats(module: &Module, opts: LowerOptions) -> Result<Vec<AllocStats>, LowerError> {
-    let globals: Vec<GlobalImage> = module
-        .globals
-        .iter()
-        .map(|g| GlobalImage {
-            name: g.name.clone(),
-            size: g.ty.size().max(1),
-            align: g.ty.align().max(1),
-            init: Vec::new(),
-        })
-        .collect();
-    let global_addrs = AsmProgram::global_addresses(&globals);
-    let mut out = Vec::new();
-    for func in &module.funcs {
-        let mut vfunc = isel::Isel::new(module, func, &global_addrs, opts).run()?;
-        let assign = regalloc::allocate(&mut vfunc, opts);
-        out.push(AllocStats {
-            name: func.name.clone(),
-            int_vregs: vfunc.int_vregs,
-            int_spills: assign
-                .int_alloc
-                .iter()
-                .filter(|a| matches!(a, Alloc::Spill(_)))
-                .count(),
-            xmm_vregs: vfunc.xmm_vregs,
-            xmm_spills: assign
-                .xmm_alloc
-                .iter()
-                .filter(|a| matches!(a, Alloc::Spill(_)))
-                .count(),
-        });
-    }
-    Ok(out)
 }
 
 /// Lowers a verified IR module to a linked assembly program.

@@ -397,7 +397,6 @@ mod tests {
     fn vf(insts: Vec<VInst>, nint: u32) -> VFunc {
         let n = insts.len();
         VFunc {
-            name: "t".into(),
             insts,
             block_ranges: vec![(0, n)],
             layout: vec![0],

@@ -97,10 +97,6 @@ pub enum VInst {
         dst: VR,
         src: VOperand,
     },
-    Lea {
-        dst: VR,
-        addr: VMem,
-    },
     /// Pseudo: `dst = rbp - offset(slot)`; resolved by the frame pass.
     LeaFrame {
         dst: VR,
@@ -266,10 +262,6 @@ impl VInst {
                 ud.use_op(src);
                 ud.def_vr(*dst);
             }
-            VInst::Lea { dst, addr } => {
-                ud.use_mem(addr);
-                ud.def_vr(*dst);
-            }
             VInst::LeaFrame { dst, .. } => ud.def_vr(*dst),
             VInst::Alu { dst, src, .. } | VInst::Shift { dst, src, .. } => {
                 ud.use_vr(*dst); // read-modify-write
@@ -348,8 +340,6 @@ pub struct FrameSlot {
 /// One function's worth of vcode.
 #[derive(Debug, Clone)]
 pub struct VFunc {
-    /// Function name.
-    pub name: String,
     /// All instructions, in block-layout order.
     pub insts: Vec<VInst>,
     /// Per-block instruction ranges into `insts`, indexed by block id.

@@ -399,8 +399,9 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     /// order as the decoded core but never consults
     /// [`InterpHook::quiescence`] and never captures snapshots.
     ///
-    /// This is the oracle the lockstep tests and the step-rate bench
-    /// compare the decoded core against; no production path calls it.
+    /// This is the oracle the decoded core is checked against. Its only
+    /// callers are the lockstep tests (`tests/tests/dispatch.rs`); no
+    /// production path calls it.
     pub fn run_reference_until(&mut self, until: u64) -> Option<ExecResult> {
         self.pause_at = Some(until);
         let out = self.exec_reference();

@@ -8,8 +8,9 @@
 //! place.
 
 use fiq_core::json::Json;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Cap on accepted body sizes (requests and responses). Submissions
 /// inline program source; reports are a few hundred KiB at most. Streams
@@ -29,7 +30,33 @@ pub struct Request {
 /// of memory.
 const MAX_HEAD: u64 = 64 * 1024;
 
-fn read_head(reader: &mut BufReader<&mut TcpStream>) -> Result<(String, u64), String> {
+/// How long the daemon gives one connection to deliver its whole
+/// request, and each write of the response. The accept loop serves one
+/// connection at a time, so without a deadline a client that connects
+/// and sends nothing, or trickles bytes, would stall every later
+/// request. A request that misses it is answered 400, like any other
+/// malformed request.
+pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The daemon side's reader: every read waits at most for what is left
+/// of one deadline, so the whole request is bounded, not each read.
+struct Deadline<'a> {
+    stream: &'a mut TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+fn read_head(reader: &mut impl BufRead) -> Result<(String, u64), String> {
     let mut head = reader.take(MAX_HEAD);
     let mut next_line = |what: &str| -> Result<String, String> {
         let mut line = String::new();
@@ -70,7 +97,7 @@ fn read_head(reader: &mut BufReader<&mut TcpStream>) -> Result<(String, u64), St
     Ok((line, content_length))
 }
 
-fn read_body(reader: &mut BufReader<&mut TcpStream>, len: u64) -> Result<Option<Json>, String> {
+fn read_body(reader: &mut impl Read, len: u64) -> Result<Option<Json>, String> {
     if len == 0 {
         return Ok(None);
     }
@@ -84,9 +111,13 @@ fn read_body(reader: &mut BufReader<&mut TcpStream>, len: u64) -> Result<Option<
         .map_err(|e| format!("body is not JSON: {e}"))
 }
 
-/// Reads one request from the stream (the daemon side).
+/// Reads one request from the stream (the daemon side); all of it must
+/// arrive within [`REQUEST_TIMEOUT`].
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Deadline {
+        stream,
+        at: Instant::now() + REQUEST_TIMEOUT,
+    });
     let (head, content_length) = read_head(&mut reader)?;
     let mut parts = head.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
@@ -107,8 +138,12 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one JSON response and flushes (the daemon side).
+/// Writes one JSON response and flushes (the daemon side); each write
+/// waits at most [`REQUEST_TIMEOUT`].
 pub fn respond(stream: &mut TcpStream, status: u16, body: &Json) -> Result<(), String> {
+    stream
+        .set_write_timeout(Some(REQUEST_TIMEOUT))
+        .map_err(|e| format!("set write timeout: {e}"))?;
     let text = body.to_string();
     write!(
         stream,

@@ -6,14 +6,18 @@
 //! minimum-consistent-prefix reconciliation across all three streams
 //! after a torn shutdown, the scheduler's priority queue, and the
 //! daemon end-to-end over its TCP JSON API — submit, observe, kill a
-//! worker mid-run, recover, and report.
+//! worker mid-run, recover, and report — and a stalling client that
+//! must not block it.
 
 use fiq_core::json::Json;
 use fiq_core::{
     plan_campaign, run_campaign, run_campaign_shard, CampaignPlan, CampaignReport, EngineOptions,
     Progress, CANCELLED,
 };
+use fiq_serve::http::REQUEST_TIMEOUT;
 use fiq_serve::{aggregate, client, http, prepare, Daemon, Scheduler, ServeOptions, Submission};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -802,6 +806,65 @@ fn oversized_shard_and_thread_counts_are_refused_at_submit() {
     let (status, reply) =
         http::request(&addr, "POST", "/api/submit", Some(&body("shards", "2"))).unwrap();
     assert_eq!(status, 200, "{reply}");
+
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
+/// The accept loop serves one connection at a time, so a client that
+/// connects and sends nothing, or trickles a request one byte at a time,
+/// must be cut off at the request deadline rather than stall every later
+/// request. The status request waits on a channel with its own deadline,
+/// so a daemon without one fails this test instead of hanging it.
+#[test]
+fn a_stalling_client_does_not_stall_the_daemon() {
+    let daemon = Daemon::start(&ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        data_dir: temp_dir("stall"),
+        executors: 1,
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    for trickle in [false, true] {
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        // Each byte comes well within the deadline of the one before.
+        let trickler = trickle.then(|| {
+            let mut w = stalled.try_clone().unwrap();
+            std::thread::spawn(move || {
+                for b in b"GET /api/status HTTP/1.1\r\n" {
+                    if w.write_all(&[*b]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(REQUEST_TIMEOUT / 4);
+                }
+            })
+        });
+
+        let started = Instant::now();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let status_addr = addr.clone();
+        let asker = std::thread::spawn(move || {
+            let _ = tx.send(client::status(&status_addr));
+        });
+        let status = rx
+            .recv_timeout(REQUEST_TIMEOUT * 10)
+            .expect("status never answered while a client stalled");
+        let waited = started.elapsed();
+        asker.join().unwrap();
+        assert!(status.is_ok(), "{status:?}");
+        assert!(
+            waited < REQUEST_TIMEOUT * 3,
+            "trickle={trickle}: status took {waited:?} with a request deadline of {REQUEST_TIMEOUT:?}"
+        );
+
+        // The stalled client itself was answered as a malformed request.
+        let mut reply = String::new();
+        stalled.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+        if let Some(t) = trickler {
+            t.join().unwrap();
+        }
+    }
 
     client::shutdown(&addr).unwrap();
     daemon.join();
