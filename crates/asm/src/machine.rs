@@ -14,26 +14,21 @@ use std::sync::Arc;
 /// Sentinel return address marking the bottom of the call stack.
 pub const RET_SENTINEL: u64 = u64::MAX;
 
-/// Emulator configuration.
+/// Unmapped guard gap between globals and stack, in bytes.
+const GUARD_SIZE: u64 = 4096;
+
+/// Emulator configuration. Memory capacity and stack size are
+/// `fiq_mem::DEFAULT_CAPACITY` and `fiq_mem::DEFAULT_STACK_SIZE`.
 #[derive(Debug, Clone, Copy)]
 pub struct MachOptions {
     /// Dynamic-instruction budget (hang detection).
     pub max_steps: u64,
-    /// Stack size in bytes.
-    pub stack_size: u64,
-    /// Unmapped guard gap between globals and stack, in bytes.
-    pub guard_size: u64,
-    /// Simulated memory capacity.
-    pub mem_capacity: u64,
 }
 
 impl Default for MachOptions {
     fn default() -> MachOptions {
         MachOptions {
             max_steps: 500_000_000,
-            stack_size: fiq_mem::DEFAULT_STACK_SIZE,
-            guard_size: 4096,
-            mem_capacity: fiq_mem::DEFAULT_CAPACITY,
         }
     }
 }
@@ -245,10 +240,10 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         opts: MachOptions,
         hook: H,
     ) -> Result<Machine<'p, H>, Trap> {
-        let mut mem = Memory::with_capacity(opts.mem_capacity);
+        let mut mem = Memory::with_capacity(fiq_mem::DEFAULT_CAPACITY);
         prog.materialize_globals(&mut mem)?;
-        mem.reserve_guard(opts.guard_size);
-        let stack_top = mem.alloc_stack(opts.stack_size)?;
+        mem.reserve_guard(GUARD_SIZE);
+        let stack_top = mem.alloc_stack(fiq_mem::DEFAULT_STACK_SIZE)?;
         let mut st = MachState {
             regs: [0; 16],
             xmm: [[0; 2]; 16],
@@ -1015,7 +1010,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
                     .st
                     .mem
                     .stack()
-                    .is_some_and(|s| addr < s.start && addr + self.opts.guard_size >= s.start);
+                    .is_some_and(|s| addr < s.start && addr + GUARD_SIZE >= s.start);
                 Err(if in_guard {
                     Trap::StackOverflow
                 } else {

@@ -24,7 +24,6 @@ fn prog(insts: Vec<Inst>) -> AsmProgram {
 fn opts() -> MachOptions {
     MachOptions {
         max_steps: 1_000_000,
-        ..MachOptions::default()
     }
 }
 
@@ -512,14 +511,7 @@ fn runaway_push_loop_hits_stack_guard() {
 #[test]
 fn infinite_loop_exceeds_budget() {
     let p = prog(vec![Inst::Jmp { target: 0 }]);
-    let r = run_program(
-        &p,
-        MachOptions {
-            max_steps: 5000,
-            ..opts()
-        },
-    )
-    .unwrap();
+    let r = run_program(&p, MachOptions { max_steps: 5000 }).unwrap();
     assert_eq!(r.status, RunStatus::BudgetExceeded);
 }
 

@@ -30,7 +30,6 @@ fn check_opts(src: &str, lopts: LowerOptions) -> (String, u64, u64) {
         &prog,
         MachOptions {
             max_steps: 400_000_000,
-            ..MachOptions::default()
         },
     )
     .unwrap();

@@ -10,11 +10,13 @@
 //! * `flag_pruning` off — PINFI injects into all FLAGS bits: cmp-category
 //!   activation drops (paper Fig 2a's motivation).
 
+use fiq_asm::MachOptions;
 use fiq_backend::LowerOptions;
-use fiq_bench::{interp_opts, mach_opts, ExperimentConfig};
+use fiq_bench::ExperimentConfig;
 use fiq_core::{
     llfi_campaign, pinfi_campaign, profile_llfi, profile_pinfi, Category, PinfiOptions,
 };
+use fiq_interp::InterpOptions;
 use fiq_workloads::by_name;
 
 fn main() {
@@ -50,7 +52,7 @@ fn main() {
             ),
         ] {
             let c = w.compile_with(lower).expect("compiles");
-            let pp = profile_pinfi(&c.program, mach_opts()).expect("profiles");
+            let pp = profile_pinfi(&c.program, MachOptions::default()).expect("profiles");
             let arith = pp.category_count(&c.program, Category::Arithmetic);
             let all = pp.category_count(&c.program, Category::All);
             let rep = pinfi_campaign(&c.program, &pp, Category::All, &camp).unwrap();
@@ -62,7 +64,7 @@ fn main() {
         }
         // LLFI reference for the same program.
         let c = w.compile_with(LowerOptions::default()).expect("compiles");
-        let lp = profile_llfi(&c.module, interp_opts()).expect("profiles");
+        let lp = profile_llfi(&c.module, InterpOptions::default()).expect("profiles");
         let rep = llfi_campaign(&c.module, &lp, Category::All, &camp).unwrap();
         println!(
             "  {:<18} dyn(all)={:<9} crash={:>5.1}% sdc={:>5.1}%",
@@ -85,7 +87,7 @@ fn main() {
     ] {
         let w = by_name(bench).expect("workload exists");
         let c = w.compile_with(cfg.lower).expect("compiles");
-        let pp = profile_pinfi(&c.program, mach_opts()).expect("profiles");
+        let pp = profile_pinfi(&c.program, MachOptions::default()).expect("profiles");
         let on = pinfi_campaign(&c.program, &pp, cat, &camp).unwrap();
         let off_opts = if toggle == "xmm" {
             PinfiOptions {

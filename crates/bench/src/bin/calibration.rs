@@ -9,14 +9,13 @@
 //! * PINFI (the ground truth the paper calibrates against).
 
 use fiq_backend::lowering_info;
-use fiq_bench::{mach_opts, prepare_all, ExperimentConfig};
+use fiq_bench::{prepare_all, ExperimentConfig};
 use fiq_core::{llfi_campaign, llfi_campaign_calibrated, pinfi_campaign, Calibration, Category};
 
 fn main() {
     let cfg = ExperimentConfig::from_args();
     let camp = cfg.campaign();
     let prepared = prepare_all(cfg.lower);
-    let _ = mach_opts();
 
     println!(
         "CALIBRATION (paper §VII heuristics; {} injections/cell, seed {})",

@@ -122,22 +122,6 @@ pub struct Prepared {
     pub pinfi: PinfiProfile,
 }
 
-/// Interpreter options used for profiling and injections.
-pub fn interp_opts() -> InterpOptions {
-    InterpOptions {
-        max_steps: 200_000_000,
-        ..InterpOptions::default()
-    }
-}
-
-/// Machine options used for profiling and injections.
-pub fn mach_opts() -> MachOptions {
-    MachOptions {
-        max_steps: 800_000_000,
-        ..MachOptions::default()
-    }
-}
-
 /// Compiles and profiles the whole catalog.
 ///
 /// # Panics
@@ -151,9 +135,9 @@ pub fn prepare_all(lower: LowerOptions) -> Vec<Prepared> {
             let compiled = w
                 .compile_with(lower)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            let llfi = profile_llfi(&compiled.module, interp_opts())
+            let llfi = profile_llfi(&compiled.module, InterpOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            let pinfi = profile_pinfi(&compiled.program, mach_opts())
+            let pinfi = profile_pinfi(&compiled.program, MachOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
             assert_eq!(
                 llfi.golden_output, pinfi.golden_output,

@@ -264,6 +264,70 @@ fn campaign_bounds_injections_before_compiling() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The exact plan of ocean `all` has tens of millions of classes. It is
+/// refused with an error naming the cell and its cost, after a counting
+/// pass — not by an abort when the plan's allocation fails.
+const OCEAN_EXACT: [&str; 11] = [
+    "ocean",
+    "--category",
+    "all",
+    "--injections",
+    "40",
+    "--seed",
+    "5",
+    "--threads",
+    "1",
+    "--collapse",
+    "exact",
+];
+
+#[test]
+fn exact_plan_past_the_class_limit_is_refused() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fiq"))
+        .arg("campaign")
+        .args(OCEAN_EXACT)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty());
+    let limit = fiq_core::MAX_EXACT_INSTANCES;
+    assert!(
+        err.contains("cell 0 (ocean/all): exact collapse needs")
+            && err.contains("golden runs of")
+            && err.contains(&format!("the per-cell limit is {limit}")),
+        "{err}"
+    );
+}
+
+/// The daemon plans a submission inside its request handler: the same
+/// campaign is a 400 there, and the daemon keeps serving.
+#[test]
+fn daemon_refuses_an_oversized_exact_plan_and_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("fiq-cli-exact-{}", std::process::id()));
+    let daemon = fiq_serve::Daemon::start(&fiq_serve::ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        data_dir: dir.clone(),
+        executors: 1,
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let mut args = vec!["submit", "--addr", &addr];
+    args.extend(OCEAN_EXACT);
+    let (ok, out, err) = fiq(&args);
+    assert!(!ok, "{out}");
+    assert!(
+        err.contains("daemon returned 400: cell 0 (ocean/all): exact collapse needs"),
+        "{err}"
+    );
+    let (ok, out, err) = fiq(&["status", "--addr", &addr]);
+    assert!(ok, "{err}");
+    assert!(!out.is_empty());
+    fiq_serve::client::shutdown(&addr).unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `fiq campaign` and `fiq_serve::prepare` + `run_campaign` from the same
 /// `Submission` write the same record and divergence streams, across
 /// every output-relevant field of the spec.

@@ -20,13 +20,12 @@
 
 use crate::category::{llfi_candidates, Category};
 use crate::outcome::OutcomeCounts;
-use crate::profile::{locate, LlfiProfile};
-use crate::{CampaignConfig, CellReport, LlfiInjection};
+use crate::profile::LlfiProfile;
+use crate::{plan_llfi_from, CampaignConfig, CellReport};
 use fiq_backend::LoweringInfo;
-use fiq_interp::InstSite;
 use fiq_ir::{CastOp, InstKind, Module};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Which §VII heuristics to apply.
 #[derive(Debug, Clone, Copy, Default)]
@@ -91,36 +90,7 @@ pub fn calibrated_candidates(
 
 /// Dynamic population of a calibrated candidate set.
 pub fn calibrated_count(profile: &LlfiProfile, bits: &[Vec<bool>]) -> u64 {
-    let mut total = 0;
-    for (f, fb) in bits.iter().enumerate() {
-        for (i, &b) in fb.iter().enumerate() {
-            if b {
-                total += profile.counts[f][i];
-            }
-        }
-    }
-    total
-}
-
-fn cumulative(profile: &LlfiProfile, bits: &[Vec<bool>]) -> Vec<(InstSite, u64)> {
-    let mut cum = Vec::new();
-    let mut running = 0;
-    for (f, fb) in bits.iter().enumerate() {
-        for (i, &b) in fb.iter().enumerate() {
-            let c = profile.counts[f][i];
-            if b && c > 0 {
-                running += c;
-                cum.push((
-                    InstSite {
-                        func: fiq_ir::FuncId(f as u32),
-                        inst: fiq_ir::InstId(i as u32),
-                    },
-                    running,
-                ));
-            }
-        }
-    }
-    cum
+    profile.cumulative_over(bits).last().map_or(0, |&(_, c)| c)
 }
 
 /// Runs an LLFI campaign over a calibrated candidate set.
@@ -138,10 +108,10 @@ pub fn llfi_campaign_calibrated(
     cfg: &CampaignConfig,
 ) -> Result<CellReport, String> {
     let bits = calibrated_candidates(module, cat, info, cal);
-    let cum = cumulative(profile, &bits);
-    let Some(&(_, total)) = cum.last() else {
+    let cum = profile.cumulative_over(&bits);
+    if cum.is_empty() {
         return Ok(CellReport::empty());
-    };
+    }
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xCA11_B8A7_ED00_0000 ^ cat.name().len() as u64);
     let opts = fiq_interp::InterpOptions {
         max_steps: cfg.hang_budget(profile.golden_steps),
@@ -149,20 +119,7 @@ pub fn llfi_campaign_calibrated(
     };
     let mut counts = OutcomeCounts::default();
     let mut executed = 0;
-    for _ in 0..cfg.injections {
-        let k = rng.gen_range(1..=total);
-        let (site, instance) = locate(&cum, k);
-        let ty = &module.func(site.func).inst(site.inst).ty;
-        let width = if *ty == fiq_ir::Type::i1() {
-            1
-        } else {
-            (ty.size() as u32 * 8).clamp(1, 64)
-        };
-        let inj = LlfiInjection {
-            site,
-            instance,
-            bit: rng.gen_range(0..width),
-        };
+    for inj in (0..cfg.injections).filter_map(|_| plan_llfi_from(module, &cum, &mut rng)) {
         let run = crate::run_llfi(module, opts, inj, &profile.golden_output)?;
         counts.record(run.outcome);
         executed += 1;

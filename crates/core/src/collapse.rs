@@ -30,15 +30,29 @@
 //! set and is executed, so collapsed distributions equal brute-force
 //! enumeration exactly — [`cross_check_llfi`]/[`cross_check_pinfi`]
 //! verify precisely that, and the `collapse-check` CI job keeps it true.
+//!
+//! Each level's fault space is defined once, next to its planner:
+//! `llfi_width` (the IR destination's bit width) and `pinfi_bits` (the
+//! destination with FLAGS/XMM pruning applied). The sampled planners,
+//! collapse and enumeration all walk those definitions, so an exact
+//! campaign and a sampled one draw from the same set by construction.
+//!
+//! Two limits bound exact planning, both [`MAX_EXACT_INSTANCES`] (also
+//! the sampled path's per-cell injection limit). The analyses refuse a
+//! program with more dynamic candidate instances than that, because
+//! they keep state per instance. Planning then counts each cell's
+//! classes without materializing a point and refuses a cell with more
+//! classes than that, because the plan holds one task per class; the
+//! error gives the class count and its cost in golden runs.
 
 use crate::category::{injection_dest, llfi_candidates, Category};
-use crate::llfi::{run_llfi, LlfiInjection};
-use crate::outcome::OutcomeCounts;
-use crate::pinfi::{run_pinfi, PinfiInjection, PinfiOptions};
+use crate::llfi::{bit_width, llfi_width, run_llfi, LlfiInjection};
+use crate::outcome::{InjectionRun, OutcomeCounts};
+use crate::pinfi::{bits, pinfi_bits, run_pinfi, PinfiInjection, PinfiOptions};
 use crate::profile::{LlfiProfile, PinfiProfile};
 use fiq_asm::{
     AluOp, AsmHook, AsmProgram, Inst as AInst, MachOptions, MachState, Machine, MemRef, Operand,
-    Reg, RegId, ShiftOp, XOperand, Xmm, ALL_FLAGS,
+    Reg, RegId, ShiftOp, XOperand, Xmm,
 };
 use fiq_interp::{InstSite, Interp, InterpHook, InterpOptions, RtVal};
 use fiq_ir::{BinOp, CastOp, Constant, InstKind, Module, Type, Value};
@@ -76,9 +90,10 @@ impl Collapse {
     }
 }
 
-/// Upper bound on tracked dynamic instances per analyzed substrate.
-/// Exact collapse stores a per-instance verdict; past this the memory
-/// cost stops being reasonable and sampling is the right tool.
+/// Upper bound on tracked dynamic instances per analyzed substrate, and
+/// on the classes of one exact cell. The analysis stores a per-instance
+/// verdict and the plan one task per class; past this the memory cost
+/// stops being reasonable and sampling is the right tool.
 pub const MAX_EXACT_INSTANCES: u64 = 1 << 22;
 
 /// Size accounting for one collapsed cell, in fault-space points.
@@ -102,6 +117,12 @@ impl CollapseStats {
     /// Number of representatives the engine actually executes.
     pub fn classes(&self) -> u64 {
         self.residual + u64::from(self.dormant > 0) + u64::from(self.masked > 0)
+    }
+
+    fn add(&mut self, s: Split) {
+        self.dormant += u64::from(s.dormant().count_ones() + s.high);
+        self.masked += u64::from(s.masked().count_ones());
+        self.residual += u64::from(s.residual.count_ones());
     }
 }
 
@@ -166,16 +187,6 @@ impl InterpHook for LlfiScanHook {
     }
 }
 
-/// Injection width of an LLFI site — must mirror `plan_llfi_from`.
-fn llfi_width(module: &Module, site: InstSite) -> u32 {
-    let ty = &module.func(site.func).inst(site.inst).ty;
-    if *ty == Type::i1() {
-        1
-    } else {
-        (ty.size() as u32 * 8).clamp(1, 64)
-    }
-}
-
 fn low_mask(width: u32) -> u64 {
     if width >= 64 {
         u64::MAX
@@ -195,14 +206,7 @@ fn const_bits(v: Value) -> u64 {
 
 /// Bit width of an integer type (canonical `RtVal` payload bits).
 fn int_width(ty: &Type) -> Option<u32> {
-    match ty {
-        Type::Int(_) => Some(if *ty == Type::i1() {
-            1
-        } else {
-            (ty.size() as u32 * 8).min(64)
-        }),
-        _ => None,
-    }
+    matches!(ty, Type::Int(_)).then(|| bit_width(ty))
 }
 
 /// All bits at or below the most significant set bit of `m` — the
@@ -434,6 +438,43 @@ pub fn analyze_llfi(module: &Module, profile: &LlfiProfile) -> Result<LlfiAnalys
     })
 }
 
+/// Every dynamic instance of an LLFI cell in `(site, instance)` order,
+/// its bits split by `analysis` (all dormant without one).
+pub(crate) fn llfi_space<'a>(
+    module: &'a Module,
+    profile: &LlfiProfile,
+    cat: Category,
+    analysis: Option<&'a LlfiAnalysis>,
+) -> impl Iterator<Item = (LlfiInjection, Split)> + 'a {
+    per_site(profile.cumulative(module, cat)).flat_map(move |(site, count)| {
+        let (f, i) = (site.func.index(), site.inst.index());
+        let all = low_mask(llfi_width(module, site));
+        (1..=count).map(move |instance| {
+            // An instance read while live is residual in its influential
+            // bits and masked in the rest.
+            let (read, infl) = match analysis {
+                Some(a) if a.activated[f][i][(instance - 1) as usize] => (all, a.masks[f][i]),
+                _ => (0, 0),
+            };
+            let inj = LlfiInjection {
+                site,
+                instance,
+                bit: 0,
+            };
+            let residual = read & infl;
+            (
+                inj,
+                Split {
+                    all,
+                    high: 0,
+                    read,
+                    residual,
+                },
+            )
+        })
+    })
+}
+
 /// Collapses one LLFI cell's fault space into a class-weighted plan:
 /// `(injection, class_size)` pairs — at most one dormant-class and one
 /// masked-class representative followed by every residual point, in
@@ -444,65 +485,7 @@ pub fn collapse_llfi(
     cat: Category,
     analysis: &LlfiAnalysis,
 ) -> (Vec<(LlfiInjection, u64)>, CollapseStats) {
-    let cum = profile.cumulative(module, cat);
-    let mut stats = CollapseStats::default();
-    let mut dormant_rep = None;
-    let mut masked_rep = None;
-    let mut residual = Vec::new();
-    let mut prev = 0u64;
-    for &(site, c) in &cum {
-        let count = c - prev;
-        prev = c;
-        let width = llfi_width(module, site);
-        let wmask = low_mask(width);
-        let infl = analysis.masks[site.func.index()][site.inst.index()] & wmask;
-        let masked_bits = wmask & !infl;
-        let acts = &analysis.activated[site.func.index()][site.inst.index()];
-        for k in 1..=count {
-            let inj = |bit| LlfiInjection {
-                site,
-                instance: k,
-                bit,
-            };
-            if !acts[(k - 1) as usize] {
-                stats.dormant += u64::from(width);
-                if dormant_rep.is_none() {
-                    dormant_rep = Some(inj(0));
-                }
-            } else {
-                stats.masked += u64::from(masked_bits.count_ones());
-                if masked_rep.is_none() && masked_bits != 0 {
-                    masked_rep = Some(inj(masked_bits.trailing_zeros()));
-                }
-                for bit in 0..width {
-                    if infl & (1u64 << bit) != 0 {
-                        residual.push((inj(bit), 1));
-                    }
-                }
-            }
-        }
-    }
-    stats.residual = residual.len() as u64;
-    (assemble(dormant_rep, masked_rep, residual, &stats), stats)
-}
-
-/// Orders a collapsed plan: dormant class, masked class, residual
-/// singletons.
-fn assemble<P>(
-    dormant: Option<P>,
-    masked: Option<P>,
-    residual: Vec<(P, u64)>,
-    stats: &CollapseStats,
-) -> Vec<(P, u64)> {
-    let mut out = Vec::with_capacity(residual.len() + 2);
-    if let Some(p) = dormant {
-        out.push((p, stats.dormant));
-    }
-    if let Some(p) = masked {
-        out.push((p, stats.masked));
-    }
-    out.extend(residual);
-    out
+    collapse(llfi_space(module, profile, cat, Some(analysis)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1079,7 +1062,6 @@ pub fn analyze_pinfi(prog: &AsmProgram, profile: &PinfiProfile) -> Result<PinfiA
     };
     let opts = MachOptions {
         max_steps: profile.golden_steps.saturating_add(1),
-        ..MachOptions::default()
     };
     let mut machine = Machine::new(prog, opts, hook).map_err(|t| t.to_string())?;
     let result = machine.run();
@@ -1129,27 +1111,43 @@ pub fn analyze_pinfi(prog: &AsmProgram, profile: &PinfiProfile) -> Result<PinfiA
     Ok(PinfiAnalysis { verdicts })
 }
 
-/// The injectable destination and bit set of a PINFI site — must mirror
-/// `plan_pinfi_from`: pruned (or full) FLAGS mask, low (or full) XMM
-/// width, all 64 GPR bits. Returns `(recorded dest, low-64 bit mask,
-/// extra high bits)`.
-fn pinfi_bit_set(dest: RegId, opts: PinfiOptions) -> (RegId, u64, u32) {
-    match dest {
-        RegId::Flags(mask) => {
-            let m = if opts.flag_pruning { mask } else { ALL_FLAGS };
-            (RegId::Flags(m), m, 0)
-        }
-        RegId::Xmm(x) => (
-            RegId::Xmm(x),
-            u64::MAX,
-            if opts.xmm_pruning { 0 } else { 64 },
-        ),
-        RegId::Gpr(r) => (RegId::Gpr(r), u64::MAX, 0),
-    }
+/// Every dynamic instance of a PINFI cell in `(site, instance)` order,
+/// its bits split by `analysis` (all dormant without one).
+pub(crate) fn pinfi_space<'a>(
+    prog: &'a AsmProgram,
+    profile: &PinfiProfile,
+    cat: Category,
+    opts: PinfiOptions,
+    analysis: Option<&'a PinfiAnalysis>,
+) -> impl Iterator<Item = (PinfiInjection, Split)> + 'a {
+    per_site(profile.cumulative(prog, cat)).flat_map(move |(idx, count)| {
+        let (dest, all, high) = pinfi_bits(prog, idx, opts);
+        (1..=count).map(move |instance| {
+            let v = analysis.map_or(BitClasses::default(), |a| {
+                a.verdicts[idx][(instance - 1) as usize]
+            });
+            let inj = PinfiInjection {
+                idx,
+                instance,
+                dest,
+                bit: 0,
+            };
+            let (read, residual) = ((v.residual | v.benign) & all, v.residual & all);
+            (
+                inj,
+                Split {
+                    all,
+                    high,
+                    read,
+                    residual,
+                },
+            )
+        })
+    })
 }
 
 /// Collapses one PINFI cell's fault space into a class-weighted plan —
-/// the asm-level twin of [`collapse_llfi`].
+/// the asm-level counterpart of [`collapse_llfi`].
 pub fn collapse_pinfi(
     prog: &AsmProgram,
     profile: &PinfiProfile,
@@ -1157,85 +1155,119 @@ pub fn collapse_pinfi(
     opts: PinfiOptions,
     analysis: &PinfiAnalysis,
 ) -> (Vec<(PinfiInjection, u64)>, CollapseStats) {
-    let cum = profile.cumulative(prog, cat);
-    let mut stats = CollapseStats::default();
-    let mut dormant_rep = None;
-    let mut masked_rep = None;
-    let mut residual = Vec::new();
-    let mut prev = 0u64;
-    for &(idx, c) in &cum {
-        let count = c - prev;
-        prev = c;
-        let dest0 = injection_dest(prog, idx).expect("candidates have destinations");
-        let (dest, bits, high) = pinfi_bit_set(dest0, opts);
-        let verdicts = &analysis.verdicts[idx];
-        for k in 1..=count {
-            let v = verdicts[(k - 1) as usize];
-            let residual_bits = v.residual & bits;
-            let benign_bits = v.benign & !v.residual & bits;
-            let inj = |bit| PinfiInjection {
-                idx,
-                instance: k,
-                dest,
-                bit,
-            };
-            for bit in 0..64u32 {
-                if bits & (1u64 << bit) == 0 {
-                    continue;
-                }
-                if residual_bits & (1u64 << bit) != 0 {
-                    residual.push((inj(bit), 1));
-                } else if benign_bits & (1u64 << bit) != 0 {
-                    stats.masked += 1;
-                    if masked_rep.is_none() {
-                        masked_rep = Some(inj(bit));
-                    }
-                } else {
-                    stats.dormant += 1;
-                    if dormant_rep.is_none() {
-                        dormant_rep = Some(inj(bit));
-                    }
-                }
-            }
-            // Upper XMM half (pruning disabled): physically written by
-            // nothing and read by nothing in the scalar-double ISA, so
-            // every such point is statically dormant.
-            for bit in 64..64 + high {
-                stats.dormant += 1;
-                if dormant_rep.is_none() {
-                    dormant_rep = Some(inj(bit));
-                }
-            }
-        }
-    }
-    stats.residual = residual.len() as u64;
-    (assemble(dormant_rep, masked_rep, residual, &stats), stats)
+    collapse(pinfi_space(prog, profile, cat, opts, Some(analysis)))
 }
 
 // ---------------------------------------------------------------------------
-// Brute-force enumeration and cross-checking
+// Both levels: classes, enumeration, cross-checking
 // ---------------------------------------------------------------------------
+
+/// The injectable bits of one dynamic instance, split by class: the
+/// bits of `all` not `read` while live are dormant, read bits outside
+/// `residual` are masked. Bits `64..64 + high` (the upper XMM half with
+/// pruning off) are physically written and read by nothing in the
+/// scalar-double ISA, so they are always dormant.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Split {
+    all: u64,
+    high: u32,
+    read: u64,
+    residual: u64,
+}
+
+impl Split {
+    fn dormant(self) -> u64 {
+        self.all & !self.read
+    }
+
+    fn masked(self) -> u64 {
+        self.read & !self.residual
+    }
+}
+
+/// A fault-space point; the points of one dynamic instance differ only
+/// in the flipped bit.
+trait Point: Copy {
+    fn at(self, bit: u32) -> Self;
+}
+
+impl Point for LlfiInjection {
+    fn at(self, bit: u32) -> Self {
+        LlfiInjection { bit, ..self }
+    }
+}
+
+impl Point for PinfiInjection {
+    fn at(self, bit: u32) -> Self {
+        PinfiInjection { bit, ..self }
+    }
+}
+
+/// `(site, dynamic count)` pairs of a cumulative site table.
+fn per_site<T>(cum: Vec<(T, u64)>) -> impl Iterator<Item = (T, u64)> {
+    let mut prev = 0;
+    cum.into_iter().map(move |(site, c)| {
+        let count = c - prev;
+        prev = c;
+        (site, count)
+    })
+}
+
+/// Class accounting of a cell, counted without materializing a point.
+pub(crate) fn tally<P>(space: impl Iterator<Item = (P, Split)>) -> CollapseStats {
+    let mut stats = CollapseStats::default();
+    space.for_each(|(_, s)| stats.add(s));
+    stats
+}
+
+/// The class-weighted plan of a cell: the dormant class, the masked
+/// class, then the residual singletons, each class represented by its
+/// first point in `(site, instance, bit)` order.
+fn collapse<P: Point>(space: impl Iterator<Item = (P, Split)>) -> (Vec<(P, u64)>, CollapseStats) {
+    let mut dormant = None;
+    let mut masked = None;
+    let mut residual = Vec::new();
+    let mut stats = CollapseStats::default();
+    for (p, s) in space {
+        stats.add(s);
+        dormant = dormant.or_else(|| bits(s.dormant(), s.high).next().map(|b| p.at(b)));
+        masked = masked.or_else(|| bits(s.masked(), 0).next().map(|b| p.at(b)));
+        residual.extend(bits(s.residual, 0).map(|b| (p.at(b), 1)));
+    }
+    let classes = [(dormant, stats.dormant), (masked, stats.masked)];
+    let mut out = Vec::with_capacity(residual.len() + 2);
+    out.extend(classes.into_iter().filter_map(|(p, n)| Some((p?, n))));
+    out.extend(residual);
+    (out, stats)
+}
+
+/// The class guard: a cell with more classes than one campaign cell
+/// may plan ([`MAX_EXACT_INSTANCES`], the sampled path's injection limit
+/// too) is refused on its [`tally`], before a point is allocated.
+pub(crate) fn check_classes(stats: CollapseStats, golden_steps: u64) -> Result<(), String> {
+    let classes = stats.classes();
+    if classes <= MAX_EXACT_INSTANCES {
+        return Ok(());
+    }
+    Err(format!(
+        "exact collapse needs {classes} classes over {} fault-space points, \
+         about {classes} golden runs of {golden_steps} steps; the per-cell limit is \
+         {MAX_EXACT_INSTANCES} (use --collapse sampled)",
+        stats.space()
+    ))
+}
+
+/// Every point of a cell, in `(site, instance, bit)` order.
+fn enumerate<P: Point>(space: impl Iterator<Item = (P, Split)>) -> Vec<P> {
+    space
+        .flat_map(|(p, s)| bits(s.all, s.high).map(move |b| p.at(b)))
+        .collect()
+}
 
 /// Every point of an LLFI cell's fault space, in `(site, instance, bit)`
 /// order.
 pub fn enumerate_llfi(module: &Module, profile: &LlfiProfile, cat: Category) -> Vec<LlfiInjection> {
-    let mut out = Vec::new();
-    let mut prev = 0u64;
-    for (site, c) in profile.cumulative(module, cat) {
-        let count = c - prev;
-        prev = c;
-        let width = llfi_width(module, site);
-        for instance in 1..=count {
-            for bit in 0..width {
-                out.push(LlfiInjection {
-                    site,
-                    instance,
-                    bit,
-                });
-            }
-        }
-    }
-    out
+    enumerate(llfi_space(module, profile, cat, None))
 }
 
 /// Every point of a PINFI cell's fault space, in `(site, instance, bit)`
@@ -1246,27 +1278,7 @@ pub fn enumerate_pinfi(
     cat: Category,
     opts: PinfiOptions,
 ) -> Vec<PinfiInjection> {
-    let mut out = Vec::new();
-    let mut prev = 0u64;
-    for (idx, c) in profile.cumulative(prog, cat) {
-        let count = c - prev;
-        prev = c;
-        let (dest, bits, high) = pinfi_bit_set(injection_dest(prog, idx).unwrap(), opts);
-        for instance in 1..=count {
-            for bit in (0..64)
-                .filter(|b| bits & (1u64 << b) != 0)
-                .chain(64..64 + high)
-            {
-                out.push(PinfiInjection {
-                    idx,
-                    instance,
-                    dest,
-                    bit,
-                });
-            }
-        }
-    }
-    out
+    enumerate(pinfi_space(prog, profile, cat, opts, None))
 }
 
 /// Result of running one cell both collapsed and brute-force: the two
@@ -1308,37 +1320,15 @@ pub fn cross_check_llfi(
     max_steps: u64,
 ) -> Result<CollapseCheck, String> {
     let analysis = analyze_llfi(module, profile)?;
-    let (plan, stats) = collapse_llfi(module, profile, cat, &analysis);
-    let mut collapsed = OutcomeCounts::default();
-    let mut collapsed_steps = 0u64;
-    for &(inj, class_size) in &plan {
-        let opts = InterpOptions {
-            max_steps,
-            ..InterpOptions::default()
-        };
-        let r = run_llfi(module, opts, inj, &profile.golden_output)?;
-        collapsed.record_n(r.outcome, class_size);
-        collapsed_steps += r.steps * class_size;
-    }
-    let mut brute = OutcomeCounts::default();
-    let mut brute_steps = 0u64;
-    for inj in enumerate_llfi(module, profile, cat) {
-        let opts = InterpOptions {
-            max_steps,
-            ..InterpOptions::default()
-        };
-        let r = run_llfi(module, opts, inj, &profile.golden_output)?;
-        brute.record(r.outcome);
-        brute_steps += r.steps;
-    }
-    Ok(CollapseCheck {
-        stats,
-        executed: plan.len() as u64,
-        collapsed,
-        collapsed_steps,
-        brute,
-        brute_steps,
-    })
+    let opts = InterpOptions {
+        max_steps,
+        ..InterpOptions::default()
+    };
+    cross_check(
+        collapse_llfi(module, profile, cat, &analysis),
+        enumerate_llfi(module, profile, cat),
+        |inj| run_llfi(module, opts, inj, &profile.golden_output),
+    )
 }
 
 /// Runs a PINFI cell collapsed *and* brute-force with the same step
@@ -1355,29 +1345,31 @@ pub fn cross_check_pinfi(
     max_steps: u64,
 ) -> Result<CollapseCheck, String> {
     let analysis = analyze_pinfi(prog, profile)?;
-    let (plan, stats) = collapse_pinfi(prog, profile, cat, popts, &analysis);
-    let mut collapsed = OutcomeCounts::default();
-    let mut collapsed_steps = 0u64;
-    for &(inj, class_size) in &plan {
-        let opts = MachOptions {
-            max_steps,
-            ..MachOptions::default()
-        };
-        let r = run_pinfi(prog, opts, inj, &profile.golden_output)?;
-        collapsed.record_n(r.outcome, class_size);
-        collapsed_steps += r.steps * class_size;
-    }
-    let mut brute = OutcomeCounts::default();
-    let mut brute_steps = 0u64;
-    for inj in enumerate_pinfi(prog, profile, cat, popts) {
-        let opts = MachOptions {
-            max_steps,
-            ..MachOptions::default()
-        };
-        let r = run_pinfi(prog, opts, inj, &profile.golden_output)?;
-        brute.record(r.outcome);
-        brute_steps += r.steps;
-    }
+    let opts = MachOptions { max_steps };
+    cross_check(
+        collapse_pinfi(prog, profile, cat, popts, &analysis),
+        enumerate_pinfi(prog, profile, cat, popts),
+        |inj| run_pinfi(prog, opts, inj, &profile.golden_output),
+    )
+}
+
+/// Runs a collapsed plan and the brute-force points of the same cell.
+fn cross_check<P: Copy>(
+    (plan, stats): (Vec<(P, u64)>, CollapseStats),
+    brute: Vec<P>,
+    run: impl Fn(P) -> Result<InjectionRun, String>,
+) -> Result<CollapseCheck, String> {
+    let weighted = |points: &mut dyn Iterator<Item = (P, u64)>| {
+        let (mut counts, mut steps) = (OutcomeCounts::default(), 0u64);
+        for (p, n) in points {
+            let r = run(p)?;
+            counts.record_n(r.outcome, n);
+            steps += r.steps * n;
+        }
+        Ok::<_, String>((counts, steps))
+    };
+    let (collapsed, collapsed_steps) = weighted(&mut plan.iter().copied())?;
+    let (brute, brute_steps) = weighted(&mut brute.into_iter().map(|p| (p, 1)))?;
     Ok(CollapseCheck {
         stats,
         executed: plan.len() as u64,

@@ -10,6 +10,8 @@ use crate::divergence::Timeline;
 use crate::outcome::{classify, InjectionRun};
 use crate::profile::GoldenRef;
 use crate::telemetry::{cell_counter, cell_hist, TaskTel};
+use fiq_asm::{AsmHook, MachSnapshot, Machine};
+use fiq_interp::{InstSite, Interp, InterpHook, InterpSnapshot};
 use fiq_mem::{Divergence, Memory, Quiescence, RunResult, RunStatus};
 
 /// What the driver reads of a fault hook: whether the fault is in,
@@ -63,7 +65,7 @@ impl FaultState {
 }
 
 /// A profiling checkpoint of either level.
-pub(crate) trait Checkpoint {
+pub trait Checkpoint {
     /// The static injection site type whose executions are counted.
     type Site: Copy;
     /// Steps executed when the checkpoint was captured.
@@ -72,13 +74,19 @@ pub(crate) trait Checkpoint {
     fn site_count(&self, site: Self::Site) -> u64;
 }
 
-/// An executor carrying a fault hook: what the driver needs of
-/// `Interp<'_, LlfiHook>` and `Machine<'_, PinfiHook<'_>>`.
-pub(crate) trait Injector {
-    /// The executor's checkpoint type.
+/// An execution core of either level, whatever its hook: what the
+/// injection driver and the fuzzer's replay oracle need of `Interp` and
+/// `Machine`. Each method is the core's inherent method of that name.
+#[allow(missing_docs)]
+pub trait Executor {
+    /// The core's checkpoint type.
     type Snapshot: Checkpoint;
+    /// The core's hook type.
+    type Hook;
+    fn hook(&self) -> &Self::Hook;
     fn run(&mut self) -> RunResult;
     fn run_until(&mut self, until: u64) -> Option<RunResult>;
+    fn run_with_snapshots(&mut self, interval: u64) -> (RunResult, Vec<Self::Snapshot>);
     fn steps(&self) -> u64;
     fn restored_steps(&self) -> u64;
     fn steps_quiescent(&self) -> u64;
@@ -86,15 +94,19 @@ pub(crate) trait Injector {
     fn state_matches_digest(&self, snap: &Self::Snapshot) -> bool;
     fn state_equals_snapshot(&self, snap: &Self::Snapshot) -> bool;
     fn divergence_from(&self, snap: &Self::Snapshot) -> Divergence;
+}
+
+/// A fault hook, whose state the driver reads.
+pub(crate) trait FaultHook {
     fn fault(&self) -> FaultState;
 }
 
-/// Implements [`Checkpoint`] for a level's snapshot type and [`Injector`]
-/// for its executor by forwarding every method to the inherent method of
-/// the same name; the executor's hook supplies `fault()`.
-macro_rules! forward_injector {
-    ($exec:ty, $snap:ty, $site:ty) => {
-        impl $crate::drive::Checkpoint for $snap {
+/// Implements [`Checkpoint`] for a core's snapshot type and [`Executor`]
+/// for the core under any hook by forwarding every method to the
+/// inherent method of the same name.
+macro_rules! forward_executor {
+    ($exec:ident, $hook:path, $snap:ty, $site:ty) => {
+        impl Checkpoint for $snap {
             type Site = $site;
             fn steps(&self) -> u64 {
                 <$snap>::steps(self)
@@ -104,42 +116,47 @@ macro_rules! forward_injector {
             }
         }
 
-        impl $crate::drive::Injector for $exec {
+        impl<H: $hook> Executor for $exec<'_, H> {
             type Snapshot = $snap;
-            fn run(&mut self) -> fiq_mem::RunResult {
-                <$exec>::run(self)
+            type Hook = H;
+            fn hook(&self) -> &H {
+                <$exec<'_, H>>::hook(self)
             }
-            fn run_until(&mut self, until: u64) -> Option<fiq_mem::RunResult> {
-                <$exec>::run_until(self, until)
+            fn run(&mut self) -> RunResult {
+                <$exec<'_, H>>::run(self)
+            }
+            fn run_until(&mut self, until: u64) -> Option<RunResult> {
+                <$exec<'_, H>>::run_until(self, until)
+            }
+            fn run_with_snapshots(&mut self, interval: u64) -> (RunResult, Vec<$snap>) {
+                <$exec<'_, H>>::run_with_snapshots(self, interval)
             }
             fn steps(&self) -> u64 {
-                <$exec>::steps(self)
+                <$exec<'_, H>>::steps(self)
             }
             fn restored_steps(&self) -> u64 {
-                <$exec>::restored_steps(self)
+                <$exec<'_, H>>::restored_steps(self)
             }
             fn steps_quiescent(&self) -> u64 {
-                <$exec>::steps_quiescent(self)
+                <$exec<'_, H>>::steps_quiescent(self)
             }
-            fn memory(&self) -> &fiq_mem::Memory {
-                <$exec>::memory(self)
+            fn memory(&self) -> &Memory {
+                <$exec<'_, H>>::memory(self)
             }
             fn state_matches_digest(&self, snap: &$snap) -> bool {
-                <$exec>::state_matches_digest(self, snap)
+                <$exec<'_, H>>::state_matches_digest(self, snap)
             }
             fn state_equals_snapshot(&self, snap: &$snap) -> bool {
-                <$exec>::state_equals_snapshot(self, snap)
+                <$exec<'_, H>>::state_equals_snapshot(self, snap)
             }
-            fn divergence_from(&self, snap: &$snap) -> fiq_mem::Divergence {
-                <$exec>::divergence_from(self, snap)
-            }
-            fn fault(&self) -> $crate::drive::FaultState {
-                self.hook().fault()
+            fn divergence_from(&self, snap: &$snap) -> Divergence {
+                <$exec<'_, H>>::divergence_from(self, snap)
             }
         }
     };
 }
-pub(crate) use forward_injector;
+forward_executor!(Interp, InterpHook, InterpSnapshot, InstSite);
+forward_executor!(Machine, AsmHook, MachSnapshot, usize);
 
 /// Runs `restore` and records its wall time in the `RESTORE_NS`
 /// histogram.
@@ -161,7 +178,7 @@ pub(crate) fn timed_restore<E>(tel: TaskTel<'_>, restore: impl FnOnce() -> E) ->
 /// reconstructing the outcome and step count the full run would have
 /// reported. Then records the step attribution and activation verdict
 /// into `tel`.
-pub(crate) fn drive<E: Injector>(
+pub(crate) fn drive<E: Executor<Hook: FaultHook>>(
     exec: &mut E,
     max_steps: u64,
     golden_output: &str,
@@ -201,7 +218,7 @@ pub(crate) fn drive<E: Injector>(
             // Pre-injection pauses are skipped — the run still equals golden
             // there, which is also what makes timelines identical with and
             // without fast-forward.
-            let fault = exec.fault();
+            let fault = exec.hook().fault();
             if fault.injected {
                 if let Some(tl) = timeline.as_mut().filter(|t| t.open()) {
                     tl.record(next as u64, snap.steps(), exec.divergence_from(snap));
@@ -272,7 +289,7 @@ pub(crate) fn drive<E: Injector>(
     );
     tel.count(cell_counter::PAGES_COMPARED, mem.pages_compared());
     tel.hist(cell_hist::TASK_STEPS, result.steps);
-    let fault = exec.fault();
+    let fault = exec.hook().fault();
     debug_assert!(
         fault.injected,
         "planned instance must be reached (deterministic prefix)"

@@ -42,14 +42,14 @@
 use crate::campaign::{cell_seed, CampaignConfig, CellReport};
 use crate::category::Category;
 use crate::collapse::{
-    analyze_llfi, analyze_pinfi, collapse_llfi, collapse_pinfi, Collapse, CollapseStats,
-    LlfiAnalysis, PinfiAnalysis,
+    analyze_llfi, analyze_pinfi, check_classes, collapse_llfi, collapse_pinfi, llfi_space,
+    pinfi_space, tally, Collapse, CollapseStats, LlfiAnalysis, PinfiAnalysis,
 };
 use crate::divergence::{parse_timeline, timeline_line, Timeline, DIVERGENCE_VERSION};
 use crate::drive::Checkpoint;
 use crate::json::{Fields, Json, ObjWriter};
 use crate::llfi::{plan_llfi_from, run_llfi_observed, LlfiInjection};
-use crate::outcome::{Outcome, OutcomeCounts};
+use crate::outcome::{InjectionRun, Outcome, OutcomeCounts};
 use crate::pinfi::{plan_pinfi_from, run_pinfi_observed, PinfiInjection};
 use crate::profile::{GoldenRef, LlfiProfile, PinfiProfile};
 use crate::telemetry::{
@@ -584,7 +584,8 @@ pub fn run_campaign_shard(
 ///
 /// # Errors
 ///
-/// Returns an error when collapse analysis fails or a cell's plan
+/// Returns an error when collapse analysis fails, an exact cell has
+/// more classes than [`crate::MAX_EXACT_INSTANCES`], or a cell's plan
 /// exceeds the record format's per-cell u32 limit.
 pub fn plan_campaign(
     cells: &[CellSpec<'_>],
@@ -602,11 +603,37 @@ pub fn plan_campaign(
     // cell of the campaign that injects into it.
     let mut llfi_analyses: Vec<(usize, LlfiAnalysis)> = Vec::new();
     let mut pinfi_analyses: Vec<(usize, PinfiAnalysis)> = Vec::new();
+    let cell_err = |ci: usize, e: String| {
+        let cell = &cells[ci];
+        format!("cell {ci} ({}/{}): {e}", cell.label, cell.category)
+    };
+    // Every exact cell's classes are counted before any plan is
+    // materialized, so a campaign with one cell over the class limit is
+    // refused while it holds only the analyses.
+    for (ci, cell) in cells.iter().enumerate() {
+        let (stats, golden_steps) = match (&cell.substrate, collapse) {
+            (_, Collapse::Sampled) => continue,
+            (Substrate::Llfi { module, profile }, Collapse::Exact) => {
+                let analysis = shared_analysis(&mut llfi_analyses, *module, || {
+                    analyze_llfi(module, profile).map_err(|e| cell_err(ci, e))
+                })?;
+                let space = llfi_space(module, profile, cell.category, Some(analysis));
+                (tally(space), profile.golden_steps)
+            }
+            (Substrate::Pinfi { prog, profile }, Collapse::Exact) => {
+                let analysis = shared_analysis(&mut pinfi_analyses, *prog, || {
+                    analyze_pinfi(prog, profile).map_err(|e| cell_err(ci, e))
+                })?;
+                let space = pinfi_space(prog, profile, cell.category, cfg.pinfi, Some(analysis));
+                (tally(space), profile.golden_steps)
+            }
+        };
+        check_classes(stats, golden_steps).map_err(|e| cell_err(ci, e))?;
+    }
     for (ci, cell) in cells.iter().enumerate() {
         let mut rng =
             StdRng::seed_from_u64(cell_seed(cfg.seed, cell.substrate.tool(), cell.category));
         let before = tasks.len();
-        let cell_err = |e: String| format!("cell {ci} ({}/{}): {e}", cell.label, cell.category);
         // Each level yields its (plan, class size) list and collapse
         // accounting; sampled plans stand for one point each.
         let (plans, space): (Vec<(Plan, u64)>, _) = match (&cell.substrate, collapse) {
@@ -628,17 +655,13 @@ pub fn plan_campaign(
                 (plans, None)
             }
             (Substrate::Llfi { module, profile }, Collapse::Exact) => {
-                let analysis = shared_analysis(&mut llfi_analyses, *module, || {
-                    analyze_llfi(module, profile).map_err(cell_err)
-                })?;
+                let analysis = analyzed(&llfi_analyses, *module);
                 let (plan, stats) = collapse_llfi(module, profile, cell.category, analysis);
                 let plans = plan.into_iter().map(|(p, n)| (Plan::Llfi(p), n));
                 (plans.collect(), Some(stats))
             }
             (Substrate::Pinfi { prog, profile }, Collapse::Exact) => {
-                let analysis = shared_analysis(&mut pinfi_analyses, *prog, || {
-                    analyze_pinfi(prog, profile).map_err(cell_err)
-                })?;
+                let analysis = analyzed(&pinfi_analyses, *prog);
                 let (plan, stats) =
                     collapse_pinfi(prog, profile, cell.category, cfg.pinfi, analysis);
                 let plans = plan.into_iter().map(|(p, n)| (Plan::Pinfi(p), n));
@@ -670,11 +693,8 @@ pub fn plan_campaign(
         budgets.push(cfg.hang_budget(golden_steps));
         populations.push(population);
         let cell_planned = u32::try_from(tasks.len() - before).map_err(|_| {
-            format!(
-                "cell {ci} ({}/{}): planned injection count exceeds the record format's \
-                 u32 per-cell limit",
-                cell.label, cell.category
-            )
+            let e = "planned injection count exceeds the record format's u32 per-cell limit";
+            cell_err(ci, e.into())
         })?;
         planned.push(cell_planned);
     }
@@ -695,15 +715,20 @@ fn shared_analysis<'c, P, A>(
     prog: &P,
     analyze: impl FnOnce() -> Result<A, String>,
 ) -> Result<&'c A, String> {
-    let key = prog as *const P as usize;
-    let pos = match cache.iter().position(|(k, _)| *k == key) {
-        Some(pos) => pos,
-        None => {
-            cache.push((key, analyze()?));
-            cache.len() - 1
-        }
-    };
-    Ok(&cache[pos].1)
+    if !cache.iter().any(|(k, _)| *k == key(prog)) {
+        cache.push((key(prog), analyze()?));
+    }
+    Ok(analyzed(cache, prog))
+}
+
+/// The cached propagation analysis of `prog`.
+fn analyzed<'c, P, A>(cache: &'c [(usize, A)], prog: &P) -> &'c A {
+    let hit = cache.iter().find(|(k, _)| *k == key(prog));
+    &hit.expect("analyzed before planning").1
+}
+
+fn key<P>(prog: &P) -> usize {
+    prog as *const P as usize
 }
 
 /// Executes `shard` (or the full plan when `None`) on the worker pool:
@@ -1050,7 +1075,6 @@ fn worker(shared: &Shared<'_, '_>, index: usize) {
         }
         let task = &shared.tasks[i];
         let cell = &shared.cells[task.cell];
-        let budget = shared.budgets[task.cell];
         // Clock reads only happen with telemetry on, keeping the
         // disabled path identical to the un-instrumented engine.
         let start = handle.map(|_| Instant::now());
@@ -1058,18 +1082,7 @@ fn worker(shared: &Shared<'_, '_>, index: usize) {
             Some(h) => TaskTel::new(h, task.cell),
             None => TaskTel::off(),
         };
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            execute(
-                cell,
-                budget,
-                task.plan,
-                &shared.decoded[task.cell],
-                shared.fast_forward,
-                shared.early_exit,
-                shared.divergence,
-                tel,
-            )
-        }));
+        let run = catch_unwind(AssertUnwindSafe(|| execute(shared, task, tel)));
         let result = match run {
             Ok(Ok(r)) => r,
             Ok(Err(e)) => {
@@ -1169,106 +1182,106 @@ fn worker(shared: &Shared<'_, '_>, index: usize) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute(
-    cell: &CellSpec<'_>,
-    budget: u64,
-    plan: Plan,
-    decoded: &DecodedCell,
-    fast_forward: bool,
-    early_exit: bool,
-    divergence: bool,
-    tel: TaskTel<'_>,
-) -> Result<TaskResult, String> {
-    let mut timeline = divergence.then(Timeline::new);
+fn execute(shared: &Shared<'_, '_>, task: &Task, tel: TaskTel<'_>) -> Result<TaskResult, String> {
+    let cell = &shared.cells[task.cell];
+    let budget = shared.budgets[task.cell];
     let cache = cell.snapshots.as_deref();
-    let compare = early_exit || divergence;
+    let early_exit = shared.early_exit;
     // The per-level arms only pick the concrete types.
-    let (fast_forwarded, run) = match (&cell.substrate, plan, decoded) {
+    match (&cell.substrate, task.plan, &shared.decoded[task.cell]) {
         (Substrate::Llfi { module, profile }, Plan::Llfi(inj), DecodedCell::Llfi(dec)) => {
             let snaps = match cache {
-                Some(SnapshotCache::Llfi(snaps)) => Some(snaps.as_slice()),
-                _ => None,
+                Some(SnapshotCache::Llfi(snaps)) => snaps.as_slice(),
+                _ => &[],
             };
-            let ff = fast_forward.then_some((inj.site, inj.instance, budget));
-            let (snap, golden) = checkpoints(snaps, ff, compare, profile.golden_steps);
             let opts = InterpOptions {
                 max_steps: budget,
                 ..InterpOptions::default()
             };
-            let run = run_llfi_observed(
-                module,
-                opts,
-                inj,
-                &profile.golden_output,
-                snap,
-                golden,
-                early_exit,
-                timeline.as_mut(),
-                Some(Arc::clone(dec)),
-                tel,
-            );
-            (snap.is_some(), run)
+            let target = (inj.site, inj.instance);
+            observe(
+                shared,
+                snaps,
+                target,
+                budget,
+                profile.golden_steps,
+                |snap, g, tl| {
+                    let (out, dec) = (&profile.golden_output, Some(Arc::clone(dec)));
+                    run_llfi_observed(module, opts, inj, out, snap, g, early_exit, tl, dec, tel)
+                },
+            )
         }
         (Substrate::Pinfi { prog, profile }, Plan::Pinfi(inj), DecodedCell::Pinfi(dec)) => {
             let snaps = match cache {
-                Some(SnapshotCache::Pinfi(snaps)) => Some(snaps.as_slice()),
-                _ => None,
+                Some(SnapshotCache::Pinfi(snaps)) => snaps.as_slice(),
+                _ => &[],
             };
-            let ff = fast_forward.then_some((inj.idx, inj.instance, budget));
-            let (snap, golden) = checkpoints(snaps, ff, compare, profile.golden_steps);
-            let opts = MachOptions {
-                max_steps: budget,
-                ..MachOptions::default()
-            };
-            let run = run_pinfi_observed(
-                prog,
-                opts,
-                inj,
-                &profile.golden_output,
-                snap,
-                golden,
-                early_exit,
-                timeline.as_mut(),
-                Some(Arc::clone(dec)),
-                tel,
-            );
-            (snap.is_some(), run)
+            let opts = MachOptions { max_steps: budget };
+            let target = (inj.idx, inj.instance);
+            observe(
+                shared,
+                snaps,
+                target,
+                budget,
+                profile.golden_steps,
+                |snap, g, tl| {
+                    let (out, dec) = (&profile.golden_output, Some(Arc::clone(dec)));
+                    run_pinfi_observed(prog, opts, inj, out, snap, g, early_exit, tl, dec, tel)
+                },
+            )
         }
-        _ => return Err("internal error: plan/substrate mismatch".into()),
-    };
-    run.map(|d| TaskResult {
-        outcome: d.outcome,
-        steps: d.steps,
-        early_exit: d.early_exit,
-        fast_forwarded,
+        _ => Err("internal error: plan/substrate mismatch".into()),
+    }
+}
+
+/// Runs one task at either level: picks its restore point and golden
+/// checkpoints from the cell's snapshot list, then runs the injection at
+/// `(site, instance)` through `inject(restore point, checkpoints,
+/// timeline)`.
+fn observe<S: Checkpoint>(
+    shared: &Shared<'_, '_>,
+    snaps: &[S],
+    (site, instance): (S::Site, u64),
+    budget: u64,
+    golden_steps: u64,
+    inject: impl FnOnce(
+        Option<&S>,
+        Option<GoldenRef<'_, S>>,
+        Option<&mut Timeline>,
+    ) -> Result<InjectionRun, String>,
+) -> Result<TaskResult, String> {
+    let mut timeline = shared.divergence.then(Timeline::new);
+    let snap = shared
+        .fast_forward
+        .then(|| restore_point(snaps, site, instance, budget))
+        .flatten();
+    let compare = shared.early_exit || shared.divergence;
+    let golden = (compare && !snaps.is_empty()).then_some(GoldenRef {
+        snapshots: snaps,
+        golden_steps,
+    });
+    let run = inject(snap, golden, timeline.as_mut())?;
+    Ok(TaskResult {
+        outcome: run.outcome,
+        steps: run.steps,
+        early_exit: run.early_exit,
+        fast_forwarded: snap.is_some(),
         timeline,
     })
 }
 
-/// Picks one task's checkpoints from its cell's snapshot list. With
-/// fast-forward, `ff` = (site, instance, budget) and the restore point is
-/// the last checkpoint strictly before that occurrence that the budgeted
-/// run reaches (per-site counts are monotone across the list). With
-/// `compare` (early exit or divergence), the list is the golden reference.
-fn checkpoints<S: Checkpoint>(
-    snaps: Option<&[S]>,
-    ff: Option<(S::Site, u64, u64)>,
-    compare: bool,
-    golden_steps: u64,
-) -> (Option<&S>, Option<GoldenRef<'_, S>>) {
-    let Some(snaps) = snaps else {
-        return (None, None);
-    };
-    let snap = ff.and_then(|(site, instance, budget)| {
-        let pos = snaps.partition_point(|s| s.site_count(site) < instance && s.steps() <= budget);
-        pos.checked_sub(1).map(|p| &snaps[p])
-    });
-    let golden = compare.then_some(GoldenRef {
-        snapshots: snaps,
-        golden_steps,
-    });
-    (snap, golden)
+/// The fast-forward restore point of an injection at `(site, instance)`
+/// under a `budget`-step run: the last checkpoint strictly before that
+/// occurrence that the run reaches (per-site counts are monotone across
+/// the list), or `None` to replay from the start.
+pub fn restore_point<S: Checkpoint>(
+    snaps: &[S],
+    site: S::Site,
+    instance: u64,
+    budget: u64,
+) -> Option<&S> {
+    let pos = snaps.partition_point(|s| s.site_count(site) < instance && s.steps() <= budget);
+    pos.checked_sub(1).map(|p| &snaps[p])
 }
 
 /// Stores a result and writes the in-order record prefix.

@@ -70,10 +70,11 @@ pub use collapse::{
     LlfiAnalysis, PinfiAnalysis, MAX_EXACT_INSTANCES,
 };
 pub use divergence::{Timeline, TimelineEntry, DIVERGENCE_VERSION};
+pub use drive::{Checkpoint, Executor};
 pub use engine::{
-    plan_campaign, run_campaign, run_campaign_shard, CampaignPlan, CampaignRun, CellSpec,
-    EngineOptions, Progress, ShardSpec, SnapshotCache, Substrate, CANCELLED, EXACT_RECORD_VERSION,
-    RECORD_VERSION,
+    plan_campaign, restore_point, run_campaign, run_campaign_shard, CampaignPlan, CampaignRun,
+    CellSpec, EngineOptions, Progress, ShardSpec, SnapshotCache, Substrate, CANCELLED,
+    EXACT_RECORD_VERSION, RECORD_VERSION,
 };
 pub use llfi::{plan_llfi, plan_llfi_from, run_llfi, run_llfi_observed, LlfiInjection};
 pub use outcome::{classify, InjectionRun, Outcome, OutcomeCounts};

@@ -7,14 +7,14 @@
 
 use crate::category::Category;
 use crate::divergence::Timeline;
-use crate::drive::{drive, forward_injector, timed_restore, FaultState};
+use crate::drive::{drive, timed_restore, FaultHook, FaultState};
 use crate::outcome::InjectionRun;
 use crate::profile::{locate, GoldenRef, LlfiProfile};
 use crate::telemetry::TaskTel;
 use fiq_interp::{
     DecodedModule, InstSite, Interp, InterpHook, InterpOptions, InterpSnapshot, RtVal,
 };
-use fiq_ir::Module;
+use fiq_ir::{Module, Type};
 use fiq_mem::Quiescence;
 use rand::Rng;
 use std::sync::Arc;
@@ -54,20 +54,28 @@ pub fn plan_llfi_from(
     let total = cum.last()?.1;
     let k = rng.gen_range(1..=total);
     let (site, instance) = locate(cum, k);
-    let width = module.func(site.func).inst(site.inst).ty.size() as u32 * 8;
-    let width = width.clamp(1, 64);
-    // i1 destinations have exactly one bit.
-    let width = if module.func(site.func).inst(site.inst).ty == fiq_ir::Type::i1() {
-        1
-    } else {
-        width
-    };
-    let bit = rng.gen_range(0..width);
+    let bit = rng.gen_range(0..llfi_width(module, site));
     Some(LlfiInjection {
         site,
         instance,
         bit,
     })
+}
+
+/// The fault space of one LLFI site: the low [`bit_width`] bits of its
+/// destination. Planning, collapse and enumeration all read it here.
+pub(crate) fn llfi_width(module: &Module, site: InstSite) -> u32 {
+    bit_width(&module.func(site.func).inst(site.inst).ty)
+}
+
+/// The bits of a value of type `ty`: 1 for `i1`, otherwise the type size
+/// in bits, clamped to 1..=64.
+pub(crate) fn bit_width(ty: &Type) -> u32 {
+    if *ty == Type::i1() {
+        1
+    } else {
+        (ty.size() as u32 * 8).clamp(1, 64)
+    }
 }
 
 /// The injection + activation-tracking hook.
@@ -83,7 +91,7 @@ struct LlfiHook {
     activated: bool,
 }
 
-impl LlfiHook {
+impl FaultHook for LlfiHook {
     fn fault(&self) -> FaultState {
         FaultState {
             injected: self.injected,
@@ -127,8 +135,6 @@ impl InterpHook for LlfiHook {
         self.fault().quiescence(self.site)
     }
 }
-
-forward_injector!(Interp<'_, LlfiHook>, InterpSnapshot, InstSite);
 
 /// Runs one LLFI injection from the start of the program and classifies
 /// it: [`run_llfi_observed`] without fast-forward, early exit, timeline

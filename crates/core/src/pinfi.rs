@@ -13,7 +13,7 @@
 
 use crate::category::{injection_dest, Category};
 use crate::divergence::Timeline;
-use crate::drive::{drive, forward_injector, timed_restore, FaultState};
+use crate::drive::{drive, timed_restore, FaultHook, FaultState};
 use crate::outcome::InjectionRun;
 use crate::profile::{locate, GoldenRef, PinfiProfile};
 use crate::telemetry::TaskTel;
@@ -82,26 +82,43 @@ pub fn plan_pinfi_from(
     let total = cum.last()?.1;
     let k = rng.gen_range(1..=total);
     let (idx, instance) = locate(cum, k);
-    let dest = injection_dest(prog, idx).expect("candidates have destinations");
-    let (dest, bit) = match dest {
-        RegId::Flags(mask) => {
-            let mask = if opts.flag_pruning { mask } else { ALL_FLAGS };
-            let bits: Vec<u32> = (0..64).filter(|b| mask & (1 << b) != 0).collect();
-            let bit = bits[rng.gen_range(0..bits.len())];
-            (RegId::Flags(mask), bit)
-        }
-        RegId::Xmm(x) => {
-            let width = if opts.xmm_pruning { 64 } else { 128 };
-            (RegId::Xmm(x), rng.gen_range(0..width))
-        }
-        RegId::Gpr(r) => (RegId::Gpr(r), rng.gen_range(0..64)),
-    };
+    let (dest, low, high) = pinfi_bits(prog, idx, opts);
+    let i = rng.gen_range(0..low.count_ones() + high);
+    let bit = bits(low, high).nth(i as usize)?;
     Some(PinfiInjection {
         idx,
         instance,
         dest,
         bit,
     })
+}
+
+/// The fault space of PINFI site `idx` under `opts` (paper §IV): the
+/// destination a fault records, a mask over bits 0..64, and a count of
+/// further bits 64.. — the FLAGS bits the next `jcc` reads (every
+/// modeled flag without flag pruning), the low 64 XMM bits (all 128
+/// without XMM pruning), or all 64 GPR bits. Planning, collapse and
+/// enumeration all read it here.
+pub(crate) fn pinfi_bits(prog: &AsmProgram, idx: usize, opts: PinfiOptions) -> (RegId, u64, u32) {
+    match injection_dest(prog, idx).expect("candidates have destinations") {
+        RegId::Flags(mask) => {
+            let m = if opts.flag_pruning { mask } else { ALL_FLAGS };
+            (RegId::Flags(m), m, 0)
+        }
+        RegId::Xmm(x) => (
+            RegId::Xmm(x),
+            u64::MAX,
+            if opts.xmm_pruning { 0 } else { 64 },
+        ),
+        RegId::Gpr(r) => (RegId::Gpr(r), u64::MAX, 0),
+    }
+}
+
+/// The bits of `low` and then bits `64..64 + high`, ascending.
+pub(crate) fn bits(low: u64, high: u32) -> impl Iterator<Item = u32> {
+    (0..64)
+        .filter(move |b| low & (1u64 << b) != 0)
+        .chain(64..64 + high)
 }
 
 struct PinfiHook<'p> {
@@ -161,14 +178,6 @@ impl PinfiHook<'_> {
         }
     }
 
-    fn fault(&self) -> FaultState {
-        FaultState {
-            injected: self.injected,
-            live: self.live,
-            activated: self.activated,
-        }
-    }
-
     fn apply(&self, st: &mut MachState) {
         match self.inj.dest {
             RegId::Gpr(r) => {
@@ -185,6 +194,16 @@ impl PinfiHook<'_> {
                     st.xmm[x.index()][1] ^= 1u64 << (self.inj.bit - 64);
                 }
             }
+        }
+    }
+}
+
+impl FaultHook for PinfiHook<'_> {
+    fn fault(&self) -> FaultState {
+        FaultState {
+            injected: self.injected,
+            live: self.live,
+            activated: self.activated,
         }
     }
 }
@@ -221,8 +240,6 @@ impl AsmHook for PinfiHook<'_> {
         self.fault().quiescence(self.inj.idx)
     }
 }
-
-forward_injector!(Machine<'_, PinfiHook<'_>>, MachSnapshot, usize);
 
 /// Runs one PINFI injection from the start of the program and
 /// classifies it: [`run_pinfi_observed`] without fast-forward, early

@@ -102,7 +102,12 @@ impl LlfiProfile {
     /// Builds the cumulative distribution used to sample a uniform dynamic
     /// instance from category `cat`: `(site, cumulative_count)` pairs.
     pub fn cumulative(&self, module: &Module, cat: Category) -> Vec<(InstSite, u64)> {
-        let bits = llfi_candidates(module, cat);
+        self.cumulative_over(&llfi_candidates(module, cat))
+    }
+
+    /// [`LlfiProfile::cumulative`] over any candidate bitmap
+    /// (`bits[func][inst]`), such as a calibrated one.
+    pub(crate) fn cumulative_over(&self, bits: &[Vec<bool>]) -> Vec<(InstSite, u64)> {
         let mut cum = Vec::new();
         let mut running = 0u64;
         for (f, fbits) in bits.iter().enumerate() {

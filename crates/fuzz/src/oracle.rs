@@ -33,11 +33,12 @@ use fiq_asm::{AsmProgram, MachOptions, Machine, NopAsmHook, RunResult};
 use fiq_backend::LowerOptions;
 use fiq_core::{
     plan_llfi, plan_pinfi, profile_llfi_with_snapshots, profile_pinfi_with_snapshots,
-    run_llfi_observed, run_pinfi_observed, CampaignConfig, Category, GoldenRef, InjectionRun,
-    PinfiOptions, TaskTel, Timeline,
+    restore_point, run_llfi_observed, run_pinfi_observed, CampaignConfig, Category, Checkpoint,
+    Executor, GoldenRef, InjectionRun, PinfiOptions, TaskTel, Timeline,
 };
-use fiq_interp::{run_module, ExecResult, ExecStatus, Interp, InterpOptions, NopHook};
+use fiq_interp::{run_module, ExecStatus, Interp, InterpOptions, NopHook};
 use fiq_ir::Module;
+use fiq_mem::Trap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -201,10 +202,7 @@ fn interp_opts(max_steps: u64) -> InterpOptions {
 }
 
 fn mach_opts(max_steps: u64) -> MachOptions {
-    MachOptions {
-        max_steps,
-        ..MachOptions::default()
-    }
+    MachOptions { max_steps }
 }
 
 fn status_str(s: ExecStatus) -> String {
@@ -322,29 +320,20 @@ fn check_inner(
             || oracles.snapshot_replay
             || oracles.digest_integrity
             || oracles.injection;
-        let prog = if needs_machine {
-            Some(
-                fiq_backend::lower_module(&module, LowerOptions::default()).map_err(|e| {
-                    diverge(
-                        OracleKind::CrossLevel,
-                        level,
-                        format!("lowering rejected valid IR: {e}"),
-                    )
-                })?,
-            )
+        // One machine run serves the cross-level comparison, the
+        // machine's replay oracle and its checkpoint interval.
+        let machine = if needs_machine {
+            let cross = |detail: String| diverge(OracleKind::CrossLevel, level, detail);
+            let prog = fiq_backend::lower_module(&module, LowerOptions::default())
+                .map_err(|e| cross(format!("lowering rejected valid IR: {e}")))?;
+            let run = fiq_asm::run_program(&prog, mach_opts(max_steps))
+                .map_err(|t| cross(format!("machine setup trap: {t}")))?;
+            Some((prog, run))
         } else {
             None
         };
 
-        if oracles.cross_level {
-            let prog = prog.as_ref().expect("lowered");
-            let mach_run = fiq_asm::run_program(prog, mach_opts(max_steps)).map_err(|t| {
-                diverge(
-                    OracleKind::CrossLevel,
-                    level,
-                    format!("machine setup trap: {t}"),
-                )
-            })?;
+        if let (true, Some((_, mach_run))) = (oracles.cross_level, &machine) {
             if !mach_run.status.finished() {
                 return Err(diverge(
                     OracleKind::CrossLevel,
@@ -368,15 +357,26 @@ fn check_inner(
         }
 
         if oracles.snapshot_replay || oracles.digest_integrity {
-            interp_snapshot_oracle(&module, level, oracles, max_steps, &ir_run)?;
-            if let Some(prog) = prog.as_ref() {
-                machine_snapshot_oracle(prog, level, oracles, max_steps)?;
+            let opts = interp_opts(max_steps);
+            let fresh = Interp::new(&module, opts, NopHook);
+            let restore = |s: &_| Interp::restore(&module, opts, NopHook, s);
+            replay_oracle("interp", level, oracles, &ir_run, fresh, restore)?;
+            if let Some((prog, mach_run)) = &machine {
+                let opts = mach_opts(max_steps);
+                let fresh = Machine::new(prog, opts, NopAsmHook);
+                let restore = |s: &_| Machine::restore(prog, opts, NopAsmHook, s);
+                replay_oracle("machine", level, oracles, mach_run, fresh, restore)?;
             }
         }
 
-        if oracles.injection {
-            let prog = prog.as_ref().expect("lowered");
-            injection_oracle(&module, prog, level, max_steps, ir_run.steps)?;
+        if let (true, Some((prog, mach_run))) = (oracles.injection, &machine) {
+            injection_oracle(
+                &module,
+                prog,
+                level,
+                max_steps,
+                (ir_run.steps, mach_run.steps),
+            )?;
         }
     }
     Ok(())
@@ -387,115 +387,87 @@ fn check_inner(
 /// O(checkpoints) full runs.
 const TARGET_CHECKPOINTS: u64 = 4;
 
-fn interp_snapshot_oracle(
-    module: &Module,
+/// The checkpoint interval for a run of `steps` golden steps.
+fn interval(steps: u64) -> u64 {
+    (steps / TARGET_CHECKPOINTS).max(1)
+}
+
+/// Checks one core's checkpoints: snapshotting must not perturb the
+/// straight run `plain`, and a run restored from every checkpoint
+/// (`restore`) must equal golden at every later checkpoint (exactly, and
+/// by digest) and finish exactly as `plain` did. `fresh` is a new
+/// executor at program start; `core` names it in findings.
+fn replay_oracle<E: Executor>(
+    core: &str,
     level: u8,
     oracles: OracleSet,
-    max_steps: u64,
-    plain: &ExecResult,
+    plain: &RunResult,
+    fresh: Result<E, Trap>,
+    restore: impl Fn(&E::Snapshot) -> E,
 ) -> Result<(), CheckFailure> {
-    let opts = interp_opts(max_steps);
-    let interval = (plain.steps / TARGET_CHECKPOINTS).max(1);
-    let mut interp = Interp::new(module, opts, NopHook).map_err(|t| {
-        diverge(
-            OracleKind::SnapshotReplay,
-            level,
-            format!("setup trap: {t}"),
-        )
-    })?;
-    let (gold, snaps) = interp.run_with_snapshots(interval);
+    let replay = |detail: String| diverge(OracleKind::SnapshotReplay, level, detail);
+    let digest = |detail: String| diverge(OracleKind::DigestIntegrity, level, detail);
+    let mut exec = fresh.map_err(|t| replay(format!("setup trap: {t}")))?;
+    let (gold, snaps) = exec.run_with_snapshots(interval(plain.steps));
     if oracles.snapshot_replay
         && (gold.status != plain.status || gold.steps != plain.steps || gold.output != plain.output)
     {
-        return Err(diverge(
-            OracleKind::SnapshotReplay,
-            level,
-            format!(
-                "interp: snapshotting perturbed the run: {} in {} steps vs {} in {} steps",
-                status_str(gold.status),
-                gold.steps,
-                status_str(plain.status),
-                plain.steps
-            ),
-        ));
+        return Err(replay(format!(
+            "{core}: snapshotting perturbed the run: {} in {} steps vs {} in {} steps",
+            status_str(gold.status),
+            gold.steps,
+            status_str(plain.status),
+            plain.steps
+        )));
     }
 
     for (i, snap) in snaps.iter().enumerate() {
-        let mut it = Interp::restore(module, opts, NopHook, snap);
+        let mut it = restore(snap);
         if oracles.snapshot_replay && !it.state_equals_snapshot(snap) {
-            return Err(diverge(
-                OracleKind::SnapshotReplay,
-                level,
-                format!("interp: restore from checkpoint {i} is lossy"),
-            ));
+            return Err(replay(format!(
+                "{core}: restore from checkpoint {i} is lossy"
+            )));
         }
         if oracles.digest_integrity && !it.state_matches_digest(snap) {
-            return Err(diverge(
-                OracleKind::DigestIntegrity,
-                level,
-                format!("interp: restored state does not digest-match its own checkpoint {i}"),
-            ));
+            return Err(digest(format!(
+                "{core}: restored state does not digest-match its own checkpoint {i}"
+            )));
         }
         for (j, later) in snaps.iter().enumerate().skip(i + 1) {
-            match it.run_until(later.steps()) {
-                None => {
-                    let exact = it.state_equals_snapshot(later);
-                    let digest = it.state_matches_digest(later);
-                    if oracles.digest_integrity && digest && !exact {
-                        return Err(diverge(
-                            OracleKind::DigestIntegrity,
-                            level,
-                            format!(
-                                "interp: digest collision — replay from checkpoint {i} paused \
-                                 at {j} digest-matches it but differs bitwise"
-                            ),
-                        ));
-                    }
-                    if oracles.snapshot_replay && !exact {
-                        return Err(diverge(
-                            OracleKind::SnapshotReplay,
-                            level,
-                            format!(
-                                "interp: replay from checkpoint {i} diverged by checkpoint {j}"
-                            ),
-                        ));
-                    }
-                    if oracles.digest_integrity && !digest {
-                        return Err(diverge(
-                            OracleKind::DigestIntegrity,
-                            level,
-                            format!(
-                                "interp: exact-equal state at checkpoint {j} fails the digest check"
-                            ),
-                        ));
-                    }
-                    if oracles.digest_integrity {
-                        for (m, other) in snaps.iter().enumerate() {
-                            if m != j && it.state_matches_digest(other) {
-                                return Err(diverge(
-                                    OracleKind::DigestIntegrity,
-                                    level,
-                                    format!(
-                                        "interp: state at checkpoint {j} digest-matches \
-                                         unrelated checkpoint {m}"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                Some(res) => {
-                    return Err(diverge(
-                        OracleKind::SnapshotReplay,
-                        level,
-                        format!(
-                            "interp: replay from checkpoint {i} ended ({}, {} steps) before \
-                             reaching checkpoint {j} at step {}",
-                            status_str(res.status),
-                            res.steps,
-                            later.steps()
-                        ),
-                    ));
+            if let Some(res) = it.run_until(later.steps()) {
+                return Err(replay(format!(
+                    "{core}: replay from checkpoint {i} ended ({}, {} steps) before \
+                     reaching checkpoint {j} at step {}",
+                    status_str(res.status),
+                    res.steps,
+                    later.steps()
+                )));
+            }
+            let exact = it.state_equals_snapshot(later);
+            let digested = it.state_matches_digest(later);
+            if oracles.digest_integrity && digested && !exact {
+                return Err(digest(format!(
+                    "{core}: digest collision — replay from checkpoint {i} paused at {j} \
+                     digest-matches it but differs bitwise"
+                )));
+            }
+            if oracles.snapshot_replay && !exact {
+                return Err(replay(format!(
+                    "{core}: replay from checkpoint {i} diverged by checkpoint {j}"
+                )));
+            }
+            if oracles.digest_integrity && !digested {
+                return Err(digest(format!(
+                    "{core}: exact-equal state at checkpoint {j} fails the digest check"
+                )));
+            }
+            if oracles.digest_integrity {
+                if let Some(m) =
+                    (0..snaps.len()).find(|&m| m != j && it.state_matches_digest(&snaps[m]))
+                {
+                    return Err(digest(format!(
+                        "{core}: state at checkpoint {j} digest-matches unrelated checkpoint {m}"
+                    )));
                 }
             }
         }
@@ -503,162 +475,16 @@ fn interp_snapshot_oracle(
         if oracles.snapshot_replay
             && (fin.status != gold.status || fin.steps != gold.steps || fin.output != gold.output)
         {
-            return Err(diverge(
-                OracleKind::SnapshotReplay,
-                level,
-                format!(
-                    "interp: run resumed from checkpoint {i} finished {} in {} steps with {} \
-                     output bytes; straight run finished {} in {} steps with {} bytes",
-                    status_str(fin.status),
-                    fin.steps,
-                    fin.output.len(),
-                    status_str(gold.status),
-                    gold.steps,
-                    gold.output.len()
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn machine_snapshot_oracle(
-    prog: &AsmProgram,
-    level: u8,
-    oracles: OracleSet,
-    max_steps: u64,
-) -> Result<(), CheckFailure> {
-    let opts = mach_opts(max_steps);
-    let plain: RunResult = fiq_asm::run_program(prog, opts).map_err(|t| {
-        diverge(
-            OracleKind::SnapshotReplay,
-            level,
-            format!("setup trap: {t}"),
-        )
-    })?;
-    let interval = (plain.steps / TARGET_CHECKPOINTS).max(1);
-    let mut mach = Machine::new(prog, opts, NopAsmHook).map_err(|t| {
-        diverge(
-            OracleKind::SnapshotReplay,
-            level,
-            format!("setup trap: {t}"),
-        )
-    })?;
-    let (gold, snaps) = mach.run_with_snapshots(interval);
-    if oracles.snapshot_replay
-        && (gold.status != plain.status || gold.steps != plain.steps || gold.output != plain.output)
-    {
-        return Err(diverge(
-            OracleKind::SnapshotReplay,
-            level,
-            format!(
-                "machine: snapshotting perturbed the run: {} in {} steps vs {} in {} steps",
+            return Err(replay(format!(
+                "{core}: run resumed from checkpoint {i} finished {} in {} steps with {} \
+                 output bytes; straight run finished {} in {} steps with {} bytes",
+                status_str(fin.status),
+                fin.steps,
+                fin.output.len(),
                 status_str(gold.status),
                 gold.steps,
-                status_str(plain.status),
-                plain.steps
-            ),
-        ));
-    }
-
-    for (i, snap) in snaps.iter().enumerate() {
-        let mut m = Machine::restore(prog, opts, NopAsmHook, snap);
-        if oracles.snapshot_replay && !m.state_equals_snapshot(snap) {
-            return Err(diverge(
-                OracleKind::SnapshotReplay,
-                level,
-                format!("machine: restore from checkpoint {i} is lossy"),
-            ));
-        }
-        if oracles.digest_integrity && !m.state_matches_digest(snap) {
-            return Err(diverge(
-                OracleKind::DigestIntegrity,
-                level,
-                format!("machine: restored state does not digest-match its own checkpoint {i}"),
-            ));
-        }
-        for (j, later) in snaps.iter().enumerate().skip(i + 1) {
-            match m.run_until(later.steps()) {
-                None => {
-                    let exact = m.state_equals_snapshot(later);
-                    let digest = m.state_matches_digest(later);
-                    if oracles.digest_integrity && digest && !exact {
-                        return Err(diverge(
-                            OracleKind::DigestIntegrity,
-                            level,
-                            format!(
-                                "machine: digest collision — replay from checkpoint {i} paused \
-                                 at {j} digest-matches it but differs bitwise"
-                            ),
-                        ));
-                    }
-                    if oracles.snapshot_replay && !exact {
-                        return Err(diverge(
-                            OracleKind::SnapshotReplay,
-                            level,
-                            format!(
-                                "machine: replay from checkpoint {i} diverged by checkpoint {j}"
-                            ),
-                        ));
-                    }
-                    if oracles.digest_integrity && !digest {
-                        return Err(diverge(
-                            OracleKind::DigestIntegrity,
-                            level,
-                            format!(
-                                "machine: exact-equal state at checkpoint {j} fails the digest \
-                                 check"
-                            ),
-                        ));
-                    }
-                    if oracles.digest_integrity {
-                        for (k, other) in snaps.iter().enumerate() {
-                            if k != j && m.state_matches_digest(other) {
-                                return Err(diverge(
-                                    OracleKind::DigestIntegrity,
-                                    level,
-                                    format!(
-                                        "machine: state at checkpoint {j} digest-matches \
-                                         unrelated checkpoint {k}"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                Some(res) => {
-                    return Err(diverge(
-                        OracleKind::SnapshotReplay,
-                        level,
-                        format!(
-                            "machine: replay from checkpoint {i} ended ({}, {} steps) before \
-                             reaching checkpoint {j} at step {}",
-                            status_str(res.status),
-                            res.steps,
-                            later.steps()
-                        ),
-                    ));
-                }
-            }
-        }
-        let fin = m.run();
-        if oracles.snapshot_replay
-            && (fin.status != gold.status || fin.steps != gold.steps || fin.output != gold.output)
-        {
-            return Err(diverge(
-                OracleKind::SnapshotReplay,
-                level,
-                format!(
-                    "machine: run resumed from checkpoint {i} finished {} in {} steps with {} \
-                     output bytes; straight run finished {} in {} steps with {} bytes",
-                    status_str(fin.status),
-                    fin.steps,
-                    fin.output.len(),
-                    status_str(gold.status),
-                    gold.steps,
-                    gold.output.len()
-                ),
-            ));
+                gold.output.len()
+            )));
         }
     }
     Ok(())
@@ -670,81 +496,116 @@ const INJECTIONS_PER_LEVEL: usize = 3;
 
 /// Checks seeded faults at both levels against every way the campaign
 /// engine can run them. The RNG is seeded by the optimization level, so
-/// the triples are a pure function of the program.
+/// the triples are a pure function of the program. Each level captures
+/// its checkpoints at an interval derived from its own golden step count
+/// (`steps`: IR, then machine).
 fn injection_oracle(
     module: &Module,
     prog: &AsmProgram,
     level: u8,
     max_steps: u64,
-    ir_steps: u64,
+    (ir_steps, mach_steps): (u64, u64),
 ) -> Result<(), CheckFailure> {
     let fail = |detail: String| diverge(OracleKind::Injection, level, detail);
-    let interval = (ir_steps / TARGET_CHECKPOINTS).max(1);
     let mut rng = StdRng::seed_from_u64(u64::from(level));
 
-    let (lp, snaps) = profile_llfi_with_snapshots(module, interp_opts(max_steps), interval)
-        .map_err(|e| fail(format!("llfi profile: {e}")))?;
-    let budget = CampaignConfig::default().hang_budget(lp.golden_steps);
-    let golden = GoldenRef {
-        snapshots: &snaps,
-        golden_steps: lp.golden_steps,
-    };
-    for _ in 0..INJECTIONS_PER_LEVEL {
-        let Some(inj) = plan_llfi(module, &lp, Category::All, &mut rng) else {
-            break;
-        };
-        let restore = snaps
-            .iter()
-            .rev()
-            .find(|s| s.site_count(inj.site) < inj.instance && s.steps() <= budget);
-        check_fault(restore, |snap, compare, early_exit, timeline| {
+    let (lp, snaps) =
+        profile_llfi_with_snapshots(module, interp_opts(max_steps), interval(ir_steps))
+            .map_err(|e| fail(format!("llfi profile: {e}")))?;
+    let plan =
+        || plan_llfi(module, &lp, Category::All, &mut rng).map(|i| (i, (i.site, i.instance)));
+    check_faults(
+        &snaps,
+        lp.golden_steps,
+        plan,
+        |inj, budget, snap, golden, ee, tl| {
+            let out = &lp.golden_output;
+            let opts = interp_opts(budget);
             run_llfi_observed(
                 module,
-                interp_opts(budget),
+                opts,
                 inj,
-                &lp.golden_output,
+                out,
                 snap,
-                compare.then_some(golden),
-                early_exit,
-                timeline,
+                golden,
+                ee,
+                tl,
                 None,
                 TaskTel::off(),
             )
-        })
-        .map_err(|e| fail(format!("llfi {inj:?}: {e}")))?;
-    }
+        },
+    )
+    .map_err(|e| fail(format!("llfi {e}")))?;
 
-    let (pp, snaps) = profile_pinfi_with_snapshots(prog, mach_opts(max_steps), interval)
-        .map_err(|e| fail(format!("pinfi profile: {e}")))?;
-    let budget = CampaignConfig::default().hang_budget(pp.golden_steps);
-    let golden = GoldenRef {
-        snapshots: &snaps,
-        golden_steps: pp.golden_steps,
-    };
-    for _ in 0..INJECTIONS_PER_LEVEL {
-        let Some(inj) = plan_pinfi(prog, &pp, Category::All, PinfiOptions::default(), &mut rng)
-        else {
-            break;
-        };
-        let restore = snaps
-            .iter()
-            .rev()
-            .find(|s| s.site_count(inj.idx) < inj.instance && s.steps() <= budget);
-        check_fault(restore, |snap, compare, early_exit, timeline| {
+    let (pp, snaps) =
+        profile_pinfi_with_snapshots(prog, mach_opts(max_steps), interval(mach_steps))
+            .map_err(|e| fail(format!("pinfi profile: {e}")))?;
+    let popts = PinfiOptions::default();
+    let plan =
+        || plan_pinfi(prog, &pp, Category::All, popts, &mut rng).map(|i| (i, (i.idx, i.instance)));
+    check_faults(
+        &snaps,
+        pp.golden_steps,
+        plan,
+        |inj, budget, snap, golden, ee, tl| {
+            let out = &pp.golden_output;
+            let opts = mach_opts(budget);
             run_pinfi_observed(
                 prog,
-                mach_opts(budget),
+                opts,
                 inj,
-                &pp.golden_output,
+                out,
+                snap,
+                golden,
+                ee,
+                tl,
+                None,
+                TaskTel::off(),
+            )
+        },
+    )
+    .map_err(|e| fail(format!("pinfi {e}")))
+}
+
+/// Checks [`INJECTIONS_PER_LEVEL`] faults `plan` draws at one level
+/// (each with its `(site, instance)`) through [`check_fault`], restoring
+/// where the engine would. `run(fault, budget, snapshot, golden,
+/// early_exit, timeline)` runs one.
+#[allow(clippy::type_complexity)]
+fn check_faults<S: Checkpoint, P: Copy + std::fmt::Debug>(
+    snaps: &[S],
+    golden_steps: u64,
+    mut plan: impl FnMut() -> Option<(P, (S::Site, u64))>,
+    run: impl Fn(
+        P,
+        u64,
+        Option<&S>,
+        Option<GoldenRef<'_, S>>,
+        bool,
+        Option<&mut Timeline>,
+    ) -> Result<InjectionRun, String>,
+) -> Result<(), String> {
+    let budget = CampaignConfig::default().hang_budget(golden_steps);
+    let golden = GoldenRef {
+        snapshots: snaps,
+        golden_steps,
+    };
+    for _ in 0..INJECTIONS_PER_LEVEL {
+        let Some((inj, (site, instance))) = plan() else {
+            break;
+        };
+        let restore = restore_point(snaps, site, instance, budget);
+        check_fault(restore, |snap, compare, early_exit, timeline| {
+            run(
+                inj,
+                budget,
                 snap,
                 compare.then_some(golden),
                 early_exit,
                 timeline,
-                None,
-                TaskTel::off(),
             )
         })
-        .map_err(|e| fail(format!("pinfi {inj:?}: {e}")))?;
+        .map_err(|e| format!("{inj:?}: {e}"))?;
     }
     Ok(())
 }

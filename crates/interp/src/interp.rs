@@ -20,7 +20,8 @@ use fiq_mem::{
 };
 use std::sync::Arc;
 
-/// Interpreter configuration.
+/// Interpreter configuration. Memory capacity and stack size are
+/// `fiq_mem::DEFAULT_CAPACITY` and `fiq_mem::DEFAULT_STACK_SIZE`.
 #[derive(Debug, Clone, Copy)]
 pub struct InterpOptions {
     /// Dynamic-instruction budget; exceeding it stops the run (hang
@@ -31,10 +32,6 @@ pub struct InterpOptions {
     /// Guest frames live on the heap (an explicit frame stack), so this
     /// bounds guest recursion only; it does not consume host stack.
     pub max_call_depth: u32,
-    /// Stack region size in bytes.
-    pub stack_size: u64,
-    /// Simulated memory capacity in bytes.
-    pub mem_capacity: u64,
 }
 
 impl Default for InterpOptions {
@@ -42,8 +39,6 @@ impl Default for InterpOptions {
         InterpOptions {
             max_steps: 500_000_000,
             max_call_depth: 256,
-            stack_size: fiq_mem::DEFAULT_STACK_SIZE,
-            mem_capacity: fiq_mem::DEFAULT_CAPACITY,
         }
     }
 }
@@ -259,10 +254,10 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         opts: InterpOptions,
         hook: H,
     ) -> Result<Interp<'m, H>, Trap> {
-        let mut mem = Memory::with_capacity(opts.mem_capacity);
+        let mut mem = Memory::with_capacity(fiq_mem::DEFAULT_CAPACITY);
         let global_addrs = materialize_globals(module, &mut mem)?;
-        let sp = mem.alloc_stack(opts.stack_size)?;
-        let stack_start = sp - opts.stack_size;
+        let sp = mem.alloc_stack(fiq_mem::DEFAULT_STACK_SIZE)?;
+        let stack_start = sp - fiq_mem::DEFAULT_STACK_SIZE;
         let decoded = ensure_decoded(module, decoded, &global_addrs);
         Ok(Interp {
             module,

@@ -17,7 +17,6 @@ fn interp_opts() -> InterpOptions {
 fn mach_opts() -> MachOptions {
     MachOptions {
         max_steps: 400_000_000,
-        ..MachOptions::default()
     }
 }
 

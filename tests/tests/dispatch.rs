@@ -98,10 +98,7 @@ fn run_interp<H: InterpHook>(m: &Module, max_steps: u64, hook: H, core: Core) ->
 }
 
 fn run_machine<H: AsmHook>(p: &AsmProgram, max_steps: u64, hook: H, core: Core) -> (Observed, H) {
-    let opts = MachOptions {
-        max_steps,
-        ..MachOptions::default()
-    };
+    let opts = MachOptions { max_steps };
     let mut machine = Machine::new(p, opts, hook).expect("machine setup");
     let res = match core {
         Core::Reference => machine
@@ -284,10 +281,7 @@ fn sweep_interp<H: InterpHook>(name: &str, m: &Module, max_steps: u64, hook: imp
 
 /// The asm twin of [`sweep_interp`].
 fn sweep_machine<H: AsmHook>(name: &str, p: &AsmProgram, max_steps: u64, hook: impl Fn() -> H) {
-    let opts = MachOptions {
-        max_steps,
-        ..MachOptions::default()
-    };
+    let opts = MachOptions { max_steps };
     let mut reference = Machine::new(p, opts, hook()).unwrap();
     let mut cores: Vec<_> = SWEEP
         .iter()
@@ -375,10 +369,7 @@ fn production_snapshots_resume_identically_on_reference_core() {
         max_steps,
         ..InterpOptions::default()
     };
-    let mopts = MachOptions {
-        max_steps,
-        ..MachOptions::default()
-    };
+    let mopts = MachOptions { max_steps };
     let (interp_final, _) = run_interp(&module, max_steps, NopHook, Core::Reference);
     let (machine_final, _) = run_machine(&prog, max_steps, NopAsmHook, Core::Reference);
     for interval in 1..=4u64 {

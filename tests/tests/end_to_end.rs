@@ -248,7 +248,6 @@ fn engine_matches_sequential_reference_at_every_thread_count() {
                 Substrate::Pinfi { prog, profile } => {
                     let opts = MachOptions {
                         max_steps: cfg.hang_budget(profile.golden_steps),
-                        ..MachOptions::default()
                     };
                     for _ in 0..cfg.injections {
                         let inj =
