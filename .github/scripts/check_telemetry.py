@@ -2,11 +2,11 @@
 
 Usage: python3 check_telemetry.py TELEMETRY.jsonl
 
-The stream is a header, the streamed `event` lines, then the end-of-run
-lines: counters and histograms (engine scope, then each cell), one
-`worker` line per worker, and one `summary` line. Every line must carry
-exactly its kind's keys, and every histogram's buckets must sum to its
-count.
+The stream is a header followed only by the end-of-run lines: counters
+and histograms (engine scope, then each cell), one `worker` line per
+worker, and one `summary` line. Any other line, such as an `event`
+line, fails the check. Every line must carry exactly its kind's keys,
+and every histogram's buckets must sum to its count.
 """
 import json
 import sys
@@ -20,14 +20,9 @@ assert head["record"] == "telemetry" and head["version"] == 1, head
 assert {"seed", "injections", "hang_factor", "workers", "cells"} <= head.keys(), head
 labels = [c["label"] for c in head["cells"]]
 
-events = [l for l in body if l["record"] == "event"]
-tail = body[len(events):]
-assert body[: len(events)] == events, "event line after the end-of-run lines"
-assert events, "campaign emitted no events"
-for e in events:
-    assert e.keys() == {"record", "kind", "worker", "fields"}, e
-    assert isinstance(e["fields"], dict), e
-    assert 0 <= e["worker"] < head["workers"], e
+assert body, "telemetry stream has no end-of-run lines"
+for l in body:
+    assert l["record"] in ("counter", "hist", "worker", "summary"), l
 
 
 def scope_keys(m):
@@ -38,9 +33,9 @@ def scope_keys(m):
     return {"cell", "label"}
 
 
-metrics = [l for l in tail if l["record"] in ("counter", "hist")]
-workers = [l for l in tail if l["record"] == "worker"]
-assert tail == metrics + workers + tail[-1:], "end-of-run lines out of order"
+metrics = [l for l in body if l["record"] in ("counter", "hist")]
+workers = [l for l in body if l["record"] == "worker"]
+assert body == metrics + workers + body[-1:], "end-of-run lines out of order"
 seen = set()
 for m in metrics:
     key = (m["record"], m["scope"], m.get("cell"), m["name"])
@@ -59,11 +54,11 @@ for m in metrics:
 assert [w["worker"] for w in workers] == list(range(head["workers"])), workers
 for w in workers:
     assert w.keys() == {"record", "worker", "tasks"}, w
-summary = tail[-1]
+summary = body[-1]
 assert summary.keys() == {"record", "total", "done", "resumed", "fast_forwarded",
                           "early_exited"} and summary["record"] == "summary", summary
 executed = sum(m["value"] for m in metrics
                if m["record"] == "counter" and m["scope"] == "cell" and m["name"] == "tasks")
 assert executed == summary["done"] - summary["resumed"], (executed, summary)
-print(f"{path}: {len(events)} events, {len(metrics)} metrics, "
+print(f"{path}: {len(metrics)} metrics, "
       f"{len(workers)} workers, {summary['done']}/{summary['total']} tasks")

@@ -34,7 +34,7 @@
 //! completion, throughput, an ETA, and live fast-forward/early-exit
 //! counts on stderr (throttled to one redraw per 100 ms, with a
 //! guaranteed final line). `--telemetry FILE` writes the sharded
-//! campaign telemetry (counters, histograms, per-task events) as JSONL;
+//! campaign telemetry (counters and histograms) as JSONL;
 //! it never changes campaign output. `--divergence FILE` streams one
 //! JSONL divergence timeline per injection — which 4 KiB pages and
 //! which architectural-state components differ from the golden snapshot

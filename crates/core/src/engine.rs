@@ -59,7 +59,7 @@ use crate::telemetry::{
 use fiq_asm::{AsmProgram, DecodedProgram, MachOptions, MachSnapshot};
 use fiq_interp::{DecodedModule, InterpOptions, InterpSnapshot};
 use fiq_ir::Module;
-use fiq_telemetry::{EvVal, TelemetryHub, WorkerHandle};
+use fiq_telemetry::{TelemetryHub, WorkerHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -190,8 +190,8 @@ pub struct EngineOptions<'a> {
     /// bit-identical either way; this only changes wall-clock. Composes
     /// with [`EngineOptions::fast_forward`].
     pub early_exit: bool,
-    /// Write sharded campaign telemetry (counters, histograms, and the
-    /// structured event stream) to this path as JSONL. Telemetry is
+    /// Write sharded campaign telemetry (counters and histograms) to this
+    /// path as JSONL. Telemetry is
     /// observational only: campaign output — reports *and* record
     /// bytes — is byte-identical with telemetry on or off.
     pub telemetry: Option<&'a Path>,
@@ -768,9 +768,9 @@ fn run_planned(
     // 2. Open the record stream (and the divergence stream when enabled),
     //    replaying any resumable prefix. The streams advance in task
     //    lockstep, but a kill can tear them at different lengths — resume
-    //    reconciles every present stream (records, divergence, and the
-    //    telemetry event stream below) to the minimum consistent task
-    //    prefix.
+    //    reconciles both to the minimum consistent task prefix. The
+    //    telemetry stream below holds no per-task lines, so it only has
+    //    its header checked and then starts afresh.
     let header = plan.record_header(cells, cfg, shard);
     let div_header = plan.divergence_header(cells, cfg, shard);
     let mut outcomes: Vec<Option<Outcome>> = vec![None; range_len];
@@ -841,13 +841,8 @@ fn run_planned(
     let tel_file = match opts.telemetry {
         Some(path) => {
             let tel_header = plan.telemetry_header(cells, cfg, workers, shard);
-            // The telemetry stream participates in resume reconciliation:
-            // a prior attempt's surviving per-task events are cut back to
-            // the kept task prefix (tasks past it re-execute and re-log),
-            // so no task is double-counted across attempts and the three
-            // streams agree after a crash between flushes.
             Some(if resumed_streams && path.exists() {
-                TelemetryFile::reconcile(path, &tel_header, (lo + resumed) as u64)?
+                TelemetryFile::reconcile(path, &tel_header)?
             } else {
                 TelemetryFile::create(path, &tel_header)?
             })
@@ -856,19 +851,10 @@ fn run_planned(
     };
     let hub = tel_file
         .as_ref()
-        .map(|f| TelemetryHub::new(&HUB_SPEC, workers, cells.len(), Some(f.sink())));
+        .map(|_| TelemetryHub::new(&HUB_SPEC, workers, cells.len()));
     if let Some(hub) = &hub {
-        let h = hub.worker(0);
-        h.add(engine_counter::RESUMED_TASKS, resumed as u64);
-        if resumed > 0 {
-            h.event(
-                "resume",
-                vec![
-                    ("restored", EvVal::U64(resumed as u64)),
-                    ("total", EvVal::U64(range_len as u64)),
-                ],
-            );
-        }
+        hub.worker(0)
+            .add(engine_counter::RESUMED_TASKS, resumed as u64);
         // Planning-time constants (snapshot reuse, collapse census) are
         // campaign-wide facts, not per-task tallies: in a sharded run
         // only shard 0 records them, so the aggregator's monoid merge
@@ -969,16 +955,12 @@ fn run_planned(
         w.flush()
             .map_err(|e| format!("flush divergence file: {e}"))?;
     }
-    if let (Some(hub), Some(file)) = (&hub, &tel_file) {
+    if let (Some(hub), Some(file)) = (&hub, tel_file) {
         if sink.unflushed > 0 {
             // Account the trailing partial flush issued just above.
             let h = hub.worker(0);
             h.add(engine_counter::RECORD_FLUSHES, 1);
             h.record(engine_hist::RECORD_FLUSH_BATCH, sink.unflushed as u64);
-        }
-        hub.flush_events();
-        if let Some(e) = hub.take_error() {
-            return Err(e);
         }
         file.write_summary(
             hub,
@@ -1077,7 +1059,7 @@ fn worker(shared: &Shared<'_, '_>, index: usize) {
         let cell = &shared.cells[task.cell];
         // Clock reads only happen with telemetry on, keeping the
         // disabled path identical to the un-instrumented engine.
-        let start = handle.map(|_| Instant::now());
+        let start = handle.map(|h| (h, Instant::now()));
         let tel = match handle {
             Some(h) => TaskTel::new(h, task.cell),
             None => TaskTel::off(),
@@ -1112,24 +1094,14 @@ fn worker(shared: &Shared<'_, '_>, index: usize) {
         if result.fast_forwarded {
             shared.fast_forwarded.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(h) = handle {
-            // A worker can complete a task after the daemon has begun
-            // telemetry shutdown, losing the start-of-task clock sample.
-            // Degrade by dropping the latency observation (and counting
-            // the drop) instead of panicking mid-drain — the task's
-            // deterministic counters and its record line are unaffected.
-            let latency_us = match start {
-                Some(t0) => Some(t0.elapsed().as_micros() as u64),
-                None => {
-                    h.add(engine_counter::LATENCY_DROPPED, 1);
-                    None
-                }
-            };
+        if let Some((h, t0)) = start {
             h.add(engine_counter::TASKS, 1);
             h.cell_add(task.cell, cell_counter::TASKS, 1);
-            if let Some(us) = latency_us {
-                h.cell_record(task.cell, cell_hist::TASK_LATENCY_US, us);
-            }
+            h.cell_record(
+                task.cell,
+                cell_hist::TASK_LATENCY_US,
+                t0.elapsed().as_micros() as u64,
+            );
             if result.fast_forwarded {
                 h.cell_add(task.cell, cell_counter::FAST_FORWARDED, 1);
             }
@@ -1152,18 +1124,6 @@ fn worker(shared: &Shared<'_, '_>, index: usize) {
                     h.cell_record(task.cell, cell_hist::DIV_MASK_TIME, mt);
                 }
             }
-            let mut fields = vec![
-                ("task", EvVal::U64(i as u64)),
-                ("cell", EvVal::U64(task.cell as u64)),
-                ("outcome", EvVal::Str(result.outcome.name().to_string())),
-                ("steps", EvVal::U64(result.steps)),
-                ("fast_forwarded", EvVal::Bool(result.fast_forwarded)),
-                ("early_exit", EvVal::Bool(result.early_exit)),
-            ];
-            if let Some(us) = latency_us {
-                fields.push(("latency_us", EvVal::U64(us)));
-            }
-            h.event("task", fields);
         }
         if let Err(e) = deliver(shared, i, result, handle) {
             fail(shared, e);
@@ -1419,7 +1379,11 @@ fn record_line(
 }
 
 /// Creates a JSONL stream file and writes its header line.
-fn create_stream(path: &Path, header: &str, what: &str) -> Result<BufWriter<File>, String> {
+pub(crate) fn create_stream(
+    path: &Path,
+    header: &str,
+    what: &str,
+) -> Result<BufWriter<File>, String> {
     let file =
         File::create(path).map_err(|e| format!("create {what} file {}: {e}", path.display()))?;
     let mut w = BufWriter::new(file);

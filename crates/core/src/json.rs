@@ -215,26 +215,9 @@ impl<'o> ObjWriter<'o> {
         self
     }
 
-    /// A number member (as [`Json::f64`]: `null` unless finite).
-    pub fn f64(&mut self, key: &str, v: f64) -> &mut Self {
-        let out = self.key(key);
-        if v.is_finite() {
-            write!(out, "{v}").expect("writing to a String cannot fail");
-        } else {
-            out.push_str("null");
-        }
-        self
-    }
-
     /// A string member.
     pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
         push_escaped(self.key(key), v);
-        self
-    }
-
-    /// A boolean member.
-    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
-        self.key(key).push_str(if v { "true" } else { "false" });
         self
     }
 

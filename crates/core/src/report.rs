@@ -1,6 +1,6 @@
 //! The `fiq report` analyzer: joins a campaign's `records.jsonl`
 //! (per-injection ground truth) with its optional `telemetry.jsonl`
-//! (sharded counters, histograms, events) into one summary — outcome
+//! (sharded counters and histograms) into one summary — outcome
 //! tables with Wilson 95% CIs, and speedup attribution showing what
 //! fraction of each cell's reported steps were skipped by fast-forward
 //! versus reconstructed by early exit versus actually executed.
@@ -158,8 +158,6 @@ pub struct EngineSummary {
     pub worker_tasks: Vec<u64>,
     /// End-of-run totals.
     pub totals: RunTotals,
-    /// Streamed events seen, by kind.
-    pub events: BTreeMap<String, u64>,
 }
 
 /// A full campaign summary built from `records.jsonl` and (optionally)
@@ -398,7 +396,6 @@ impl CampaignReport {
         let what = "telemetry file";
         let tel = TelemetrySummary::read(path)?;
         self.check_campaign(&tel.header, what, "telemetry")?;
-        let events = tel.event_kinds();
         for (cell, m) in self.cells.iter_mut().zip(tel.cells) {
             cell.counters = m.counters.into_iter().collect();
             cell.hists = m.hists.into_iter().collect();
@@ -408,7 +405,6 @@ impl CampaignReport {
             hists: tel.engine.hists.into_iter().collect(),
             worker_tasks: tel.workers,
             totals: tel.totals.unwrap_or_default(),
-            events,
         };
         // Cross-check: executed task counters must cover exactly the
         // non-resumed portion of the campaign.
@@ -600,17 +596,11 @@ impl CampaignReport {
                 .iter()
                 .map(|(k, d)| (k.clone(), hist_json(d)))
                 .collect();
-            let events = e
-                .events
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::u64(*v)))
-                .collect();
             fields.push((
                 "engine".into(),
                 Json::Obj(vec![
                     ("counters".into(), Json::Obj(counters)),
                     ("hists".into(), Json::Obj(hists)),
-                    ("events".into(), Json::Obj(events)),
                     (
                         "worker_tasks".into(),
                         Json::Arr(e.worker_tasks.iter().map(|&t| Json::u64(t)).collect()),
@@ -912,10 +902,9 @@ impl CampaignReport {
             );
             let _ = writeln!(
                 out,
-                "  records: {} written in {} flushes; events: {}",
+                "  records: {} written in {} flushes",
                 e.counters.get("records_written").copied().unwrap_or(0),
                 e.counters.get("record_flushes").copied().unwrap_or(0),
-                e.events.values().sum::<u64>(),
             );
         }
         out

@@ -1,8 +1,8 @@
 //! Campaign telemetry: the metric schema, the per-task recording handle
 //! used by the injectors, and the `telemetry.jsonl` codec.
 //!
-//! The generic sharded-metrics machinery (counters, log2 histograms,
-//! event batching) lives in the dependency-free `fiq-telemetry` crate;
+//! The generic sharded-metrics machinery (counters, log2 histograms)
+//! lives in the dependency-free `fiq-telemetry` crate;
 //! this module pins down *what* the campaign engine measures and how it
 //! is serialized. [`TelemetrySummary`] is the only code that lays out or
 //! parses the stream's counter, histogram, worker and summary lines: the
@@ -24,16 +24,13 @@
 //!   determinism assertions ([`DETERMINISTIC_CELL_HISTS`] lists the
 //!   histograms that *are* covered).
 
+use crate::engine::create_stream;
 use crate::json::{Field, Fields, Json, ObjWriter};
 use crate::report::{field_str, field_u64, read_lines};
-use fiq_telemetry::{
-    EvVal, EventSink, HistData, HubSpec, TelemetryHub, WorkerHandle, HIST_BUCKETS,
-};
-use std::collections::BTreeMap;
+use fiq_telemetry::{HistData, HubSpec, TelemetryHub, WorkerHandle, HIST_BUCKETS};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Telemetry-stream format version (bumped on schema changes).
 pub const TELEMETRY_VERSION: u64 = 1;
@@ -50,10 +47,6 @@ pub mod engine_counter {
     pub const RECORDS_WRITTEN: usize = 2;
     /// Explicit flushes of the record stream.
     pub const RECORD_FLUSHES: usize = 3;
-    /// Task-latency samples dropped because the start-of-task clock was
-    /// never read (e.g. the task completed after telemetry shutdown
-    /// during daemon cancellation). The task itself still counts.
-    pub const LATENCY_DROPPED: usize = 4;
 }
 
 /// Engine-scope histogram indices into [`HUB_SPEC`].
@@ -170,7 +163,6 @@ pub static HUB_SPEC: HubSpec = HubSpec {
         "resumed_tasks",
         "records_written",
         "record_flushes",
-        "latency_dropped",
     ],
     hists: &["record_flush_batch"],
     cell_counters: &[
@@ -343,12 +335,12 @@ fn hist_count(h: &HistData) -> Result<u64, String> {
     h.buckets.iter().try_fold(0, |n, &c| add(n, c))
 }
 
-/// A telemetry stream, parsed: its header, the end-of-run counter,
-/// histogram, worker and summary lines, and the `event` lines verbatim.
-/// This is the one codec of the stream's layout — the engine writes its
-/// end of run through [`TelemetrySummary::write`], `fiq report` reads
-/// with [`TelemetrySummary::read`], and the daemon folds shard spools
-/// with [`TelemetrySummary::merge`].
+/// A telemetry stream, parsed: its header and the end-of-run counter,
+/// histogram, worker and summary lines. This is the one codec of the
+/// stream's layout — the engine writes its end of run through
+/// [`TelemetrySummary::write`], `fiq report` reads with
+/// [`TelemetrySummary::read`], and the daemon folds shard spools with
+/// [`TelemetrySummary::merge`].
 #[derive(Debug, Clone)]
 pub struct TelemetrySummary {
     /// The header line: campaign identity plus the worker count.
@@ -361,8 +353,6 @@ pub struct TelemetrySummary {
     pub workers: Vec<u64>,
     /// The `summary` line; `None` when the run was killed before it.
     pub totals: Option<RunTotals>,
-    /// The `event` lines, verbatim, in stream order.
-    pub events: Vec<String>,
 }
 
 impl TelemetrySummary {
@@ -403,7 +393,6 @@ impl TelemetrySummary {
             cells: vec![Metrics::default(); cells],
             workers: Vec::new(),
             totals: None,
-            events: Vec::new(),
         })
     }
 
@@ -457,10 +446,6 @@ impl TelemetrySummary {
     fn read_line(&mut self, line: String) -> Result<(), String> {
         let v = Fields::parse(&line).map_err(|e| format!("bad telemetry line: {e}"))?;
         match v.str("record") {
-            Some("event") => {
-                field_str(&v, "kind", "event line")?;
-                self.events.push(line);
-            }
             Some("counter") => {
                 let (name, value) = (
                     field_str(&v, "name", "counter line")?,
@@ -545,8 +530,8 @@ impl TelemetrySummary {
 
     /// The monoid: adds `other` into `self`. Counters, histograms
     /// (bucketwise, `sum` wrapping), the header's `workers` and the totals
-    /// add; worker lists and events concatenate, `other`'s after
-    /// `self`'s. The rest of the header stays `self`'s.
+    /// add; worker lists concatenate, `other`'s after `self`'s. The rest
+    /// of the header stays `self`'s.
     ///
     /// # Errors
     ///
@@ -576,20 +561,16 @@ impl TelemetrySummary {
             }
             (a, b) => a.or(b),
         };
-        self.events.extend(other.events);
         Ok(())
     }
 
-    /// Writes the whole stream: header, events, then the end of run.
+    /// Writes the whole stream: the header, then the end of run.
     ///
     /// # Errors
     ///
     /// Returns the writer's I/O error.
     pub fn write(&self, w: &mut impl Write) -> std::io::Result<()> {
         writeln!(w, "{}", self.header)?;
-        for ev in &self.events {
-            writeln!(w, "{ev}")?;
-        }
         self.write_end(w)
     }
 
@@ -632,22 +613,6 @@ impl TelemetrySummary {
             out.push('\n');
         }
         w.write_all(out.as_bytes())
-    }
-
-    /// Events seen, by kind.
-    pub fn event_kinds(&self) -> BTreeMap<String, u64> {
-        let mut kinds = BTreeMap::new();
-        for line in &self.events {
-            let Ok(v) = Fields::parse(line) else { continue };
-            let Some(kind) = v.str("kind") else { continue };
-            match kinds.get_mut(kind) {
-                Some(n) => *n += 1,
-                None => {
-                    kinds.insert(kind.to_string(), 1);
-                }
-            }
-        }
-        kinds
     }
 }
 
@@ -719,53 +684,33 @@ fn read_hist(v: &Fields<'_>) -> Result<HistData, String> {
     Ok(data)
 }
 
-/// The shared `telemetry.jsonl` writer: the event sink appends batches
-/// while workers run, and the engine appends the end-of-run lines after
-/// the pool drains. One mutex serializes both.
+/// The `telemetry.jsonl` writer: the header goes out when the file is
+/// created, before any task runs, and the end-of-run lines once the pool
+/// drains.
 pub(crate) struct TelemetryFile {
     header: String,
-    writer: Arc<Mutex<BufWriter<File>>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    writer: BufWriter<File>,
 }
 
 impl TelemetryFile {
     /// Creates the file and writes the campaign header line.
     pub(crate) fn create(path: &Path, header: &str) -> Result<TelemetryFile, String> {
-        let file = File::create(path)
-            .map_err(|e| format!("create telemetry file {}: {e}", path.display()))?;
-        let mut w = BufWriter::new(file);
-        writeln!(w, "{header}").map_err(|e| format!("write telemetry header: {e}"))?;
         Ok(TelemetryFile {
             header: header.to_string(),
-            writer: Arc::new(Mutex::new(w)),
+            writer: create_stream(path, header, "telemetry")?,
         })
     }
 
-    /// Reconciles an existing telemetry file into a resumed attempt: the
-    /// prior attempt's `task` event lines at indices below `keep_below`
-    /// (the minimum consistent prefix the record/divergence streams
-    /// agreed on) are preserved, everything else — counter, hist, worker
-    /// and summary lines, plus task events past the kept prefix — is
-    /// dropped, and the stream continues from there under a fresh
-    /// header. This makes telemetry the third participant in resume
-    /// reconciliation: after a crash the three streams describe the same
-    /// task prefix, and each task index appears in at most one `task`
-    /// event across all attempts.
-    ///
-    /// The old header must describe the same campaign shard (see
-    /// [`same_campaign`]).
-    pub(crate) fn reconcile(
-        path: &Path,
-        expected_header: &str,
-        keep_below: u64,
-    ) -> Result<TelemetryFile, String> {
+    /// Starts a resumed attempt's stream afresh, once the existing file's
+    /// header is found to describe the same campaign shard (see
+    /// [`same_campaign`]). The prior attempt's end-of-run lines are not
+    /// kept: the resumed tasks are counted in `resumed_tasks`, and the
+    /// counters cover only what this attempt executes.
+    pub(crate) fn reconcile(path: &Path, expected_header: &str) -> Result<TelemetryFile, String> {
         let file =
             File::open(path).map_err(|e| format!("open telemetry file {}: {e}", path.display()))?;
-        let mut lines = BufReader::new(file).lines();
-        let found = lines
+        let found = BufReader::new(file)
+            .lines()
             .next()
             .transpose()
             .map_err(|e| format!("read telemetry file {}: {e}", path.display()))?
@@ -777,48 +722,19 @@ impl TelemetryFile {
                 path.display()
             ));
         }
-        let kept: Vec<String> = lines
-            .map_while(Result::ok)
-            .filter(|l| keep_event_line(l, keep_below))
-            .collect();
-        let file = TelemetryFile::create(path, expected_header)?;
-        let mut w = lock(&file.writer);
-        for line in &kept {
-            writeln!(w, "{line}").map_err(|e| format!("write telemetry: {e}"))?;
-        }
-        drop(w);
-        Ok(file)
+        TelemetryFile::create(path, expected_header)
     }
 
-    /// An event sink appending `record: "event"` lines to this file.
-    pub(crate) fn sink(&self) -> Box<dyn EventSink> {
-        let writer = Arc::clone(&self.writer);
-        Box::new(
-            move |batch: &[fiq_telemetry::Event]| -> Result<(), String> {
-                let mut lines = String::new();
-                for ev in batch {
-                    event_line(&mut lines, ev);
-                    lines.push('\n');
-                }
-                lock(&writer)
-                    .write_all(lines.as_bytes())
-                    .map_err(|e| format!("write telemetry: {e}"))
-            },
-        )
-    }
-
-    /// Writes the end-of-run lines for `hub` and flushes the file. Call
-    /// once, after `TelemetryHub::flush_events`.
+    /// Writes the end-of-run lines for `hub` and flushes the file.
     pub(crate) fn write_summary(
-        &self,
+        mut self,
         hub: &TelemetryHub,
         totals: RunTotals,
     ) -> Result<(), String> {
         let summary = TelemetrySummary::from_hub(&self.header, hub, totals)?;
-        let mut w = lock(&self.writer);
         summary
-            .write_end(&mut *w)
-            .and_then(|()| w.flush())
+            .write_end(&mut self.writer)
+            .and_then(|()| self.writer.flush())
             .map_err(|e| format!("write telemetry: {e}"))
     }
 }
@@ -846,76 +762,9 @@ pub fn same_campaign(found: &Json, expected: &str) -> bool {
     same
 }
 
-/// True for event lines the resume reconciliation keeps: non-task events
-/// always survive (they narrate prior attempts), task events only below
-/// the kept task prefix — so across any number of crash/resume cycles
-/// every task index appears in at most one `task` event.
-fn keep_event_line(line: &str, keep_below: u64) -> bool {
-    let Ok(v) = Fields::parse(line) else {
-        return false;
-    };
-    if v.str("record") != Some("event") {
-        return false;
-    }
-    if v.str("kind") != Some("task") {
-        return true;
-    }
-    v.get("fields")
-        .and_then(Field::as_raw)
-        .and_then(|f| Fields::parse(f).ok())
-        .and_then(|f| f.u64("task"))
-        .is_some_and(|t| t < keep_below)
-}
-
-/// Appends one `record: "event"` line (without its newline) to `out`.
-fn event_line(out: &mut String, ev: &fiq_telemetry::Event) {
-    let mut w = ObjWriter::open(out);
-    w.str("record", "event")
-        .str("kind", ev.kind)
-        .u64("worker", ev.worker as u64);
-    let mut fields = w.obj("fields");
-    for (k, v) in &ev.fields {
-        match v {
-            EvVal::U64(n) => fields.u64(k, *n),
-            EvVal::F64(f) => fields.f64(k, *f),
-            EvVal::Bool(b) => fields.bool(k, *b),
-            EvVal::Str(s) => fields.str(k, s),
-        };
-    }
-    fields.close();
-    w.close();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::tests::arb_text;
-    use proptest::prelude::*;
-
-    /// The event line as built before the object writer: a `Json` tree,
-    /// rendered by its `Display`.
-    fn event_tree(ev: &fiq_telemetry::Event) -> String {
-        let fields = ev
-            .fields
-            .iter()
-            .map(|(k, v)| {
-                let val = match v {
-                    EvVal::U64(n) => Json::u64(*n),
-                    EvVal::F64(f) => Json::f64(*f),
-                    EvVal::Bool(b) => Json::Bool(*b),
-                    EvVal::Str(s) => Json::str(s.clone()),
-                };
-                ((*k).to_string(), val)
-            })
-            .collect();
-        Json::Obj(vec![
-            ("record".into(), Json::str("event")),
-            ("kind".into(), Json::str(ev.kind)),
-            ("worker".into(), Json::u64(ev.worker as u64)),
-            ("fields".into(), Json::Obj(fields)),
-        ])
-        .to_string()
-    }
 
     /// A summary written and read back writes the same bytes, and
     /// merging two hubs' summaries gives the metrics of one hub that did
@@ -928,7 +777,7 @@ mod tests {
             )
         };
         let hub = |workers: usize, steps: &[u64]| {
-            let hub = TelemetryHub::new(&HUB_SPEC, workers, 1, None);
+            let hub = TelemetryHub::new(&HUB_SPEC, workers, 1);
             for (i, &v) in steps.iter().enumerate() {
                 let h = hub.worker(i % workers);
                 h.add(engine_counter::TASKS, 1);
@@ -967,50 +816,5 @@ mod tests {
         assert_eq!(merged.cells, whole.cells);
         assert_eq!(merged.totals, whole.totals);
         assert_eq!(merged.workers, [2, 1, 1]);
-    }
-
-    /// Keys and kinds are static in the engine; these cover the escaping
-    /// classes anyway.
-    const KEYS: [&str; 5] = ["task", "cell", "q\"u\\o", "tab\tnl\n\u{1}", "é€🌀"];
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The event writer emits the tree's bytes for every value kind,
-        /// any string payload and any float, and reconciliation reads the
-        /// task index back from the nested fields.
-        #[test]
-        fn event_line_matches_tree(
-            kind in 0usize..KEYS.len(),
-            worker in 0usize..1 << 20,
-            vals in prop::collection::vec(
-                (0usize..KEYS.len(), 0u8..4, any::<u64>(), arb_text()),
-                0..6,
-            ),
-        ) {
-            let fields = vals
-                .into_iter()
-                .map(|(k, which, n, s)| {
-                    let v = match which {
-                        0 => EvVal::U64(n),
-                        1 => EvVal::F64(f64::from_bits(n)),
-                        2 => EvVal::Bool(n % 2 == 0),
-                        _ => EvVal::Str(s),
-                    };
-                    (KEYS[k], v)
-                })
-                .collect();
-            let ev = fiq_telemetry::Event { worker, kind: KEYS[kind], fields };
-            let mut line = String::new();
-            event_line(&mut line, &ev);
-            prop_assert_eq!(&line, &event_tree(&ev));
-            let task = ev.fields.iter().find(|(k, _)| *k == "task").map(|(_, v)| v);
-            let expected = match (ev.kind, task) {
-                ("task", Some(EvVal::U64(t))) => *t < 7,
-                ("task", _) => false,
-                _ => true,
-            };
-            prop_assert_eq!(keep_event_line(&line, 7), expected);
-        }
     }
 }

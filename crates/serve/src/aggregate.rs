@@ -24,10 +24,9 @@
 //! value), its header is checked against the plan's header for that
 //! shard (ignoring only `workers`, the rule resume applies), and it is
 //! folded into the campaign with [`TelemetrySummary::merge`]: counters,
-//! histograms, worker counts and summary totals add, per-worker task
-//! lines form one fleet-wide list, and event lines concatenate in shard
-//! order. The codec writes the result, so the merged file has exactly
-//! the layout a single-process run writes. Deterministic channels (cell
+//! histograms, worker counts and summary totals add, and per-worker task
+//! lines form one fleet-wide list. The codec writes the result, so the
+//! merged file has exactly the layout a single-process run writes. Deterministic channels (cell
 //! counters, the step-valued histograms, summary totals) merge to the
 //! single-process values; order-dependent channels (wall-clock
 //! histograms, steal distribution) are inherently per-run.

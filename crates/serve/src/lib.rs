@@ -37,8 +37,8 @@
 //! killed mid-run and recovered. Telemetry merges as a monoid: every
 //! deterministic channel (cell counters, the step-valued histograms,
 //! summary totals) equals the single-process value; order-dependent
-//! channels (wall-clock histograms, the steal distribution, event
-//! interleaving) are inherently per-run and are reported as such.
+//! channels (wall-clock histograms, the steal distribution) are
+//! inherently per-run and are reported as such.
 
 pub mod aggregate;
 pub mod client;

@@ -11,27 +11,20 @@
 //! * **Two scopes** — `engine` metrics (one instance) and `cell` metrics
 //!   (one instance per experiment cell), both declared up front in a
 //!   [`HubSpec`] so the wire format is self-describing.
-//! * **A bounded structured event stream** — per-worker buffers of
-//!   [`Event`]s flushed to an [`EventSink`] in batches, so event volume
-//!   is O(batch) in memory no matter how large the campaign is.
 //!
-//! The crate is dependency-free (std only) and does not serialize
-//! anything itself: sinks own the encoding.
+//! A merged [`HubSnapshot`] is the only thing a run reports: counters
+//! and histograms add, so shards, runs and campaign shards combine by
+//! one commutative merge. The crate is dependency-free (std only) and
+//! does not serialize anything itself: the campaign engine owns the
+//! encoding.
 
 #![warn(missing_docs)]
 
-mod event;
 mod hist;
 
-pub use event::{EvVal, Event, EventSink};
 pub use hist::{bucket_hi, bucket_lo, bucket_of, HistData, Histogram, HIST_BUCKETS};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Default number of events buffered per worker before a batch is handed
-/// to the sink.
-pub const DEFAULT_EVENT_BATCH: usize = 256;
 
 /// The metric schema: counter and histogram names for both scopes,
 /// fixed for the lifetime of a hub. Indices into these slices are the
@@ -48,8 +41,8 @@ pub struct HubSpec {
     pub cell_hists: &'static [&'static str],
 }
 
-/// One worker's private shard: counters, histograms, and an event
-/// buffer. Only the owning worker writes it; readers sum across shards.
+/// One worker's private shard: counters and histograms. Only the owning
+/// worker writes it; readers sum across shards.
 struct Shard {
     counters: Box<[AtomicU64]>,
     hists: Box<[Histogram]>,
@@ -57,10 +50,6 @@ struct Shard {
     cell_counters: Box<[AtomicU64]>,
     /// Flattened `[cell][metric]` cell histograms.
     cell_hists: Box<[Histogram]>,
-    /// Pending events; drained into the sink when `event_batch` is hit.
-    /// The mutex is uncontended (only the owning worker locks it, except
-    /// for the final drain after the pool has exited).
-    events: Mutex<Vec<Event>>,
 }
 
 impl Shard {
@@ -72,45 +61,27 @@ impl Shard {
             hists: hists(spec.hists.len()),
             cell_counters: atomic(spec.cell_counters.len() * cells),
             cell_hists: hists(spec.cell_hists.len() * cells),
-            events: Mutex::new(Vec::new()),
         }
     }
 }
 
-struct SinkState {
-    sink: Option<Box<dyn EventSink>>,
-    error: Option<String>,
-}
-
-/// The campaign-wide telemetry hub: one shard per worker plus the shared
-/// event sink. Create it sized to the worker pool, hand each worker its
-/// [`WorkerHandle`], then read merged totals during or after the run.
+/// The campaign-wide telemetry hub: one shard per worker. Create it
+/// sized to the worker pool, hand each worker its [`WorkerHandle`], then
+/// read merged totals during or after the run.
 pub struct TelemetryHub {
     spec: &'static HubSpec,
     cells: usize,
     shards: Vec<Shard>,
-    sink: Mutex<SinkState>,
-    has_sink: bool,
-    event_batch: usize,
 }
 
 impl TelemetryHub {
     /// Creates a hub with `workers` shards covering `cells` cells.
-    /// `sink` receives event batches (pass `None` to drop events).
-    pub fn new(
-        spec: &'static HubSpec,
-        workers: usize,
-        cells: usize,
-        sink: Option<Box<dyn EventSink>>,
-    ) -> TelemetryHub {
+    pub fn new(spec: &'static HubSpec, workers: usize, cells: usize) -> TelemetryHub {
         let workers = workers.max(1);
         TelemetryHub {
             spec,
             cells,
             shards: (0..workers).map(|_| Shard::new(spec, cells)).collect(),
-            has_sink: sink.is_some(),
-            sink: Mutex::new(SinkState { sink, error: None }),
-            event_batch: DEFAULT_EVENT_BATCH,
         }
     }
 
@@ -196,40 +167,9 @@ impl TelemetryHub {
         }
         snap
     }
-
-    /// Drains every worker's pending events into the sink. Call after
-    /// the pool exits (and before reading the sink's output).
-    pub fn flush_events(&self) {
-        for w in 0..self.shards.len() {
-            self.drain_worker(w);
-        }
-    }
-
-    /// The first sink error, if any write failed.
-    pub fn take_error(&self) -> Option<String> {
-        lock(&self.sink).error.take()
-    }
-
-    fn drain_worker(&self, w: usize) {
-        let batch = std::mem::take(&mut *lock(&self.shards[w].events));
-        if batch.is_empty() {
-            return;
-        }
-        let mut sink = lock(&self.sink);
-        if let Some(s) = sink.sink.as_mut() {
-            if let Err(e) = s.write_batch(&batch) {
-                sink.error.get_or_insert(e);
-            }
-        }
-    }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A worker's recording handle: cheap to copy, all methods are lock-free
-/// except event emission (which locks only the worker's own buffer).
+/// A worker's recording handle: cheap to copy, every method lock-free.
 #[derive(Clone, Copy)]
 pub struct WorkerHandle<'a> {
     hub: &'a TelemetryHub,
@@ -271,27 +211,6 @@ impl WorkerHandle<'_> {
         let idx = cell * self.hub.spec.cell_hists.len() + hist;
         self.shard().cell_hists[idx].record(v);
     }
-
-    /// Emits one structured event. Events are buffered per worker and
-    /// flushed to the sink once the batch size is reached; without a
-    /// sink this is a no-op.
-    pub fn event(&self, kind: &'static str, fields: Vec<(&'static str, EvVal)>) {
-        if !self.hub.has_sink {
-            return;
-        }
-        let full = {
-            let mut buf = lock(&self.shard().events);
-            buf.push(Event {
-                worker: self.worker,
-                kind,
-                fields,
-            });
-            buf.len() >= self.hub.event_batch
-        };
-        if full {
-            self.hub.drain_worker(self.worker);
-        }
-    }
 }
 
 /// A merged point-in-time view of every shard.
@@ -328,7 +247,7 @@ mod tests {
 
     #[test]
     fn shards_merge_to_exact_totals() {
-        let hub = TelemetryHub::new(&SPEC, 3, 2, None);
+        let hub = TelemetryHub::new(&SPEC, 3, 2);
         for w in 0..3 {
             let h = hub.worker(w);
             h.add(0, 10 + w as u64);
@@ -350,7 +269,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_lossless() {
-        let hub = Arc::new(TelemetryHub::new(&SPEC, 4, 1, None));
+        let hub = Arc::new(TelemetryHub::new(&SPEC, 4, 1));
         std::thread::scope(|s| {
             for w in 0..4 {
                 let hub = Arc::clone(&hub);
@@ -369,46 +288,5 @@ mod tests {
         assert_eq!(hub.counter_total(0), 40_000);
         assert_eq!(hub.cell_counter_total(0, 1), 40_000);
         assert_eq!(hub.merged().cells[0].hists[0].count(), 400);
-    }
-
-    #[test]
-    fn events_flush_in_batches_and_stay_bounded() {
-        let seen: Arc<Mutex<Vec<Event>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink_seen = Arc::clone(&seen);
-        let sink = move |batch: &[Event]| -> Result<(), String> {
-            sink_seen.lock().unwrap().extend_from_slice(batch);
-            Ok(())
-        };
-        let hub = TelemetryHub::new(&SPEC, 1, 1, Some(Box::new(sink)));
-        let h = hub.worker(0);
-        let total = DEFAULT_EVENT_BATCH * 2 + 7;
-        for i in 0..total {
-            h.event("tick", vec![("i", EvVal::U64(i as u64))]);
-            // The buffer never exceeds the batch size.
-            assert!(lock(&hub.shards[0].events).len() <= DEFAULT_EVENT_BATCH);
-        }
-        assert_eq!(seen.lock().unwrap().len(), DEFAULT_EVENT_BATCH * 2);
-        hub.flush_events();
-        assert_eq!(seen.lock().unwrap().len(), total);
-        assert!(hub.take_error().is_none());
-    }
-
-    #[test]
-    fn sink_errors_are_captured_not_propagated() {
-        let sink = |_: &[Event]| -> Result<(), String> { Err("disk full".into()) };
-        let hub = TelemetryHub::new(&SPEC, 1, 1, Some(Box::new(sink)));
-        hub.worker(0).event("tick", Vec::new());
-        hub.flush_events();
-        assert_eq!(hub.take_error().as_deref(), Some("disk full"));
-        assert!(hub.take_error().is_none(), "error is taken once");
-    }
-
-    #[test]
-    fn without_a_sink_events_are_dropped_cheaply() {
-        let hub = TelemetryHub::new(&SPEC, 1, 1, None);
-        for _ in 0..10 * DEFAULT_EVENT_BATCH {
-            hub.worker(0).event("tick", Vec::new());
-        }
-        assert!(lock(&hub.shards[0].events).is_empty());
     }
 }

@@ -114,11 +114,23 @@ impl Fixture {
         telemetry: Option<&Path>,
         resume: bool,
     ) -> CampaignRun {
+        self.try_run(77, threads, records, telemetry, resume)
+            .unwrap()
+    }
+
+    fn try_run(
+        &self,
+        seed: u64,
+        threads: usize,
+        records: &Path,
+        telemetry: Option<&Path>,
+        resume: bool,
+    ) -> Result<CampaignRun, String> {
         run_campaign(
             &self.cells(),
             &CampaignConfig {
                 injections: 16,
-                seed: 77,
+                seed,
                 threads,
                 ..CampaignConfig::default()
             },
@@ -131,7 +143,6 @@ impl Fixture {
                 ..EngineOptions::default()
             },
         )
-        .unwrap()
     }
 }
 
@@ -146,7 +157,6 @@ struct Tel {
     cell_counters: BTreeMap<(u64, String), u64>,
     /// (cell index, metric name) → histogram.
     cell_hists: BTreeMap<(u64, String), HistLine>,
-    events: Vec<Json>,
     summary: Option<Json>,
 }
 
@@ -171,7 +181,6 @@ fn parse_telemetry(path: &Path) -> Tel {
     for line in lines {
         let j = Json::parse(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
         match s(&j, "record") {
-            "event" => tel.events.push(j),
             "counter" => match s(&j, "scope") {
                 "engine" => {
                     tel.engine_counters
@@ -324,22 +333,6 @@ fn telemetry_totals_match_run_and_step_attribution_balances() {
         run.fast_forwarded_tasks
     );
     assert_eq!(u(summary, "early_exited") as usize, run.early_exited_tasks);
-
-    // One "task" event per executed injection, each with the fields the
-    // report joiner relies on.
-    let tasks: Vec<_> = tel
-        .events
-        .iter()
-        .filter(|e| s(e, "kind") == "task")
-        .collect();
-    assert_eq!(tasks.len(), run.total_tasks - run.resumed_tasks);
-    for ev in &tasks {
-        let f = ev.get("fields").expect("task event has fields");
-        for key in ["task", "cell", "steps", "latency_us"] {
-            u(f, key);
-        }
-        s(f, "outcome");
-    }
 
     std::fs::remove_file(&rec).unwrap();
     std::fs::remove_file(&tel_path).unwrap();
@@ -560,6 +553,137 @@ fn report_joins_fully_resumed_telemetry() {
     assert!(!json.contains("NaN") && !json.contains("null"), "{json}");
 
     for p in [&rec, &tel_first, &tel_second] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// Resume checks the telemetry file's header like the record file's: a
+/// telemetry stream from another campaign (here another seed) is
+/// refused by name and left as it was, even when the record file
+/// matches.
+#[test]
+fn resume_refuses_a_telemetry_file_from_another_campaign() {
+    let fx = Fixture::new();
+    let rec = temp_path("foreign-tel.jsonl");
+    let other_rec = temp_path("foreign-tel-other.jsonl");
+    let other_tel = temp_path("foreign-tel-other-tel.jsonl");
+    fx.run(2, &rec, None, false);
+    fx.try_run(78, 2, &other_rec, Some(&other_tel), false)
+        .unwrap();
+    let foreign = std::fs::read(&other_tel).unwrap();
+
+    let err = fx.try_run(77, 2, &rec, Some(&other_tel), true).unwrap_err();
+    assert!(
+        err.contains("different campaign") && err.contains(&other_tel.display().to_string()),
+        "expected a campaign mismatch naming the telemetry file, got: {err}"
+    );
+    assert_eq!(
+        std::fs::read(&other_tel).unwrap(),
+        foreign,
+        "a refused telemetry file must be left unchanged"
+    );
+    for p in [&rec, &other_rec, &other_tel] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// A resume over a prior attempt's telemetry starts the stream afresh:
+/// it joins into a report, its summary counts the kept record prefix as
+/// resumed, and the cell task counters cover only the re-executed rest.
+#[test]
+fn resumed_telemetry_counts_only_the_executed_tasks() {
+    let fx = Fixture::new();
+    let rec = temp_path("partial-resume.jsonl");
+    let tel = temp_path("partial-resume-tel.jsonl");
+    fx.run(2, &rec, Some(&tel), false);
+    let baseline = CampaignReport::build(&rec, Some(&tel), None).unwrap();
+
+    // A kill after 10 of 32 tasks reached the record file.
+    const KEPT: usize = 10;
+    let full = std::fs::read_to_string(&rec).unwrap();
+    let prefix: String = full
+        .lines()
+        .take(1 + KEPT)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&rec, prefix).unwrap();
+
+    let run = fx.run(2, &rec, Some(&tel), true);
+    assert_eq!(run.resumed_tasks, KEPT);
+    assert_eq!(std::fs::read_to_string(&rec).unwrap(), full);
+
+    let report = CampaignReport::build(&rec, Some(&tel), None).unwrap();
+    let engine = report.engine.as_ref().expect("telemetry merged");
+    assert_eq!(engine.totals.resumed, KEPT as u64);
+    assert_eq!(engine.totals.done, run.total_tasks as u64);
+    let executed: u64 = report.cells.iter().map(|c| c.counter("tasks")).sum();
+    assert_eq!(executed, engine.totals.done - engine.totals.resumed);
+    for (a, b) in report.cells.iter().zip(&baseline.cells) {
+        assert_eq!(a.counts, b.counts, "outcome tables come from the records");
+    }
+    for p in [&rec, &tel] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// An unwritable telemetry path fails the run before any task executes:
+/// the error names the path and the record file holds only its header.
+#[test]
+fn unwritable_telemetry_path_fails_before_any_task() {
+    let fx = Fixture::new();
+    let rec = temp_path("no-tel-dir.jsonl");
+    let tel = temp_path("missing-dir").join("tel.jsonl");
+    let err = fx.try_run(77, 2, &rec, Some(&tel), false).unwrap_err();
+    assert!(
+        err.contains(&tel.display().to_string()),
+        "the error must name the telemetry path, got: {err}"
+    );
+    let records = std::fs::read_to_string(&rec).unwrap();
+    assert_eq!(records.lines().count(), 1, "{records}");
+    assert!(records.starts_with(r#"{"record":"campaign""#), "{records}");
+    std::fs::remove_file(&rec).unwrap();
+}
+
+/// The telemetry header reaches the disk before the first task ends, so
+/// a run killed mid-flight leaves a stream whose header `--resume` can
+/// check, not an empty file it must refuse.
+#[test]
+fn telemetry_header_is_on_disk_while_tasks_run() {
+    let fx = Fixture::new();
+    let rec = temp_path("header-first.jsonl");
+    let tel = temp_path("header-first-tel.jsonl");
+    let first: Mutex<Option<String>> = Mutex::new(None);
+    let progress = |_: Progress| {
+        first
+            .lock()
+            .unwrap()
+            .get_or_insert_with(|| std::fs::read_to_string(&tel).unwrap());
+    };
+    run_campaign(
+        &fx.cells(),
+        &CampaignConfig {
+            injections: 16,
+            seed: 77,
+            threads: 1,
+            ..CampaignConfig::default()
+        },
+        &EngineOptions {
+            records: Some(&rec),
+            telemetry: Some(&tel),
+            progress: Some(&progress),
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    let first = first.into_inner().unwrap().expect("progress fired");
+    let header = std::fs::read_to_string(&tel).unwrap();
+    let header = header.lines().next().unwrap();
+    assert_eq!(
+        first,
+        format!("{header}\n"),
+        "only the header, and all of it"
+    );
+    for p in [&rec, &tel] {
         std::fs::remove_file(p).unwrap();
     }
 }
