@@ -73,9 +73,11 @@
 //! daemon never reads client paths — split into `--shards` contiguous
 //! shards whose merged record/divergence streams are byte-identical to
 //! a single-process run at any shard count. `status` prints the fleet
-//! summary or, with `--campaign ID`, one campaign's per-shard detail
-//! (state, attempts, task range). `report --follow --campaign ID`
-//! polls until the campaign completes, narrating shard completion on
+//! summary, ending with how many programs the daemon prepared and how
+//! many submissions reused a live campaign's preparation, or, with
+//! `--campaign ID`, one campaign's per-shard detail (state, attempts,
+//! task range). `report --follow --campaign ID` polls until the
+//! campaign completes, narrating shard completion on
 //! stderr, then prints the merged report JSON. A killed shard worker is
 //! retried from its spooled prefix (crash-only recovery, at most 5
 //! attempts per shard).
@@ -1024,6 +1026,18 @@ fn cmd_status(args: &Args) -> Result<(), String> {
             {
                 print_campaign_row(c);
             }
+            let prep = |k: &str| {
+                status
+                    .get("preparations")
+                    .and_then(|p| p.get(k))
+                    .and_then(Json::as_u64)
+                    .unwrap_or(0)
+            };
+            println!(
+                "preparations: {} built, {} reused",
+                prep("built"),
+                prep("reused")
+            );
             Ok(())
         }
     }

@@ -322,7 +322,62 @@ fn daemon_refuses_an_oversized_exact_plan_and_keeps_serving() {
     );
     let (ok, out, err) = fiq(&["status", "--addr", &addr]);
     assert!(ok, "{err}");
-    assert!(!out.is_empty());
+    assert!(out.contains("preparations: 1 built, 0 reused"), "{out}");
+    // The refused campaign held the only reference to its artifacts, so
+    // the same submission builds them again instead of reusing them.
+    let (ok, _, err) = fiq(&args);
+    assert!(!ok && err.contains("exact collapse needs"), "{err}");
+    let (ok, out, err) = fiq(&["status", "--addr", &addr]);
+    assert!(ok, "{err}");
+    assert!(out.contains("preparations: 2 built, 0 reused"), "{out}");
+    fiq_serve::client::shutdown(&addr).unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A program whose golden run traps cannot be injected into: `fiq
+/// campaign` exits 1 (not by a signal) and the daemon answers 400 with
+/// the IR run's error, builds nothing, and keeps serving.
+#[test]
+fn a_trapping_golden_run_is_refused() {
+    let dir = std::env::temp_dir().join(format!("fiq-cli-trap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prog = dir.join("trap.mc");
+    std::fs::write(
+        &prog,
+        "int vals[4]; int main() { int i = 0; while (1) { vals[i * 100000] = i; i += 1; } return 0; }",
+    )
+    .unwrap();
+    let prog = prog.to_str().unwrap();
+    let error = "golden IR run did not finish";
+    for extra in [None, Some("--fast-forward")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fiq"))
+            .args(["campaign", prog, "--injections", "4"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(out.stdout.is_empty());
+        assert!(err.contains(error), "{err}");
+    }
+
+    let daemon = fiq_serve::Daemon::start(&fiq_serve::ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        data_dir: dir.join("data"),
+        executors: 1,
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let (ok, _, err) = fiq(&["submit", prog, "--addr", &addr, "--divergence"]);
+    assert!(!ok);
+    assert!(
+        err.contains("daemon returned 400") && err.contains(error),
+        "{err}"
+    );
+    let (ok, out, err) = fiq(&["status", "--addr", &addr]);
+    assert!(ok, "{err}");
+    assert!(out.contains("preparations: 0 built, 0 reused"), "{out}");
     fiq_serve::client::shutdown(&addr).unwrap();
     daemon.join();
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,7 +9,7 @@
 
 use crate::aggregate;
 use crate::http::{read_request, respond, Request};
-use crate::prepare::{prepare, Submission};
+use crate::prepare::{Preparations, Submission};
 use crate::scheduler::{CampaignStatus, Job, Scheduler};
 use fiq_core::json::Json;
 use fiq_core::{plan_campaign, CampaignReport, EngineOptions};
@@ -41,6 +41,8 @@ impl Default for ServeOptions {
 
 struct ServeState {
     sched: Scheduler,
+    /// Artifact sets shared by live campaigns over the same program.
+    preparations: Preparations,
     data_dir: PathBuf,
     shutdown: AtomicBool,
 }
@@ -65,6 +67,7 @@ impl Daemon {
             .map_err(|e| format!("local addr: {e}"))?;
         let state = Arc::new(ServeState {
             sched: Scheduler::new(),
+            preparations: Preparations::default(),
             data_dir: opts.data_dir.clone(),
             shutdown: AtomicBool::new(false),
         });
@@ -133,7 +136,7 @@ fn error_json(msg: &str) -> Json {
 fn route(req: &Request, state: &ServeState) -> (u16, Json) {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/api/submit") => api_submit(req, state),
-        ("GET", "/api/status") => (200, state.sched.status_json()),
+        ("GET", "/api/status") => (200, status_json(state)),
         ("POST", "/api/kill") => api_kill(req, state),
         ("POST", "/api/shutdown") => {
             state.shutdown.store(true, Ordering::Relaxed);
@@ -158,7 +161,7 @@ fn api_submit(req: &Request, state: &ServeState) -> (u16, Json) {
         return (400, error_json("submit requires a JSON body"));
     };
     let result = Submission::from_json(body)
-        .and_then(|sub| prepare(&sub))
+        .and_then(|sub| state.preparations.prepare(&sub))
         .and_then(|prepared| {
             let cells = prepared.cells();
             let plan = plan_campaign(&cells, &prepared.cfg, prepared.collapse)?;
@@ -181,6 +184,14 @@ fn api_submit(req: &Request, state: &ServeState) -> (u16, Json) {
         ),
         Err(e) => (400, error_json(&e)),
     }
+}
+
+/// `GET /api/status`: the campaign list plus the preparation counters.
+fn status_json(state: &ServeState) -> Json {
+    Json::Obj(vec![
+        ("campaigns".into(), state.sched.campaigns_json()),
+        ("preparations".into(), state.preparations.to_json()),
+    ])
 }
 
 fn api_kill(req: &Request, state: &ServeState) -> (u16, Json) {

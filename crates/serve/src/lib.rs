@@ -8,9 +8,10 @@
 //! on top of that guarantee:
 //!
 //! * [`prepare`] — turns a JSON [`prepare::Submission`] (inline Mini-C
-//!   source or bundled workload, category, budget knobs) into owned
+//!   source or bundled workload, category, budget knobs) into
 //!   compile/profile/snapshot artifacts a daemon can keep alive across
-//!   shard runs.
+//!   shard runs. The daemon's [`Preparations`] cache shares one artifact
+//!   set among the live campaigns over the same program.
 //! * [`scheduler`] — the priority campaign queue and per-shard state
 //!   machine. Shards are queued highest-priority-first (FIFO within a
 //!   priority), executors claim them as they free up, and a failed or
@@ -48,5 +49,5 @@ pub mod prepare;
 pub mod scheduler;
 
 pub use daemon::{serve, Daemon, ServeOptions};
-pub use prepare::{parse_category, prepare, Knobs, Prepared, Submission};
+pub use prepare::{parse_category, prepare, Knobs, Preparations, Prepared, Submission};
 pub use scheduler::{CampaignStatus, Scheduler, ShardStatus, MAX_ATTEMPTS};

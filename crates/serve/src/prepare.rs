@@ -4,12 +4,17 @@
 //! daemon alike: inline Mini-C source (or a bundled workload name the
 //! client resolved), the injection category, and the budget/mode knobs,
 //! built from JSON or from flags by [`Submission::build`]. [`prepare`]
-//! turns it into a [`Prepared`] — *owned* compile/profile/snapshot
-//! artifacts the daemon keeps alive for the campaign's whole lifetime,
-//! handing borrowed [`CellSpec`] views to each shard run. Preparation
-//! happens once per campaign, not once per shard: the plan drawn from
-//! these artifacts is what makes every shard's records byte-compatible.
+//! turns it into a [`Prepared`]: the per-submission knobs over an
+//! `Arc`-shared set of compile/profile/snapshot artifacts that the daemon
+//! keeps alive for the campaign's whole lifetime, handing borrowed
+//! [`CellSpec`] views to each shard run. Preparation happens once per
+//! campaign, not once per shard: the plan drawn from these artifacts is
+//! what makes every shard's records byte-compatible. The artifacts depend
+//! only on the program and on whether checkpoints are captured, so the
+//! daemon's [`Preparations`] cache lets every live campaign over the same
+//! program share one set.
 
+use crate::scheduler::lock;
 use fiq_asm::{AsmProgram, MachOptions};
 use fiq_core::json::Json;
 use fiq_core::{
@@ -19,7 +24,8 @@ use fiq_core::{
 };
 use fiq_interp::InterpOptions;
 use fiq_ir::Module;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, Weak};
 
 /// Most shards one submission may ask for. The plan allocates one shard
 /// spec per shard on the accept thread, so the count is bounded before
@@ -206,8 +212,10 @@ fn typed<'a, T>(
     }
 }
 
-/// Owned campaign artifacts: everything a shard run borrows, kept alive
-/// by the daemon for the campaign's lifetime.
+/// One campaign: the per-submission knobs over an `Arc`-shared set of
+/// artifacts the source determines (module, program, golden profiles,
+/// snapshot caches). The daemon keeps it alive for the campaign's
+/// lifetime and hands borrowed [`CellSpec`] views to each shard run.
 pub struct Prepared {
     /// Cell label and display name.
     pub name: String,
@@ -228,6 +236,14 @@ pub struct Prepared {
     pub shards: usize,
     /// Queue priority carried over from the submission.
     pub priority: u64,
+    artifacts: Arc<Artifacts>,
+}
+
+/// What [`ArtifactKey`] determines: the compiled module and program,
+/// both golden profiles and, when asked for, both snapshot caches. Every
+/// campaign over the same key can share one set, whatever its category,
+/// seed or budget.
+struct Artifacts {
     module: Module,
     prog: AsmProgram,
     llfi_profile: LlfiProfile,
@@ -236,84 +252,107 @@ pub struct Prepared {
     pinfi_snaps: Option<Arc<SnapshotCache>>,
 }
 
+/// Everything the artifact build reads from a submission: the module
+/// name, the source, and whether checkpoints are captured.
+#[derive(PartialEq, Eq, Hash)]
+struct ArtifactKey {
+    name: String,
+    source: String,
+    snapshots: bool,
+}
+
+impl ArtifactKey {
+    fn of(sub: &Submission) -> ArtifactKey {
+        ArtifactKey {
+            name: sub.name.clone(),
+            source: sub.source.clone(),
+            snapshots: sub.fast_forward || sub.divergence,
+        }
+    }
+}
+
 impl Prepared {
+    fn new(sub: &Submission, artifacts: Arc<Artifacts>) -> Prepared {
+        Prepared {
+            name: sub.name.clone(),
+            category: sub.category,
+            cfg: CampaignConfig {
+                injections: sub.injections,
+                seed: sub.seed,
+                threads: sub.threads,
+                ..CampaignConfig::default()
+            },
+            collapse: sub.collapse,
+            divergence: sub.divergence,
+            fast_forward: sub.fast_forward,
+            early_exit: artifacts.llfi_snaps.is_some(),
+            shards: sub.shards,
+            priority: sub.priority,
+            artifacts,
+        }
+    }
+
     /// The two-cell (LLFI × PINFI) grid every shard runs, borrowing
-    /// this campaign's owned artifacts. Must be identical for planning
-    /// and for every shard run — it is, because it is derived from the
-    /// same owned state every time.
+    /// this campaign's artifacts. Must be identical for planning and for
+    /// every shard run — it is, because it is derived from the same
+    /// state every time.
     pub fn cells(&self) -> Vec<CellSpec<'_>> {
+        let a = &*self.artifacts;
         vec![
             CellSpec {
                 label: self.name.clone(),
                 category: self.category,
                 substrate: Substrate::Llfi {
-                    module: &self.module,
-                    profile: &self.llfi_profile,
+                    module: &a.module,
+                    profile: &a.llfi_profile,
                 },
-                snapshots: self.llfi_snaps.clone(),
+                snapshots: a.llfi_snaps.clone(),
             },
             CellSpec {
                 label: self.name.clone(),
                 category: self.category,
                 substrate: Substrate::Pinfi {
-                    prog: &self.prog,
-                    profile: &self.pinfi_profile,
+                    prog: &a.prog,
+                    profile: &a.pinfi_profile,
                 },
-                snapshots: self.pinfi_snaps.clone(),
+                snapshots: a.pinfi_snaps.clone(),
             },
         ]
     }
 }
 
 /// Compiles, lowers, profiles, and (when divergence or fast-forward ask
-/// for checkpoints) snapshots a submission: the once-per-campaign
-/// expensive half that both `fiq campaign` and the daemon run before the
-/// engine.
+/// for checkpoints) snapshots a submission: the expensive half that both
+/// `fiq campaign` and the daemon run before the engine. Always builds
+/// afresh; the daemon goes through [`Preparations::prepare`], which
+/// shares the result with later submissions of the same program.
+///
+/// Compilation, optimization and lowering run in order on the caller's
+/// thread. Then the LLFI chain (its golden runs) stays on the caller's
+/// thread while the PINFI chain runs beside it on a scoped thread. When
+/// both chains fail, the LLFI chain's error is the one returned.
 pub fn prepare(sub: &Submission) -> Result<Prepared, String> {
-    let mut module = fiq_frontend::compile(&sub.name, &sub.source).map_err(|e| e.to_string())?;
+    Ok(Prepared::new(sub, Arc::new(build(&ArtifactKey::of(sub))?)))
+}
+
+/// Builds the artifact set from `key` alone, so the key is everything the
+/// build reads and two equal keys build equal sets.
+fn build(key: &ArtifactKey) -> Result<Artifacts, String> {
+    let mut module = fiq_frontend::compile(&key.name, &key.source).map_err(|e| e.to_string())?;
     fiq_opt::optimize_module(&mut module);
     let prog = fiq_backend::lower_module(&module, fiq_backend::LowerOptions::default())
         .map_err(|e| e.to_string())?;
-    let (lopts, mopts) = (InterpOptions::default(), MachOptions::default());
-    let want_snapshots = sub.fast_forward || sub.divergence;
-    let (llfi_profile, pinfi_profile, llfi_snaps, pinfi_snaps) = if want_snapshots {
-        // Auto interval: 64 evenly spaced checkpoints across the golden
-        // run. A hook-free run learns its length; the snapshot run is
-        // the profile.
-        let interval = |steps: u64| (steps / 64).max(1);
-        let l_run = fiq_interp::run_module(&module, lopts).map_err(|e| e.to_string())?;
-        let p_run = fiq_asm::run_program(&prog, mopts).map_err(|e| e.to_string())?;
-        let (lp, ls) = profile_llfi_with_snapshots(&module, lopts, interval(l_run.steps))?;
-        let (pp, ps) = profile_pinfi_with_snapshots(&prog, mopts, interval(p_run.steps))?;
-        (
-            lp,
-            pp,
-            Some(Arc::new(SnapshotCache::Llfi(ls))),
-            Some(Arc::new(SnapshotCache::Pinfi(ps))),
-        )
-    } else {
-        (
-            profile_llfi(&module, lopts)?,
-            profile_pinfi(&prog, mopts)?,
-            None,
-            None,
-        )
-    };
-    Ok(Prepared {
-        name: sub.name.clone(),
-        category: sub.category,
-        cfg: CampaignConfig {
-            injections: sub.injections,
-            seed: sub.seed,
-            threads: sub.threads,
-            ..CampaignConfig::default()
-        },
-        collapse: sub.collapse,
-        divergence: sub.divergence,
-        fast_forward: sub.fast_forward,
-        early_exit: want_snapshots,
-        shards: sub.shards,
-        priority: sub.priority,
+    let (llfi, pinfi) = std::thread::scope(|s| {
+        let pinfi = s.spawn(|| pinfi_chain(&prog, key.snapshots));
+        let llfi = llfi_chain(&module, key.snapshots);
+        let pinfi = pinfi
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (llfi, pinfi)
+    });
+    let (llfi_profile, llfi_snaps) = llfi?;
+    let (pinfi_profile, pinfi_snaps) = pinfi?;
+    Ok(Artifacts {
         module,
         prog,
         llfi_profile,
@@ -321,4 +360,162 @@ pub fn prepare(sub: &Submission) -> Result<Prepared, String> {
         llfi_snaps,
         pinfi_snaps,
     })
+}
+
+/// Auto checkpoint interval: 64 evenly spaced checkpoints across a
+/// golden run of `steps` steps.
+fn interval(steps: u64) -> u64 {
+    (steps / 64).max(1)
+}
+
+/// The LLFI golden profile and, with `snapshots`, its checkpoints: a
+/// hook-free run learns the golden length, and the snapshot run is the
+/// profile.
+fn llfi_chain(
+    module: &Module,
+    snapshots: bool,
+) -> Result<(LlfiProfile, Option<Arc<SnapshotCache>>), String> {
+    let opts = InterpOptions::default();
+    if !snapshots {
+        return Ok((profile_llfi(module, opts)?, None));
+    }
+    let steps = fiq_interp::run_module(module, opts)
+        .map_err(|e| e.to_string())?
+        .steps;
+    let (profile, snaps) = profile_llfi_with_snapshots(module, opts, interval(steps))?;
+    Ok((profile, Some(Arc::new(SnapshotCache::Llfi(snaps)))))
+}
+
+/// [`llfi_chain`] for the PINFI substrate.
+fn pinfi_chain(
+    prog: &AsmProgram,
+    snapshots: bool,
+) -> Result<(PinfiProfile, Option<Arc<SnapshotCache>>), String> {
+    let opts = MachOptions::default();
+    if !snapshots {
+        return Ok((profile_pinfi(prog, opts)?, None));
+    }
+    let steps = fiq_asm::run_program(prog, opts)
+        .map_err(|e| e.to_string())?
+        .steps;
+    let (profile, snaps) = profile_pinfi_with_snapshots(prog, opts, interval(steps))?;
+    Ok((profile, Some(Arc::new(SnapshotCache::Pinfi(snaps)))))
+}
+
+/// The daemon's artifact cache: a map from everything the build reads
+/// (name, source, whether checkpoints are captured) to the artifact set
+/// some live campaign already holds. A submission whose key is still
+/// alive reuses that set. The cache holds only [`Weak`] references, so a
+/// set lives exactly as long as the campaigns holding it and the cache
+/// adds no memory. Dead entries are pruned on insert.
+#[derive(Default)]
+pub struct Preparations {
+    inner: Mutex<Cache>,
+}
+
+#[derive(Default)]
+struct Cache {
+    live: HashMap<ArtifactKey, Weak<Artifacts>>,
+    built: u64,
+    reused: u64,
+}
+
+impl Preparations {
+    /// [`prepare`], reusing the artifacts of a live campaign over the
+    /// same program. The build runs outside the lock, so two concurrent
+    /// misses on one key may both build; the later insert wins.
+    pub fn prepare(&self, sub: &Submission) -> Result<Prepared, String> {
+        let key = ArtifactKey::of(sub);
+        let mut cache = lock(&self.inner);
+        if let Some(artifacts) = cache.live.get(&key).and_then(Weak::upgrade) {
+            cache.reused += 1;
+            return Ok(Prepared::new(sub, artifacts));
+        }
+        drop(cache);
+        let artifacts = Arc::new(build(&key)?);
+        let mut cache = lock(&self.inner);
+        cache.live.retain(|_, set| set.strong_count() > 0);
+        cache.live.insert(key, Arc::downgrade(&artifacts));
+        cache.built += 1;
+        Ok(Prepared::new(sub, artifacts))
+    }
+
+    /// Artifact sets built and reused so far, for `GET /api/status`:
+    /// `{"built": B, "reused": R}`.
+    pub fn to_json(&self) -> Json {
+        let cache = lock(&self.inner);
+        Json::Obj(vec![
+            ("built".into(), Json::u64(cache.built)),
+            ("reused".into(), Json::u64(cache.reused)),
+        ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SOURCE: &str =
+        "int main() { int s = 0; for (int i = 0; i < 9; i += 1) s += i; print_i64(s); return 0; }";
+
+    fn sub(seed: u64) -> Submission {
+        Submission {
+            name: "sum".into(),
+            source: SOURCE.into(),
+            category: Category::All,
+            injections: 3,
+            seed,
+            threads: 1,
+            shards: 1,
+            priority: 0,
+            collapse: Collapse::Sampled,
+            divergence: false,
+            fast_forward: true,
+        }
+    }
+
+    fn counts(cache: &Preparations) -> (u64, u64) {
+        let c = lock(&cache.inner);
+        (c.built, c.reused)
+    }
+
+    fn live(cache: &Preparations) -> usize {
+        let c = lock(&cache.inner);
+        c.live.values().filter(|set| set.strong_count() > 0).count()
+    }
+
+    #[test]
+    fn dropped_preparations_are_rebuilt_and_the_cache_keeps_nothing_alive() {
+        let cache = Preparations::default();
+        let first = cache.prepare(&sub(1)).unwrap();
+        let second = cache.prepare(&sub(2)).unwrap();
+        assert!(Arc::ptr_eq(&first.artifacts, &second.artifacts));
+        assert_eq!((second.cfg.seed, second.early_exit), (2, true));
+        assert_eq!(counts(&cache), (1, 1));
+        assert_eq!(Arc::strong_count(&first.artifacts), 2);
+
+        let set = Arc::downgrade(&first.artifacts);
+        drop((first, second));
+        assert_eq!(set.strong_count(), 0, "the cache holds a strong reference");
+        assert_eq!(live(&cache), 0);
+
+        let third = cache.prepare(&sub(3)).unwrap();
+        assert_eq!(counts(&cache), (2, 1));
+        assert_eq!(live(&cache), 1);
+        assert_eq!(lock(&cache.inner).live.len(), 1, "dead entries are pruned");
+        drop(third);
+    }
+
+    #[test]
+    fn a_failed_build_leaves_no_entry() {
+        let cache = Preparations::default();
+        let mut broken = sub(1);
+        broken.source = "int main() { return }".into();
+        assert!(cache.prepare(&broken).is_err());
+        broken.source = "int main() { int z = 0; print_i64(7 / z); return 0; }".into();
+        let err = cache.prepare(&broken).err().unwrap();
+        assert!(err.contains("golden IR run did not finish"), "{err}");
+        assert_eq!(counts(&cache), (0, 0));
+        assert!(lock(&cache.inner).live.is_empty());
+    }
 }

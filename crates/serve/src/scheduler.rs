@@ -122,7 +122,8 @@ pub struct Scheduler {
     ready: Condvar,
 }
 
-fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
+/// Locks `m`, taking the guard of a poisoned lock too.
+pub(crate) fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -336,15 +337,17 @@ impl Scheduler {
             .map(|c| (c.dir.clone(), c.status, c.prepared.divergence))
     }
 
-    /// `GET /api/status`: one summary object per campaign.
-    pub fn status_json(&self) -> Json {
+    /// The `campaigns` list of `GET /api/status`: one summary object per
+    /// campaign.
+    pub fn campaigns_json(&self) -> Json {
         let inner = lock(&self.inner);
-        let campaigns = inner
-            .campaigns
-            .iter()
-            .map(|(id, c)| summary_json(*id, c))
-            .collect();
-        Json::Obj(vec![("campaigns".into(), Json::Arr(campaigns))])
+        Json::Arr(
+            inner
+                .campaigns
+                .iter()
+                .map(|(id, c)| summary_json(*id, c))
+                .collect(),
+        )
     }
 
     /// `GET /api/campaign/<id>`: the summary plus per-shard detail.

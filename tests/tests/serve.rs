@@ -655,6 +655,128 @@ fn daemon_end_to_end_with_mid_run_kill() {
     daemon.join();
 }
 
+/// The daemon builds one artifact set per program and reuses it for
+/// every later submission of the same name, source and checkpoint mode
+/// while a campaign holds it: other seeds and categories reuse it, and
+/// another checkpoint mode or another source under the same name builds
+/// anew. Each campaign still merges to the bytes of an in-process run
+/// over a fresh `prepare` of its own submission.
+#[test]
+fn repeated_programs_share_one_preparation() {
+    let data_dir = temp_dir("reuse");
+    let daemon = Daemon::start(&ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        data_dir: data_dir.clone(),
+        executors: 2,
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let base = Submission {
+        shards: 2,
+        ..submission()
+    };
+    let subs = [
+        (
+            Submission {
+                seed: 1,
+                ..base.clone()
+            },
+            (1, 0),
+        ),
+        (
+            Submission {
+                seed: 2,
+                ..base.clone()
+            },
+            (1, 1),
+        ),
+        (
+            Submission {
+                category: fiq_core::Category::Cmp,
+                ..base.clone()
+            },
+            (1, 2),
+        ),
+        (
+            Submission {
+                divergence: false,
+                fast_forward: false,
+                ..base.clone()
+            },
+            (2, 2),
+        ),
+        (
+            Submission {
+                source: KERNEL.replace("3 + r", "5 + r"),
+                ..base.clone()
+            },
+            (3, 2),
+        ),
+    ];
+    let mut ids = Vec::new();
+    for (i, (sub, (built, reused))) in subs.iter().enumerate() {
+        ids.push(
+            client::submit(&addr, sub)
+                .unwrap()
+                .get("id")
+                .and_then(Json::as_u64)
+                .unwrap(),
+        );
+        let status = client::status(&addr).unwrap();
+        let prep = |k: &str| {
+            status
+                .get("preparations")
+                .and_then(|p| p.get(k))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(
+            (prep("built"), prep("reused")),
+            (Some(*built), Some(*reused)),
+            "after submission {i}: {status}"
+        );
+    }
+
+    for ((sub, _), id) in subs.iter().zip(ids) {
+        let detail = client::wait_settled(
+            &addr,
+            id,
+            Duration::from_millis(10),
+            Duration::from_secs(300),
+        )
+        .unwrap();
+        assert_eq!(
+            detail.get("status").and_then(Json::as_str),
+            Some("done"),
+            "{detail}"
+        );
+        let prepared = prepare(sub).unwrap();
+        let dir = data_dir.join(format!("ref{id}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let reference = Streams::reference(&dir);
+        let opts = EngineOptions {
+            divergence: sub.divergence.then_some(reference.divergence.as_path()),
+            ..reference.opts(&prepared, false)
+        };
+        run_campaign(&prepared.cells(), &prepared.cfg, &opts).unwrap();
+        let cdir = data_dir.join(format!("c{id}"));
+        assert_eq!(
+            read(&aggregate::merged_path(&cdir, "records")),
+            read(&reference.records),
+            "campaign {id}: records"
+        );
+        if sub.divergence {
+            assert_eq!(
+                read(&aggregate::merged_path(&cdir, "divergence")),
+                read(&reference.divergence),
+                "campaign {id}: divergence"
+            );
+        }
+    }
+
+    client::shutdown(&addr).unwrap();
+    daemon.join();
+}
+
 /// With checkpoints on, `prepare` keeps the profile its snapshot run
 /// records instead of profiling the golden run a second time. That
 /// profile must equal a plain profiling run exactly: `golden_steps` fixes
