@@ -20,7 +20,7 @@ use fiq_interp::InterpOptions;
 use fiq_workloads::by_name;
 
 fn main() {
-    let cfg = ExperimentConfig::from_args();
+    let cfg = ExperimentConfig::from_env();
     let camp = cfg.campaign();
 
     println!(
@@ -86,7 +86,7 @@ fn main() {
         ("hmmer", Category::Cmp, "flags"),
     ] {
         let w = by_name(bench).expect("workload exists");
-        let c = w.compile_with(cfg.lower).expect("compiles");
+        let c = w.compile().expect("compiles");
         let pp = profile_pinfi(&c.program, MachOptions::default()).expect("profiles");
         let on = pinfi_campaign(&c.program, &pp, cat, &camp).unwrap();
         let off_opts = if toggle == "xmm" {

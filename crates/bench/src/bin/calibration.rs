@@ -8,14 +8,14 @@
 //!   exclusion, §VII-3 counterpart-less-load exclusion),
 //! * PINFI (the ground truth the paper calibrates against).
 
-use fiq_backend::lowering_info;
-use fiq_bench::{prepare_all, ExperimentConfig};
+use fiq_backend::{lowering_info, LowerOptions};
+use fiq_bench::{levels, prepare, ExperimentConfig};
 use fiq_core::{llfi_campaign, llfi_campaign_calibrated, pinfi_campaign, Calibration, Category};
+use fiq_workloads::CATALOG;
 
-fn main() {
-    let cfg = ExperimentConfig::from_args();
+fn main() -> Result<(), String> {
+    let cfg = ExperimentConfig::from_env();
     let camp = cfg.campaign();
-    let prepared = prepare_all(cfg.lower);
 
     println!(
         "CALIBRATION (paper §VII heuristics; {} injections/cell, seed {})",
@@ -33,20 +33,15 @@ fn main() {
     let mut base_gap_sum = 0.0;
     let mut cal_gap_sum = 0.0;
     let mut cells = 0;
-    for p in &prepared {
-        let info = lowering_info(&p.compiled.module, cfg.lower);
+    for w in &CATALOG {
+        let prepared = prepare(w, &cfg)?;
+        let pair = prepared.cells();
+        let (module, lp, prog, pp) = levels(&pair);
+        let info = lowering_info(module, LowerOptions::default());
         for cat in [Category::Arithmetic, Category::Cast, Category::Load] {
-            let base = llfi_campaign(&p.compiled.module, &p.llfi, cat, &camp).unwrap();
-            let cal = llfi_campaign_calibrated(
-                &p.compiled.module,
-                &p.llfi,
-                cat,
-                &info,
-                Calibration::full(),
-                &camp,
-            )
-            .unwrap();
-            let pin = pinfi_campaign(&p.compiled.program, &p.pinfi, cat, &camp).unwrap();
+            let base = llfi_campaign(module, lp, cat, &camp)?;
+            let cal = llfi_campaign_calibrated(module, lp, cat, &info, Calibration::full(), &camp)?;
+            let pin = pinfi_campaign(prog, pp, cat, &camp)?;
             if pin.counts.activated() == 0 || base.counts.activated() == 0 {
                 continue;
             }
@@ -62,7 +57,7 @@ fn main() {
             cells += 1;
             println!(
                 "{:<12} {:<11} | {:>9.1}% {:>11.1}% {:>9.1}% | {:>8.1}  {:>8.1}",
-                p.workload.name,
+                w.name,
                 cat.name(),
                 b,
                 c,
@@ -83,4 +78,5 @@ fn main() {
     println!();
     println!("The paper predicts the calibrated selection should narrow the crash");
     println!("gap in the gep/cast/load-driven categories (§VII, items 1–3).");
+    Ok(())
 }

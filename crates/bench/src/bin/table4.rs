@@ -3,12 +3,16 @@
 //!
 //! No injections are needed — this is a profiling-only experiment.
 
-use fiq_bench::{prepare_all, ExperimentConfig};
+use fiq_bench::{levels, prepare, ExperimentConfig};
 use fiq_core::Category;
+use fiq_workloads::CATALOG;
 
-fn main() {
-    let cfg = ExperimentConfig::from_args();
-    let prepared = prepare_all(cfg.lower);
+fn main() -> Result<(), String> {
+    let cfg = ExperimentConfig::from_env();
+    let prepared = CATALOG
+        .iter()
+        .map(|w| prepare(w, &cfg))
+        .collect::<Result<Vec<_>, _>>()?;
 
     println!("TABLE IV: Runtime instructions of the benchmark programs for LLFI and PINFI");
     println!();
@@ -27,8 +31,10 @@ fn main() {
         "Load/PIN"
     );
     for p in &prepared {
-        let l = |c| p.llfi.category_count(&p.compiled.module, c);
-        let r = |c| p.pinfi.category_count(&p.compiled.program, c);
+        let cells = p.cells();
+        let (module, lp, prog, pp) = levels(&cells);
+        let l = |c| lp.category_count(module, c);
+        let r = |c| pp.category_count(prog, c);
         let (la, ra) = (l(Category::All), r(Category::All));
         let pct = |x: u64, tot: u64| {
             if tot == 0 {
@@ -39,7 +45,7 @@ fn main() {
         };
         println!(
             "{:<12} {:>12} {:>12} | {:>6} ({:>2.0}%) {:>6} ({:>2.0}%) | {:>4} ({:>2.0}%) {:>4} ({:>2.0}%) | {:>5} ({:>2.0}%) {:>5} ({:>2.0}%) | {:>6} ({:>2.0}%) {:>6} ({:>2.0}%)",
-            p.workload.name,
+            p.name,
             la,
             ra,
             l(Category::Arithmetic),
@@ -64,8 +70,10 @@ fn main() {
     println!("Paper shape checks:");
     let mut all_ok = 0;
     for p in &prepared {
-        let la = p.llfi.category_count(&p.compiled.module, Category::All);
-        let ra = p.pinfi.category_count(&p.compiled.program, Category::All);
+        let cells = p.cells();
+        let (module, lp, prog, pp) = levels(&cells);
+        let la = lp.category_count(module, Category::All);
+        let ra = pp.category_count(prog, Category::All);
         let ratio = la as f64 / ra as f64;
         let mark = if ratio > 1.0 { "✓" } else { "≈" };
         if ratio > 1.0 {
@@ -73,8 +81,9 @@ fn main() {
         }
         println!(
             "  {:<12} LLFI/PINFI 'all' ratio = {ratio:.2} {mark} (paper: 1.4–2.1)",
-            p.workload.name
+            p.name
         );
     }
     println!("  {all_ok}/6 benchmarks with LLFI > PINFI in 'all' (paper: 6/6)");
+    Ok(())
 }
