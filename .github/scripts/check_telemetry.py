@@ -6,7 +6,9 @@ The stream is a header followed only by the end-of-run lines: counters
 and histograms (engine scope, then each cell), one `worker` line per
 worker, and one `summary` line. Any other line, such as an `event`
 line, fails the check. Every line must carry exactly its kind's keys,
-and every histogram's buckets must sum to its count.
+and every histogram's buckets must sum to its count. Per cell, the
+reported steps must split exactly into skipped, executed and
+reconstructed steps, and no more hangs can be proven than tasks ran.
 """
 import json
 import sys
@@ -57,6 +59,15 @@ for w in workers:
 summary = body[-1]
 assert summary.keys() == {"record", "total", "done", "resumed", "fast_forwarded",
                           "early_exited"} and summary["record"] == "summary", summary
+cell_counters = {}
+for m in metrics:
+    if m["record"] == "counter" and m["scope"] == "cell":
+        cell_counters.setdefault(m["cell"], {})[m["name"]] = m["value"]
+for cell, c in sorted(cell_counters.items()):
+    parts = [c.get(n, 0) for n in ("steps_skipped_ff", "steps_executed",
+                                   "steps_reconstructed_ee")]
+    assert c.get("steps_reported", 0) == sum(parts), (cell, c)
+    assert c.get("hangs_proven", 0) <= c.get("tasks", 0), (cell, c)
 executed = sum(m["value"] for m in metrics
                if m["record"] == "counter" and m["scope"] == "cell" and m["name"] == "tasks")
 assert executed == summary["done"] - summary["resumed"], (executed, summary)

@@ -33,8 +33,8 @@ pub use flags::{
 };
 pub use inst::{AluOp, ExtFn, Inst, MemRef, Operand, ShiftOp, SseOp, Target, Width, XOperand};
 pub use machine::{
-    run_program, AsmHook, MachOptions, MachSnapshot, MachState, Machine, NopAsmHook, RunResult,
-    RET_SENTINEL,
+    run_program, AsmHook, MachCapture, MachOptions, MachSnapshot, MachState, Machine, NopAsmHook,
+    RunResult, RET_SENTINEL,
 };
 pub use program::{display_inst, AsmFunc, AsmProgram, GlobalImage};
 pub use regs::{Reg, RegId, Xmm};

@@ -6,8 +6,8 @@ use crate::inst::{AluOp, ExtFn, Inst, MemRef, Operand, ShiftOp, SseOp, Width, XO
 use crate::program::AsmProgram;
 use crate::regs::{Reg, Xmm};
 use fiq_mem::{
-    component, Console, Divergence, Hasher64, MemSnapshot, Memory, Quiescence, RunStatus,
-    StateDigest, Trap,
+    component, Console, Divergence, Hasher64, MemCapture, MemSnapshot, Memory, Quiescence,
+    RunStatus, StateDigest, Trap,
 };
 use std::sync::Arc;
 
@@ -163,6 +163,21 @@ impl MachSnapshot {
     pub fn digest(&self) -> &StateDigest {
         &self.digest
     }
+}
+
+/// The complete state of a running [`Machine`] but its retired-instruction
+/// counter, taken by [`Machine::capture`] and compared with
+/// [`Machine::equals_capture`] later in the same run. The console is kept
+/// as its length: a run only appends to it, so equal lengths mean equal
+/// contents.
+#[derive(Debug, Clone)]
+pub struct MachCapture {
+    regs: [u64; 16],
+    xmm: [[u64; 2]; 16],
+    flags: u64,
+    mem: MemCapture,
+    console_len: usize,
+    rip: usize,
 }
 
 /// The result of a machine run (shared with the IR level).
@@ -508,6 +523,34 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     /// differential tests can compare states across cores.
     pub fn state_digest(&self) -> StateDigest {
         StateDigest::new(self.arch_hash(), &self.st.console)
+    }
+
+    /// Captures the live state for [`Machine::equals_capture`]: its cost
+    /// is the memory pages written since this machine was created or
+    /// restored.
+    pub fn capture(&self) -> MachCapture {
+        MachCapture {
+            regs: self.st.regs,
+            xmm: self.st.xmm,
+            flags: self.st.flags,
+            mem: self.st.mem.capture(),
+            console_len: self.st.console.len(),
+            rip: self.rip,
+        }
+    }
+
+    /// True when the live state equals `capture`, taken earlier in this
+    /// run, in everything but the retired-instruction counter: RIP, GPRs,
+    /// XMM, FLAGS, console length and memory bytes. The machine is
+    /// deterministic, so a run whose hook no longer changes anything then
+    /// repeats the instructions in between forever.
+    pub fn equals_capture(&self, capture: &MachCapture) -> bool {
+        self.rip == capture.rip
+            && self.st.regs == capture.regs
+            && self.st.xmm == capture.xmm
+            && self.st.flags == capture.flags
+            && self.st.console.len() == capture.console_len
+            && self.st.mem.equals_capture(&capture.mem)
     }
 
     /// Component-granular divergence of the live state from a golden

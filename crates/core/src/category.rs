@@ -44,8 +44,9 @@ impl Category {
 }
 
 impl fmt::Display for Category {
+    /// Writes the name, honouring width and alignment (`{cat:<11}`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+        f.pad(self.name())
     }
 }
 
@@ -190,6 +191,13 @@ mod tests {
     use super::*;
     use fiq_asm::{AluOp, AsmFunc, Cond, MemRef, Reg, Width};
     use fiq_ir::{BinOp, CastOp, FuncBuilder, Function, Value};
+
+    #[test]
+    fn display_honours_width() {
+        assert_eq!(format!("{:<11}|", Category::Cast), "cast       |");
+        assert_eq!(format!("{:>6}", Category::Cmp), "   cmp");
+        assert_eq!(Category::Arithmetic.to_string(), "arithmetic");
+    }
 
     #[test]
     fn llfi_category_membership() {

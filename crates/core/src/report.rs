@@ -761,12 +761,14 @@ impl CampaignReport {
             };
             let _ = writeln!(
                 out,
-                "  speedup: {} of {} tasks fast-forwarded ({:.1}%), {} early-exited ({:.1}%)",
+                "  speedup: {} of {} tasks fast-forwarded ({:.1}%), {} early-exited ({:.1}%), \
+                 {} hangs proven",
                 c.counter("fast_forwarded"),
                 tasks,
                 pct_of(c.counter("fast_forwarded"), tasks),
                 c.counter("early_exited"),
                 pct_of(c.counter("early_exited"), tasks),
+                c.counter("hangs_proven"),
             );
             let _ = writeln!(
                 out,

@@ -122,6 +122,10 @@ pub mod cell_counter {
     /// cell counter that moves with `--divergence`, since observing is
     /// work too.
     pub const PAGES_COMPARED: usize = 25;
+    /// Hang tasks proved by a repeated state past the golden length
+    /// instead of run to the budget; their un-run steps count as
+    /// `STEPS_RECONSTRUCTED_EE`.
+    pub const HANGS_PROVEN: usize = 26;
 }
 
 /// Cell-scope histogram indices into [`HUB_SPEC`].
@@ -192,6 +196,7 @@ pub static HUB_SPEC: HubSpec = HubSpec {
         "div_masked",
         "restore_pages_copied",
         "pages_compared",
+        "hangs_proven",
     ],
     cell_hists: &[
         "task_latency_us",

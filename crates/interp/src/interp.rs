@@ -15,8 +15,8 @@ use fiq_ir::{
     BlockId, Callee, FloatTy, FuncId, GlobalInit, InstId, InstKind, Intrinsic, Module, Type, Value,
 };
 use fiq_mem::{
-    component, Console, Divergence, Hasher64, MemSnapshot, Memory, Quiescence, RegionKind,
-    StateDigest, Trap,
+    component, Console, Divergence, Hasher64, MemCapture, MemSnapshot, Memory, Quiescence,
+    RegionKind, StateDigest, Trap,
 };
 use std::sync::Arc;
 
@@ -179,6 +179,20 @@ impl InterpSnapshot {
     pub fn digest(&self) -> &StateDigest {
         &self.digest
     }
+}
+
+/// The complete state of a running [`Interp`] but its step counter, taken
+/// by [`Interp::capture`] and compared with [`Interp::equals_capture`]
+/// later in the same run. The console is kept as its length: a run only
+/// appends to it, so equal lengths mean equal contents.
+#[derive(Debug, Clone)]
+pub struct InterpCapture {
+    frames: Vec<Frame>,
+    mem: MemCapture,
+    console_len: usize,
+    stack_start: u64,
+    sp: u64,
+    frame_counter: u64,
 }
 
 /// Internal snapshot-capture state, present only during
@@ -499,6 +513,35 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     /// differential tests can compare states across cores.
     pub fn state_digest(&self) -> StateDigest {
         StateDigest::new(self.arch_hash(), &self.console)
+    }
+
+    /// Captures the live state for [`Interp::equals_capture`]: its cost
+    /// is the frame stack plus the memory pages written since this
+    /// interpreter was created or restored.
+    pub fn capture(&self) -> InterpCapture {
+        InterpCapture {
+            frames: self.frames.clone(),
+            mem: self.mem.capture(),
+            console_len: self.console.len(),
+            stack_start: self.stack_start,
+            sp: self.sp,
+            frame_counter: self.frame_counter,
+        }
+    }
+
+    /// True when the live state equals `capture`, taken earlier in this
+    /// run, in everything but the step counter: frame stack (frame ids
+    /// and raw slot images included), stack pointer, frame counter,
+    /// console length and memory bytes. The interpreter is deterministic,
+    /// so a run whose hook no longer changes anything then repeats the
+    /// steps in between forever.
+    pub fn equals_capture(&self, capture: &InterpCapture) -> bool {
+        self.sp == capture.sp
+            && self.frame_counter == capture.frame_counter
+            && self.stack_start == capture.stack_start
+            && self.console.len() == capture.console_len
+            && frames_bits_eq(&self.frames, &capture.frames)
+            && self.mem.equals_capture(&capture.mem)
     }
 
     /// Component-granular divergence of the live state from a golden

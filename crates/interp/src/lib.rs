@@ -36,7 +36,8 @@ mod rtval;
 pub use decoded::DecodedModule;
 pub use hook::{InstSite, InterpHook, NopHook};
 pub use interp::{
-    materialize_globals, run_module, ExecResult, ExecStatus, Interp, InterpOptions, InterpSnapshot,
+    materialize_globals, run_module, ExecResult, ExecStatus, Interp, InterpCapture, InterpOptions,
+    InterpSnapshot,
 };
 pub use ops::{eval_cast, eval_fcmp, eval_float_binop, eval_icmp, eval_int_binop};
 pub use rtval::RtVal;

@@ -31,8 +31,8 @@ pub use console::Console;
 pub use digest::{hash_bytes, Hasher64, StateDigest};
 pub use divergence::{component, Divergence};
 pub use memory::{
-    MemSnapshot, Memory, Region, RegionKind, DEFAULT_CAPACITY, DEFAULT_STACK_SIZE, NULL_GUARD,
-    SNAPSHOT_PAGE,
+    MemCapture, MemSnapshot, Memory, Region, RegionKind, DEFAULT_CAPACITY, DEFAULT_STACK_SIZE,
+    NULL_GUARD, SNAPSHOT_PAGE,
 };
 pub use quiescence::Quiescence;
 pub use trap::{RunResult, RunStatus, Trap};

@@ -622,6 +622,17 @@ pub struct MemSnapshot {
     capacity: u64,
 }
 
+/// A memory image taken by [`Memory::capture`] for exact compares
+/// against the same memory later in its run. Unlike a [`MemSnapshot`] it
+/// carries no page hashes and cannot be restored.
+#[derive(Debug, Clone)]
+pub struct MemCapture {
+    pages: Vec<Arc<[u8]>>,
+    len: usize,
+    next: u64,
+    layout: Arc<Layout>,
+}
+
 impl MemSnapshot {
     /// Total mapped bytes captured.
     pub fn mapped_len(&self) -> usize {
@@ -745,20 +756,16 @@ impl Memory {
     }
 
     /// Runs `test` on every common page the `written`/`base` invariant
-    /// cannot prove equal to `snap`'s, in page order, until `test`
+    /// cannot prove equal to the page of `pages` (a snapshot's or a
+    /// capture's page table) at its index, in page order, until `test`
     /// returns `false`; counts the pages tested into `pages_compared`.
     /// Returns whether every tested page passed. Skipped pages are
     /// byte-identical to the snapshot's, so they would have passed any
     /// byte or hash test: callers see exactly the full-scan result.
-    fn all_pages(&self, snap: &MemSnapshot, mut test: impl FnMut(usize, &[u8]) -> bool) -> bool {
+    fn all_pages(&self, pages: &[Arc<[u8]>], mut test: impl FnMut(usize, &[u8]) -> bool) -> bool {
         let mut compared = 0;
         let mut ok = true;
-        for (i, (chunk, page)) in self
-            .data
-            .chunks(SNAPSHOT_PAGE)
-            .zip(snap.pages.iter())
-            .enumerate()
-        {
+        for (i, (chunk, page)) in self.data.chunks(SNAPSHOT_PAGE).zip(pages).enumerate() {
             if self.page_known_equal(i, chunk, page) {
                 continue;
             }
@@ -781,7 +788,9 @@ impl Memory {
     /// before acting on a match. A `false` is definitive.
     pub fn matches_snapshot_hashes(&self, snap: &MemSnapshot) -> bool {
         self.layout_matches_snapshot(snap)
-            && self.all_pages(snap, |i, chunk| hash_bytes(chunk) == snap.page_hashes[i])
+            && self.all_pages(&snap.pages, |i, chunk| {
+                hash_bytes(chunk) == snap.page_hashes[i]
+            })
     }
 
     /// Exact second-stage convergence check: full byte comparison of the
@@ -789,18 +798,60 @@ impl Memory {
     /// hash collisions after [`Memory::matches_snapshot_hashes`] passes.
     pub fn equals_snapshot(&self, snap: &MemSnapshot) -> bool {
         self.layout_matches_snapshot(snap)
-            && self.all_pages(snap, |i, chunk| chunk == snap.pages[i].as_ref())
+            && self.all_pages(&snap.pages, |i, chunk| chunk == snap.pages[i].as_ref())
     }
 
     /// True when the allocation metadata (mapped length, cursor, region
     /// table, stack mapping) matches `snap`. Page *contents* are covered
     /// separately by [`Memory::diverged_pages`].
     pub fn layout_matches_snapshot(&self, snap: &MemSnapshot) -> bool {
-        self.data.len() == snap.len
-            && self.next == snap.next
-            && (Arc::ptr_eq(&self.layout, &snap.layout)
-                || (self.layout.stack == snap.layout.stack
-                    && self.layout.regions == snap.layout.regions))
+        self.layout_matches(snap.len, snap.next, &snap.layout)
+    }
+
+    /// True when the mapped length, cursor and region table are `len`,
+    /// `next` and `layout`'s.
+    fn layout_matches(&self, len: usize, next: u64, layout: &Arc<Layout>) -> bool {
+        self.data.len() == len
+            && self.next == next
+            && (Arc::ptr_eq(&self.layout, layout)
+                || (self.layout.stack == layout.stack && self.layout.regions == layout.regions))
+    }
+
+    /// Captures this memory for a later [`Memory::equals_capture`] by the
+    /// same memory. A page not written since this memory was created or
+    /// restored keeps its base page's allocation (the zero page past the
+    /// end of the base), so the capture copies only the written pages,
+    /// and a later compare skips every page that is still unwritten.
+    pub fn capture(&self) -> MemCapture {
+        let zero = &zero_page().0;
+        let base = self.base.as_deref().unwrap_or(&[]);
+        let pages = self
+            .data
+            .chunks(SNAPSHOT_PAGE)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let unwritten = self.written[i / 64] & (1 << (i % 64)) == 0;
+                match base.get(i).map_or(zero, |b| b) {
+                    page if unwritten && page.len() == chunk.len() => Arc::clone(page),
+                    _ => Arc::from(chunk),
+                }
+            })
+            .collect();
+        MemCapture {
+            pages,
+            len: self.data.len(),
+            next: self.next,
+            layout: Arc::clone(&self.layout),
+        }
+    }
+
+    /// Exact compare against a [`Memory::capture`] of this memory: mapped
+    /// length, cursor, region table and every byte.
+    pub fn equals_capture(&self, capture: &MemCapture) -> bool {
+        self.layout_matches(capture.len, capture.next, &capture.layout)
+            && self.all_pages(&capture.pages, |i, chunk| {
+                chunk == capture.pages[i].as_ref()
+            })
     }
 
     /// Counts the 4 KiB pages whose content provably differs from `snap`:
@@ -828,7 +879,7 @@ impl Memory {
         // When the mapped lengths differ, the last common page may be
         // partial on one side only; the hash/byte compare still flags it
         // because the chunk length is part of both comparisons.
-        self.all_pages(snap, |i, chunk| {
+        self.all_pages(&snap.pages, |i, chunk| {
             n += u32::from(differs(i, chunk));
             true
         });
@@ -1206,6 +1257,41 @@ mod tests {
         // A fresh memory skips the pages still matching the zero page.
         assert!(m.equals_snapshot(&snap));
         assert_eq!(m.pages_compared(), 1);
+    }
+
+    #[test]
+    fn captures_copy_and_compare_only_written_pages() {
+        let mut m = Memory::new();
+        let a = m
+            .alloc(8 * SNAPSHOT_PAGE as u64, 8, RegionKind::Global)
+            .unwrap();
+        m.write_uint(a + 3 * SNAPSHOT_PAGE as u64, 7, 8).unwrap();
+        let snap = m.snapshot(None);
+        let mut back = Memory::from_snapshot(&snap);
+        back.write_uint(a + 5 * SNAPSHOT_PAGE as u64, 9, 8).unwrap();
+        let capture = back.capture();
+        let shared = capture
+            .pages
+            .iter()
+            .zip(snap.pages.iter())
+            .filter(|(c, s)| Arc::ptr_eq(c, s))
+            .count();
+        assert_eq!(
+            shared,
+            snap.page_count() - 1,
+            "only the written page is copied"
+        );
+        assert!(back.equals_capture(&capture));
+        assert_eq!(back.pages_compared(), 1, "unwritten pages are skipped");
+        back.write_uint(a + 5 * SNAPSHOT_PAGE as u64, 8, 8).unwrap();
+        assert!(!back.equals_capture(&capture));
+        back.write_uint(a + 5 * SNAPSHOT_PAGE as u64, 9, 8).unwrap();
+        assert!(back.equals_capture(&capture));
+        back.alloc(16, 8, RegionKind::Heap).unwrap();
+        assert!(
+            !back.equals_capture(&capture),
+            "the layout is part of the state"
+        );
     }
 
     #[test]

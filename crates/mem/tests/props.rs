@@ -276,6 +276,43 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Captures taken along one memory's run compare exactly like a naive
+    /// full scan of the images at every later point, for a fresh and a
+    /// restored memory, through writes that revert pages to captured
+    /// bytes and through growth.
+    #[test]
+    fn capture_compares_match_a_full_scan(seed in any::<u64>(), globals in 1u64..(3 * SNAPSHOT_PAGE as u64), stack in (16 * SNAPSHOT_PAGE as u64)..(24 * SNAPSHOT_PAGE as u64)) {
+        let mut rng = Rng(seed);
+        let mut m = Memory::new();
+        m.alloc(globals, 8, RegionKind::Global).unwrap();
+        m.reserve_guard(SNAPSHOT_PAGE as u64);
+        m.alloc_stack(stack).unwrap();
+        let zeros = Shadow::of(&m);
+        random_writes(&mut m, &mut rng, 6, &zeros);
+        let restored = Memory::from_snapshot(&m.snapshot(None));
+        for mut mem in [m, restored] {
+            let mut captures = Vec::new();
+            for step in 0..6 {
+                captures.push((mem.capture(), Shadow::of(&mem)));
+                let revert = captures[rng.below(captures.len() as u64) as usize].1.clone();
+                let n = rng.below(6) as usize;
+                random_writes(&mut mem, &mut rng, n, &revert);
+                if step == 4 {
+                    mem.alloc(1 + rng.below(2 * SNAPSHOT_PAGE as u64), 8, RegionKind::Heap).unwrap();
+                }
+                let live = Shadow::of(&mem);
+                for (k, (capture, model)) in captures.iter().enumerate() {
+                    let equal = live.layout_eq(model) && live.image == model.image;
+                    prop_assert_eq!(mem.equals_capture(capture), equal, "capture {}", k);
+                }
+            }
+        }
+    }
+}
+
 /// The access check spelled out over the region list: the region holding
 /// `addr`, then a walk across back-to-back regions until the access ends
 /// or reaches unmapped space.
