@@ -8,7 +8,10 @@ worker, and one `summary` line. Any other line, such as an `event`
 line, fails the check. Every line must carry exactly its kind's keys,
 and every histogram's buckets must sum to its count. Per cell, the
 reported steps must split exactly into skipped, executed and
-reconstructed steps, and no more hangs can be proven than tasks ran.
+reconstructed steps; no more tasks can early-exit than checkpoint
+compares were made, since each early exit ends at a compare; and a
+task is at most one of an early exit and a proven hang, so together
+they are at most the tasks that ran.
 """
 import json
 import sys
@@ -67,7 +70,9 @@ for cell, c in sorted(cell_counters.items()):
     parts = [c.get(n, 0) for n in ("steps_skipped_ff", "steps_executed",
                                    "steps_reconstructed_ee")]
     assert c.get("steps_reported", 0) == sum(parts), (cell, c)
-    assert c.get("hangs_proven", 0) <= c.get("tasks", 0), (cell, c)
+    early_exited = c.get("early_exited", 0)
+    assert early_exited <= c.get("digest_compares", 0), (cell, c)
+    assert early_exited + c.get("hangs_proven", 0) <= c.get("tasks", 0), (cell, c)
 executed = sum(m["value"] for m in metrics
                if m["record"] == "counter" and m["scope"] == "cell" and m["name"] == "tasks")
 assert executed == summary["done"] - summary["resumed"], (executed, summary)

@@ -20,9 +20,9 @@
 //! (`Machine::step`): the same retire counts at the same instruction
 //! indices, the same `on_retire` event sequence, the same traps and
 //! console bytes. FLAGS are always fully materialized — they are
-//! architectural state (digest input and a PINFI injection target), so no
-//! flags computation is ever pruned; what is precomputed is only the
-//! operand *addressing*. Every decoded step retires exactly one
+//! architectural state (compared at checkpoints and a PINFI injection
+//! target), so no flags computation is ever pruned; what is precomputed
+//! is only the operand *addressing*. Every decoded step retires exactly one
 //! instruction, so pauses and snapshot captures land where the reference
 //! core's do with no special handling.
 

@@ -5,10 +5,7 @@ use crate::flags::{self, ALL_FLAGS};
 use crate::inst::{AluOp, ExtFn, Inst, MemRef, Operand, ShiftOp, SseOp, Width, XOperand};
 use crate::program::AsmProgram;
 use crate::regs::{Reg, Xmm};
-use fiq_mem::{
-    component, Console, Divergence, Hasher64, MemCapture, MemSnapshot, Memory, Quiescence,
-    RunStatus, StateDigest, Trap,
-};
+use fiq_mem::{component, Console, Divergence, MemSnapshot, Memory, Quiescence, RunStatus, Trap};
 use std::sync::Arc;
 
 /// Sentinel return address marking the bottom of the call stack.
@@ -137,7 +134,6 @@ pub struct MachSnapshot {
     rip: usize,
     steps: u64,
     counts: Vec<u64>,
-    digest: StateDigest,
 }
 
 impl MachSnapshot {
@@ -156,13 +152,6 @@ impl MachSnapshot {
     pub fn mem(&self) -> &MemSnapshot {
         &self.mem
     }
-
-    /// The cheap state digest captured alongside the snapshot (register
-    /// file + FLAGS + RIP hash, console length/hash). Memory is digested
-    /// per-page inside [`MachSnapshot::mem`].
-    pub fn digest(&self) -> &StateDigest {
-        &self.digest
-    }
 }
 
 /// The complete state of a running [`Machine`] but its retired-instruction
@@ -175,7 +164,7 @@ pub struct MachCapture {
     regs: [u64; 16],
     xmm: [[u64; 2]; 16],
     flags: u64,
-    mem: MemCapture,
+    mem: MemSnapshot,
     console_len: usize,
     rip: usize,
 }
@@ -405,7 +394,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
                     rip: self.rip,
                     steps: self.steps,
                     counts: self.counts.as_ref().expect("counting enabled").clone(),
-                    digest: StateDigest::new(self.arch_hash(), &self.st.console),
                 });
                 while next_at <= self.steps {
                     next_at += interval;
@@ -480,6 +468,11 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         &self.st.mem
     }
 
+    /// The console (program output so far).
+    pub fn console(&self) -> &Console {
+        &self.st.console
+    }
+
     /// Consumes the machine, returning the hook.
     pub fn into_hook(self) -> H {
         self.hook
@@ -491,23 +484,13 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         &self.hook
     }
 
-    /// Cheap convergence check against a golden checkpoint: digests only
-    /// (register-file hash, console length/hash, per-page memory hashes).
-    /// `true` is necessary but not sufficient for state equality — confirm
-    /// with [`Machine::state_equals_snapshot`]; `false` is definitive.
-    pub fn state_matches_digest(&self, snap: &MachSnapshot) -> bool {
-        self.steps == snap.steps
-            && self.rip == snap.rip
-            && self.arch_hash() == snap.digest.arch
-            && snap.digest.console_matches(&self.st.console)
-            && self.st.mem.matches_snapshot_hashes(&snap.mem)
-    }
-
-    /// Exact convergence check: full comparison of the live architectural
+    /// Convergence check: exact comparison of the live architectural
     /// state against a golden checkpoint (registers, XMM, FLAGS, RIP,
     /// memory bytes, console, step counter). `true` here means the
     /// remaining execution is step-for-step identical to the golden run
-    /// from this checkpoint on.
+    /// from this checkpoint on. The registers, where a faulty run that
+    /// reaches a checkpoint with a settled fault almost always still
+    /// differs, go before the console and memory.
     pub fn state_equals_snapshot(&self, snap: &MachSnapshot) -> bool {
         self.steps == snap.steps
             && self.rip == snap.rip
@@ -516,13 +499,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
             && self.st.flags == snap.flags
             && self.st.console.contents() == snap.console.contents()
             && self.st.mem.equals_snapshot(&snap.mem)
-    }
-
-    /// The live state's digest (register-file hash plus console
-    /// length/hash), in the same form a snapshot captures — exposed so
-    /// differential tests can compare states across cores.
-    pub fn state_digest(&self) -> StateDigest {
-        StateDigest::new(self.arch_hash(), &self.st.console)
     }
 
     /// Captures the live state for [`Machine::equals_capture`]: its cost
@@ -550,7 +526,7 @@ impl<'p, H: AsmHook> Machine<'p, H> {
             && self.st.xmm == capture.xmm
             && self.st.flags == capture.flags
             && self.st.console.len() == capture.console_len
-            && self.st.mem.equals_capture(&capture.mem)
+            && self.st.mem.equals_snapshot(&capture.mem)
     }
 
     /// Component-granular divergence of the live state from a golden
@@ -564,11 +540,8 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     /// * [`component::MEM`] — one or more 4 KiB pages or the allocation
     ///   layout differ; `pages` counts the diverged pages.
     ///
-    /// Register/FLAGS/RIP comparisons are exact; console and per-page
-    /// comparisons are hash-based (inequality is proof; see
-    /// [`fiq_mem::Divergence`]), and an apparently clean observation is
-    /// confirmed with the exact byte compare — [`Divergence::clean`]
-    /// means byte-identical state, never a hash-collision artifact.
+    /// Every comparison is exact, so [`Divergence::clean`] means
+    /// byte-identical state.
     pub fn divergence_from(&self, snap: &MachSnapshot) -> Divergence {
         let mut components = 0u8;
         if self.steps != snap.steps || self.rip != snap.rip {
@@ -580,42 +553,14 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         if self.st.flags != snap.flags {
             components |= component::FLAGS;
         }
-        if !snap.digest.console_matches(&self.st.console) {
+        if self.st.console.contents() != snap.console.contents() {
             components |= component::CONSOLE;
         }
-        let mut pages = self.st.mem.diverged_pages(&snap.mem);
+        let pages = self.st.mem.diverged_pages(&snap.mem);
         if pages > 0 || !self.st.mem.layout_matches_snapshot(&snap.mem) {
             components |= component::MEM;
         }
-        if components == 0 {
-            // "Fully converged" ends a timeline, so rule out hash
-            // collisions (console/pages) with the exact compare.
-            if self.st.console.contents() != snap.console.contents() {
-                components |= component::CONSOLE;
-            }
-            let exact = self.st.mem.diverged_pages_exact(&snap.mem);
-            if exact > 0 {
-                components |= component::MEM;
-                pages = exact;
-            }
-        }
         Divergence { components, pages }
-    }
-
-    /// Hashes everything outside memory and console: GPRs, XMM halves,
-    /// FLAGS, and RIP.
-    fn arch_hash(&self) -> u64 {
-        let mut h = Hasher64::new();
-        for r in self.st.regs {
-            h.write_u64(r);
-        }
-        for x in self.st.xmm {
-            h.write_u64(x[0]);
-            h.write_u64(x[1]);
-        }
-        h.write_u64(self.st.flags);
-        h.write_u64(self.rip as u64);
-        h.finish()
     }
 
     /// Bumps the retire-count vector (when counting) and delivers the

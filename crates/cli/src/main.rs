@@ -824,9 +824,10 @@ fn cmd_collapse_check(args: &Args) -> Result<(), String> {
 
 /// `fiq fuzz` — differential fuzzing of the two execution levels.
 /// Generates `--count` seeded Mini-C programs and checks each against
-/// the cross-pipeline, cross-level, snapshot-replay, digest-integrity
-/// and injection oracles at every optimization level (or just
-/// `--opt-level`). Stops at the first failure, shrinks it (unless
+/// the cross-pipeline, cross-level, snapshot-replay and injection
+/// oracles at every optimization level (or just `--opt-level`). An
+/// unknown `--oracle` is a usage error: it lists the valid names and
+/// exits 2. Stops at the first failure, shrinks it (unless
 /// `--no-reduce`), optionally writes the reduced reproducer into
 /// `--corpus-dir`, and exits nonzero. Fully deterministic for a fixed
 /// seed.
@@ -844,12 +845,14 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         cfg.levels = vec![level];
     }
     if let Some(name) = args.flag("oracle") {
-        cfg.oracles = fiq_fuzz::OracleSet::only(name).ok_or_else(|| {
-            format!(
-                "unknown --oracle `{name}` \
-                 (opt-agreement|cross-level|snapshot-replay|digest-integrity|injection)"
-            )
-        })?;
+        let Some(oracles) = fiq_fuzz::OracleSet::only(name) else {
+            eprintln!(
+                "fiq: unknown --oracle `{name}` \
+                 (opt-agreement|cross-level|snapshot-replay|injection)"
+            );
+            std::process::exit(2);
+        };
+        cfg.oracles = oracles;
     }
     if args.has("no-reduce") {
         cfg.reduce_budget = 0;

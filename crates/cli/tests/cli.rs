@@ -596,6 +596,24 @@ fn fuzz_subcommand_is_deterministic_and_clean() {
     assert!(err.contains("--opt-level expects 0..=3"), "{err}");
 }
 
+/// The digest-integrity oracle checked a state digest that no longer
+/// exists; its name is now a usage error naming the oracles there are.
+#[test]
+fn removed_oracle_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fiq"))
+        .args(["fuzz", "--oracle", "digest-integrity", "--count", "1"])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        err.contains("unknown --oracle `digest-integrity`")
+            && err.contains("(opt-agreement|cross-level|snapshot-replay|injection)"),
+        "{err}"
+    );
+}
+
 #[test]
 fn compiles_a_source_file() {
     let dir = std::env::temp_dir().join("fiq-cli-test");

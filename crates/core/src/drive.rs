@@ -93,7 +93,6 @@ pub trait Executor {
     fn restored_steps(&self) -> u64;
     fn steps_quiescent(&self) -> u64;
     fn memory(&self) -> &Memory;
-    fn state_matches_digest(&self, snap: &Self::Snapshot) -> bool;
     fn state_equals_snapshot(&self, snap: &Self::Snapshot) -> bool;
     fn divergence_from(&self, snap: &Self::Snapshot) -> Divergence;
     fn capture(&self) -> Self::Capture;
@@ -147,9 +146,6 @@ macro_rules! forward_executor {
             }
             fn memory(&self) -> &Memory {
                 <$exec<'_, H>>::memory(self)
-            }
-            fn state_matches_digest(&self, snap: &$snap) -> bool {
-                <$exec<'_, H>>::state_matches_digest(self, snap)
             }
             fn state_equals_snapshot(&self, snap: &$snap) -> bool {
                 <$exec<'_, H>>::state_equals_snapshot(self, snap)
@@ -209,9 +205,11 @@ fn budget_exhausted(max_steps: u64) -> RunResult {
 /// with it exactly. Both cores are deterministic, and a settled hook
 /// changes nothing in the run, so a state seen twice recurs forever and
 /// the full run would exhaust its budget. The result is then the one the
-/// budget would give, which early exit also writes for a projected hang. A hook that is not settled at a pause
-/// (which needs an unread fault, whose run still mirrors golden and so
-/// never gets here) ends the attempt: the run goes on to its end.
+/// budget would give, which early exit also writes for a projected hang.
+///
+/// A hook that is not settled at a pause ends the attempt, and the run
+/// goes on to its end. That needs an unread fault, whose run still
+/// mirrors golden and so never gets here.
 fn run_or_prove_hang<E: Executor<Hook: FaultHook>>(
     exec: &mut E,
     golden_steps: u64,
@@ -322,14 +320,9 @@ pub(crate) fn drive<E: Executor<Hook: FaultHook>>(
                 continue;
             }
             tel.count(cell_counter::DIGEST_COMPARES, 1);
-            if !exec.state_matches_digest(snap) {
-                continue;
-            }
-            tel.count(cell_counter::DIGEST_MATCHES, 1);
             if !exec.state_equals_snapshot(snap) {
                 continue;
             }
-            tel.count(cell_counter::CONVERGED, 1);
             tel.hist(cell_hist::EXIT_CHECKPOINT, next as u64);
             tel.hist(cell_hist::EXIT_STEP, exec.steps());
             // State identical to golden at this step ⇒ the remaining
@@ -475,9 +468,6 @@ int main() {
         }
         fn memory(&self) -> &Memory {
             self.exec.memory()
-        }
-        fn state_matches_digest(&self, snap: &E::Snapshot) -> bool {
-            self.exec.state_matches_digest(snap)
         }
         fn state_equals_snapshot(&self, snap: &E::Snapshot) -> bool {
             self.exec.state_equals_snapshot(snap)

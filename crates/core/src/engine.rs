@@ -1006,8 +1006,8 @@ fn run_planned(
 }
 
 /// Replays each cell's snapshot-cache capture history into the telemetry
-/// hub: how many pages each incremental snapshot reused (allocation and
-/// hash shared with its predecessor) versus copied and rehashed. The
+/// hub: how many pages each incremental snapshot reused (allocation
+/// shared with its predecessor) versus copied. The
 /// cache is immutable after profiling, so this is exact and can be
 /// recorded once up front, on worker 0's shard.
 fn record_snapshot_reuse(hub: &TelemetryHub, cells: &[CellSpec<'_>]) {
@@ -1016,25 +1016,25 @@ fn record_snapshot_reuse(hub: &TelemetryHub, cells: &[CellSpec<'_>]) {
         S: 's,
         M: Fn(&S) -> &fiq_mem::MemSnapshot,
     {
-        let (mut reused, mut hashed) = (0u64, 0u64);
+        let (mut reused, mut copied) = (0u64, 0u64);
         let mut prev: Option<&S> = None;
         for s in snaps {
-            let (r, h) = mem(s).page_reuse_from(prev.map(&mem));
+            let (r, c) = mem(s).page_reuse_from(prev.map(&mem));
             reused += r as u64;
-            hashed += h as u64;
+            copied += c as u64;
             prev = Some(s);
         }
-        (reused, hashed)
+        (reused, copied)
     }
     let h = hub.worker(0);
     for (ci, cell) in cells.iter().enumerate() {
-        let (reused, hashed) = match cell.snapshots.as_deref() {
+        let (reused, copied) = match cell.snapshots.as_deref() {
             Some(SnapshotCache::Llfi(snaps)) => tally(snaps.iter(), |s: &InterpSnapshot| s.mem()),
             Some(SnapshotCache::Pinfi(snaps)) => tally(snaps.iter(), |s: &MachSnapshot| s.mem()),
             None => continue,
         };
         h.cell_add(ci, cell_counter::SNAP_PAGES_REUSED, reused);
-        h.cell_add(ci, cell_counter::SNAP_PAGES_HASHED, hashed);
+        h.cell_add(ci, cell_counter::SNAP_PAGES_COPIED, copied);
     }
 }
 

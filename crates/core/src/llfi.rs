@@ -176,13 +176,13 @@ pub fn run_llfi(
 /// target site and the step counter continues from the snapshot value.
 ///
 /// With `golden` and `early_exit`, the run stops at the first golden
-/// checkpoint its state provably converges to (digests first, then a full
-/// compare, once the activation verdict is settled) and reconstructs the
-/// outcome and step count of the full run; `timeline` (which requires
-/// `golden`) records a divergence observation at every post-injection
-/// checkpoint. The returned [`InjectionRun`] is identical with or without
-/// either, and so is every `tel` counter but `pages_compared`. `decoded`
-/// shares a table decoded once per cell (`None` decodes inline).
+/// checkpoint its state converges to (one exact compare, once the
+/// activation verdict is settled) and reconstructs the outcome and step
+/// count of the full run; `timeline` (which requires `golden`) records a
+/// divergence observation at every post-injection checkpoint. The
+/// returned [`InjectionRun`] is identical with or without either, and so
+/// is every `tel` counter but `pages_compared`. `decoded` shares a table
+/// decoded once per cell (`None` decodes inline).
 ///
 /// # Errors
 ///

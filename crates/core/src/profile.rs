@@ -228,8 +228,7 @@ impl PinfiProfile {
 }
 
 /// A borrowed view of one cell's golden run used for convergence
-/// detection: the profiling checkpoints (with their state digests) and
-/// the golden step count.
+/// detection: the profiling checkpoints and the golden step count.
 ///
 /// Passed to [`run_llfi_observed`](crate::run_llfi_observed) /
 /// [`run_pinfi_observed`](crate::run_pinfi_observed), whose shared

@@ -781,16 +781,9 @@ impl CampaignReport {
             );
             let _ = writeln!(
                 out,
-                "  convergence: {} digest compares, {} matches, {} confirmed \
-                 ({} collisions), {} unsettled pauses",
+                "  convergence: {} compares, {} converged, {} unsettled pauses",
                 c.counter("digest_compares"),
-                c.counter("digest_matches"),
-                c.counter("converged"),
-                // saturating: a partial stream (killed campaign, empty
-                // resume) can carry `converged` without the matching
-                // `digest_matches` counter flush.
-                c.counter("digest_matches")
-                    .saturating_sub(c.counter("converged")),
+                c.counter("early_exited"),
                 c.counter("pauses_unsettled"),
             );
             let _ = writeln!(
@@ -800,15 +793,15 @@ impl CampaignReport {
                 c.counter("verdict_overwritten"),
                 c.counter("verdict_dormant"),
             );
-            let hashed = c.counter("snap_pages_hashed");
+            let copied = c.counter("snap_pages_copied");
             let reused = c.counter("snap_pages_reused");
-            if hashed + reused > 0 {
+            if copied + reused > 0 {
                 let _ = writeln!(
                     out,
-                    "  snapshots: {} of {} pages reused clean hashes ({:.1}%)",
+                    "  snapshots: {} of {} pages shared with the previous snapshot ({:.1}%)",
                     reused,
-                    hashed + reused,
-                    pct_of(reused, hashed + reused),
+                    copied + reused,
+                    pct_of(reused, copied + reused),
                 );
             }
             if let Some(r) = c.hists.get("restore_ns").filter(|r| r.count() > 0) {
@@ -829,7 +822,7 @@ impl CampaignReport {
             if compared > 0 {
                 let _ = writeln!(
                     out,
-                    "  page compares: {compared} pages hashed or byte-compared \
+                    "  page compares: {compared} pages byte-compared \
                      at checkpoints ({:.1}/task)",
                     compared as f64 / tasks.max(1) as f64,
                 );

@@ -14,7 +14,8 @@
 //! Metrics split into two classes:
 //!
 //! * **Deterministic** — per-task quantities summed per cell (tasks,
-//!   fast-forwards, early exits, step splits, digest compares, verdicts)
+//!   fast-forwards, early exits, step splits, checkpoint compares,
+//!   verdicts)
 //!   plus the step-valued histograms. These are identical for every
 //!   `--threads` value, because each task contributes the same amounts
 //!   no matter which worker runs it and merging is commutative.
@@ -73,59 +74,58 @@ pub mod cell_counter {
     pub const STEPS_SKIPPED_FF: usize = 5;
     /// Steps reconstructed (not executed) by an early exit.
     pub const STEPS_RECONSTRUCTED_EE: usize = 6;
-    /// Checkpoint digest comparisons attempted.
+    /// Exact compares of the live state with a golden checkpoint at
+    /// pauses whose fault was settled. (The name predates the exact
+    /// compare; `fiq-benchmark` reads it as `engine.digest_compares`.)
     pub const DIGEST_COMPARES: usize = 7;
-    /// Digest comparisons that matched (candidate convergences).
-    pub const DIGEST_MATCHES: usize = 8;
-    /// Digest matches confirmed by the exact byte compare. The gap
-    /// `DIGEST_MATCHES - CONVERGED` counts digest collisions.
-    pub const CONVERGED: usize = 9;
     /// Checkpoint pauses skipped because the activation verdict was not
     /// yet settled.
-    pub const PAUSES_UNSETTLED: usize = 10;
+    pub const PAUSES_UNSETTLED: usize = 8;
     /// Faults whose corrupted value was read (activated).
-    pub const VERDICT_ACTIVATED: usize = 11;
+    pub const VERDICT_ACTIVATED: usize = 9;
     /// Faults overwritten before any read (dead, never activatable).
-    pub const VERDICT_OVERWRITTEN: usize = 12;
+    pub const VERDICT_OVERWRITTEN: usize = 10;
     /// Faults still live at run end but never read.
-    pub const VERDICT_DORMANT: usize = 13;
-    /// Snapshot pages hashed during this cell's profiling capture.
-    pub const SNAP_PAGES_HASHED: usize = 14;
-    /// Snapshot pages reused (allocation + hash shared with the previous
+    pub const VERDICT_DORMANT: usize = 11;
+    /// Snapshot pages that did not share the previous snapshot's
+    /// allocation during this cell's profiling capture: copied, or an
+    /// all-zero page that takes the shared zero page.
+    pub const SNAP_PAGES_COPIED: usize = 12;
+    /// Snapshot pages reused (allocation shared with the previous
     /// snapshot) during this cell's profiling capture.
-    pub const SNAP_PAGES_REUSED: usize = 15;
+    pub const SNAP_PAGES_REUSED: usize = 13;
     /// Enumerated fault-space points (exact collapse only; 0 otherwise).
-    pub const FAULT_SPACE: usize = 16;
+    pub const FAULT_SPACE: usize = 14;
     /// Points proven dormant by the collapse analyzer.
-    pub const COLLAPSE_DORMANT: usize = 17;
+    pub const COLLAPSE_DORMANT: usize = 15;
     /// Points proven masked/benign by the collapse analyzer.
-    pub const COLLAPSE_MASKED: usize = 18;
+    pub const COLLAPSE_MASKED: usize = 16;
     /// Points executed individually (residual singletons).
-    pub const COLLAPSE_RESIDUAL: usize = 19;
+    pub const COLLAPSE_RESIDUAL: usize = 17;
     /// Steps executed inside the quiescent fast loops (subset of
     /// `STEPS_EXECUTED`; measures phase-specialization coverage).
-    pub const STEPS_QUIESCENT: usize = 20;
+    pub const STEPS_QUIESCENT: usize = 18;
     /// Divergence timelines collected (tasks run with `--divergence`).
-    pub const TIMELINES: usize = 21;
+    pub const TIMELINES: usize = 19;
     /// Timelines whose fault was born: divergence observed at one or more
     /// golden checkpoints.
-    pub const DIV_BORN: usize = 22;
+    pub const DIV_BORN: usize = 20;
     /// Born timelines that were observed provably clean again (masked at
     /// a checkpoint).
-    pub const DIV_MASKED: usize = 23;
+    pub const DIV_MASKED: usize = 21;
     /// Snapshot pages copied by fast-forward restores: only a snapshot's
     /// non-zero pages are copied.
-    pub const RESTORE_PAGES_COPIED: usize = 24;
-    /// Memory pages hashed or byte-compared at checkpoint compares and
+    pub const RESTORE_PAGES_COPIED: usize = 22;
+    /// Memory pages byte-compared at checkpoint compares and
     /// divergence observations; pages the restored memory provably still
     /// shares with the checkpoint are skipped and not counted. The one
     /// cell counter that moves with `--divergence`, since observing is
     /// work too.
-    pub const PAGES_COMPARED: usize = 25;
+    pub const PAGES_COMPARED: usize = 23;
     /// Hang tasks proved by a repeated state past the golden length
     /// instead of run to the budget; their un-run steps count as
     /// `STEPS_RECONSTRUCTED_EE`.
-    pub const HANGS_PROVEN: usize = 26;
+    pub const HANGS_PROVEN: usize = 24;
 }
 
 /// Cell-scope histogram indices into [`HUB_SPEC`].
@@ -178,13 +178,11 @@ pub static HUB_SPEC: HubSpec = HubSpec {
         "steps_skipped_ff",
         "steps_reconstructed_ee",
         "digest_compares",
-        "digest_matches",
-        "converged",
         "pauses_unsettled",
         "verdict_activated",
         "verdict_overwritten",
         "verdict_dormant",
-        "snap_pages_hashed",
+        "snap_pages_copied",
         "snap_pages_reused",
         "fault_space",
         "collapse_dormant",

@@ -1,7 +1,7 @@
 //! Differential oracles over one generated program.
 //!
 //! Every program is checked at each requested optimization level, and at
-//! each level against five oracles:
+//! each level against four oracles:
 //!
 //! * **opt-agreement** — the interpreted result (exit status + console
 //!   output) is identical across all optimization pipelines, from
@@ -12,11 +12,6 @@
 //!   bit-for-bit, and resuming from *every* checkpoint replays the rest
 //!   of the run to the same status, step count, and output — on both
 //!   substrates,
-//! * **digest-integrity** — the cheap [`fiq_mem::StateDigest`]-based
-//!   comparison agrees with exact state equality at every checkpoint
-//!   boundary: exact-equal states must digest-equal, and a replayed
-//!   state paused at checkpoint `j` must *not* digest-match any other
-//!   checkpoint (those states differ at least in their step counts),
 //! * **injection** — seeded single-bit faults at both levels classify
 //!   identically (outcome and step count) with and without fast-forward
 //!   and early exit, and record the same divergence timeline with and
@@ -51,8 +46,6 @@ pub enum OracleKind {
     CrossLevel,
     /// Checkpoint restore + replay does not reproduce the straight run.
     SnapshotReplay,
-    /// The cheap state digest disagrees with exact state comparison.
-    DigestIntegrity,
     /// A faulted run classifies differently with fast-forward or early
     /// exit, or its divergence timeline depends on them.
     Injection,
@@ -67,7 +60,6 @@ impl OracleKind {
             OracleKind::OptAgreement => "opt-agreement",
             OracleKind::CrossLevel => "cross-level",
             OracleKind::SnapshotReplay => "snapshot-replay",
-            OracleKind::DigestIntegrity => "digest-integrity",
             OracleKind::Injection => "injection",
             OracleKind::Panic => "panic",
         }
@@ -83,8 +75,6 @@ pub struct OracleSet {
     pub cross_level: bool,
     /// Run the snapshot-replay oracle.
     pub snapshot_replay: bool,
-    /// Run the digest-integrity oracle (piggybacks on replay pauses).
-    pub digest_integrity: bool,
     /// Run the injection oracle.
     pub injection: bool,
 }
@@ -95,7 +85,6 @@ impl Default for OracleSet {
             opt_agreement: true,
             cross_level: true,
             snapshot_replay: true,
-            digest_integrity: true,
             injection: true,
         }
     }
@@ -108,16 +97,12 @@ impl OracleSet {
             opt_agreement: false,
             cross_level: false,
             snapshot_replay: false,
-            digest_integrity: false,
             injection: false,
         };
         match name {
             "opt-agreement" => s.opt_agreement = true,
             "cross-level" => s.cross_level = true,
-            // Replay drives the pauses the digest checks happen at, so
-            // selecting either runs the replay machinery.
             "snapshot-replay" => s.snapshot_replay = true,
-            "digest-integrity" => s.digest_integrity = true,
             "injection" => s.injection = true,
             _ => return None,
         }
@@ -316,10 +301,7 @@ fn check_inner(
             }
         }
 
-        let needs_machine = oracles.cross_level
-            || oracles.snapshot_replay
-            || oracles.digest_integrity
-            || oracles.injection;
+        let needs_machine = oracles.cross_level || oracles.snapshot_replay || oracles.injection;
         // One machine run serves the cross-level comparison, the
         // machine's replay oracle and its checkpoint interval.
         let machine = if needs_machine {
@@ -356,16 +338,16 @@ fn check_inner(
             }
         }
 
-        if oracles.snapshot_replay || oracles.digest_integrity {
+        if oracles.snapshot_replay {
             let opts = interp_opts(max_steps);
             let fresh = Interp::new(&module, opts, NopHook);
             let restore = |s: &_| Interp::restore(&module, opts, NopHook, s);
-            replay_oracle("interp", level, oracles, &ir_run, fresh, restore)?;
+            replay_oracle("interp", level, &ir_run, fresh, restore)?;
             if let Some((prog, mach_run)) = &machine {
                 let opts = mach_opts(max_steps);
                 let fresh = Machine::new(prog, opts, NopAsmHook);
                 let restore = |s: &_| Machine::restore(prog, opts, NopAsmHook, s);
-                replay_oracle("machine", level, oracles, mach_run, fresh, restore)?;
+                replay_oracle("machine", level, mach_run, fresh, restore)?;
             }
         }
 
@@ -394,24 +376,20 @@ fn interval(steps: u64) -> u64 {
 
 /// Checks one core's checkpoints: snapshotting must not perturb the
 /// straight run `plain`, and a run restored from every checkpoint
-/// (`restore`) must equal golden at every later checkpoint (exactly, and
-/// by digest) and finish exactly as `plain` did. `fresh` is a new
-/// executor at program start; `core` names it in findings.
+/// (`restore`) must equal golden exactly at every later checkpoint and
+/// finish exactly as `plain` did. `fresh` is a new executor at program
+/// start; `core` names it in findings.
 fn replay_oracle<E: Executor>(
     core: &str,
     level: u8,
-    oracles: OracleSet,
     plain: &RunResult,
     fresh: Result<E, Trap>,
     restore: impl Fn(&E::Snapshot) -> E,
 ) -> Result<(), CheckFailure> {
     let replay = |detail: String| diverge(OracleKind::SnapshotReplay, level, detail);
-    let digest = |detail: String| diverge(OracleKind::DigestIntegrity, level, detail);
     let mut exec = fresh.map_err(|t| replay(format!("setup trap: {t}")))?;
     let (gold, snaps) = exec.run_with_snapshots(interval(plain.steps));
-    if oracles.snapshot_replay
-        && (gold.status != plain.status || gold.steps != plain.steps || gold.output != plain.output)
-    {
+    if gold.status != plain.status || gold.steps != plain.steps || gold.output != plain.output {
         return Err(replay(format!(
             "{core}: snapshotting perturbed the run: {} in {} steps vs {} in {} steps",
             status_str(gold.status),
@@ -423,14 +401,9 @@ fn replay_oracle<E: Executor>(
 
     for (i, snap) in snaps.iter().enumerate() {
         let mut it = restore(snap);
-        if oracles.snapshot_replay && !it.state_equals_snapshot(snap) {
+        if !it.state_equals_snapshot(snap) {
             return Err(replay(format!(
                 "{core}: restore from checkpoint {i} is lossy"
-            )));
-        }
-        if oracles.digest_integrity && !it.state_matches_digest(snap) {
-            return Err(digest(format!(
-                "{core}: restored state does not digest-match its own checkpoint {i}"
             )));
         }
         for (j, later) in snaps.iter().enumerate().skip(i + 1) {
@@ -443,38 +416,14 @@ fn replay_oracle<E: Executor>(
                     later.steps()
                 )));
             }
-            let exact = it.state_equals_snapshot(later);
-            let digested = it.state_matches_digest(later);
-            if oracles.digest_integrity && digested && !exact {
-                return Err(digest(format!(
-                    "{core}: digest collision — replay from checkpoint {i} paused at {j} \
-                     digest-matches it but differs bitwise"
-                )));
-            }
-            if oracles.snapshot_replay && !exact {
+            if !it.state_equals_snapshot(later) {
                 return Err(replay(format!(
                     "{core}: replay from checkpoint {i} diverged by checkpoint {j}"
                 )));
             }
-            if oracles.digest_integrity && !digested {
-                return Err(digest(format!(
-                    "{core}: exact-equal state at checkpoint {j} fails the digest check"
-                )));
-            }
-            if oracles.digest_integrity {
-                if let Some(m) =
-                    (0..snaps.len()).find(|&m| m != j && it.state_matches_digest(&snaps[m]))
-                {
-                    return Err(digest(format!(
-                        "{core}: state at checkpoint {j} digest-matches unrelated checkpoint {m}"
-                    )));
-                }
-            }
         }
         let fin = it.run();
-        if oracles.snapshot_replay
-            && (fin.status != gold.status || fin.steps != gold.steps || fin.output != gold.output)
-        {
+        if fin.status != gold.status || fin.steps != gold.steps || fin.output != gold.output {
             return Err(replay(format!(
                 "{core}: run resumed from checkpoint {i} finished {} in {} steps with {} \
                  output bytes; straight run finished {} in {} steps with {} bytes",

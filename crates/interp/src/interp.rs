@@ -14,10 +14,7 @@ use crate::rtval::RtVal;
 use fiq_ir::{
     BlockId, Callee, FloatTy, FuncId, GlobalInit, InstId, InstKind, Intrinsic, Module, Type, Value,
 };
-use fiq_mem::{
-    component, Console, Divergence, Hasher64, MemCapture, MemSnapshot, Memory, Quiescence,
-    RegionKind, StateDigest, Trap,
-};
+use fiq_mem::{component, Console, Divergence, MemSnapshot, Memory, Quiescence, RegionKind, Trap};
 use std::sync::Arc;
 
 /// Interpreter configuration. Memory capacity and stack size are
@@ -153,7 +150,6 @@ pub struct InterpSnapshot {
     steps: u64,
     frame_counter: u64,
     counts: Vec<Vec<u64>>,
-    digest: StateDigest,
 }
 
 impl InterpSnapshot {
@@ -172,13 +168,6 @@ impl InterpSnapshot {
     pub fn mem(&self) -> &MemSnapshot {
         &self.mem
     }
-
-    /// The cheap state digest captured alongside the snapshot (frame
-    /// stack + registers hash, console length/hash). Memory is digested
-    /// per-page inside [`InterpSnapshot::mem`].
-    pub fn digest(&self) -> &StateDigest {
-        &self.digest
-    }
 }
 
 /// The complete state of a running [`Interp`] but its step counter, taken
@@ -188,7 +177,7 @@ impl InterpSnapshot {
 #[derive(Debug, Clone)]
 pub struct InterpCapture {
     frames: Vec<Frame>,
-    mem: MemCapture,
+    mem: MemSnapshot,
     console_len: usize,
     stack_start: u64,
     sp: u64,
@@ -479,40 +468,26 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         &self.hook
     }
 
-    /// Cheap convergence check against a golden checkpoint: digests only
-    /// (architectural-state hash, console length/hash, per-page memory
-    /// hashes). `true` is necessary but not sufficient for state equality —
-    /// confirm with [`Interp::state_equals_snapshot`]; `false` is definitive.
-    pub fn state_matches_digest(&self, snap: &InterpSnapshot) -> bool {
-        self.steps == snap.steps
-            && self.sp == snap.sp
-            && self.frame_counter == snap.frame_counter
-            && self.arch_hash() == snap.digest.arch
-            && snap.digest.console_matches(&self.console)
-            && self.mem.matches_snapshot_hashes(&snap.mem)
-    }
-
-    /// Exact convergence check: full bitwise comparison of the live state
-    /// against a golden checkpoint (frame stack with NaN-safe value
-    /// equality, memory bytes, console, stack pointer, step counter).
+    /// Convergence check: exact comparison of the live state against a
+    /// golden checkpoint (step counter, stack pointer, frame stack with
+    /// NaN-safe value equality, global addresses, console, memory bytes).
     /// `true` here means the remaining execution is step-for-step
     /// identical to the golden run from this checkpoint on.
+    ///
+    /// The frames go right after the scalars and before the global
+    /// addresses, the console and memory: almost every faulty run that
+    /// pauses at a checkpoint with a settled fault still differs in its
+    /// frames, and a mismatch there ends the compare before the rest is
+    /// read.
     pub fn state_equals_snapshot(&self, snap: &InterpSnapshot) -> bool {
         self.steps == snap.steps
             && self.sp == snap.sp
             && self.stack_start == snap.stack_start
             && self.frame_counter == snap.frame_counter
+            && frames_bits_eq(&self.frames, &snap.frames)
             && self.global_addrs == snap.global_addrs
             && self.console.contents() == snap.console.contents()
-            && frames_bits_eq(&self.frames, &snap.frames)
             && self.mem.equals_snapshot(&snap.mem)
-    }
-
-    /// The live state's digest (architectural-state hash plus console
-    /// length/hash), in the same form a snapshot captures — exposed so
-    /// differential tests can compare states across cores.
-    pub fn state_digest(&self) -> StateDigest {
-        StateDigest::new(self.arch_hash(), &self.console)
     }
 
     /// Captures the live state for [`Interp::equals_capture`]: its cost
@@ -541,7 +516,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             && self.stack_start == capture.stack_start
             && self.console.len() == capture.console_len
             && frames_bits_eq(&self.frames, &capture.frames)
-            && self.mem.equals_capture(&capture.mem)
+            && self.mem.equals_snapshot(&capture.mem)
     }
 
     /// Component-granular divergence of the live state from a golden
@@ -556,11 +531,8 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     /// * [`component::MEM`] — one or more 4 KiB pages or the allocation
     ///   layout differ; `pages` counts the diverged pages.
     ///
-    /// Per-page and console comparisons are hash-based (inequality is
-    /// proof; see [`fiq_mem::Divergence`]), the frame comparisons are
-    /// exact. An apparently clean observation is confirmed with the exact
-    /// byte compare, so [`Divergence::clean`] means byte-identical state —
-    /// never a hash-collision artifact.
+    /// Every comparison is exact, so [`Divergence::clean`] means
+    /// byte-identical state.
     pub fn divergence_from(&self, snap: &InterpSnapshot) -> Divergence {
         let mut components = 0u8;
         let structure_eq = self.steps == snap.steps
@@ -583,50 +555,14 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             // or argument values — the IR level's register file.
             components |= component::REGS;
         }
-        if !snap.digest.console_matches(&self.console) {
+        if self.console.contents() != snap.console.contents() {
             components |= component::CONSOLE;
         }
-        let mut pages = self.mem.diverged_pages(&snap.mem);
+        let pages = self.mem.diverged_pages(&snap.mem);
         if pages > 0 || !self.mem.layout_matches_snapshot(&snap.mem) {
             components |= component::MEM;
         }
-        if components == 0 {
-            // "Fully converged" ends a timeline, so rule out hash
-            // collisions (console/pages) with the exact compare.
-            if self.console.contents() != snap.console.contents() {
-                components |= component::CONSOLE;
-            }
-            let exact = self.mem.diverged_pages_exact(&snap.mem);
-            if exact > 0 {
-                components |= component::MEM;
-                pages = exact;
-            }
-        }
         Divergence { components, pages }
-    }
-
-    /// Hashes everything outside memory and console: the frame stack
-    /// (bitwise values), stack pointer, and frame counter.
-    fn arch_hash(&self) -> u64 {
-        let mut h = Hasher64::new();
-        h.write_u64(self.sp);
-        h.write_u64(self.stack_start);
-        h.write_u64(self.frame_counter);
-        h.write_u64(self.frames.len() as u64);
-        for f in &self.frames {
-            h.write_u64(f.fid.index() as u64);
-            h.write_u64(f.frame_id);
-            h.write_u64(f.saved_sp);
-            h.write_u64(f.cur.index() as u64);
-            h.write_u64(f.prev.map_or(u64::MAX, |b| b.index() as u64));
-            h.write_u64(f.ip as u64);
-            // Slots hash as raw images: the kind of each slot is static
-            // (see `Frame`), so tagging would add no information.
-            for &s in &f.slots {
-                h.write_u64(s);
-            }
-        }
-        h.finish()
     }
 
     /// Pushes `main`'s frame if the program has not started yet.
@@ -733,7 +669,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         if !matches!(&self.snap, Some(s) if self.steps >= s.next_at) {
             return;
         }
-        let digest = StateDigest::new(self.arch_hash(), &self.console);
         let snap = self.snap.as_mut().expect("checked above");
         let prev_mem = snap.snapshots.last().map(|s| &s.mem);
         let snapshot = InterpSnapshot {
@@ -746,7 +681,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             steps: self.steps,
             frame_counter: self.frame_counter,
             counts: snap.counts.clone(),
-            digest,
         };
         snap.snapshots.push(snapshot);
         while snap.next_at <= self.steps {

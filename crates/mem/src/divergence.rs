@@ -5,16 +5,13 @@
 //! golden checkpoint?" as a boolean. Divergence timelines need the finer
 //! question: *which parts* differ, and by how much. [`Divergence`] is the
 //! shared answer format for both execution substrates — a small bitmap
-//! naming the architectural components that provably differ plus the
-//! number of diverged 4 KiB memory pages — computed from the same page
-//! hashes and digests the early-exit machinery already maintains.
+//! naming the architectural components that differ plus the number of
+//! diverged 4 KiB memory pages.
 //!
-//! Hash inequality is proof of byte inequality (both sides hash with
-//! [`crate::hash_bytes`]), so a nonzero observation needs no byte-level
-//! confirmation. The *zero* observation is the one that needs exactness —
-//! "fully converged" is a load-bearing claim (it ends a timeline) — so
-//! substrates confirm an apparently-clean diff with their exact
-//! byte-compare path before reporting [`Divergence::clean`].
+//! Every component is compared exactly, with the byte compares early exit
+//! uses ([`crate::Memory::diverged_pages`] reads only the pages the
+//! restored memory may have changed), so [`Divergence::clean`] — "fully
+//! converged", which ends a timeline — means byte-identical state.
 
 /// Bit flags naming which architectural components diverge from a golden
 /// checkpoint. The same bit means the closest equivalent at either level
@@ -51,15 +48,14 @@ pub mod component {
 pub struct Divergence {
     /// Bitmap of diverged components (see [`component`]).
     pub components: u8,
-    /// Number of 4 KiB pages whose content provably differs (pages mapped
-    /// on only one side count as diverged).
+    /// Number of 4 KiB pages whose content differs (pages mapped on only
+    /// one side count as diverged).
     pub pages: u32,
 }
 
 impl Divergence {
     /// True when nothing diverges — the live state is byte-identical to
-    /// the checkpoint. Substrates guarantee this is exact (confirmed by a
-    /// byte compare), never a hash-collision artifact.
+    /// the checkpoint.
     pub fn clean(&self) -> bool {
         self.components == 0
     }

@@ -21,18 +21,16 @@
 #![warn(missing_docs)]
 
 mod console;
-mod digest;
 mod divergence;
 mod memory;
 mod quiescence;
 mod trap;
 
 pub use console::Console;
-pub use digest::{hash_bytes, Hasher64, StateDigest};
 pub use divergence::{component, Divergence};
 pub use memory::{
-    MemCapture, MemSnapshot, Memory, Region, RegionKind, DEFAULT_CAPACITY, DEFAULT_STACK_SIZE,
-    NULL_GUARD, SNAPSHOT_PAGE,
+    MemSnapshot, Memory, Region, RegionKind, DEFAULT_CAPACITY, DEFAULT_STACK_SIZE, NULL_GUARD,
+    SNAPSHOT_PAGE,
 };
 pub use quiescence::Quiescence;
 pub use trap::{RunResult, RunStatus, Trap};

@@ -2,9 +2,7 @@
 //! access-check soundness, read/write round trips, and snapshot restore
 //! and compares against a naive full-scan reference.
 
-use fiq_mem::{
-    hash_bytes, MemSnapshot, Memory, Region, RegionKind, Trap, NULL_GUARD, SNAPSHOT_PAGE,
-};
+use fiq_mem::{MemSnapshot, Memory, Region, RegionKind, Trap, NULL_GUARD, SNAPSHOT_PAGE};
 use proptest::prelude::*;
 
 proptest! {
@@ -113,21 +111,14 @@ impl Shadow {
 }
 
 /// The full-scan reference the page-skipping compares must agree with:
-/// every common page tested, by hash or by bytes, plus every page mapped
-/// on one side only.
-fn naive_diverged(live: &Shadow, snap: &Shadow, exact: bool) -> u32 {
-    let differs = |a: &[u8], b: &[u8]| {
-        if exact {
-            a != b
-        } else {
-            hash_bytes(a) != hash_bytes(b)
-        }
-    };
+/// every common page byte-compared, plus every page mapped on one side
+/// only.
+fn naive_diverged(live: &Shadow, snap: &Shadow) -> u32 {
     let common = live
         .image
         .chunks(SNAPSHOT_PAGE)
         .zip(snap.image.chunks(SNAPSHOT_PAGE))
-        .filter(|(a, b)| differs(a, b))
+        .filter(|(a, b)| a != b)
         .count();
     let pages = |s: &Shadow| s.image.len().div_ceil(SNAPSHOT_PAGE);
     (common + pages(live).abs_diff(pages(snap))) as u32
@@ -183,19 +174,11 @@ fn random_writes(m: &mut Memory, rng: &mut Rng, n: usize, revert_to: &Shadow) {
     }
 }
 
-/// Checks all four compares of `m` against every snapshot in `series`.
+/// Checks both compares of `m` against every snapshot in `series`.
 fn check_against_series(m: &Memory, series: &[(MemSnapshot, Shadow)]) -> Result<(), TestCaseError> {
     let live = Shadow::of(m);
     for (k, (snap, model)) in series.iter().enumerate() {
-        let layout = live.layout_eq(model);
-        let hashes_eq = layout && naive_diverged(&live, model, false) == 0;
-        let bytes_eq = layout && live.image == model.image;
-        prop_assert_eq!(
-            m.matches_snapshot_hashes(snap),
-            hashes_eq,
-            "matches_snapshot_hashes vs snapshot {}",
-            k
-        );
+        let bytes_eq = live.layout_eq(model) && live.image == model.image;
         prop_assert_eq!(
             m.equals_snapshot(snap),
             bytes_eq,
@@ -204,14 +187,8 @@ fn check_against_series(m: &Memory, series: &[(MemSnapshot, Shadow)]) -> Result<
         );
         prop_assert_eq!(
             m.diverged_pages(snap),
-            naive_diverged(&live, model, false),
+            naive_diverged(&live, model),
             "diverged_pages vs snapshot {}",
-            k
-        );
-        prop_assert_eq!(
-            m.diverged_pages_exact(snap),
-            naive_diverged(&live, model, true),
-            "diverged_pages_exact vs snapshot {}",
             k
         );
     }
@@ -239,8 +216,6 @@ proptest! {
             let prev = series.last().map(|(s, _)| s);
             let snap = m.snapshot(prev);
             let model = Shadow::of(&m);
-            let naive_hashes: Vec<u64> = model.image.chunks(SNAPSHOT_PAGE).map(hash_bytes).collect();
-            prop_assert_eq!(snap.page_hashes(), &naive_hashes[..]);
             series.push((snap, model));
             let revert = series[rng.below(series.len() as u64) as usize].1.clone();
             let n = rng.below(6) as usize;
@@ -306,7 +281,7 @@ proptest! {
                 let live = Shadow::of(&mem);
                 for (k, (capture, model)) in captures.iter().enumerate() {
                     let equal = live.layout_eq(model) && live.image == model.image;
-                    prop_assert_eq!(mem.equals_capture(capture), equal, "capture {}", k);
+                    prop_assert_eq!(mem.equals_snapshot(capture), equal, "capture {}", k);
                 }
             }
         }
@@ -465,8 +440,8 @@ fn check_sized(
                 image[off..off + bytes.len()].copy_from_slice(bytes);
             }
             prop_assert_eq!(
-                m.diverged_pages_exact(snap),
-                twin.diverged_pages_exact(snap),
+                m.diverged_pages(snap),
+                twin.diverged_pages(snap),
                 "pages written by {} bytes at {:#x}",
                 size,
                 addr

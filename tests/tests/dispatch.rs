@@ -3,9 +3,11 @@
 //! Each substrate runs one production core, the pre-decoded table, and
 //! keeps its per-instruction `match` as a reference core that only
 //! `run_reference_until` reaches. The two must be observationally
-//! indistinguishable: identical step counts, [`StateDigest`] (architectural
-//! state + console), stop status, console bytes, and hook event order.
-//! This suite checks that on both substrates:
+//! indistinguishable: identical step counts, stop status, console bytes
+//! and hook event order, and states that the cores' own exact compare
+//! (`capture` on one, `equals_capture` on the other: frames or registers,
+//! memory, console length) finds equal. This suite checks that on both
+//! substrates:
 //!
 //! * full runs of every corpus regression and 200 generated programs,
 //!   with an inert hook (quiescent fast loop) and an always-active one
@@ -32,37 +34,69 @@ use fiq_asm::{
     Operand, Reg, RegId, RunResult, Width, ALL_FLAGS, ZF,
 };
 use fiq_backend::LowerOptions;
+use fiq_core::Executor;
 use fiq_interp::{ExecResult, InstSite, Interp, InterpHook, InterpOptions, NopHook, RtVal};
 use fiq_ir::Module;
-use fiq_mem::{Quiescence, StateDigest};
+use fiq_mem::Quiescence;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Everything the cores must agree on.
+/// Everything the cores must agree on but the rest of their state,
+/// which [`assert_same`] compares exactly.
 #[derive(Debug, PartialEq, Eq)]
 struct Observed {
     steps: u64,
-    digest: StateDigest,
     status: String,
     output: String,
+    console: String,
 }
 
-fn observe_interp<H: InterpHook>(interp: &Interp<'_, H>, res: ExecResult) -> Observed {
-    Observed {
-        steps: res.steps,
-        digest: interp.state_digest(),
-        status: format!("{:?}", res.status),
-        output: res.output,
+/// A core stopped at the end of a run, with what it reported.
+struct Ran<C> {
+    obs: Observed,
+    core: C,
+}
+
+fn observe_interp<H: InterpHook>(interp: Interp<'_, H>, res: ExecResult) -> Ran<Interp<'_, H>> {
+    Ran {
+        obs: Observed {
+            steps: res.steps,
+            status: format!("{:?}", res.status),
+            output: res.output,
+            console: interp.console().contents().to_string(),
+        },
+        core: interp,
     }
 }
 
-fn observe_machine<H: AsmHook>(machine: &Machine<'_, H>, res: RunResult) -> Observed {
-    Observed {
-        steps: res.steps,
-        digest: machine.state_digest(),
-        status: format!("{:?}", res.status),
-        output: res.output,
+fn observe_machine<H: AsmHook>(machine: Machine<'_, H>, res: RunResult) -> Ran<Machine<'_, H>> {
+    Ran {
+        obs: Observed {
+            steps: res.steps,
+            status: format!("{:?}", res.status),
+            output: res.output,
+            console: machine.console().contents().to_string(),
+        },
+        core: machine,
     }
+}
+
+/// True when `got`'s state equals `want`'s exactly, steps aside: the
+/// cores' own capture compare (frames or registers, memory bytes and
+/// layout, console length).
+fn same_state<G: Executor, W: Executor<Capture = G::Capture>>(got: &G, want: &W) -> bool {
+    got.equals_capture(&want.capture())
+}
+
+/// Asserts that two runs ended alike: the same observations and exactly
+/// the same state.
+fn assert_same<G: Executor, W: Executor<Capture = G::Capture>>(
+    got: &Ran<G>,
+    want: &Ran<W>,
+    what: &str,
+) {
+    assert_eq!(got.obs, want.obs, "{what}");
+    assert!(same_state(&got.core, &want.core), "{what}: states differ");
 }
 
 /// A hook that ignores every event but reports itself always active, so
@@ -81,7 +115,12 @@ enum Core {
     Production,
 }
 
-fn run_interp<H: InterpHook>(m: &Module, max_steps: u64, hook: H, core: Core) -> (Observed, H) {
+fn run_interp<H: InterpHook>(
+    m: &Module,
+    max_steps: u64,
+    hook: H,
+    core: Core,
+) -> Ran<Interp<'_, H>> {
     let opts = InterpOptions {
         max_steps,
         ..InterpOptions::default()
@@ -93,11 +132,15 @@ fn run_interp<H: InterpHook>(m: &Module, max_steps: u64, hook: H, core: Core) ->
             .expect("an unbounded run stops"),
         Core::Production => interp.run(),
     };
-    let obs = observe_interp(&interp, res);
-    (obs, interp.into_hook())
+    observe_interp(interp, res)
 }
 
-fn run_machine<H: AsmHook>(p: &AsmProgram, max_steps: u64, hook: H, core: Core) -> (Observed, H) {
+fn run_machine<H: AsmHook>(
+    p: &AsmProgram,
+    max_steps: u64,
+    hook: H,
+    core: Core,
+) -> Ran<Machine<'_, H>> {
     let opts = MachOptions { max_steps };
     let mut machine = Machine::new(p, opts, hook).expect("machine setup");
     let res = match core {
@@ -106,8 +149,7 @@ fn run_machine<H: AsmHook>(p: &AsmProgram, max_steps: u64, hook: H, core: Core) 
             .expect("an unbounded run stops"),
         Core::Production => machine.run(),
     };
-    let obs = observe_machine(&machine, res);
-    (obs, machine.into_hook())
+    observe_machine(machine, res)
 }
 
 fn compile(name: &str, source: &str) -> (Module, AsmProgram) {
@@ -147,17 +189,17 @@ fn generated(seed: u64) -> (String, String) {
 /// and its evented loop, against the reference core on both substrates.
 fn check_lockstep(name: &str, source: &str, max_steps: u64) {
     let (module, prog) = compile(name, source);
-    let (want, _) = run_interp(&module, max_steps, NopHook, Core::Reference);
-    let (got, _) = run_interp(&module, max_steps, NopHook, Core::Production);
-    assert_eq!(got, want, "{name}: interp quiescent loop diverged");
-    let (got, _) = run_interp(&module, max_steps, ActiveNop, Core::Production);
-    assert_eq!(got, want, "{name}: interp evented loop diverged");
+    let want = run_interp(&module, max_steps, NopHook, Core::Reference);
+    let got = run_interp(&module, max_steps, NopHook, Core::Production);
+    assert_same(&got, &want, &format!("{name}: interp quiescent loop"));
+    let got = run_interp(&module, max_steps, ActiveNop, Core::Production);
+    assert_same(&got, &want, &format!("{name}: interp evented loop"));
 
-    let (want, _) = run_machine(&prog, max_steps, NopAsmHook, Core::Reference);
-    let (got, _) = run_machine(&prog, max_steps, NopAsmHook, Core::Production);
-    assert_eq!(got, want, "{name}: machine quiescent loop diverged");
-    let (got, _) = run_machine(&prog, max_steps, ActiveNop, Core::Production);
-    assert_eq!(got, want, "{name}: machine evented loop diverged");
+    let want = run_machine(&prog, max_steps, NopAsmHook, Core::Reference);
+    let got = run_machine(&prog, max_steps, NopAsmHook, Core::Production);
+    assert_same(&got, &want, &format!("{name}: machine quiescent loop"));
+    let got = run_machine(&prog, max_steps, ActiveNop, Core::Production);
+    assert_same(&got, &want, &format!("{name}: machine evented loop"));
 }
 
 /// Every shrunken fuzz regression must run in lockstep across cores.
@@ -184,7 +226,7 @@ fn generated_programs_lockstep_across_dispatch_modes() {
 /// address computation must land on exactly the same (in-bounds) final
 /// address as the reference core's element-by-element walk. The
 /// compensating column index brings every access back inside the array,
-/// so the run finishes and the cores must agree on output and digest,
+/// so the run finishes and the cores must agree on output and state,
 /// not merely both trap.
 #[test]
 fn gep_negative_index_wraps_identically_across_cores() {
@@ -241,9 +283,10 @@ fn gep_out_of_bounds_wrap_traps_identically_across_cores() {
 /// time.
 const SWEEP: [(u64, u64); 5] = [(1, 1), (4, 1), (4, 2), (4, 3), (4, 4)];
 
-/// What one paused (or stopped) core looks like.
-fn pause_point<R: std::fmt::Debug>(steps: u64, digest: StateDigest, stop: Option<R>) -> String {
-    format!("{steps} {digest:?} {stop:?}")
+/// What one paused (or stopped) core reports; [`same_state`] compares
+/// the rest.
+fn pause_point<R: std::fmt::Debug>(steps: u64, console: &str, stop: Option<R>) -> String {
+    format!("{steps} {console:?} {stop:?}")
 }
 
 /// Pauses the production interpreter at every step `k` (see [`SWEEP`])
@@ -263,15 +306,20 @@ fn sweep_interp<H: InterpHook>(name: &str, m: &Module, max_steps: u64, hook: imp
             .run_reference_until(k)
             .map(|r| (r.status, r.output));
         let stopped = stop.is_some();
-        let want = pause_point(reference.steps(), reference.state_digest(), stop);
+        let console = reference.console().contents();
+        let want = pause_point(reference.steps(), console, stop);
         for (stride, next, core) in &mut cores {
             if *next != k && !stopped {
                 continue;
             }
             *next += *stride;
             let stop = core.run_until(k).map(|r| (r.status, r.output));
-            let got = pause_point(core.steps(), core.state_digest(), stop);
+            let got = pause_point(core.steps(), core.console().contents(), stop);
             assert_eq!(got, want, "{name}: interp stride {stride} paused at {k}");
+            assert!(
+                same_state(core, &reference),
+                "{name}: interp stride {stride} state at {k}"
+            );
         }
         if stopped {
             return;
@@ -292,15 +340,20 @@ fn sweep_machine<H: AsmHook>(name: &str, p: &AsmProgram, max_steps: u64, hook: i
             .run_reference_until(k)
             .map(|r| (r.status, r.output));
         let stopped = stop.is_some();
-        let want = pause_point(reference.steps(), reference.state_digest(), stop);
+        let console = reference.console().contents();
+        let want = pause_point(reference.steps(), console, stop);
         for (stride, next, core) in &mut cores {
             if *next != k && !stopped {
                 continue;
             }
             *next += *stride;
             let stop = core.run_until(k).map(|r| (r.status, r.output));
-            let got = pause_point(core.steps(), core.state_digest(), stop);
+            let got = pause_point(core.steps(), core.console().contents(), stop);
             assert_eq!(got, want, "{name}: machine stride {stride} paused at {k}");
+            assert!(
+                same_state(core, &reference),
+                "{name}: machine stride {stride} state at {k}"
+            );
         }
         if stopped {
             return;
@@ -370,13 +423,13 @@ fn production_snapshots_resume_identically_on_reference_core() {
         ..InterpOptions::default()
     };
     let mopts = MachOptions { max_steps };
-    let (interp_final, _) = run_interp(&module, max_steps, NopHook, Core::Reference);
-    let (machine_final, _) = run_machine(&prog, max_steps, NopAsmHook, Core::Reference);
+    let interp_final = run_interp(&module, max_steps, NopHook, Core::Reference);
+    let machine_final = run_machine(&prog, max_steps, NopAsmHook, Core::Reference);
     for interval in 1..=4u64 {
         let (res, snaps) = Interp::new(&module, iopts, NopHook)
             .unwrap()
             .run_with_snapshots(interval);
-        assert_eq!(res.steps, interp_final.steps, "interp capture run");
+        assert_eq!(res.steps, interp_final.obs.steps, "interp capture run");
         assert!(
             !snaps.is_empty(),
             "interp interval {interval}: no snapshots"
@@ -387,45 +440,43 @@ fn production_snapshots_resume_identically_on_reference_core() {
             // The capture rule: the first boundary at or past `due`.
             assert!(paused.run_reference_until(due).is_none());
             due = next_due(due, interval, paused.steps());
-            assert_eq!(
-                (paused.steps(), paused.state_digest()),
-                (snap.steps(), *snap.digest()),
-                "interp interval {interval}: snapshot at {}",
-                snap.steps()
+            assert!(
+                paused.state_equals_snapshot(snap),
+                "interp interval {interval}: snapshot at {} (paused at {})",
+                snap.steps(),
+                paused.steps()
             );
             let mut resumed = Interp::restore(&module, iopts, NopHook, snap);
             let res = resumed.run_reference_until(u64::MAX).unwrap();
-            assert_eq!(
-                observe_interp(&resumed, res),
-                interp_final,
-                "interp interval {interval}: resumed from {}",
-                snap.steps()
+            assert_same(
+                &observe_interp(resumed, res),
+                &interp_final,
+                &format!("interp interval {interval}: resumed from {}", snap.steps()),
             );
         }
 
         let (res, snaps) = Machine::new(&prog, mopts, NopAsmHook)
             .unwrap()
             .run_with_snapshots(interval);
-        assert_eq!(res.steps, machine_final.steps, "machine capture run");
+        assert_eq!(res.steps, machine_final.obs.steps, "machine capture run");
         assert_eq!(snaps.len() as u64, (res.steps - 1) / interval);
         let mut paused = Machine::new(&prog, mopts, NopAsmHook).unwrap();
         let mut due = interval;
         for snap in &snaps {
             assert!(paused.run_reference_until(due).is_none());
             due = next_due(due, interval, paused.steps());
-            assert_eq!(
-                (paused.steps(), paused.state_digest()),
-                (snap.steps(), *snap.digest()),
-                "machine interval {interval}: snapshot at {}",
-                snap.steps()
+            assert!(
+                paused.state_equals_snapshot(snap),
+                "machine interval {interval}: snapshot at {} (paused at {})",
+                snap.steps(),
+                paused.steps()
             );
             let mut resumed = Machine::restore(&prog, mopts, NopAsmHook, snap);
             let res = resumed.run_reference_until(u64::MAX).unwrap();
-            assert_eq!(
-                observe_machine(&resumed, res),
-                machine_final,
-                "machine interval {interval}: resumed from {}",
-                snap.steps()
+            assert_same(
+                &observe_machine(resumed, res),
+                &machine_final,
+                &format!("machine interval {interval}: resumed from {}", snap.steps()),
             );
         }
     }
@@ -562,23 +613,28 @@ impl InterpHook for PhaseRecorder {
 
 /// Runs one recorder on the reference core and, sleeping and not, on the
 /// production core, and requires the same event log, stop status, step
-/// count, and state digest. Returns the reference log.
+/// count, and state. Returns the reference log.
 fn interp_events_match(
     name: &str,
     m: &Module,
     max_steps: u64,
     recorder: impl Fn(bool) -> PhaseRecorder,
 ) -> Vec<String> {
-    let (want, want_hook) = run_interp(m, max_steps, recorder(true), Core::Reference);
+    let want = run_interp(m, max_steps, recorder(true), Core::Reference);
     for sleep in [true, false] {
-        let (got, got_hook) = run_interp(m, max_steps, recorder(sleep), Core::Production);
+        let got = run_interp(m, max_steps, recorder(sleep), Core::Production);
         assert_eq!(
-            got_hook.events, want_hook.events,
+            got.core.hook().events,
+            want.core.hook().events,
             "{name}: interp event log (sleep {sleep})"
         );
-        assert_eq!(got, want, "{name}: interp final state (sleep {sleep})");
+        assert_same(
+            &got,
+            &want,
+            &format!("{name}: interp final state (sleep {sleep})"),
+        );
     }
-    want_hook.events
+    want.core.into_hook().events
 }
 
 /// Draws `count` seeded `(site, instance)` fault targets from a census of
@@ -616,8 +672,8 @@ fn fault_budget(golden_steps: u64) -> u64 {
 #[test]
 fn interp_hook_event_order_matches_across_cores() {
     let (module, _) = compile("event-kernel", EVENT_KERNEL);
-    let (golden, census) = run_interp(&module, 1_000_000, SiteCensus::default(), Core::Reference);
-    let results = census.results;
+    let golden = run_interp(&module, 1_000_000, SiteCensus::default(), Core::Reference);
+    let results = &golden.core.hook().results;
     assert!(
         results.len() > 100,
         "kernel too small to pick a mid-run site"
@@ -631,7 +687,7 @@ fn interp_hook_event_order_matches_across_cores() {
         let events = interp_events_match(
             "event-kernel",
             &module,
-            fault_budget(golden.steps),
+            fault_budget(golden.obs.steps),
             |sleep| PhaseRecorder::new(target, nth, bit, sleep),
         );
         assert!(
@@ -643,15 +699,16 @@ fn interp_hook_event_order_matches_across_cores() {
     for seed in 0..200u64 {
         let (name, source) = generated(seed);
         let (module, _) = compile(&name, &source);
-        let (golden, census) = run_interp(&module, 500_000, SiteCensus::default(), Core::Reference);
-        if census.results.is_empty() {
+        let golden = run_interp(&module, 500_000, SiteCensus::default(), Core::Reference);
+        let results = &golden.core.hook().results;
+        if results.is_empty() {
             continue;
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        for (target, nth) in pick_targets(&census.results, &mut rng, 3) {
+        for (target, nth) in pick_targets(results, &mut rng, 3) {
             let bit = rng.gen_range(0..64u32);
             let label = format!("{name} {target:?}#{nth} bit {bit}");
-            interp_events_match(&label, &module, fault_budget(golden.steps), |sleep| {
+            interp_events_match(&label, &module, fault_budget(golden.obs.steps), |sleep| {
                 PhaseRecorder::new(target, nth, Some(bit), sleep)
             });
         }
@@ -844,24 +901,28 @@ impl InterpHook for EventLog {
 fn argument_and_constant_slots_match_reference() {
     let module = call_kernel();
     let max_steps = 1_000_000;
-    let (want, census) = run_interp(&module, max_steps, SiteCensus::default(), Core::Reference);
-    assert!(want.status.contains("Finished"), "{}", want.status);
-    let (got, _) = run_interp(&module, max_steps, NopHook, Core::Production);
-    assert_eq!(got, want, "call kernel: quiescent loop diverged");
-    let (got, _) = run_interp(&module, max_steps, ActiveNop, Core::Production);
-    assert_eq!(got, want, "call kernel: evented loop diverged");
-    let (_, log_want) = run_interp(&module, max_steps, EventLog::default(), Core::Reference);
-    let (_, log_got) = run_interp(&module, max_steps, EventLog::default(), Core::Production);
-    assert_eq!(log_got.0, log_want.0, "call kernel: event log");
+    let want = run_interp(&module, max_steps, SiteCensus::default(), Core::Reference);
+    assert!(want.obs.status.contains("Finished"), "{}", want.obs.status);
+    let got = run_interp(&module, max_steps, NopHook, Core::Production);
+    assert_same(&got, &want, "call kernel: quiescent loop");
+    let got = run_interp(&module, max_steps, ActiveNop, Core::Production);
+    assert_same(&got, &want, "call kernel: evented loop");
+    let log_want = run_interp(&module, max_steps, EventLog::default(), Core::Reference);
+    let log_got = run_interp(&module, max_steps, EventLog::default(), Core::Production);
+    assert_eq!(
+        log_got.core.hook().0,
+        log_want.core.hook().0,
+        "call kernel: event log"
+    );
 
     sweep_interp("call-kernel", &module, max_steps, || NopHook);
     sweep_interp("call-kernel", &module, max_steps, || ActiveNop);
 
     let mut rng = StdRng::seed_from_u64(5);
-    for (target, nth) in pick_targets(&census.results, &mut rng, 12) {
+    for (target, nth) in pick_targets(&want.core.hook().results, &mut rng, 12) {
         let bit = rng.gen_range(0..64u32);
         let label = format!("call-kernel {target:?}#{nth} bit {bit}");
-        interp_events_match(&label, &module, fault_budget(want.steps), |sleep| {
+        interp_events_match(&label, &module, fault_budget(want.obs.steps), |sleep| {
             PhaseRecorder::new(target, nth, Some(bit), sleep)
         });
     }
@@ -974,16 +1035,21 @@ fn machine_events_match(
     max_steps: u64,
     recorder: impl Fn(bool) -> AsmPhaseRecorder,
 ) -> Vec<String> {
-    let (want, want_hook) = run_machine(p, max_steps, recorder(true), Core::Reference);
+    let want = run_machine(p, max_steps, recorder(true), Core::Reference);
     for sleep in [true, false] {
-        let (got, got_hook) = run_machine(p, max_steps, recorder(sleep), Core::Production);
+        let got = run_machine(p, max_steps, recorder(sleep), Core::Production);
         assert_eq!(
-            got_hook.events, want_hook.events,
+            got.core.hook().events,
+            want.core.hook().events,
             "{name}: machine event log (sleep {sleep})"
         );
-        assert_eq!(got, want, "{name}: machine final state (sleep {sleep})");
+        assert_same(
+            &got,
+            &want,
+            &format!("{name}: machine final state (sleep {sleep})"),
+        );
     }
-    want_hook.events
+    want.core.into_hook().events
 }
 
 /// Same contract at the asm level: the retire-event log of a fault hook
@@ -997,7 +1063,7 @@ fn machine_events_match(
 #[test]
 fn machine_hook_event_order_matches_across_cores() {
     let (_, prog) = compile("event-kernel", EVENT_KERNEL);
-    let (golden, _) = run_machine(&prog, 1_000_000, NopAsmHook, Core::Reference);
+    let golden = run_machine(&prog, 1_000_000, NopAsmHook, Core::Reference);
     let target = prog
         .insts
         .iter()
@@ -1010,10 +1076,12 @@ fn machine_hook_event_order_matches_across_cores() {
         })
         .expect("kernel lowers with at least one compare+branch pair");
     for bit in [None, Some(0)] {
-        let events =
-            machine_events_match("event-kernel", &prog, fault_budget(golden.steps), |sleep| {
-                AsmPhaseRecorder::new(&prog, target, 4, bit, sleep)
-            });
+        let events = machine_events_match(
+            "event-kernel",
+            &prog,
+            fault_budget(golden.obs.steps),
+            |sleep| AsmPhaseRecorder::new(&prog, target, 4, bit, sleep),
+        );
         assert!(
             events.iter().any(|e| e.starts_with("retire ")),
             "active window never opened — bad target choice"
@@ -1027,15 +1095,16 @@ fn machine_hook_event_order_matches_across_cores() {
             prog: &prog,
             retires: Vec::new(),
         };
-        let (golden, census) = run_machine(&prog, 500_000, census, Core::Reference);
-        if census.retires.is_empty() {
+        let golden = run_machine(&prog, 500_000, census, Core::Reference);
+        let retires = &golden.core.hook().retires;
+        if retires.is_empty() {
             continue;
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        for (target, nth) in pick_targets(&census.retires, &mut rng, 3) {
+        for (target, nth) in pick_targets(retires, &mut rng, 3) {
             let bit = rng.gen_range(0..64u32);
             let label = format!("{name} inst {target}#{nth} bit {bit}");
-            machine_events_match(&label, &prog, fault_budget(golden.steps), |sleep| {
+            machine_events_match(&label, &prog, fault_budget(golden.obs.steps), |sleep| {
                 AsmPhaseRecorder::new(&prog, target, nth, Some(bit), sleep)
             });
         }
@@ -1129,20 +1198,20 @@ fn flag_injection_inside_fused_alu_jcc_steers_branch_identically() {
 
     // Flip ZF at the 5th `sub rax, 1` (rax = 27, ZF would be clear):
     // `jne` must fall through and the loop must exit 27 iterations early.
-    let (faulty_ref, hook) = run_machine(&prog, 1_000_000, injector(), Core::Reference);
-    assert!(hook.injected, "fault was never delivered");
-    let (clean, _) = run_machine(&prog, 1_000_000, NopAsmHook, Core::Reference);
+    let faulty_ref = run_machine(&prog, 1_000_000, injector(), Core::Reference);
+    assert!(faulty_ref.core.hook().injected, "fault was never delivered");
+    let clean = run_machine(&prog, 1_000_000, NopAsmHook, Core::Reference);
     assert!(
-        faulty_ref.steps < clean.steps,
+        faulty_ref.obs.steps < clean.obs.steps,
         "injection did not steer the branch: {} vs {} steps",
-        faulty_ref.steps,
-        clean.steps
+        faulty_ref.obs.steps,
+        clean.obs.steps
     );
-    let (got, hook) = run_machine(&prog, 1_000_000, injector(), Core::Production);
-    assert!(hook.injected, "fault was never delivered");
-    assert_eq!(got, faulty_ref, "steered branch diverged from reference");
-    let (got, _) = run_machine(&prog, 1_000_000, NopAsmHook, Core::Production);
-    assert_eq!(got, clean, "clean run diverged from reference");
+    let got = run_machine(&prog, 1_000_000, injector(), Core::Production);
+    assert!(got.core.hook().injected, "fault was never delivered");
+    assert_same(&got, &faulty_ref, "steered branch");
+    let got = run_machine(&prog, 1_000_000, NopAsmHook, Core::Production);
+    assert_same(&got, &clean, "clean run");
 }
 
 /// Logs every retire with the full register file and FLAGS, and reports
@@ -1326,34 +1395,6 @@ fn decoded_forms_program(trap: Option<(MemForm, u64)>) -> (AsmProgram, u64) {
     (prog, out + 64)
 }
 
-/// Runs `prog` to the end on `core` and returns what the cores must
-/// agree on plus a byte image of the mapped memory.
-fn run_machine_with_memory<H: AsmHook>(
-    p: &AsmProgram,
-    hook: H,
-    core: Core,
-) -> (Observed, H, Vec<u8>) {
-    let mut machine = Machine::new(p, MachOptions::default(), hook).expect("machine setup");
-    let res = match core {
-        Core::Reference => machine.run_reference_until(u64::MAX).expect("stops"),
-        Core::Production => machine.run(),
-    };
-    let obs = observe_machine(&machine, res);
-    let image = machine
-        .memory()
-        .regions()
-        .iter()
-        .flat_map(|r| {
-            machine
-                .memory()
-                .read_bytes(r.start, r.size)
-                .unwrap()
-                .to_vec()
-        })
-        .collect();
-    (obs, machine.into_hook(), image)
-}
-
 /// Every decoded form the census added runs in lockstep with the
 /// reference core on NaN, ±0.0 and ±inf operands, and each memory form
 /// traps as the reference does on a null, an unmapped and a
@@ -1391,15 +1432,14 @@ fn census_decoded_forms_lockstep_with_reference() {
             "{name}: only `ret` is generic"
         );
 
-        let (want, want_log, want_mem) =
-            run_machine_with_memory(&prog, RetireLog::default(), Core::Reference);
+        let max_steps = MachOptions::default().max_steps;
+        let want = run_machine(&prog, max_steps, RetireLog::default(), Core::Reference);
         let want_status = trap.map_or("Finished".into(), |(_, addr, trap)| {
             format!("Trapped({trap} {{ addr: {addr} }})")
         });
-        assert_eq!(want.status, want_status, "{name}");
-        let (got, got_log, got_mem) =
-            run_machine_with_memory(&prog, RetireLog::default(), Core::Production);
-        let (got_log, want_log) = (got_log.0, want_log.0);
+        assert_eq!(want.obs.status, want_status, "{name}");
+        let got = run_machine(&prog, max_steps, RetireLog::default(), Core::Production);
+        let (got_log, want_log) = (&got.core.hook().0, &want.core.hook().0);
         if let Some(k) =
             (0..got_log.len().max(want_log.len())).find(|&k| got_log.get(k) != want_log.get(k))
         {
@@ -1409,13 +1449,9 @@ fn census_decoded_forms_lockstep_with_reference() {
                 want_log.get(k)
             );
         }
-        assert_eq!((&got, &got_mem), (&want, &want_mem), "{name}: evented run");
-        let (got, _, got_mem) = run_machine_with_memory(&prog, NopAsmHook, Core::Production);
-        assert_eq!(
-            (&got, &got_mem),
-            (&want, &want_mem),
-            "{name}: quiescent run"
-        );
+        assert_same(&got, &want, &format!("{name}: evented run"));
+        let got = run_machine(&prog, max_steps, NopAsmHook, Core::Production);
+        assert_same(&got, &want, &format!("{name}: quiescent run"));
 
         sweep_machine(&name, &prog, 1_000_000, || NopAsmHook);
         sweep_machine(&name, &prog, 1_000_000, || ActiveNop);
@@ -1451,7 +1487,9 @@ fn generic_fallback_is_a_small_share_of_catalog_asm_steps() {
         let c = w.compile().expect("catalog compiles");
         let dec = fiq_asm::DecodedProgram::decode(&c.program);
         let counts = RetireCounts(vec![0; c.program.insts.len()]);
-        let (_, counts) = run_machine(&c.program, u64::MAX, counts, Core::Reference);
+        let counts = run_machine(&c.program, u64::MAX, counts, Core::Reference)
+            .core
+            .into_hook();
         let all: u64 = counts.0.iter().sum();
         let gen: u64 = (0..counts.0.len())
             .filter(|&i| dec.is_generic(i))

@@ -255,7 +255,7 @@ fn deterministic_telemetry_is_identical_across_thread_counts() {
 
     let base = &per_threads[0];
     // Every cell counter is deterministic: counts of tasks, verdicts,
-    // step splits, digest compares, and snapshot page reuse depend only
+    // step splits, checkpoint compares, and snapshot page reuse depend only
     // on the planned injections, never on scheduling.
     for t in &per_threads[1..] {
         assert_eq!(
@@ -422,10 +422,9 @@ fn report_reproduces_record_ground_truth() {
 }
 
 /// A report over a degenerate campaign — a cell where every injection was
-/// dormant (zero activated faults), a cell that never executed anything
-/// (fully-resumed / empty cell), and telemetry counters from a killed run
-/// where `converged` outlives its matching `digest_matches` flush — must
-/// produce zeros, not divide-by-zero NaNs or u64-underflow panics.
+/// dormant (zero activated faults) and a cell that never executed
+/// anything (fully-resumed / empty cell) — must produce zeros, not
+/// divide-by-zero NaNs or u64-underflow panics.
 #[test]
 fn report_survives_zero_activated_cells() {
     let rec = temp_path("zero-act.jsonl");
@@ -452,10 +451,6 @@ fn report_survives_zero_activated_cells() {
         ("tasks", 4u64),
         ("verdict_dormant", 4),
         ("steps_reported", 0),
-        // A killed run can flush `converged` without the matching
-        // `digest_matches` update; the collision count must saturate.
-        ("digest_matches", 0),
-        ("converged", 2),
     ] {
         telemetry.push_str(&format!(
             "{{\"record\":\"counter\",\"scope\":\"cell\",\"cell\":0,\
