@@ -23,8 +23,8 @@
 //! architectural state (compared at checkpoints and a PINFI injection
 //! target), so no flags computation is ever pruned; what is precomputed
 //! is only the operand *addressing*. Every decoded step retires exactly one
-//! instruction, so pauses and snapshot captures land where the reference
-//! core's do with no special handling.
+//! instruction, so pauses, and the golden checkpoints taken at them, land
+//! where the reference core's do with no special handling.
 
 use crate::flags::Cond;
 use crate::inst::{AluOp, Inst, MemRef, Operand, SseOp, Width, XOperand};
@@ -98,7 +98,7 @@ impl DecodedProgram {
     }
 
     /// True when instruction `idx` has no decoded form and runs through
-    /// the reference semantics ([`DecInst::Generic`]); the census of
+    /// the reference semantics (the `Generic` fallback); the census of
     /// retired steps that reach the fallback is built on this.
     pub fn is_generic(&self, idx: usize) -> bool {
         matches!(self.code[idx], DecInst::Generic)

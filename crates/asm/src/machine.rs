@@ -115,15 +115,16 @@ impl AsmHook for NopAsmHook {
     }
 }
 
-/// A point-in-time capture of a running [`Machine`], taken at an
-/// instruction boundary by [`Machine::run_with_snapshots`].
+/// A point-in-time capture of a paused [`Machine`], taken by
+/// [`Machine::snapshot`] at the instruction boundary where
+/// [`Machine::run_until`] stopped.
 ///
 /// A snapshot holds the full architectural state — GPRs, XMM, FLAGS,
-/// memory image (page-shared with neighbouring snapshots), console, RIP,
-/// and the retired-instruction counter — plus the per-instruction dynamic
-/// retire-count vector at the capture point, so a fault injector restoring
-/// from it knows how many instances of the target instruction have
-/// already retired.
+/// memory image (page-shared with the previous snapshot), console, RIP,
+/// and the retired-instruction counter — plus the per-instruction retire
+/// counts the caller passed at the capture point (a profiler's counting
+/// hook holds them), so a fault injector restoring from it knows how many
+/// instances of the target instruction have already retired.
 #[derive(Debug, Clone)]
 pub struct MachSnapshot {
     regs: [u64; 16],
@@ -143,7 +144,8 @@ impl MachSnapshot {
     }
 
     /// How many times static instruction `idx` had retired at the capture
-    /// point (the dynamic-instance clock fault planners index by).
+    /// point (the dynamic-instance clock fault planners index by), read
+    /// from the counts passed to [`Machine::snapshot`].
     pub fn site_count(&self, idx: usize) -> u64 {
         self.counts[idx]
     }
@@ -207,9 +209,6 @@ pub struct Machine<'p, H> {
     /// Steps retired inside the quiescent fast loop (telemetry).
     steps_quiescent: u64,
     decoded: Arc<DecodedProgram>,
-    /// Per-instruction retire counts, tracked at the single retire point
-    /// while [`Machine::run_with_snapshots`] is active.
-    counts: Option<Vec<u64>>,
 }
 
 impl<'p, H: AsmHook> Machine<'p, H> {
@@ -271,7 +270,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
             restored_steps: 0,
             steps_quiescent: 0,
             decoded,
-            counts: None,
         })
     }
 
@@ -318,7 +316,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
             restored_steps: snap.steps,
             steps_quiescent: 0,
             decoded,
-            counts: None,
         }
     }
 
@@ -345,11 +342,6 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     fn drive(&mut self, pause_at: u64) -> Option<RunStatus> {
         let dec = Arc::clone(&self.decoded);
         let code: &[DecInst] = &dec.code;
-        // The quiescent fast loop is only legal while retire counting is
-        // off: counts are bumped inside retire(), which the fast loop
-        // compiles out. Only `run_with_snapshots` counts, and it never
-        // drives.
-        debug_assert!(self.counts.is_none(), "drive while counting retires");
         let stop = loop {
             if self.steps >= pause_at {
                 return None;
@@ -371,47 +363,11 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         Some(stop.status())
     }
 
-    /// Runs like [`Machine::run`], capturing a snapshot at the first
-    /// instruction boundary once every `interval` retired instructions
-    /// (`interval` is clamped to at least 1). Returns the captured
-    /// snapshots alongside the result; memory pages are shared between
-    /// consecutive snapshots where unchanged.
-    pub fn run_with_snapshots(&mut self, interval: u64) -> (RunResult, Vec<MachSnapshot>) {
-        let interval = interval.max(1);
-        let mut next_at = interval;
-        self.counts = Some(vec![0u64; self.prog.insts.len()]);
-        let dec = Arc::clone(&self.decoded);
-        let mut snaps: Vec<MachSnapshot> = Vec::new();
-        let status = loop {
-            if self.steps >= next_at {
-                let prev_mem = snaps.last().map(|s| &s.mem);
-                snaps.push(MachSnapshot {
-                    regs: self.st.regs,
-                    xmm: self.st.xmm,
-                    flags: self.st.flags,
-                    mem: self.st.mem.snapshot(prev_mem),
-                    console: self.st.console.clone(),
-                    rip: self.rip,
-                    steps: self.steps,
-                    counts: self.counts.as_ref().expect("counting enabled").clone(),
-                });
-                while next_at <= self.steps {
-                    next_at += interval;
-                }
-            }
-            if let Err(s) = self.step_decoded(&dec.code) {
-                break s.status();
-            }
-        };
-        self.counts = None;
-        (self.result(status), snaps)
-    }
-
     /// Runs like [`Machine::run`], but pauses at the first instruction
-    /// boundary where the retired-instruction counter has reached `until`
-    /// — the same boundary rule [`Machine::run_with_snapshots`] captures
-    /// at, so a faulty run paused at a golden checkpoint's step count is
-    /// directly comparable to that checkpoint.
+    /// boundary where the retired-instruction counter has reached `until`.
+    /// Golden checkpoints are taken at such pauses, so a faulty run paused
+    /// at a checkpoint's step count is directly comparable to that
+    /// checkpoint.
     ///
     /// Returns `None` if paused (the program is still live; call again
     /// with a later target, or [`Machine::run`] to run to completion), or
@@ -501,6 +457,24 @@ impl<'p, H: AsmHook> Machine<'p, H> {
             && self.st.mem.equals_snapshot(&snap.mem)
     }
 
+    /// Takes a checkpoint of the paused state, sharing unchanged memory
+    /// pages with `prev` (the previous checkpoint of this run, if any).
+    /// Call it where [`Machine::run_until`] paused. The core counts no
+    /// retires of its own: [`MachSnapshot::site_count`] reads `counts`,
+    /// indexed by instruction, as the caller passes them.
+    pub fn snapshot(&self, prev: Option<&MachSnapshot>, counts: Vec<u64>) -> MachSnapshot {
+        MachSnapshot {
+            regs: self.st.regs,
+            xmm: self.st.xmm,
+            flags: self.st.flags,
+            mem: self.st.mem.snapshot(prev.map(|p| &p.mem)),
+            console: self.st.console.clone(),
+            rip: self.rip,
+            steps: self.steps,
+            counts,
+        }
+    }
+
     /// Captures the live state for [`Machine::equals_capture`]: its cost
     /// is the memory pages written since this machine was created or
     /// restored.
@@ -563,13 +537,10 @@ impl<'p, H: AsmHook> Machine<'p, H> {
         Divergence { components, pages }
     }
 
-    /// Bumps the retire-count vector (when counting) and delivers the
-    /// retire event — the single retire point shared by both cores.
+    /// Delivers the retire event — the single retire point shared by
+    /// both cores.
     #[inline]
     fn retire(&mut self, idx: usize) {
-        if let Some(c) = &mut self.counts {
-            c[idx] += 1;
-        }
         self.hook.on_retire(idx, &mut self.st);
     }
 
@@ -776,11 +747,10 @@ impl<'p, H: AsmHook> Machine<'p, H> {
     }
 
     /// The quiescent fast loop: `step_decoded` monomorphized with retire
-    /// dispatch (hook calls and retire counting) compiled out — legal
-    /// exactly while the hook reports itself inert (see [`Quiescence`])
-    /// and counting is off. Runs until the pause boundary or a stop. With
-    /// a watch index, stops *just before* instruction `w` and returns
-    /// `true`.
+    /// dispatch compiled out — legal exactly while the hook reports itself
+    /// inert (see [`Quiescence`]). Runs until the pause boundary or a
+    /// stop. With a watch index, stops *just before* instruction `w` and
+    /// returns `true`.
     fn step_quiescent(
         &mut self,
         table: &[DecInst],

@@ -7,9 +7,6 @@
 //! clobber every caller-saved register, intervals live across calls
 //! naturally end up in callee-saved registers — producing the
 //! paper-relevant push/pop save/restore traffic — or spill to the stack.
-//!
-//! Set the `FIQ_SPILL_DEBUG` environment variable to log every spill
-//! decision (diagnostics for code-quality investigations).
 
 use crate::isel::LowerOptions;
 use crate::vcode::{FrameSlot, VFunc};
@@ -179,15 +176,6 @@ fn linear_scan<R: Copy + PartialEq>(
                     .map(|(i, _)| i);
                 let slot = base_slot + spill_slots.len() as u32;
                 spill_slots.push(FrameSlot { size: 8, align: 8 });
-                if std::env::var_os("FIQ_SPILL_DEBUG").is_some() {
-                    eprintln!(
-                        "spill point at [{}, {}] w={} victim={:?}",
-                        iv.start,
-                        iv.end,
-                        iv.weight,
-                        victim.map(|i| (active[i].2, weights[active[i].2 as usize]))
-                    );
-                }
                 match victim {
                     Some(i) if weights[active[i].2 as usize] < iv.weight => {
                         let (_, reg, v) = active.remove(i);

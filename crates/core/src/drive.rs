@@ -88,7 +88,6 @@ pub trait Executor {
     fn hook(&self) -> &Self::Hook;
     fn run(&mut self) -> RunResult;
     fn run_until(&mut self, until: u64) -> Option<RunResult>;
-    fn run_with_snapshots(&mut self, interval: u64) -> (RunResult, Vec<Self::Snapshot>);
     fn steps(&self) -> u64;
     fn restored_steps(&self) -> u64;
     fn steps_quiescent(&self) -> u64;
@@ -131,9 +130,6 @@ macro_rules! forward_executor {
             }
             fn run_until(&mut self, until: u64) -> Option<RunResult> {
                 <$exec<'_, H>>::run_until(self, until)
-            }
-            fn run_with_snapshots(&mut self, interval: u64) -> (RunResult, Vec<$snap>) {
-                <$exec<'_, H>>::run_with_snapshots(self, interval)
             }
             fn steps(&self) -> u64 {
                 <$exec<'_, H>>::steps(self)
@@ -453,9 +449,6 @@ int main() {
                 self.pauses.set(self.pauses.get() + 1);
             }
             r
-        }
-        fn run_with_snapshots(&mut self, interval: u64) -> (RunResult, Vec<E::Snapshot>) {
-            self.exec.run_with_snapshots(interval)
         }
         fn steps(&self) -> u64 {
             self.exec.steps()

@@ -199,8 +199,8 @@ pub struct EngineOptions<'a> {
     /// `cfg.injections` random points per cell exactly as before —
     /// reports and record bytes are untouched. [`Collapse::Exact`]
     /// enumerates each cell's full dynamic fault space, partitions it
-    /// into equivalence classes (dormant / masked / residual, see
-    /// [`crate::collapse`]), executes one representative per class, and
+    /// into equivalence classes (dormant / masked / residual, see the
+    /// `collapse` module), executes one representative per class, and
     /// weights every outcome by its class size — the resulting
     /// distribution equals brute-force full enumeration with zero
     /// sampling error.

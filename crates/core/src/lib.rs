@@ -83,7 +83,7 @@ pub use pinfi::{
 };
 pub use profile::{
     locate, profile_llfi, profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots,
-    GoldenRef, LlfiProfile, PinfiProfile,
+    run_with_snapshots, GoldenRef, LlfiProfile, PinfiProfile,
 };
 pub use report::CampaignReport;
 pub use stats::{normal_ci95_half_width, overlaps, wilson_ci95};

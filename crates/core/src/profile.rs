@@ -7,6 +7,7 @@
 //! used to pick a uniformly random dynamic instance.
 
 use crate::category::{llfi_candidates, pinfi_candidates, Category};
+use crate::drive::Executor;
 use fiq_asm::{AsmHook, AsmProgram, MachOptions, MachSnapshot, MachState, Machine};
 use fiq_interp::{InstSite, Interp, InterpHook, InterpOptions, InterpSnapshot, RtVal};
 use fiq_ir::Module;
@@ -41,11 +42,13 @@ impl InterpHook for CountingHook {
 /// Returns the trap if interpreter setup fails; a golden run that crashes
 /// or hangs is a caller bug and is reported as an error too.
 pub fn profile_llfi(module: &Module, opts: InterpOptions) -> Result<LlfiProfile, String> {
-    profile_llfi_by(module, opts, |interp| (interp.run(), ())).map(|(p, ())| p)
+    // No run reaches step `u64::MAX`, so this takes no checkpoint.
+    profile_llfi_with_snapshots(module, opts, u64::MAX).map(|(p, _)| p)
 }
 
 /// [`profile_llfi`] plus execution snapshots captured every `interval`
-/// dynamic steps, for checkpointed fast-forward injection.
+/// dynamic steps, for checkpointed fast-forward injection. Each carries
+/// a copy of the counting hook's per-site counts at its capture point.
 ///
 /// The profiling (golden) run's hooks only observe — they never perturb
 /// state — so each snapshot is a valid prefix of *every* faulty run up to
@@ -59,16 +62,6 @@ pub fn profile_llfi_with_snapshots(
     opts: InterpOptions,
     interval: u64,
 ) -> Result<(LlfiProfile, Vec<InterpSnapshot>), String> {
-    profile_llfi_by(module, opts, |interp| interp.run_with_snapshots(interval))
-}
-
-/// The golden IR run behind both profiling entry points; `run` drives
-/// the counting interpreter to completion.
-fn profile_llfi_by<T>(
-    module: &Module,
-    opts: InterpOptions,
-    run: impl FnOnce(&mut Interp<'_, CountingHook>) -> (RunResult, T),
-) -> Result<(LlfiProfile, T), String> {
     let hook = CountingHook {
         counts: module
             .funcs
@@ -77,19 +70,18 @@ fn profile_llfi_by<T>(
             .collect(),
     };
     let mut interp = Interp::new(module, opts, hook).map_err(|t: Trap| t.to_string())?;
-    let (result, extra) = run(&mut interp);
+    let (result, snapshots) = run_with_snapshots(&mut interp, interval, |i, prev| {
+        i.snapshot(prev, i.hook().counts.clone())
+    });
     if !result.finished() {
         return Err(format!("golden IR run did not finish: {:?}", result.status));
     }
-    let hook = interp.into_hook();
-    Ok((
-        LlfiProfile {
-            golden_output: result.output,
-            golden_steps: result.steps,
-            counts: hook.counts,
-        },
-        extra,
-    ))
+    let profile = LlfiProfile {
+        golden_output: result.output,
+        golden_steps: result.steps,
+        counts: interp.into_hook().counts,
+    };
+    Ok((profile, snapshots))
 }
 
 impl LlfiProfile {
@@ -158,11 +150,14 @@ impl AsmHook for AsmCountingHook {
 /// Returns an error if machine setup fails or the golden run does not
 /// finish.
 pub fn profile_pinfi(prog: &AsmProgram, opts: MachOptions) -> Result<PinfiProfile, String> {
-    profile_pinfi_by(prog, opts, |machine| (machine.run(), ())).map(|(p, ())| p)
+    // No run reaches step `u64::MAX`, so this takes no checkpoint.
+    profile_pinfi_with_snapshots(prog, opts, u64::MAX).map(|(p, _)| p)
 }
 
 /// [`profile_pinfi`] plus execution snapshots captured every `interval`
-/// retired instructions, for checkpointed fast-forward injection.
+/// retired instructions, for checkpointed fast-forward injection. Each
+/// carries a copy of the counting hook's retire counts at its capture
+/// point.
 ///
 /// # Errors
 ///
@@ -172,36 +167,25 @@ pub fn profile_pinfi_with_snapshots(
     opts: MachOptions,
     interval: u64,
 ) -> Result<(PinfiProfile, Vec<MachSnapshot>), String> {
-    profile_pinfi_by(prog, opts, |machine| machine.run_with_snapshots(interval))
-}
-
-/// The golden machine run behind both profiling entry points; `run`
-/// drives the counting machine to completion.
-fn profile_pinfi_by<T>(
-    prog: &AsmProgram,
-    opts: MachOptions,
-    run: impl FnOnce(&mut Machine<'_, AsmCountingHook>) -> (RunResult, T),
-) -> Result<(PinfiProfile, T), String> {
     let hook = AsmCountingHook {
         counts: vec![0; prog.insts.len()],
     };
     let mut machine = Machine::new(prog, opts, hook).map_err(|t| t.to_string())?;
-    let (result, extra) = run(&mut machine);
+    let (result, snapshots) = run_with_snapshots(&mut machine, interval, |m, prev| {
+        m.snapshot(prev, m.hook().counts.clone())
+    });
     if !result.finished() {
         return Err(format!(
             "golden asm run did not finish: {:?}",
             result.status
         ));
     }
-    let hook = machine.into_hook();
-    Ok((
-        PinfiProfile {
-            golden_output: result.output,
-            golden_steps: result.steps,
-            counts: hook.counts,
-        },
-        extra,
-    ))
+    let profile = PinfiProfile {
+        golden_output: result.output,
+        golden_steps: result.steps,
+        counts: machine.into_hook().counts,
+    };
+    Ok((profile, snapshots))
 }
 
 impl PinfiProfile {
@@ -224,6 +208,33 @@ impl PinfiProfile {
             }
         }
         cum
+    }
+}
+
+/// Runs `exec` to its end, taking a checkpoint with `take` at the first
+/// instruction boundary at or past each multiple of `interval` (clamped
+/// to at least 1) — the capture schedule of both levels. `take` receives
+/// the paused executor and the previous checkpoint, whose unchanged
+/// memory pages the new one shares.
+///
+/// The run pauses with [`Executor::run_until`], the same boundary rule a
+/// faulty run pauses at to compare against a checkpoint. After a capture
+/// at step `s` the next one is due at the first multiple of `interval`
+/// past `s`.
+pub fn run_with_snapshots<E: Executor>(
+    exec: &mut E,
+    interval: u64,
+    take: impl Fn(&E, Option<&E::Snapshot>) -> E::Snapshot,
+) -> (RunResult, Vec<E::Snapshot>) {
+    let interval = interval.max(1);
+    let mut snapshots = Vec::new();
+    let mut due = interval;
+    loop {
+        if let Some(result) = exec.run_until(due) {
+            return (result, snapshots);
+        }
+        snapshots.push(take(exec, snapshots.last()));
+        due = (exec.steps() / interval + 1).saturating_mul(interval);
     }
 }
 

@@ -10,7 +10,7 @@
 //! pipeline, across both substrates, across checkpoint restore/replay,
 //! and across the accelerations of faulted runs ([`oracle`]), and a
 //! structural reducer shrinks any
-//! failure to a small reproducer ([`reduce`]) fit for `tests/corpus/`.
+//! failure to a small reproducer ([`reduce`](mod@reduce)) fit for `tests/corpus/`.
 //!
 //! Everything is deterministic: the same seed produces byte-identical
 //! programs, findings, and reductions on every run.

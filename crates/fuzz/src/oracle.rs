@@ -8,10 +8,11 @@
 //!   no-opt to the full module pipeline,
 //! * **cross-level** — the IR interpreter ("LLFI level") and the lowered
 //!   machine run ("PINFI level") produce identical output,
-//! * **snapshot-replay** — `run_with_snapshots` reproduces the plain run
-//!   bit-for-bit, and resuming from *every* checkpoint replays the rest
-//!   of the run to the same status, step count, and output — on both
-//!   substrates,
+//! * **snapshot-replay** — a run paused at every checkpoint with
+//!   `run_until` and snapshotted there ([`fiq_core::run_with_snapshots`])
+//!   reproduces the plain run bit-for-bit, and resuming from *every*
+//!   checkpoint replays the rest of the run to the same status, step
+//!   count, and output — on both substrates,
 //! * **injection** — seeded single-bit faults at both levels classify
 //!   identically (outcome and step count) with and without fast-forward
 //!   and early exit, and record the same divergence timeline with and
@@ -28,8 +29,8 @@ use fiq_asm::{AsmProgram, MachOptions, Machine, NopAsmHook, RunResult};
 use fiq_backend::LowerOptions;
 use fiq_core::{
     plan_llfi, plan_pinfi, profile_llfi_with_snapshots, profile_pinfi_with_snapshots,
-    restore_point, run_llfi_observed, run_pinfi_observed, CampaignConfig, Category, Checkpoint,
-    Executor, GoldenRef, InjectionRun, PinfiOptions, TaskTel, Timeline,
+    restore_point, run_llfi_observed, run_pinfi_observed, run_with_snapshots, CampaignConfig,
+    Category, Checkpoint, Executor, GoldenRef, InjectionRun, PinfiOptions, TaskTel, Timeline,
 };
 use fiq_interp::{run_module, ExecStatus, Interp, InterpOptions, NopHook};
 use fiq_ir::Module;
@@ -341,13 +342,17 @@ fn check_inner(
         if oracles.snapshot_replay {
             let opts = interp_opts(max_steps);
             let fresh = Interp::new(&module, opts, NopHook);
+            // The oracle reads no site counts, so none are passed.
+            let take = |i: &Interp<'_, NopHook>, prev: Option<&_>| i.snapshot(prev, Vec::new());
             let restore = |s: &_| Interp::restore(&module, opts, NopHook, s);
-            replay_oracle("interp", level, &ir_run, fresh, restore)?;
+            replay_oracle("interp", level, &ir_run, fresh, take, restore)?;
             if let Some((prog, mach_run)) = &machine {
                 let opts = mach_opts(max_steps);
                 let fresh = Machine::new(prog, opts, NopAsmHook);
+                let take =
+                    |m: &Machine<'_, NopAsmHook>, prev: Option<&_>| m.snapshot(prev, Vec::new());
                 let restore = |s: &_| Machine::restore(prog, opts, NopAsmHook, s);
-                replay_oracle("machine", level, mach_run, fresh, restore)?;
+                replay_oracle("machine", level, mach_run, fresh, take, restore)?;
             }
         }
 
@@ -374,8 +379,8 @@ fn interval(steps: u64) -> u64 {
     (steps / TARGET_CHECKPOINTS).max(1)
 }
 
-/// Checks one core's checkpoints: snapshotting must not perturb the
-/// straight run `plain`, and a run restored from every checkpoint
+/// Checks one core's checkpoints: snapshotting (`take`) must not perturb
+/// the straight run `plain`, and a run restored from every checkpoint
 /// (`restore`) must equal golden exactly at every later checkpoint and
 /// finish exactly as `plain` did. `fresh` is a new executor at program
 /// start; `core` names it in findings.
@@ -384,11 +389,12 @@ fn replay_oracle<E: Executor>(
     level: u8,
     plain: &RunResult,
     fresh: Result<E, Trap>,
+    take: impl Fn(&E, Option<&E::Snapshot>) -> E::Snapshot,
     restore: impl Fn(&E::Snapshot) -> E,
 ) -> Result<(), CheckFailure> {
     let replay = |detail: String| diverge(OracleKind::SnapshotReplay, level, detail);
     let mut exec = fresh.map_err(|t| replay(format!("setup trap: {t}")))?;
-    let (gold, snaps) = exec.run_with_snapshots(interval(plain.steps));
+    let (gold, snaps) = run_with_snapshots(&mut exec, interval(plain.steps), take);
     if gold.status != plain.status || gold.steps != plain.steps || gold.output != plain.output {
         return Err(replay(format!(
             "{core}: snapshotting perturbed the run: {} in {} steps vs {} in {} steps",

@@ -21,11 +21,11 @@
 //! `on_result`/`on_use`/`on_load`/`on_store` event sequence with the same
 //! original [`InstId`]s, the same traps, and the same console bytes — and
 //! the same *pause granularity*. A superinstruction is atomic (like a
-//! φ-batch), so within [`MAX_FUSED_RETIRE`] steps of a snapshot or pause
-//! boundary the slice reads the `plain` table instead, whose units are
-//! single instructions, and stops exactly on the boundary. Snapshots and
-//! `run_until` pauses therefore land on the instruction boundary the
-//! reference core stops at, which divergence timelines (observing the
+//! φ-batch), so within [`MAX_FUSED_RETIRE`] steps of a `run_until` pause
+//! the slice reads the `plain` table instead, whose units are single
+//! instructions, and stops exactly on the boundary. Pauses therefore land
+//! on the instruction boundary the reference core stops at, which golden
+//! checkpoints (taken at pauses) and divergence timelines (observing the
 //! paused microstate) rely on. φ-batches are atomic in both cores, so
 //! any batch overshoot is the same in both.
 
@@ -43,8 +43,8 @@ use std::collections::HashMap;
 /// The widest superinstruction's retire count: a [`DecOp::FusedIntChain`]
 /// (head plus two links) and a [`DecOp::FusedBinICmpBr`] (binop, compare,
 /// branch) both charge three steps atomically. Within this many steps of
-/// a snapshot/pause boundary the decoded slice steps the unfused `plain`
-/// table so it stops exactly on the boundary (see the module docs).
+/// a pause the decoded slice steps the unfused `plain` table so it stops
+/// exactly on the boundary (see the module docs).
 pub(crate) const MAX_FUSED_RETIRE: u64 = 3;
 
 /// A pre-resolved operand: the frame slot holding its raw image and the
@@ -347,7 +347,7 @@ pub(crate) struct DecodedBlock {
     /// included) is the plain decode.
     pub(crate) code: Box<[DecInst]>,
     /// One plain decode per instruction: what the slice steps near a
-    /// pause or snapshot boundary.
+    /// pause.
     pub(crate) plain: Box<[DecInst]>,
 }
 
@@ -979,9 +979,9 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     }
 
     /// The decoded twin of `Interp::step`: executes decoded instructions
-    /// in the top frame until a control transfer or a pending
-    /// snapshot/pause point hands control back. Observable semantics are
-    /// identical to the reference core (see module docs).
+    /// in the top frame until a control transfer or the pause point
+    /// hands control back. Observable semantics are identical to the
+    /// reference core (see module docs).
     pub(crate) fn step_decoded(&mut self, dec: &DecodedModule) -> Result<(), Stop> {
         self.step_decoded_impl::<true, false>(dec, None).map(|_| ())
     }
@@ -1021,18 +1021,15 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         let dfunc = &dec.funcs[fid.index()];
         // `u64::MAX` sentinel keeps the per-instruction boundary test a
         // single register compare with no `Option` unpacking.
-        let snap_due = match (self.snap.as_ref().map(|s| s.next_at), self.pause_at) {
-            (Some(a), Some(b)) => a.min(b),
-            (a, b) => a.or(b).unwrap_or(u64::MAX),
-        };
+        let pause_at = self.pause_at.unwrap_or(u64::MAX);
         // Below `plain_from` every superinstruction retires before the
-        // boundary (`steps + MAX_FUSED_RETIRE <= snap_due`), so the fused
+        // boundary (`steps + MAX_FUSED_RETIRE <= pause_at`), so the fused
         // table is safe and the hot path pays this one compare. From
         // there on the evented slice steps the plain table and yields
-        // exactly at `snap_due`; the quiescent slice yields at once and
+        // exactly at `pause_at`; the quiescent slice yields at once and
         // leaves those last steps to the evented one (`Interp::exec`).
-        let plain_from = snap_due.saturating_sub(MAX_FUSED_RETIRE - 1);
-        let yield_at = if EVENTS { snap_due } else { plain_from };
+        let plain_from = pause_at.saturating_sub(MAX_FUSED_RETIRE - 1);
+        let yield_at = if EVENTS { pause_at } else { plain_from };
 
         // The current block is re-resolved only at control transfers; every
         // straight-line instruction reuses this borrow (and the hoisted
@@ -1092,7 +1089,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         self.budget()?;
                         let mut val = self.eval_opnd::<EVENTS>(&frame, id, &row[k]);
                         if EVENTS {
-                            self.result(
+                            self.hook.on_result(
                                 InstSite {
                                     func: fid,
                                     inst: id,
@@ -1113,7 +1110,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         self.budget()?;
                         let mut val = self.eval_opnd::<EVENTS>(&frame, id, &row[k]);
                         if EVENTS {
-                            self.result(
+                            self.hook.on_result(
                                 InstSite {
                                     func: fid,
                                     inst: id,
@@ -1166,7 +1163,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         let r = self.eval_opnd::<EVENTS>(&frame, id, rhs);
                         let mut val =
                             RtVal::Int(*ty, ops::eval_int_binop(*op, *ty, l.as_int(), r.as_int())?);
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                         frame.slots[id.index()] = raw_of(val);
                     } else {
                         let l = raw_opnd(&frame, lhs);
@@ -1188,7 +1185,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         _ => panic!("verified float binop on non-floats"),
                     };
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
@@ -1198,7 +1195,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let r = self.eval_opnd::<EVENTS>(&frame, id, rhs);
                     let mut val = RtVal::bool(icmp_vals(*pred, l, r));
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
@@ -1213,7 +1210,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     };
                     let mut val = RtVal::bool(ops::eval_fcmp(*pred, a, b));
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
@@ -1222,7 +1219,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let v = self.eval_opnd::<EVENTS>(&frame, id, val);
                     let mut out = ops::eval_cast(*op, v, ty);
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut out);
+                        self.hook.on_result(site, frame.frame_id, &mut out);
                     }
                     frame.slots[id.index()] = raw_of(out);
                     frame.ip += 1;
@@ -1239,7 +1236,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     self.sp = new_sp;
                     let mut val = RtVal::Ptr(new_sp);
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
@@ -1251,7 +1248,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     }
                     let mut val = self.load_kind(p, *kind)?;
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
@@ -1270,7 +1267,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let addr = self.gep_addr::<EVENTS>(&frame, id, base, steps);
                     let mut val = RtVal::Ptr(addr);
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
@@ -1285,7 +1282,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let e = self.eval_opnd::<EVENTS>(&frame, id, else_val);
                     let mut val = if c { t } else { e };
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
@@ -1317,7 +1314,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     if *has_result {
                         let mut val = ret.expect("non-void call returned a value");
                         if EVENTS {
-                            self.result(site, frame.frame_id, &mut val);
+                            self.hook.on_result(site, frame.frame_id, &mut val);
                         }
                         frame.slots[id.index()] = raw_of(val);
                     }
@@ -1362,7 +1359,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     if *has_result {
                         let mut val = out.expect("non-void call returned a value");
                         if EVENTS {
-                            self.result(
+                            self.hook.on_result(
                                 InstSite {
                                     func: cfid,
                                     inst: cinst.id,
@@ -1392,7 +1389,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let r = self.eval_opnd::<EVENTS>(&frame, id, rhs);
                     let mut val = RtVal::bool(icmp_vals(*pred, l, r));
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     // Branch half: atomic with the compare. The branch
@@ -1423,7 +1420,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let addr = self.gep_addr::<EVENTS>(&frame, id, base, steps);
                     let mut pv = RtVal::Ptr(addr);
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut pv);
+                        self.hook.on_result(site, frame.frame_id, &mut pv);
                     }
                     frame.slots[id.index()] = raw_of(pv);
                     // Load half: reads the stored (possibly hook-mutated)
@@ -1440,7 +1437,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     }
                     let mut val = self.load_kind(p, *kind)?;
                     if EVENTS {
-                        self.result(lsite, frame.frame_id, &mut val);
+                        self.hook.on_result(lsite, frame.frame_id, &mut val);
                     }
                     frame.slots[load_id.index()] = raw_of(val);
                     frame.ip += 2;
@@ -1472,7 +1469,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         ops::eval_int_binop(l.op, l.ty, la.as_int(), ra.as_int())?,
                     );
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut bin);
+                        self.hook.on_result(site, frame.frame_id, &mut bin);
                     }
                     frame.slots[id.index()] = raw_of(bin);
                     // Compare half: reads the stored (possibly
@@ -1498,7 +1495,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     };
                     let mut cval = RtVal::bool(icmp_vals(l.pred, cl, cr));
                     if EVENTS {
-                        self.result(csite, frame.frame_id, &mut cval);
+                        self.hook.on_result(csite, frame.frame_id, &mut cval);
                     }
                     frame.slots[l.cmp_id.index()] = raw_of(cval);
                     // Branch half: reads the stored compare result.
@@ -1548,7 +1545,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         ops::eval_int_binop(chain.op, chain.ty, l.as_int(), r.as_int())?,
                     );
                     if EVENTS {
-                        self.result(site, frame.frame_id, &mut val);
+                        self.hook.on_result(site, frame.frame_id, &mut val);
                     }
                     frame.slots[id.index()] = raw_of(val);
                     // Each link charges its own step and reads the stored
@@ -1580,7 +1577,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                             ops::eval_int_binop(link.op, link.ty, l.as_int(), r.as_int())?,
                         );
                         if EVENTS {
-                            self.result(lsite, frame.frame_id, &mut lval);
+                            self.hook.on_result(lsite, frame.frame_id, &mut lval);
                         }
                         frame.slots[link.id.index()] = raw_of(lval);
                         prev = lval;

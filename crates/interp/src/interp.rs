@@ -131,14 +131,16 @@ fn frames_bits_eq(a: &[Frame], b: &[Frame]) -> bool {
         })
 }
 
-/// A point-in-time capture of a running [`Interp`], taken at a dynamic
-/// instruction boundary by [`Interp::run_with_snapshots`].
+/// A point-in-time capture of a paused [`Interp`], taken by
+/// [`Interp::snapshot`] at the instruction boundary where
+/// [`Interp::run_until`] stopped.
 ///
 /// A snapshot holds the complete execution state — frame stack, memory
-/// image (page-shared with neighbouring snapshots), console, stack
-/// pointer, and step counter — plus the per-site dynamic `on_result`
-/// count vector at the capture point, so a fault injector restoring from
-/// it knows how many instances of each site have already occurred.
+/// image (page-shared with the previous snapshot), console, stack
+/// pointer, and step counter — plus the per-site `on_result` counts the
+/// caller passed at the capture point (a profiler's counting hook holds
+/// them), so a fault injector restoring from it knows how many instances
+/// of each site have already occurred.
 #[derive(Debug, Clone)]
 pub struct InterpSnapshot {
     frames: Vec<Frame>,
@@ -159,7 +161,8 @@ impl InterpSnapshot {
     }
 
     /// How many `on_result` events `site` had produced at the capture
-    /// point (the dynamic-instance clock fault planners index by).
+    /// point (the dynamic-instance clock fault planners index by), read
+    /// from the counts passed to [`Interp::snapshot`].
     pub fn site_count(&self, site: InstSite) -> u64 {
         self.counts[site.func.index()][site.inst.index()]
     }
@@ -182,15 +185,6 @@ pub struct InterpCapture {
     stack_start: u64,
     sp: u64,
     frame_counter: u64,
-}
-
-/// Internal snapshot-capture state, present only during
-/// [`Interp::run_with_snapshots`].
-pub(crate) struct SnapState {
-    interval: u64,
-    pub(crate) next_at: u64,
-    counts: Vec<Vec<u64>>,
-    snapshots: Vec<InterpSnapshot>,
 }
 
 /// Reuses the shared decoded-module handle or decodes inline. The decode
@@ -226,7 +220,6 @@ pub struct Interp<'m, H> {
     pub(crate) steps_quiescent: u64,
     pub(crate) frame_counter: u64,
     pub(crate) frames: Vec<Frame>,
-    pub(crate) snap: Option<SnapState>,
     pub(crate) pause_at: Option<u64>,
     pub(crate) decoded: Arc<DecodedModule>,
     /// Reusable staging buffer for φ-batches (reads before writes).
@@ -276,7 +269,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             steps_quiescent: 0,
             frame_counter: 0,
             frames: Vec::new(),
-            snap: None,
             pause_at: None,
             decoded,
             phi_buf: Vec::new(),
@@ -324,7 +316,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             steps_quiescent: 0,
             frame_counter: snap.frame_counter,
             frames: snap.frames.clone(),
-            snap: None,
             pause_at: None,
             decoded,
             phi_buf: Vec::new(),
@@ -338,46 +329,14 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     ///
     /// Panics if the module has no `main` function.
     pub fn run(&mut self) -> ExecResult {
-        let status = match self.exec() {
-            Ok(()) => ExecStatus::Finished,
-            Err(Stop::Trap(t)) => ExecStatus::Trapped(t),
-            Err(Stop::Budget) => ExecStatus::BudgetExceeded,
-        };
-        ExecResult {
-            status,
-            steps: self.steps,
-            output: self.console.contents().to_string(),
-        }
-    }
-
-    /// Runs `main()` like [`Interp::run`], capturing a snapshot at the
-    /// first instruction boundary once every `interval` dynamic steps
-    /// (`interval` is clamped to at least 1). Returns the captured
-    /// snapshots alongside the result; memory pages are shared between
-    /// consecutive snapshots where unchanged.
-    pub fn run_with_snapshots(&mut self, interval: u64) -> (ExecResult, Vec<InterpSnapshot>) {
-        let interval = interval.max(1);
-        self.snap = Some(SnapState {
-            interval,
-            next_at: interval,
-            counts: self
-                .module
-                .funcs
-                .iter()
-                .map(|f| vec![0; f.insts.len()])
-                .collect(),
-            snapshots: Vec::new(),
-        });
-        let result = self.run();
-        let snap = self.snap.take().expect("snapshot state present");
-        (result, snap.snapshots)
+        self.run_until(u64::MAX)
+            .expect("a u64::MAX pause point is unreachable")
     }
 
     /// Runs like [`Interp::run`], but pauses at the first instruction
-    /// boundary where the step counter has reached `until` — the same
-    /// boundary rule [`Interp::run_with_snapshots`] captures at, so a
-    /// faulty run paused at a golden checkpoint's step count is directly
-    /// comparable to that checkpoint.
+    /// boundary where the step counter has reached `until`. Golden
+    /// checkpoints are taken at such pauses, so a faulty run paused at a
+    /// checkpoint's step count is directly comparable to that checkpoint.
     ///
     /// Returns `None` if paused (the program is still live; call again
     /// with a later target, or [`Interp::run`] to run to completion), or
@@ -395,7 +354,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     /// rule and return contract as [`Interp::run_until`]; pass `u64::MAX`
     /// to run to completion. It fires the same hook events in the same
     /// order as the decoded core but never consults
-    /// [`InterpHook::quiescence`] and never captures snapshots.
+    /// [`InterpHook::quiescence`].
     ///
     /// This is the oracle the decoded core is checked against. Its only
     /// callers are the lockstep tests (`tests/tests/dispatch.rs`); no
@@ -488,6 +447,25 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             && self.global_addrs == snap.global_addrs
             && self.console.contents() == snap.console.contents()
             && self.mem.equals_snapshot(&snap.mem)
+    }
+
+    /// Takes a checkpoint of the paused state, sharing unchanged memory
+    /// pages with `prev` (the previous checkpoint of this run, if any).
+    /// Call it where [`Interp::run_until`] paused. The core counts no
+    /// events of its own: [`InterpSnapshot::site_count`] reads `counts`,
+    /// indexed `[func][inst]`, as the caller passes them.
+    pub fn snapshot(&self, prev: Option<&InterpSnapshot>, counts: Vec<Vec<u64>>) -> InterpSnapshot {
+        InterpSnapshot {
+            frames: self.frames.clone(),
+            mem: self.mem.snapshot(prev.map(|p| &p.mem)),
+            console: self.console.clone(),
+            global_addrs: self.global_addrs.clone(),
+            stack_start: self.stack_start,
+            sp: self.sp,
+            steps: self.steps,
+            frame_counter: self.frame_counter,
+            counts,
+        }
     }
 
     /// Captures the live state for [`Interp::equals_capture`]: its cost
@@ -583,7 +561,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             if self.pause_at.is_some_and(|p| self.steps >= p) {
                 return Ok(());
             }
-            self.maybe_snapshot();
             if self.needs_evented_loop() {
                 self.step_decoded(&dec)?;
                 continue;
@@ -614,15 +591,12 @@ impl<'m, H: InterpHook> Interp<'m, H> {
     }
 
     /// True when the next slice must run evented whatever the hook's
-    /// phase. The fast loop skips the per-step snapshot bookkeeping, so it
-    /// is only eligible when capture is off. It also stops short of a
-    /// pause point, so the last steps before one are always evented: the
-    /// evented slice walks up to the pause on the plain table.
+    /// phase: the fast loop stops short of a pause point, so the last
+    /// steps before one are always evented, and the evented slice walks
+    /// up to the pause on the plain table.
     pub(crate) fn needs_evented_loop(&self) -> bool {
-        self.snap.is_some()
-            || self
-                .pause_at
-                .is_some_and(|p| p.saturating_sub(self.steps) < MAX_FUSED_RETIRE)
+        self.pause_at
+            .is_some_and(|p| p.saturating_sub(self.steps) < MAX_FUSED_RETIRE)
     }
 
     /// The reference core's run loop (see [`Interp::run_reference_until`]).
@@ -662,32 +636,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         Ok(())
     }
 
-    /// Captures a snapshot if capture is enabled and due. Called only at
-    /// instruction boundaries (between step slices), so every snapshot is
-    /// a consistent, resumable state.
-    fn maybe_snapshot(&mut self) {
-        if !matches!(&self.snap, Some(s) if self.steps >= s.next_at) {
-            return;
-        }
-        let snap = self.snap.as_mut().expect("checked above");
-        let prev_mem = snap.snapshots.last().map(|s| &s.mem);
-        let snapshot = InterpSnapshot {
-            frames: self.frames.clone(),
-            mem: self.mem.snapshot(prev_mem),
-            console: self.console.clone(),
-            global_addrs: self.global_addrs.clone(),
-            stack_start: self.stack_start,
-            sp: self.sp,
-            steps: self.steps,
-            frame_counter: self.frame_counter,
-            counts: snap.counts.clone(),
-        };
-        snap.snapshots.push(snapshot);
-        while snap.next_at <= self.steps {
-            snap.next_at += snap.interval;
-        }
-    }
-
     /// The reference core: executes instructions in the top frame, one
     /// `match` over the IR per instruction, until a control transfer
     /// (call/return) or the pause point hands control back. Reached only
@@ -697,15 +645,12 @@ impl<'m, H: InterpHook> Interp<'m, H> {
         let mut frame = self.frames.pop().expect("step with a live frame");
         let fid = frame.fid;
         let func = self.module.func(fid);
-        // Break the slice at the nearer of the next snapshot point and the
-        // pause point; both are handled by `exec` at the boundary.
-        let snap_due = match (self.snap.as_ref().map(|s| s.next_at), self.pause_at) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        // Break the slice at the pause point; `exec_reference` handles it
+        // at the boundary.
+        let pause_at = self.pause_at;
 
         loop {
-            if let Some(at) = snap_due {
+            if let Some(at) = pause_at {
                 if self.steps >= at {
                     self.frames.push(frame);
                     return Ok(());
@@ -739,7 +684,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                             .find(|(pb, _)| *pb == pred)
                             .expect("verified phi has incoming for every predecessor");
                         let mut val = self.eval(func, &frame, id, *v)?;
-                        self.result(
+                        self.hook.on_result(
                             InstSite {
                                 func: fid,
                                 inst: id,
@@ -757,7 +702,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     // before the fall-through instruction so pauses land
                     // between the batch and the instruction (the decoded
                     // core yields here too).
-                    if let Some(at) = snap_due {
+                    if let Some(at) = pause_at {
                         if self.steps >= at {
                             self.frames.push(frame);
                             return Ok(());
@@ -793,7 +738,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                             let t = inst.ty.as_int().expect("verified int binop");
                             RtVal::Int(t, ops::eval_int_binop(*op, t, l.as_int(), r.as_int())?)
                         };
-                    self.result(site, frame.frame_id, &mut val);
+                    self.hook.on_result(site, frame.frame_id, &mut val);
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
                 }
@@ -806,7 +751,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         _ => panic!("verified icmp operands"),
                     };
                     let mut val = RtVal::bool(ops::eval_icmp(*pred, ty, lv, rv));
-                    self.result(site, frame.frame_id, &mut val);
+                    self.hook.on_result(site, frame.frame_id, &mut val);
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
                 }
@@ -819,14 +764,14 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         _ => panic!("verified fcmp operands"),
                     };
                     let mut val = RtVal::bool(ops::eval_fcmp(*pred, a, b));
-                    self.result(site, frame.frame_id, &mut val);
+                    self.hook.on_result(site, frame.frame_id, &mut val);
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
                 }
                 InstKind::Cast { op, val } => {
                     let v = self.eval(func, &frame, id, *val)?;
                     let mut out = ops::eval_cast(*op, v, &inst.ty);
-                    self.result(site, frame.frame_id, &mut out);
+                    self.hook.on_result(site, frame.frame_id, &mut out);
                     frame.slots[id.index()] = raw_of(out);
                     frame.ip += 1;
                 }
@@ -843,7 +788,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     }
                     self.sp = new_sp;
                     let mut val = RtVal::Ptr(new_sp);
-                    self.result(site, frame.frame_id, &mut val);
+                    self.hook.on_result(site, frame.frame_id, &mut val);
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
                 }
@@ -851,7 +796,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let p = self.eval(func, &frame, id, *ptr)?.as_ptr();
                     self.hook.on_load(site, frame.frame_id, p, inst.ty.size());
                     let mut val = self.load_typed(p, &inst.ty)?;
-                    self.result(site, frame.frame_id, &mut val);
+                    self.hook.on_result(site, frame.frame_id, &mut val);
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
                 }
@@ -896,7 +841,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                         }
                     }
                     let mut val = RtVal::Ptr(addr);
-                    self.result(site, frame.frame_id, &mut val);
+                    self.hook.on_result(site, frame.frame_id, &mut val);
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
                 }
@@ -911,7 +856,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let t = self.eval(func, &frame, id, *then_val)?;
                     let e = self.eval(func, &frame, id, *else_val)?;
                     let mut val = if c { t } else { e };
-                    self.result(site, frame.frame_id, &mut val);
+                    self.hook.on_result(site, frame.frame_id, &mut val);
                     frame.slots[id.index()] = raw_of(val);
                     frame.ip += 1;
                 }
@@ -936,7 +881,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                             let ret = self.intrinsic(*i, &vals)?;
                             if inst.has_result() {
                                 let mut val = ret.expect("non-void call returned a value");
-                                self.result(site, frame.frame_id, &mut val);
+                                self.hook.on_result(site, frame.frame_id, &mut val);
                                 frame.slots[id.index()] = raw_of(val);
                             }
                             frame.ip += 1;
@@ -978,7 +923,7 @@ impl<'m, H: InterpHook> Interp<'m, H> {
                     let call_id = cfunc.block(caller.cur).insts[caller.ip];
                     if cfunc.inst(call_id).has_result() {
                         let mut val = out.expect("non-void call returned a value");
-                        self.result(
+                        self.hook.on_result(
                             InstSite {
                                 func: cfid,
                                 inst: call_id,
@@ -1006,17 +951,6 @@ impl<'m, H: InterpHook> Interp<'m, H> {
             return Err(Stop::Budget);
         }
         Ok(())
-    }
-
-    /// Delivers an instruction result to the hook, bumping the snapshot
-    /// count vector first so snapshots agree with what profiling hooks
-    /// have observed.
-    #[inline]
-    pub(crate) fn result(&mut self, site: InstSite, frame_id: u64, val: &mut RtVal) {
-        if let Some(snap) = &mut self.snap {
-            snap.counts[site.func.index()][site.inst.index()] += 1;
-        }
-        self.hook.on_result(site, frame_id, val);
     }
 
     fn eval(

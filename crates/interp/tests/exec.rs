@@ -2,7 +2,8 @@
 //! intrinsics, and the instrumentation hook surface.
 
 use fiq_interp::{
-    run_module, ExecStatus, InstSite, Interp, InterpHook, InterpOptions, NopHook, RtVal,
+    run_module, ExecResult, ExecStatus, InstSite, Interp, InterpHook, InterpOptions,
+    InterpSnapshot, NopHook, RtVal,
 };
 use fiq_ir::{
     BinOp, Callee, Constant, FuncBuilder, Function, Global, GlobalInit, ICmpPred, InstKind, IntTy,
@@ -349,31 +350,22 @@ fn nop_hook_runs_clean() {
     assert!(r.steps > 50);
 }
 
-/// Counts `on_result` events for one site.
-struct SiteCounter {
-    target: InstSite,
-    seen: u64,
-}
-
-impl InterpHook for SiteCounter {
-    fn on_result(&mut self, site: InstSite, _frame: u64, _val: &mut RtVal) {
-        if site == self.target {
-            self.seen += 1;
+/// Runs `interp` to its end with `run_until`, snapshotting at the first
+/// boundary at or past each multiple of `interval`, the schedule golden
+/// checkpoints are taken on. No site counts are passed: these tests read
+/// none.
+fn checkpoint_every<H: InterpHook>(
+    interp: &mut Interp<'_, H>,
+    interval: u64,
+) -> (ExecResult, Vec<InterpSnapshot>) {
+    let mut snaps: Vec<InterpSnapshot> = Vec::new();
+    let mut due = interval;
+    loop {
+        if let Some(r) = interp.run_until(due) {
+            return (r, snaps);
         }
-    }
-}
-
-fn first_add_site(m: &Module) -> InstSite {
-    let fid = m.main_func().unwrap();
-    let inst = m
-        .func(fid)
-        .insts
-        .iter()
-        .position(|i| matches!(i.kind, InstKind::Binary { op: BinOp::Add, .. }))
-        .unwrap();
-    InstSite {
-        func: fid,
-        inst: fiq_ir::InstId(inst as u32),
+        snaps.push(interp.snapshot(snaps.last(), Vec::new()));
+        due = (interp.steps() / interval + 1) * interval;
     }
 }
 
@@ -381,7 +373,7 @@ fn first_add_site(m: &Module) -> InstSite {
 fn every_snapshot_restores_to_the_same_result() {
     let m = loop_sum_module(100);
     let mut golden = Interp::new(&m, opts(), NopHook).unwrap();
-    let (gr, snaps) = golden.run_with_snapshots(50);
+    let (gr, snaps) = checkpoint_every(&mut golden, 50);
     assert!(gr.finished());
     assert_eq!(gr.output, "4950\n");
     assert!(
@@ -398,44 +390,6 @@ fn every_snapshot_restores_to_the_same_result() {
         assert_eq!(r.status, gr.status);
         assert_eq!(r.steps, gr.steps, "step counter continues from snapshot");
         assert_eq!(r.output, gr.output);
-    }
-}
-
-#[test]
-fn snapshot_counts_partition_the_event_stream() {
-    // For any snapshot, site events before it (counts vector) plus events
-    // observed by a hook on the restored tail equal the full-run total.
-    let m = loop_sum_module(100);
-    let site = first_add_site(&m);
-    let mut full = Interp::new(
-        &m,
-        opts(),
-        SiteCounter {
-            target: site,
-            seen: 0,
-        },
-    )
-    .unwrap();
-    let (_, snaps) = full.run_with_snapshots(37);
-    let total = full.into_hook().seen;
-    assert!(total > 0);
-    for snap in &snaps {
-        let mut tail = Interp::restore(
-            &m,
-            opts(),
-            SiteCounter {
-                target: site,
-                seen: 0,
-            },
-            snap,
-        );
-        tail.run();
-        assert_eq!(
-            snap.site_count(site) + tail.into_hook().seen,
-            total,
-            "snapshot at step {} must split the event stream exactly",
-            snap.steps()
-        );
     }
 }
 
@@ -472,7 +426,7 @@ fn snapshots_restore_mid_call_stack() {
     fiq_ir::verify_module(&m).unwrap();
 
     let mut golden = Interp::new(&m, opts(), NopHook).unwrap();
-    let (gr, snaps) = golden.run_with_snapshots(7);
+    let (gr, snaps) = checkpoint_every(&mut golden, 7);
     assert!(gr.finished());
     assert!(!snaps.is_empty());
     for snap in &snaps {
@@ -528,6 +482,39 @@ impl InterpHook for SettlesAfter {
         } else {
             Quiescence::Active
         }
+    }
+}
+
+/// `main` adds 1.0 to an `f64` `n` times in one block, then prints it:
+/// no φ and no fusable idiom, so every decoded unit is one step.
+fn float_chain_module(n: usize) -> Module {
+    let mut m = Module::new("float_chain");
+    let mut f = Function::new("main", vec![], Type::Void);
+    let mut b = FuncBuilder::new(&mut f);
+    let mut x = Value::f64(0.0);
+    for _ in 0..n {
+        x = b.binary(BinOp::FAdd, x, Value::f64(1.0));
+    }
+    b.call(Callee::Intrinsic(Intrinsic::PrintF64), vec![x], Type::Void);
+    b.ret(None);
+    m.add_func(f);
+    fiq_ir::verify_module(&m).expect("valid module");
+    m
+}
+
+#[test]
+fn quiescent_slice_leaves_the_last_steps_before_a_pause_evented() {
+    // The quiescent slice yields once fewer than three steps (the widest
+    // fused unit) remain before the pause, and the evented slice walks
+    // the rest on the plain table. With one-step units that is exactly
+    // the last two steps before every pause at three steps or more.
+    let m = float_chain_module(40);
+    for k in 1..=40 {
+        let mut interp = Interp::new(&m, opts(), NopHook).unwrap();
+        assert!(interp.run_until(k).is_none());
+        assert_eq!(interp.steps(), k);
+        let evented = k - interp.steps_quiescent();
+        assert_eq!(evented, k.min(2), "evented steps before the pause at {k}");
     }
 }
 

@@ -16,7 +16,7 @@
 /// * [`Quiescence::Active`] — the hook may observe or mutate anything;
 ///   the core must deliver the full event stream. This is the default
 ///   and always safe.
-/// * [`Quiescence::UntilSite(s)`] — the hook promises that every event
+/// * [`Quiescence::UntilSite`]`(s)` — the hook promises that every event
 ///   *not* produced by executing the static instruction `s` itself is
 ///   ignored. Events produced by *consumers* of `s` (an
 ///   `on_use(def = s, ..)` fired while some later instruction reads the

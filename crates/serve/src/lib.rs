@@ -7,7 +7,7 @@
 //! indices, and tallying is commutative. This crate builds the service
 //! on top of that guarantee:
 //!
-//! * [`prepare`] — turns a JSON [`prepare::Submission`] (inline Mini-C
+//! * [`prepare`](mod@prepare) — turns a JSON [`prepare::Submission`] (inline Mini-C
 //!   source or bundled workload, category, budget knobs) into
 //!   compile/profile/snapshot artifacts a daemon can keep alive across
 //!   shard runs. The daemon's [`Preparations`] cache shares one artifact

@@ -30,12 +30,14 @@
 //!   that still take the `Generic` fallback.
 
 use fiq_asm::{
-    AluOp, AsmFunc, AsmHook, AsmProgram, Cond, Inst, MachOptions, MachState, Machine, NopAsmHook,
-    Operand, Reg, RegId, RunResult, Width, ALL_FLAGS, ZF,
+    AluOp, AsmFunc, AsmHook, AsmProgram, Cond, Inst, MachOptions, MachSnapshot, MachState, Machine,
+    NopAsmHook, Operand, Reg, RegId, RunResult, Width, ALL_FLAGS, ZF,
 };
 use fiq_backend::LowerOptions;
-use fiq_core::Executor;
-use fiq_interp::{ExecResult, InstSite, Interp, InterpHook, InterpOptions, NopHook, RtVal};
+use fiq_core::{run_with_snapshots, Executor};
+use fiq_interp::{
+    ExecResult, InstSite, Interp, InterpHook, InterpOptions, InterpSnapshot, NopHook, RtVal,
+};
 use fiq_ir::Module;
 use fiq_mem::Quiescence;
 use rand::rngs::StdRng;
@@ -407,13 +409,44 @@ fn next_due(mut due: u64, interval: u64, steps: u64) -> u64 {
     due
 }
 
+/// A production interpreter run with `hook`, checkpointed every
+/// `interval` steps by the profiler's capture schedule.
+fn interp_snapshots<H: InterpHook>(
+    module: &Module,
+    opts: InterpOptions,
+    hook: H,
+    interval: u64,
+) -> (ExecResult, Vec<InterpSnapshot>) {
+    let mut interp = Interp::new(module, opts, hook).unwrap();
+    run_with_snapshots(&mut interp, interval, |i, prev| {
+        i.snapshot(prev, Vec::new())
+    })
+}
+
+/// A production machine run with `hook`, checkpointed every `interval`
+/// steps by the profiler's capture schedule.
+fn machine_snapshots<H: AsmHook>(
+    prog: &AsmProgram,
+    opts: MachOptions,
+    hook: H,
+    interval: u64,
+) -> (RunResult, Vec<MachSnapshot>) {
+    let mut machine = Machine::new(prog, opts, hook).unwrap();
+    run_with_snapshots(&mut machine, interval, |m, prev| {
+        m.snapshot(prev, Vec::new())
+    })
+}
+
 /// Snapshots are the contract between the profiling run that captures
 /// them and every fast-forwarded injection that restores them. Snapshots
 /// the production core captures at intervals 1–4 (so interpreter
 /// captures land at every offset inside every fused unit) must be taken
 /// where the reference core pauses for the same capture point and hold
 /// exactly its state there, and restored into the reference core they
-/// must run to the reference's final state.
+/// must run to the reference's final state. Each core captures twice:
+/// under an inert hook, whose quiescent loop runs up to each pause, and
+/// under an always-active one, whose evented loop does; the two lists
+/// must also equal each other.
 #[test]
 fn production_snapshots_resume_identically_on_reference_core() {
     let (module, prog) = compile("snap-kernel", SNAP_KERNEL);
@@ -426,25 +459,36 @@ fn production_snapshots_resume_identically_on_reference_core() {
     let interp_final = run_interp(&module, max_steps, NopHook, Core::Reference);
     let machine_final = run_machine(&prog, max_steps, NopAsmHook, Core::Reference);
     for interval in 1..=4u64 {
-        let (res, snaps) = Interp::new(&module, iopts, NopHook)
-            .unwrap()
-            .run_with_snapshots(interval);
+        let (res, snaps) = interp_snapshots(&module, iopts, NopHook, interval);
+        let (active_res, active) = interp_snapshots(&module, iopts, ActiveNop, interval);
         assert_eq!(res.steps, interp_final.obs.steps, "interp capture run");
+        assert_eq!(
+            active_res.steps, interp_final.obs.steps,
+            "interp capture run"
+        );
         assert!(
             !snaps.is_empty(),
             "interp interval {interval}: no snapshots"
         );
+        assert_eq!(snaps.len(), active.len(), "interp interval {interval}");
         let mut paused = Interp::new(&module, iopts, NopHook).unwrap();
         let mut due = interval;
-        for snap in &snaps {
+        for (snap, evented) in snaps.iter().zip(&active) {
             // The capture rule: the first boundary at or past `due`.
             assert!(paused.run_reference_until(due).is_none());
             due = next_due(due, interval, paused.steps());
+            for (which, s) in [("quiescent", snap), ("evented", evented)] {
+                assert!(
+                    paused.state_equals_snapshot(s),
+                    "interp interval {interval}, {which}: snapshot at {} (paused at {})",
+                    s.steps(),
+                    paused.steps()
+                );
+            }
             assert!(
-                paused.state_equals_snapshot(snap),
-                "interp interval {interval}: snapshot at {} (paused at {})",
-                snap.steps(),
-                paused.steps()
+                Interp::restore(&module, iopts, NopHook, snap).state_equals_snapshot(evented),
+                "interp interval {interval}: loops captured different states at {}",
+                snap.steps()
             );
             let mut resumed = Interp::restore(&module, iopts, NopHook, snap);
             let res = resumed.run_reference_until(u64::MAX).unwrap();
@@ -455,21 +499,32 @@ fn production_snapshots_resume_identically_on_reference_core() {
             );
         }
 
-        let (res, snaps) = Machine::new(&prog, mopts, NopAsmHook)
-            .unwrap()
-            .run_with_snapshots(interval);
+        let (res, snaps) = machine_snapshots(&prog, mopts, NopAsmHook, interval);
+        let (active_res, active) = machine_snapshots(&prog, mopts, ActiveNop, interval);
         assert_eq!(res.steps, machine_final.obs.steps, "machine capture run");
+        assert_eq!(
+            active_res.steps, machine_final.obs.steps,
+            "machine capture run"
+        );
         assert_eq!(snaps.len() as u64, (res.steps - 1) / interval);
+        assert_eq!(snaps.len(), active.len(), "machine interval {interval}");
         let mut paused = Machine::new(&prog, mopts, NopAsmHook).unwrap();
         let mut due = interval;
-        for snap in &snaps {
+        for (snap, evented) in snaps.iter().zip(&active) {
             assert!(paused.run_reference_until(due).is_none());
             due = next_due(due, interval, paused.steps());
+            for (which, s) in [("quiescent", snap), ("evented", evented)] {
+                assert!(
+                    paused.state_equals_snapshot(s),
+                    "machine interval {interval}, {which}: snapshot at {} (paused at {})",
+                    s.steps(),
+                    paused.steps()
+                );
+            }
             assert!(
-                paused.state_equals_snapshot(snap),
-                "machine interval {interval}: snapshot at {} (paused at {})",
-                snap.steps(),
-                paused.steps()
+                Machine::restore(&prog, mopts, NopAsmHook, snap).state_equals_snapshot(evented),
+                "machine interval {interval}: loops captured different states at {}",
+                snap.steps()
             );
             let mut resumed = Machine::restore(&prog, mopts, NopAsmHook, snap);
             let res = resumed.run_reference_until(u64::MAX).unwrap();

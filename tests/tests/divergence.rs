@@ -162,7 +162,7 @@ fn read(path: &Path) -> String {
 /// Timelines are a pure function of (campaign seed, cell grid): thread
 /// count and fast-forward must not move a byte.
 #[test]
-fn timelines_byte_identical_across_threads_dispatch_and_fast_forward() {
+fn timelines_byte_identical_across_threads_and_fast_forward() {
     let fx = Fixture::new();
     let base = temp_path("det-base.div.jsonl");
     fx.run(1, true, None, Some(&base), false);

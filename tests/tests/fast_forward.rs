@@ -2,15 +2,18 @@
 //! replaying only the tail must reproduce a full-replay campaign
 //! byte-for-byte — same cell reports, same record stream — at every
 //! thread count and snapshot interval, and resume must interoperate
-//! across the two modes.
+//! across the two modes. Each checkpoint's site counts, which come from
+//! the profiler's counting hook, must split the golden event stream
+//! exactly where the checkpoint was taken.
 
-use fiq_asm::MachOptions;
+use fiq_asm::{AsmHook, MachOptions, MachState, Machine};
 use fiq_backend::LowerOptions;
 use fiq_core::{
     profile_llfi, profile_llfi_with_snapshots, profile_pinfi, profile_pinfi_with_snapshots,
     run_campaign, CampaignConfig, Category, CellSpec, EngineOptions, SnapshotCache, Substrate,
 };
-use fiq_interp::InterpOptions;
+use fiq_interp::{InstSite, Interp, InterpHook, InterpOptions, RtVal};
+use fiq_ir::{FuncId, InstId};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -121,6 +124,93 @@ fn snapshot_profiling_matches_plain_profiling() {
     );
     assert!(ls.windows(2).all(|w| w[0].steps() < w[1].steps()));
     assert!(ps.windows(2).all(|w| w[0].steps() < w[1].steps()));
+}
+
+/// The catalog workload the checkpoint-count tests profile.
+fn raytrace() -> fiq_workloads::Compiled {
+    fiq_workloads::by_name("raytrace")
+        .expect("raytrace is in the catalog")
+        .compile()
+        .expect("compiles")
+}
+
+/// Checkpoint interval for the count tests: seven or eight checkpoints
+/// over raytrace's golden run at either level.
+const COUNT_INTERVAL: u64 = 99_991;
+
+/// Every site's `on_result` events, indexed `[func][inst]` like
+/// [`fiq_core::LlfiProfile::counts`].
+struct ResultCounts(Vec<Vec<u64>>);
+
+impl InterpHook for ResultCounts {
+    fn on_result(&mut self, site: InstSite, _frame: u64, _val: &mut RtVal) {
+        self.0[site.func.index()][site.inst.index()] += 1;
+    }
+}
+
+/// Every instruction's retires, indexed like
+/// [`fiq_core::PinfiProfile::counts`].
+struct RetireCounts(Vec<u64>);
+
+impl AsmHook for RetireCounts {
+    fn on_retire(&mut self, idx: usize, _st: &mut MachState) {
+        self.0[idx] += 1;
+    }
+}
+
+/// For every IR checkpoint, the site counts it carries plus the events a
+/// run restored from it sees equal the profile's count, at every site.
+#[test]
+fn snapshot_counts_partition_the_event_stream() {
+    let c = raytrace();
+    let opts = InterpOptions::default();
+    let (lp, snaps) = profile_llfi_with_snapshots(&c.module, opts, COUNT_INTERVAL).unwrap();
+    assert!(snaps.len() >= 4, "{} checkpoints", snaps.len());
+    for snap in &snaps {
+        let zero = c.module.funcs.iter().map(|f| vec![0; f.insts.len()]);
+        let mut tail = Interp::restore(&c.module, opts, ResultCounts(zero.collect()), snap);
+        assert_eq!(tail.run().steps, lp.golden_steps);
+        let tail = tail.into_hook().0;
+        for (f, counts) in lp.counts.iter().enumerate() {
+            for (i, &total) in counts.iter().enumerate() {
+                let site = InstSite {
+                    func: FuncId(f as u32),
+                    inst: InstId(i as u32),
+                };
+                assert_eq!(
+                    snap.site_count(site) + tail[f][i],
+                    total,
+                    "checkpoint at step {} must split {site:?}'s events exactly",
+                    snap.steps()
+                );
+            }
+        }
+    }
+}
+
+/// For every asm checkpoint, the retire counts it carries plus the
+/// retires a run restored from it sees equal the profile's count, at
+/// every instruction.
+#[test]
+fn snapshot_counts_partition_the_retire_stream() {
+    let c = raytrace();
+    let opts = MachOptions::default();
+    let (pp, snaps) = profile_pinfi_with_snapshots(&c.program, opts, COUNT_INTERVAL).unwrap();
+    assert!(snaps.len() >= 4, "{} checkpoints", snaps.len());
+    for snap in &snaps {
+        let zero = RetireCounts(vec![0; c.program.insts.len()]);
+        let mut tail = Machine::restore(&c.program, opts, zero, snap);
+        assert_eq!(tail.run().steps, pp.golden_steps);
+        let tail = tail.into_hook().0;
+        for (idx, &total) in pp.counts.iter().enumerate() {
+            assert_eq!(
+                snap.site_count(idx) + tail[idx],
+                total,
+                "checkpoint at step {} must split instruction {idx}'s retires exactly",
+                snap.steps()
+            );
+        }
+    }
 }
 
 #[test]
